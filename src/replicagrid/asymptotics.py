@@ -114,25 +114,29 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
     return 1
 
 
+def _x_log_x_root(c: float, hi: float) -> float:
+    """The x in [2, hi] solving x ln x = c (monotone for x >= 2), by bisection."""
+    if 2.0 * math.log(2.0) >= c:
+        return 2.0
+    lo = 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid * math.log(mid) <= c:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9 * hi:
+            break
+    return lo
+
+
 def _almost_empty_threshold(tau: float, capacity: float, n_nodes: int) -> float:
     """Largest catalog size M for which the down-truncated set stays o(M)."""
     kn = capacity * n_nodes
     if tau < 1.5 - _TAU_TOL:
         return (1.0 - 2.0 * tau / 3.0) * kn
     if abs(tau - 1.5) <= _TAU_TOL:
-        # Threshold is the x solving x ln x = K*N (monotone for x >= 2).
-        if 2.0 * math.log(2.0) >= kn:
-            return 2.0
-        lo, hi = 2.0, kn
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * math.log(mid) <= kn:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 * hi:
-                break
-        return lo
+        return _x_log_x_root(kn, kn)
     l_hat = _l_hat_scan(tau, capacity)
     h = ((capacity - l_hat + 1) * (2.0 * tau / 3.0 - 1.0) / l_hat ** (1.0 - 2.0 * tau / 3.0)) ** (
         3.0 / (2.0 * tau)
@@ -140,11 +144,31 @@ def _almost_empty_threshold(tau: float, capacity: float, n_nodes: int) -> float:
     return h * n_nodes ** (3.0 / (2.0 * tau))
 
 
+def _truncation_state(tau: float, capacity: float, m_count: int, n_nodes: int) -> str:
+    """Down-truncated set against its closed-form threshold (below half of
+    it counts as empty at finite scale)."""
+    threshold = _almost_empty_threshold(tau, capacity, n_nodes)
+    if m_count < _EMPTY_RATIO * threshold:
+        return STATE_EMPTY
+    if m_count <= threshold:
+        return STATE_ALMOST_EMPTY
+    return STATE_NONEMPTY
+
+
+def _near_full(tau: float, capacity: float, m_count: int, n_nodes: int) -> bool:
+    """M ~ KN: for tau > 3/2 past M = (K - beta) N, beta = 3 / (2 tau - 3),
+    where the fully-replicated head shrinks to one file; else M >= 0.9 KN."""
+    if tau > 1.5 + _TAU_TOL:
+        beta = 3.0 / (2.0 * tau - 3.0)
+        return m_count > (capacity - beta) * n_nodes
+    return m_count >= 0.9 * capacity * n_nodes
+
+
 def _check_instance(tau: float, capacity: float, m_count: int, n_nodes: int) -> None:
-    if tau < 0:
-        raise InvalidInputError(f"tau must be >= 0, got {tau}")
-    if capacity < 1:
-        raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InvalidInputError(f"tau must be a finite number >= 0, got {tau}")
+    if not (math.isfinite(capacity) and capacity >= 1):
+        raise InvalidInputError(f"capacity must be a finite number >= 1, got {capacity}")
     if m_count < 1:
         raise InvalidInputError(f"m_count must be >= 1, got {m_count}")
     if n_nodes < 1:
@@ -160,14 +184,12 @@ def estimate_l_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> i
     _check_instance(tau, capacity, m_count, n_nodes)
     if tau <= 1.5 + _TAU_TOL:
         return 1
-    threshold = _almost_empty_threshold(tau, capacity, n_nodes)
-    if m_count <= threshold:
+    if _truncation_state(tau, capacity, m_count, n_nodes) != STATE_NONEMPTY:
         return _l_hat_scan(tau, capacity)
     # Non-empty down-truncated set: beyond M = (K - beta) N the head
     # collapses to one file; below it the tail occupies M/N capacity units,
     # so the head condition is evaluated at K - M/N.
-    beta = 3.0 / (2.0 * tau - 3.0)
-    if m_count > (capacity - beta) * n_nodes:
+    if _near_full(tau, capacity, m_count, n_nodes):
         return 1
     return _l_hat_scan(tau, capacity - m_count / n_nodes)
 
@@ -196,72 +218,58 @@ def estimate_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> f
     if tau < 0.05:
         # The closed forms blow up as 3/(2 tau); use the exact solver.
         return float(solve_cd(n_nodes, capacity, zipf(m_count, tau)).r_index)
-    if m_count <= _almost_empty_threshold(tau, capacity, n_nodes):
+    if _truncation_state(tau, capacity, m_count, n_nodes) != STATE_NONEMPTY:
         return float(m_count + 1)
     if slack <= SMALL_SLACK:
         return _r_hat_small_slack(tau, slack)
     if tau < 1.5 - _TAU_TOL:
         return (3.0 - 2.0 * tau) / (2.0 * tau) * slack
     if abs(tau - 1.5) <= _TAU_TOL:
-        # r ln r = K*N - M, monotone in r on [2, K*N].
-        lo, hi = 2.0, kn
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid * math.log(mid) <= slack:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 * hi:
-                break
-        return lo
-    beta = 3.0 / (2.0 * tau - 3.0)
+        # r ln r = K*N - M.
+        return _x_log_x_root(slack, kn)
     expo = 3.0 / (2.0 * tau)
-    if m_count <= (capacity - beta) * n_nodes:
+    if not _near_full(tau, capacity, m_count, n_nodes):
         alpha = (2.0 * tau - 3.0) / (2.0 * tau)
         return alpha * (capacity * n_nodes ** expo - m_count / n_nodes ** (1.0 - expo))
     return (2.0 * tau / 3.0 * slack) ** expo
 
 
-def _predicted_law(
-    tau: float, state: str, slack_small: bool, near_full: bool
-) -> tuple[str, str, float, float]:
-    """Regime label, symbolic law, M-exponent and log-M exponent.
+def _regime(
+    tau: float, capacity: float, m_count: int, n_nodes: int
+) -> tuple[str, str, str, float, float]:
+    """Truncation state, regime label, symbolic law, M-exponent and log-M
+    exponent of one instance.
 
     The law strings follow Table-of-regimes shorthand; the two exponents let
     the sweep harness fit ln C = a ln M + b ln ln M + const.
     """
-    if state in (STATE_EMPTY, STATE_ALMOST_EMPTY):
-        label = "almost-empty down-truncated set" if state == STATE_ALMOST_EMPTY else "empty down-truncated set"
-        if tau < 1.0 - _TAU_TOL:
-            return label, "C = Theta(M^0.5)", 0.5, 0.0
-        if abs(tau - 1.0) <= _TAU_TOL:
-            return label, "C = Theta(M^0.5 / log M)", 0.5, -1.0
+    state = _truncation_state(tau, capacity, m_count, n_nodes)
+    if state == STATE_NONEMPTY and capacity * n_nodes - m_count <= SMALL_SLACK:
+        return state, "M ~ KN, KN - M = O(1)", "C = Theta(M^0.5)", 0.5, 0.0
+    if state == STATE_NONEMPTY and _near_full(tau, capacity, m_count, n_nodes):
+        label = "M ~ KN, KN - M = omega(1)"
+        if tau <= 1.0 + _TAU_TOL:
+            return state, label, "C = Theta(M^0.5)", 0.5, 0.0
         if tau < 1.5 - _TAU_TOL:
-            return label, f"C = Theta(M^{1.5 - tau:g})", 1.5 - tau, 0.0
+            return state, label, f"C = Theta(M^0.5 / (KN - M)^{tau - 1.0:g})", 0.5, 0.0
         if abs(tau - 1.5) <= _TAU_TOL:
-            return label, "C = Theta(log^1.5 M)", 0.0, 1.5
-        return label, "C = Theta(1)", 0.0, 0.0
-    if slack_small:
-        return "M ~ KN, KN - M = O(1)", "C = Theta(M^0.5)", 0.5, 0.0
-    if not near_full:
-        label = "non-empty down-truncated set, KN - M = omega(1)"
-        if tau < 1.0 - _TAU_TOL:
-            return label, "C = Theta(M^0.5)", 0.5, 0.0
-        if abs(tau - 1.0) <= _TAU_TOL:
-            return label, "C = Theta(M^0.5 / log M)", 0.5, -1.0
-        if tau < 1.5 - _TAU_TOL:
-            return label, f"C = Theta(M^{1.5 - tau:g})", 1.5 - tau, 0.0
-        if abs(tau - 1.5) <= _TAU_TOL:
-            return label, "C = Theta(log^1.5 r)", 0.0, 1.5
-        return label, "C = Theta(1)", 0.0, 0.0
-    label = "M ~ KN, KN - M = omega(1)"
-    if tau <= 1.0 + _TAU_TOL:
-        return label, "C = Theta(M^0.5)", 0.5, 0.0
+            return state, label, "C = Theta(sqrt(M / (KN - M)) log^1.5 r)", 0.5, 1.5
+        law = f"C = Theta(M^0.5 / (KN - M)^{3.0 * (tau - 1.0) / (2.0 * tau):g})"
+        return state, label, law, 0.5, 0.0
+    label, log_of = {
+        STATE_EMPTY: ("empty down-truncated set", "M"),
+        STATE_ALMOST_EMPTY: ("almost-empty down-truncated set", "M"),
+        STATE_NONEMPTY: ("non-empty down-truncated set, KN - M = omega(1)", "r"),
+    }[state]
+    if tau < 1.0 - _TAU_TOL:
+        return state, label, "C = Theta(M^0.5)", 0.5, 0.0
+    if abs(tau - 1.0) <= _TAU_TOL:
+        return state, label, "C = Theta(M^0.5 / log M)", 0.5, -1.0
     if tau < 1.5 - _TAU_TOL:
-        return label, f"C = Theta(M^0.5 / (KN - M)^{tau - 1.0:g})", 0.5, 0.0
+        return state, label, f"C = Theta(M^{1.5 - tau:g})", 1.5 - tau, 0.0
     if abs(tau - 1.5) <= _TAU_TOL:
-        return label, "C = Theta(sqrt(M / (KN - M)) log^1.5 r)", 0.5, 1.5
-    return label, f"C = Theta(M^0.5 / (KN - M)^{3.0 * (tau - 1.0) / (2.0 * tau):g})", 0.5, 0.0
+        return state, label, f"C = Theta(log^1.5 {log_of})", 0.0, 1.5
+    return state, label, "C = Theta(1)", 0.0, 0.0
 
 
 def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> RegimeReport:
@@ -274,21 +282,7 @@ def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
     above it the fully-replicated head shrinks to a single file.
     """
     _check_instance(tau, capacity, m_count, n_nodes)
-    threshold = _almost_empty_threshold(tau, capacity, n_nodes)
-    if m_count < _EMPTY_RATIO * threshold:
-        state = STATE_EMPTY
-    elif m_count <= threshold:
-        state = STATE_ALMOST_EMPTY
-    else:
-        state = STATE_NONEMPTY
-    slack = capacity * n_nodes - m_count
-    slack_small = slack <= SMALL_SLACK
-    if tau > 1.5 + _TAU_TOL:
-        beta = 3.0 / (2.0 * tau - 3.0)
-        near_full = m_count > (capacity - beta) * n_nodes
-    else:
-        near_full = m_count >= 0.9 * capacity * n_nodes
-    label, law, _, _ = _predicted_law(tau, state, slack_small, near_full)
+    state, label, law, _, _ = _regime(tau, capacity, m_count, n_nodes)
     return RegimeReport(
         tau=tau,
         capacity=capacity,
@@ -356,7 +350,8 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
             raise InternalInvariantError(
                 f"capacity {bd.c_total} exceeds the O(sqrt(N)) guard at N={n}"
             )
-        report = classify_regime(tau, capacity, m, n)
+        _check_instance(tau, capacity, m, n)
+        regime = _regime(tau, capacity, m, n)
         points.append(
             SweepPoint(
                 nu=int(nu),
@@ -367,21 +362,10 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
                 c_value=bd.c_total,
                 l_index=profile.l_index,
                 r_index=profile.r_index,
-                regime_label=report.regime_label,
+                regime_label=regime[1],
             )
         )
-    largest = classify_regime(tau, capacity, points[-1].m_count, points[-1].n_nodes)
-    state = largest.truncation_state
-    slack = capacity * points[-1].n_nodes - points[-1].m_count
-    if tau > 1.5 + _TAU_TOL:
-        beta = 3.0 / (2.0 * tau - 3.0)
-        near_full = points[-1].m_count > (capacity - beta) * points[-1].n_nodes
-    else:
-        near_full = points[-1].m_count >= 0.9 * capacity * points[-1].n_nodes
-    law_label, law, expo, log_expo = _predicted_law(
-        tau, state, slack <= SMALL_SLACK, near_full
-    )
-    del law_label
+    _, _, law, expo, log_expo = regime  # the law of the last point
 
     ms = np.array([pt.m_count for pt in points], dtype=float)
     cs = np.array([pt.c_value for pt in points], dtype=float)

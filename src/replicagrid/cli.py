@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -20,9 +19,6 @@ from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec
 from .popularity import Popularity, load_popularity, zipf
 
-_JOBS_ENV = "REPLICA_GRID_JOBS"
-
-
 def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
@@ -30,23 +26,24 @@ def _fmt(value: float) -> str:
 def parse_m_expression(text: str, n_nodes: int, capacity: float) -> int:
     """Catalog-size expression: an integer, 'c*N', 'c*N^a' or 'K*N - c'."""
     s = text.strip().replace(" ", "")
-    if re.fullmatch(r"\d+", s):
-        value = int(s)
-    else:
-        m = re.fullmatch(r"(?:([0-9.]+)\*)?N(?:\^([0-9.]+))?", s)
-        if m:
+    try:
+        if re.fullmatch(r"\d+", s):
+            value = int(s)
+        elif m := re.fullmatch(r"(?:([0-9.]+)\*)?N(?:\^([0-9.]+))?", s):
             coeff = float(m.group(1)) if m.group(1) else 1.0
             power = float(m.group(2)) if m.group(2) else 1.0
             value = int(coeff * n_nodes ** power)
+        elif m := re.fullmatch(r"K\*N-([0-9.]+)", s):
+            value = int(capacity * n_nodes - float(m.group(1)))
         else:
-            m = re.fullmatch(r"K\*N-([0-9.]+)", s)
-            if m:
-                value = int(capacity * n_nodes - float(m.group(1)))
-            else:
-                raise InvalidInputError(
-                    f"cannot parse catalog size {text!r}; use an integer, "
-                    "'c*N', 'c*N^a' or 'K*N - c'"
-                )
+            value = None
+    except (ValueError, OverflowError):  # e.g. "1.2.3", or a NaN/inf K
+        value = None
+    if value is None:
+        raise InvalidInputError(
+            f"cannot parse catalog size {text!r}; use an integer, "
+            "'c*N', 'c*N^a' or 'K*N - c'"
+        )
     if value < 1:
         raise InvalidInputError(f"catalog size {text!r} resolves to {value} < 1")
     return value
@@ -71,25 +68,52 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
-def _require(args, config, key):
+def _convert(key: str, value, kind):
+    """A flag or JSON config value as kind: str, or a finite int or float.
+
+    A number the conversion cannot take exactly (2.5 for an int, NaN, a
+    list, ...) is an InvalidInputError naming the option.
+    """
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if kind is not str and (
+        converted is None
+        or isinstance(value, bool)
+        or not math.isfinite(converted)
+        or (isinstance(value, float) and converted != value)
+    ):
+        flag = "--" + key.replace("_", "-")
+        raise InvalidInputError(f"{flag}: expected a finite {kind.__name__}, got {value!r}")
+    return converted
+
+
+def _optional(args, config, key, kind, default=None):
+    value = _resolve(args, config, key, default)
+    return None if value is None else _convert(key, value, kind)
+
+
+def _require(args, config, key, kind=None):
+    """The option's value, converted to kind unless kind is None."""
     value = _resolve(args, config, key)
     if value is None:
         raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
-    return value
+    return value if kind is None else _convert(key, value, kind)
 
 
 def _resolve_instance(args, config):
     """Common (grid, capacity, popularity) resolution for most commands."""
-    nu = int(_require(args, config, "nu"))
+    nu = _require(args, config, "nu", int)
     grid = GridSpec(nu=nu)
-    capacity = float(_require(args, config, "capacity"))
-    pop_file = _resolve(args, config, "pop_file")
+    capacity = _require(args, config, "capacity", float)
+    pop_file = _optional(args, config, "pop_file", str)
     if pop_file is not None:
         pop = load_popularity(pop_file)
     else:
-        m_expr = str(_require(args, config, "m_count"))
+        m_expr = _require(args, config, "m_count", str)
         m = parse_m_expression(m_expr, grid.node_count, capacity)
-        tau = float(_require(args, config, "tau"))
+        tau = _require(args, config, "tau", float)
         pop = zipf(m, tau)
     return grid, capacity, pop
 
@@ -116,27 +140,28 @@ def cmd_solve(args, config) -> int:
     print(f"sandwich_lower_margin = {_fmt(canonical_cost - exact)}")
     upper = 2.0 * exact + math.sqrt(2.0) / 6.0
     print(f"sandwich_upper_margin = {_fmt(upper - canonical_cost)}")
-    out = _resolve(args, config, "output")
+    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(profile.to_json() + "\n", out)
     return 0
 
 
 def _build_placement(grid, capacity, pop):
+    """The canonical profile and the placement built from it."""
     profile = density.solve_cd(grid.node_count, capacity, pop)
     canon = density.canonical_truncate(profile)
     cap_int = int(math.floor(capacity + 1e-12))
     if cap_int < 1:
         raise InvalidInputError(f"placement needs integer capacity >= 1, got {capacity}")
-    return placement.canonical_place(grid, canon, pop, cap_int)
+    return canon, placement.canonical_place(grid, canon, pop, cap_int)
 
 
 def cmd_place(args, config) -> int:
     grid, capacity, pop = _resolve_instance(args, config)
-    placed = _build_placement(grid, capacity, pop)
+    _, placed = _build_placement(grid, capacity, pop)
     print(placement.render_matrix(placed))
     print(f"valid = {str(placement.validate_capacity(placed)).lower()}")
-    out = _resolve(args, config, "output")
+    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(placed.to_json() + "\n", out)
     return 0
@@ -144,7 +169,7 @@ def cmd_place(args, config) -> int:
 
 def cmd_simulate(args, config) -> int:
     grid, capacity, pop = _resolve_instance(args, config)
-    placed = _build_placement(grid, capacity, pop)
+    canon, placed = _build_placement(grid, capacity, pop)
     loads = delivery.link_loads(grid, placed, pop)
     total = float(loads.loads.sum())
     hop_total = delivery.total_hop_load(grid, placed, pop)
@@ -153,8 +178,6 @@ def cmd_simulate(args, config) -> int:
     worst = delivery.worst_link(loads)
     measured = placed.measured_densities()
     lemma3 = density.lower_bound(measured, pop)
-    profile = density.solve_cd(grid.node_count, capacity, pop)
-    canon = density.canonical_truncate(profile)
     canonical_cost = density.lower_bound(canon.densities, pop)
     theorem9_cap = 0.25 + 0.75 * math.sqrt(2.0) * canonical_cost
     print(f"C_wn = {_fmt(worst)}")
@@ -162,21 +185,22 @@ def cmd_simulate(args, config) -> int:
     print(f"load_identity_residual = {_fmt(residual)}")
     print(f"lemma3_margin = {_fmt(avg - lemma3)}")
     print(f"theorem9_margin = {_fmt(theorem9_cap - avg)}")
-    out = _resolve(args, config, "output")
+    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(delivery.to_csv(loads), out)
     return 0
 
 
 def cmd_sweep(args, config) -> int:
-    tau = float(_require(args, config, "tau"))
-    capacity = float(_require(args, config, "capacity"))
-    m_expr = str(_require(args, config, "m_count"))
+    tau = _require(args, config, "tau", float)
+    capacity = _require(args, config, "capacity", float)
+    m_expr = _require(args, config, "m_count", str)
     nus_raw = _require(args, config, "nus")
     if isinstance(nus_raw, str):
-        nus = [int(v) for v in nus_raw.split(",") if v.strip()]
-    else:
-        nus = [int(v) for v in nus_raw]
+        nus_raw = [v for v in nus_raw.split(",") if v.strip()]
+    elif not isinstance(nus_raw, list):
+        raise InvalidInputError(f"--nus: not a list of grid exponents: {nus_raw!r}")
+    nus = [_convert("nus", v, int) for v in nus_raw]
     result = asymptotics.sweep(
         tau, capacity, lambda n: parse_m_expression(m_expr, n, capacity), nus
     )
@@ -185,7 +209,7 @@ def cmd_sweep(args, config) -> int:
     print(f"fitted_exponent = {_fmt(result.fitted_exponent)}")
     print(f"fitted_exponent_corrected = {_fmt(result.fitted_exponent_corrected)}")
     csv_text = asymptotics.sweep_to_csv(result)
-    out = _resolve(args, config, "output")
+    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(csv_text, out)
     else:
@@ -194,11 +218,11 @@ def cmd_sweep(args, config) -> int:
 
 
 def cmd_classify(args, config) -> int:
-    tau = float(_require(args, config, "tau"))
-    capacity = float(_require(args, config, "capacity"))
-    nu = int(_require(args, config, "nu"))
+    tau = _require(args, config, "tau", float)
+    capacity = _require(args, config, "capacity", float)
+    nu = _require(args, config, "nu", int)
     n = GridSpec(nu=nu).node_count
-    m = parse_m_expression(str(_require(args, config, "m_count")), n, capacity)
+    m = parse_m_expression(_require(args, config, "m_count", str), n, capacity)
     report = asymptotics.classify_regime(tau, capacity, m, n)
     doc = {
         "tau": report.tau,
@@ -224,7 +248,7 @@ def cmd_oracle(args, config) -> int:
         print(f"instances_examined = {result.instances_examined}")
         print(placement.render_matrix(result.best_placement))
     elif which == "cd":
-        resolution = float(_resolve(args, config, "resolution", 0.01))
+        resolution = _optional(args, config, "resolution", float, 0.01)
         value = oracle.brute_force_cd(grid.node_count, capacity, pop, resolution)
         print(f"grid_minimum = {_fmt(value)}")
     else:
@@ -232,9 +256,11 @@ def cmd_oracle(args, config) -> int:
     return 0
 
 
-def _add_common(sub):
+def _add_options(sub, command: str) -> None:
+    """Register --config and the options the command's handler reads."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--nu", type=int, help="grid exponent: side 2^nu, N = 4^nu")
+    if command != "sweep":
+        sub.add_argument("--nu", type=int, help="grid exponent: side 2^nu, N = 4^nu")
     sub.add_argument("--capacity", "--K", dest="capacity", type=float, help="per-node cache size K")
     sub.add_argument(
         "--m-count",
@@ -243,15 +269,15 @@ def _add_common(sub):
         help="catalog size: integer, 'c*N', 'c*N^a' or 'K*N - c'",
     )
     sub.add_argument("--tau", type=float, help="Zipf exponent")
-    sub.add_argument("--pop-file", dest="pop_file", help="popularity file (one p per line)")
-    sub.add_argument("--output", help="write the machine-readable result here")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=f"worker count (default ${_JOBS_ENV} or 1); results do not depend on it",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
+    if command not in ("sweep", "classify"):
+        sub.add_argument("--pop-file", dest="pop_file", help="popularity file (one p per line)")
+    if command not in ("classify", "oracle"):
+        sub.add_argument("--output", help="write the machine-readable result here")
+    if command == "sweep":
+        sub.add_argument("--nus", help="comma-separated grid exponents, e.g. 5,6,7")
+    if command == "oracle":
+        sub.add_argument("--problem", choices=["an", "cd"], help="which baseline")
+        sub.add_argument("--resolution", type=float, help="cd grid resolution")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,21 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle": "brute-force baseline on a tiny instance",
     }
     for name, handler in handlers.items():
-        sub = subs.add_parser(name, help=helps[name])
-        _add_common(sub)
-        if name == "sweep":
-            sub.add_argument("--nus", help="comma-separated grid exponents, e.g. 5,6,7")
-        if name == "oracle":
-            sub.add_argument("--problem", choices=["an", "cd"], help="which baseline")
-            sub.add_argument("--resolution", type=float, help="cd grid resolution")
+        # No abbreviations: sweep must not read --nu as --nus.
+        sub = subs.add_parser(name, help=helps[name], allow_abbrev=False)
+        _add_options(sub, name)
         sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs is None:
-        args.jobs = int(os.environ.get(_JOBS_ENV, "1"))
     try:
         config = _load_config(args.config)
         return args.handler(args, config)

@@ -22,6 +22,7 @@ from .grid import (
     enumerate_links,
     link_index,
     shortest_routes,
+    signed_axis_delta,
 )
 from .placement import CachePlacement
 from .popularity import Popularity
@@ -61,32 +62,23 @@ def _replica_coords(placement: CachePlacement, m: int) -> np.ndarray:
     return np.array(reps, dtype=np.int64)
 
 
-def _nearest_replica_choice(grid: GridSpec, reps: np.ndarray) -> np.ndarray:
-    """For every node (row-major) the index into reps of its serving replica.
+def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every node (row-major) the index into reps of its serving replica
+    and the hop distance to it.
 
     Selection key: hop distance, then north-before-south, then west-before-
     east, then replica coordinates — all folded into one integer so the
     argmin is exact.
     """
     side = grid.side
-    n = grid.node_count
-    xs = np.arange(n, dtype=np.int64) // side
-    ys = np.arange(n, dtype=np.int64) % side
-
-    def axis_parts(node_c, rep_c):
-        fwd = (rep_c[None, :] - node_c[:, None]) % side
-        dist = np.minimum(fwd, side - fwd)
-        signed = np.where(2 * fwd >= side, fwd - side, fwd)
-        signed[fwd == 0] = 0
-        pref = np.where(signed < 0, 0, np.where(signed == 0, 1, 2))
-        return dist, pref
-
-    dist_x, pref_x = axis_parts(xs, reps[:, 0])
-    dist_y, pref_y = axis_parts(ys, reps[:, 1])
-    dist = dist_x + dist_y
-    key = ((dist * 3 + pref_x) * 3 + pref_y) * (side * side)
+    nodes = np.arange(grid.node_count, dtype=np.int64)
+    dx = signed_axis_delta(side, nodes[:, None] // side, reps[None, :, 0])
+    dy = signed_axis_delta(side, nodes[:, None] % side, reps[None, :, 1])
+    dist = np.abs(dx) + np.abs(dy)
+    key = ((dist * 3 + np.sign(dx) + 1) * 3 + np.sign(dy) + 1) * (side * side)
     key += reps[None, :, 0] * side + reps[None, :, 1]
-    return np.argmin(key, axis=1)
+    choice = np.argmin(key, axis=1)
+    return choice, dist[nodes, choice]
 
 
 def serve_map(
@@ -94,7 +86,7 @@ def serve_map(
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
     reps = _replica_coords(placement, m)
-    choice = _nearest_replica_choice(grid, reps)
+    choice, _ = _nearest_replica(grid, reps)
     out: dict[Node, tuple[Node, RouteSet]] = {}
     for idx, node in enumerate(grid.nodes()):
         server = (int(reps[choice[idx], 0]), int(reps[choice[idx], 1]))
@@ -132,17 +124,10 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
 
     This equals the sum of all link loads (total-load identity).
     """
-    side = grid.side
     total = 0.0
     for m in range(placement.file_count):
-        reps = _replica_coords(placement, m)
-        n = grid.node_count
-        xs = np.arange(n, dtype=np.int64) // side
-        ys = np.arange(n, dtype=np.int64) % side
-        fx = (reps[None, :, 0] - xs[:, None]) % side
-        fy = (reps[None, :, 1] - ys[:, None]) % side
-        dist = np.minimum(fx, side - fx) + np.minimum(fy, side - fy)
-        total += float(pop.probs[m]) * float(dist.min(axis=1).sum())
+        _, dist = _nearest_replica(grid, _replica_coords(placement, m))
+        total += float(pop.probs[m]) * float(dist.sum())
     return REQUEST_RATE * total
 
 
@@ -198,7 +183,7 @@ def per_file_link_bound(
     if level == 0:
         return bool(np.all(loads <= 1e-12))
 
-    choice = _nearest_replica_choice(grid, reps)
+    choice, _ = _nearest_replica(grid, reps)
     servers = {node: int(choice[i]) for i, node in enumerate(grid.nodes())}
 
     aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m

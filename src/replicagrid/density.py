@@ -112,8 +112,8 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     k_cap = float(capacity)
     if n < 1:
         raise InvalidInputError(f"n_nodes must be >= 1, got {n_nodes}")
-    if k_cap <= 0:
-        raise InvalidInputError(f"capacity must be positive, got {capacity}")
+    if not (math.isfinite(k_cap) and k_cap > 0):
+        raise InvalidInputError(f"capacity must be a finite positive number, got {capacity}")
     p = pop.probs
     m_count = pop.m_count
     if k_cap * n < m_count * (1.0 - 1e-15):

@@ -86,18 +86,14 @@ class RouteSet:
         return sum((f for f, _ in self.routes), Fraction(0))
 
 
-def signed_axis_delta(side: int, a: int, b: int) -> int:
+def signed_axis_delta(side: int, a, b):
     """Shortest signed displacement from coordinate a to b on a cycle.
 
     A tie (|delta| == side/2) resolves to the negative (north/west)
-    direction.
+    direction.  Works elementwise on int arrays as well as on ints.
     """
     d = (b - a) % side
-    if d == 0:
-        return 0
-    if 2 * d < side:
-        return d
-    return d - side
+    return d - side * (2 * d >= side)
 
 
 def hop_distance(grid: GridSpec, a: Node, b: Node) -> int:

@@ -69,17 +69,6 @@ def _check_an_instance(grid: GridSpec, capacity: int, pop: Popularity) -> None:
         )
 
 
-def _placement_from_buffers(
-    grid: GridSpec, capacity: int, m_count: int, buffers
-) -> CachePlacement:
-    return CachePlacement(
-        grid=grid,
-        capacity=capacity,
-        file_count=m_count,
-        buffers=tuple(frozenset(b) for b in buffers),
-    )
-
-
 def _enumerate_an(
     grid: GridSpec, capacity: int, pop: Popularity, dist: np.ndarray
 ) -> OracleResult:
@@ -109,7 +98,12 @@ def _enumerate_an(
         raise InternalInvariantError("no coverage-feasible placement found")
     return OracleResult(
         best_avg_load=float(best),
-        best_placement=_placement_from_buffers(grid, capacity, m_count, best_buffers),
+        best_placement=CachePlacement(
+            grid=grid,
+            capacity=capacity,
+            file_count=m_count,
+            buffers=tuple(frozenset(b) for b in best_buffers),
+        ),
         instances_examined=examined,
     )
 
@@ -187,7 +181,12 @@ def _milp_an(
     ]
     return OracleResult(
         best_avg_load=float(res.fun),
-        best_placement=_placement_from_buffers(grid, capacity, m_count, buffers),
+        best_placement=CachePlacement(
+            grid=grid,
+            capacity=capacity,
+            file_count=m_count,
+            buffers=tuple(frozenset(b) for b in buffers),
+        ),
         instances_examined=0,
     )
 

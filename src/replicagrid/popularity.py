@@ -28,8 +28,8 @@ class Popularity:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise InvalidInputError("popularity must be a nonempty 1-d vector")
-        if np.any(p <= 0.0):
-            raise InvalidInputError("all popularities must be strictly positive")
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            raise InvalidInputError("all popularities must be finite and strictly positive")
         if np.any(np.diff(p) > 0.0):
             raise InvalidInputError("popularities must be nonincreasing")
         total = float(p.sum())
@@ -48,8 +48,8 @@ def zipf(m_count: int, tau: float) -> Popularity:
     """Zipf popularity: p_m proportional to m^(-tau), m = 1..M."""
     if m_count < 1:
         raise InvalidInputError(f"m_count must be >= 1, got {m_count}")
-    if tau < 0:
-        raise InvalidInputError(f"tau must be >= 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InvalidInputError(f"tau must be a finite number >= 0, got {tau}")
     ranks = np.arange(1, m_count + 1, dtype=float)
     weights = ranks ** (-float(tau))
     probs = weights / weights.sum()

@@ -5,6 +5,7 @@ import pytest
 
 from replicagrid.asymptotics import (
     SMALL_SLACK,
+    _regime,
     analytic_capacity,
     capacity_breakdown,
     classify_regime,
@@ -154,3 +155,51 @@ def test_estimators_match_solver_in_omega1_slack():
         r_hat = estimate_r_hat(tau, k, m, n)
         assert abs(prof.r_index - r_hat) / prof.r_index <= 0.25
         assert prof.l_index == estimate_l_hat(tau, k, m, n) == 1
+
+
+# One instance per branch of the regime ladder at N = 4^6: each truncation
+# state at five values of tau, the near-full column on each side of tau = 1
+# and 3/2, and the small-slack column.
+REGIME_TABLE = [
+    (0.5, 2, 1000, "empty", "empty down-truncated set", "C = Theta(M^0.5)", 0.5, 0.0),
+    (0.5, 2, 4000, "almost_empty", "almost-empty down-truncated set", "C = Theta(M^0.5)", 0.5, 0.0),
+    (0.5, 2, 6000, "nonempty", "non-empty down-truncated set, KN - M = omega(1)",
+     "C = Theta(M^0.5)", 0.5, 0.0),
+    (0.5, 2, 8000, "nonempty", "M ~ KN, KN - M = omega(1)", "C = Theta(M^0.5)", 0.5, 0.0),
+    (1.0, 2, 1000, "empty", "empty down-truncated set", "C = Theta(M^0.5 / log M)", 0.5, -1.0),
+    (1.0, 2, 2000, "almost_empty", "almost-empty down-truncated set",
+     "C = Theta(M^0.5 / log M)", 0.5, -1.0),
+    (1.0, 2, 5000, "nonempty", "non-empty down-truncated set, KN - M = omega(1)",
+     "C = Theta(M^0.5 / log M)", 0.5, -1.0),
+    (1.0, 2, 8000, "nonempty", "M ~ KN, KN - M = omega(1)", "C = Theta(M^0.5)", 0.5, 0.0),
+    (1.2, 2, 500, "empty", "empty down-truncated set", "C = Theta(M^0.3)", 0.3, 0.0),
+    (1.2, 2, 1200, "almost_empty", "almost-empty down-truncated set", "C = Theta(M^0.3)", 0.3, 0.0),
+    (1.2, 2, 5000, "nonempty", "non-empty down-truncated set, KN - M = omega(1)",
+     "C = Theta(M^0.3)", 0.3, 0.0),
+    (1.2, 2, 8000, "nonempty", "M ~ KN, KN - M = omega(1)",
+     "C = Theta(M^0.5 / (KN - M)^0.2)", 0.5, 0.0),
+    (1.5, 2, 300, "empty", "empty down-truncated set", "C = Theta(log^1.5 M)", 0.0, 1.5),
+    (1.5, 2, 900, "almost_empty", "almost-empty down-truncated set",
+     "C = Theta(log^1.5 M)", 0.0, 1.5),
+    (1.5, 2, 5000, "nonempty", "non-empty down-truncated set, KN - M = omega(1)",
+     "C = Theta(log^1.5 r)", 0.0, 1.5),
+    (1.5, 2, 8000, "nonempty", "M ~ KN, KN - M = omega(1)",
+     "C = Theta(sqrt(M / (KN - M)) log^1.5 r)", 0.5, 1.5),
+    (2.0, 5, 226, "empty", "empty down-truncated set", "C = Theta(1)", 0.0, 0.0),
+    (2.0, 5, 604, "almost_empty", "almost-empty down-truncated set", "C = Theta(1)", 0.0, 0.0),
+    (2.0, 5, 1133, "nonempty", "non-empty down-truncated set, KN - M = omega(1)",
+     "C = Theta(1)", 0.0, 0.0),
+    (2.0, 5, 12288, "nonempty", "M ~ KN, KN - M = omega(1)",
+     "C = Theta(M^0.5 / (KN - M)^0.75)", 0.5, 0.0),
+    (0.8, 2, 8150, "nonempty", "M ~ KN, KN - M = O(1)", "C = Theta(M^0.5)", 0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("tau, k, m, state, label, law, expo, log_expo", REGIME_TABLE)
+def test_regime_ladder(tau, k, m, state, label, law, expo, log_expo):
+    n = 4 ** 6
+    got = _regime(tau, k, m, n)
+    assert got[:3] == (state, label, law)
+    assert got[3] == pytest.approx(expo, rel=1e-12) and got[4] == log_expo
+    report = classify_regime(tau, k, m, n)
+    assert (report.truncation_state, report.regime_label, report.predicted_law) == got[:3]

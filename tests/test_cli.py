@@ -1,8 +1,12 @@
+import argparse
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from replicagrid.cli import main, parse_m_expression
+from replicagrid import density
+from replicagrid.cli import build_parser, main, parse_m_expression
 from replicagrid.errors import InvalidInputError
 
 
@@ -144,3 +148,152 @@ def test_determinism(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        ("solve --nu 1 --K 1 --pop-file nan.txt", None),
+        ("classify --nu 3 --K 1 --M 4 --tau nan", None),
+        ("solve --nu 2 --K 1 --M 4 --tau nan", None),
+        ("sweep --nus 1,2,3 --K 1 --M 4 --tau nan", None),
+        ("solve --nu 2 --K nan --M 4 --tau 1", None),
+        ("solve --nu 2 --K inf --M 4 --tau 1", None),
+        ("oracle --nu 1 --K inf --M 3 --tau 1", None),
+        ("solve --nu 2 --K 1 --M K*N-1.2.3 --tau 1", None),
+        ("sweep --nus 5,x --K 1 --M 4 --tau 1", None),
+        ("sweep --nus 1,2,3 --K 0.5 --M 1 --tau 1", None),
+        ("solve", {"nu": "x", "capacity": 1, "m_count": 4, "tau": 1}),
+        ("solve", {"nu": 2.5, "capacity": 1, "m_count": 4, "tau": 1}),
+        ("sweep", {"nus": 5, "capacity": 1, "m_count": 4, "tau": 1}),
+    ],
+)
+def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.txt").write_text("0.5\nnan\n0.5\n")
+    argv = argv.split()
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --jobs 2",
+        "simulate --seed 1",
+        "sweep --nu 5",
+        "classify --output f",
+        "classify --pop-file f",
+        "oracle --output f",
+    ],
+)
+def test_ignored_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_solves_once(capsys, monkeypatch):
+    calls = []
+    real = density.solve_cd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "solve_cd", counting)
+    code, _, _ = run(capsys, "simulate", "--nu", "2", "--K", "1", "--M", "4", "--tau", "0.8")
+    assert code == 0
+    assert len(calls) == 1
+
+
+# The option keys each subcommand reads, and the flags that set each key.
+_INSTANCE_KEYS = {"config", "nu", "capacity", "m_count", "tau", "pop_file"}
+OPTIONS_READ = {
+    "solve": _INSTANCE_KEYS | {"output"},
+    "place": _INSTANCE_KEYS | {"output"},
+    "simulate": _INSTANCE_KEYS | {"output"},
+    "sweep": {"config", "capacity", "m_count", "tau", "output", "nus"},
+    "classify": {"config", "nu", "capacity", "m_count", "tau"},
+    "oracle": _INSTANCE_KEYS | {"problem", "resolution"},
+}
+FLAGS = {
+    "config": ("--config",),
+    "nu": ("--nu",),
+    "capacity": ("--capacity", "--K"),
+    "m_count": ("--m-count", "--M"),
+    "tau": ("--tau",),
+    "pop_file": ("--pop-file",),
+    "output": ("--output",),
+    "nus": ("--nus",),
+    "problem": ("--problem",),
+    "resolution": ("--resolution",),
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {a.dest for a in sub._actions if a.dest not in ("help", "handler")}
+        for name, sub in subs.choices.items()
+    }
+    assert got == OPTIONS_READ
+    assert sum(len(v) for v in got.values()) == 40
+
+
+# Small valid values (nu <= 1 for oracle, so that every case runs fast) and
+# the bad values every option is also tried with.
+VALID = {
+    "config": "config.json",
+    "nu": "2",
+    "capacity": "2",
+    "m_count": "3",
+    "tau": "0.8",
+    "pop_file": "probs.txt",
+    "output": "out.txt",
+    "nus": "1,2,3",
+    "problem": "cd",
+    "resolution": "0.05",
+}
+BAD = ["0", "-1", "nan", "inf", "x", ""]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
+    work = tmp_path / str(len(list(tmp_path.iterdir())))
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "probs.txt").write_text("0.5\n0.3\n0.2\n")
+    (work / "config.json").write_text(
+        json.dumps({"nu": 1, "capacity": 1, "m_count": "3", "tau": 0.8})
+    )
+    command = data.draw(st.sampled_from(sorted(OPTIONS_READ)))
+    # Mostly options the subcommand reads, sometimes any option or --help.
+    keys = data.draw(st.lists(st.sampled_from(sorted(OPTIONS_READ[command])), max_size=7))
+    keys += data.draw(st.lists(st.sampled_from(sorted(FLAGS) + ["help"]), max_size=1))
+    argv = [command]
+    for key in keys:
+        if key == "help":
+            argv.append("--help")
+            continue
+        valid = "1" if (key, command) == ("nu", "oracle") else VALID[key]
+        argv.append(data.draw(st.sampled_from(FLAGS[key])))
+        argv.append(data.draw(st.one_of(st.just(valid), st.sampled_from(BAD))))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

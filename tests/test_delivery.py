@@ -78,6 +78,25 @@ def test_serve_map_basics():
         serve_map(grid, placed, 1)
 
 
+@pytest.mark.parametrize(
+    "replicas, expect",
+    [
+        # Equidistant replicas: north before south, then west before east,
+        # and a same-row replica before a southern one.
+        ([(0, 0), (2, 0)], {(1, 0): (0, 0), (3, 0): (2, 0)}),
+        ([(0, 0), (0, 2)], {(0, 1): (0, 0), (0, 3): (0, 2)}),
+        ([(0, 1), (1, 0)], {(1, 1): (0, 1)}),
+        ([(2, 1), (1, 0)], {(1, 1): (1, 0)}),
+    ],
+)
+def test_serve_map_tie_order(replicas, expect):
+    grid = GridSpec(nu=2)
+    buffers = tuple(frozenset([0]) if node in replicas else frozenset() for node in grid.nodes())
+    placed = CachePlacement(grid=grid, capacity=1, file_count=1, buffers=buffers)
+    sm = serve_map(grid, placed, 0)
+    assert {node: sm[node][0] for node in expect} == expect
+
+
 def test_serve_map_cluster_radius():
     # A level-k file is never more than 2^k hops from a replica (at most
     # 2^(k-1) per axis under the tie rule); level 1 gives distances {0,1,1,2}.

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,17 @@ def test_axis_tie_goes_negative():
     g = GridSpec(nu=2)
     rs = shortest_routes(g, (0, 0), (2, 0))
     assert rs.routes[0][1] == ((0, 0), (3, 0), (2, 0))
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 4, 8])
+def test_signed_axis_delta_arrays_match_scalars(side):
+    a, b = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    got = signed_axis_delta(side, a, b)
+    for i, j in itertools.product(range(side), repeat=2):
+        want = signed_axis_delta(side, i, j)
+        assert type(want) is int and got[i, j] == want
+        # Shortest, and a tie at side/2 goes negative.
+        assert (want - (j - i)) % side == 0 and -side <= 2 * want < side
 
 
 @settings(max_examples=200)
