@@ -209,11 +209,7 @@ def cmd_sweep(args, config) -> int:
     print(f"fitted_exponent = {_fmt(result.fitted_exponent)}")
     print(f"fitted_exponent_corrected = {_fmt(result.fitted_exponent_corrected)}")
     csv_text = asymptotics.sweep_to_csv(result)
-    out = _optional(args, config, "output", str)
-    if out is not None:
-        _write_or_print(csv_text, out)
-    else:
-        print(csv_text, end="")
+    _write_or_print(csv_text, _optional(args, config, "output", str))
     return 0
 
 

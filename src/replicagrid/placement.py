@@ -36,15 +36,13 @@ class CachePlacement:
         """Nodes holding file m, row-major order."""
         if not (0 <= m < self.file_count):
             raise InvalidInputError(f"file id {m} outside 0..{self.file_count - 1}")
-        return [node for node in self.grid.nodes() if m in self.buffer_at(node)]
+        side = self.grid.side
+        return [divmod(i, side) for i, buf in enumerate(self.buffers) if m in buf]
 
     def measured_densities(self) -> np.ndarray:
         """Fraction of caches holding each file."""
-        counts = np.zeros(self.file_count)
-        for buf in self.buffers:
-            for m in buf:
-                counts[m] += 1
-        return counts / self.grid.node_count
+        held = np.array([m for buf in self.buffers for m in buf], dtype=np.int64)
+        return np.bincount(held, minlength=self.file_count) / self.grid.node_count
 
     def to_json(self) -> str:
         doc = {
@@ -96,41 +94,32 @@ def canonical_place(
 
     side = grid.side
     p = pop.probs
+    nodes = np.arange(grid.node_count).reshape(side, side)
+    occupancy = np.zeros((side, side), dtype=np.int64)
     buffers: list[set[int]] = [set() for _ in range(grid.node_count)]
 
     for k in range(1, grid.nu + 1):
         members = canon.level_sets[k]
         if not members:
             continue
-        order = diagonal_order(k)
+        xs, ys = np.array(diagonal_order(k)).T
         period = 2 ** k
-        reps = side // period
         # Most popular first; equal popularity resolves to the lower index.
         for m in sorted(members, key=lambda f: (-p[f], f)):
             # All period x period submatrices are identical at this point, so
-            # the top-left one stands in for the step-5 search.
-            anchor = None
-            best = None
-            for (x, y) in order:
-                occ = len(buffers[x * side + y])
-                if best is None or occ < best:
-                    best = occ
-                    anchor = (x, y)
-            ax, ay = anchor
-            for i in range(reps):
-                for j in range(reps):
-                    idx = (ax + i * period) * side + (ay + j * period)
-                    buffers[idx].add(m)
-                    if len(buffers[idx]) > capacity:
-                        raise InternalInvariantError(
-                            "cache capacity exceeded during placement"
-                        )
+            # the top-left one stands in for the step-5 search; argmin picks
+            # the first least-occupied cell in diagonal order.
+            rank = int(np.argmin(occupancy[xs, ys]))
+            tile = np.s_[xs[rank]::period, ys[rank]::period]
+            occupancy[tile] += 1
+            for i in nodes[tile].ravel().tolist():
+                buffers[i].add(m)
 
-    for m in canon.level_sets[0]:
-        for buf in buffers:
-            buf.add(m)
-            if len(buf) > capacity:
-                raise InternalInvariantError("cache capacity exceeded during placement")
+    # Occupancy only grows, so its final maximum is over capacity iff some add was.
+    if occupancy.max() + len(canon.level_sets[0]) > capacity:
+        raise InternalInvariantError("cache capacity exceeded during placement")
+    for buf in buffers:
+        buf.update(canon.level_sets[0])
 
     return CachePlacement(
         grid=grid,
@@ -144,10 +133,7 @@ def validate_capacity(placement: CachePlacement) -> bool:
     """True iff no buffer exceeds capacity and every file is cached somewhere."""
     if any(len(b) > placement.capacity for b in placement.buffers):
         return False
-    covered: set[int] = set()
-    for buf in placement.buffers:
-        covered.update(buf)
-    return covered == set(range(placement.file_count))
+    return set().union(*placement.buffers) == set(range(placement.file_count))
 
 
 _DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"

@@ -50,7 +50,10 @@ def zipf(m_count: int, tau: float) -> Popularity:
         raise InvalidInputError(f"m_count must be >= 1, got {m_count}")
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidInputError(f"tau must be a finite number >= 0, got {tau}")
-    ranks = np.arange(1, m_count + 1, dtype=float)
+    try:
+        ranks = np.arange(1, m_count + 1, dtype=float)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidInputError(f"M = {m_count} files is too many to allocate") from exc
     weights = ranks ** (-float(tau))
     probs = weights / weights.sum()
     return Popularity(probs=probs, tau=float(tau))

@@ -166,6 +166,9 @@ def test_determinism(capsys):
         ("solve", {"nu": "x", "capacity": 1, "m_count": 4, "tau": 1}),
         ("solve", {"nu": 2.5, "capacity": 1, "m_count": 4, "tau": 1}),
         ("sweep", {"nus": 5, "capacity": 1, "m_count": 4, "tau": 1}),
+        ("solve --nu 26 --K 1 --M N --tau 1", None),
+        ("simulate --nu 2 --K 1 --M 100000000000000000000000 --tau 1", None),
+        ("sweep --K 2 --M N --tau 1 --nus 3,4,40", None),
     ],
 )
 def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):

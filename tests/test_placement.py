@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replicagrid.density import CanonicalProfile
-from replicagrid.errors import InvalidInputError
+from replicagrid.errors import InternalInvariantError, InvalidInputError
 from replicagrid.grid import GridSpec
 from replicagrid.placement import (
     CachePlacement,
@@ -168,3 +170,79 @@ def test_render_matrix_smoke():
     placed = canonical_place(grid, canon, Popularity(np.array([0.7, 0.2, 0.1])), 1)
     text = render_matrix(placed)
     assert text.splitlines() == ["1 .", "3 2"]
+
+
+def _reference_place(grid, canon, pop, capacity):
+    """Buffers from the original per-cell diagonal scan, kept as a reference."""
+    side = grid.side
+    p = pop.probs
+    buffers = [set() for _ in range(grid.node_count)]
+
+    for k in range(1, grid.nu + 1):
+        members = canon.level_sets[k]
+        if not members:
+            continue
+        order = diagonal_order(k)
+        period = 2 ** k
+        reps = side // period
+        for m in sorted(members, key=lambda f: (-p[f], f)):
+            anchor = None
+            best = None
+            for (x, y) in order:
+                occ = len(buffers[x * side + y])
+                if best is None or occ < best:
+                    best = occ
+                    anchor = (x, y)
+            ax, ay = anchor
+            for i in range(reps):
+                for j in range(reps):
+                    idx = (ax + i * period) * side + (ay + j * period)
+                    buffers[idx].add(m)
+                    if len(buffers[idx]) > capacity:
+                        raise InternalInvariantError(
+                            "cache capacity exceeded during placement"
+                        )
+
+    for m in canon.level_sets[0]:
+        for buf in buffers:
+            buf.add(m)
+            if len(buf) > capacity:
+                raise InternalInvariantError("cache capacity exceeded during placement")
+
+    return tuple(frozenset(b) for b in buffers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.8, 2.0]),
+    st.integers(0, 10**6),
+)
+def test_canonical_place_matches_reference_scan(nu, cap, tau, seed):
+    levels = _random_levels(np.random.default_rng(seed), nu, cap)
+    canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+    pop = zipf(len(levels), tau)
+    grid = GridSpec(nu=nu)
+    placed = canonical_place(grid, canon, pop, cap)
+    assert placed.buffers == _reference_place(grid, canon, pop, cap)
+
+
+def test_measured_densities_zero_for_uncached_file():
+    placed = CachePlacement(
+        grid=GridSpec(nu=1), capacity=1, file_count=3,
+        buffers=(frozenset({0}), frozenset({0}), frozenset(), frozenset({1})),
+    )
+    assert placed.measured_densities().tolist() == [0.5, 0.25, 0.0]
+
+
+def test_replica_nodes_row_major_for_arbitrary_placement():
+    anti_diagonal = frozenset({1})
+    buffers = [frozenset() for _ in range(16)]
+    for idx in (12, 9, 6, 3):
+        buffers[idx] = anti_diagonal
+    placed = CachePlacement(
+        grid=GridSpec(nu=2), capacity=1, file_count=2, buffers=tuple(buffers)
+    )
+    assert placed.replica_nodes(1) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert placed.replica_nodes(0) == []
