@@ -23,7 +23,6 @@ from .delivery import (
     link_loads,
     per_file_link_bound,
     rhombus_lower_hop_sum,
-    serve_map,
     total_hop_load,
     worst_link,
 )
@@ -38,8 +37,16 @@ from .density import (
     solve_cd,
 )
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .grid import GridSpec, Link, RouteSet, enumerate_links, hop_distance, shortest_routes
-from .oracle import OracleResult, brute_force_an, brute_force_cd, enumerate_cluster
+from .grid import GridSpec, Link, enumerate_links, hop_distance
+from .oracle import (
+    OracleResult,
+    RouteSet,
+    brute_force_an,
+    brute_force_cd,
+    enumerate_cluster,
+    serve_map,
+    shortest_routes,
+)
 from .placement import (
     CachePlacement,
     canonical_place,

@@ -14,20 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import (
-    ROW,
-    GridSpec,
-    Node,
-    RouteSet,
-    enumerate_links,
-    link_index,
-    shortest_routes,
-    signed_axis_delta,
-)
+from .grid import ROW, GridSpec, enumerate_links, signed_axis_delta
 from .placement import CachePlacement
 from .popularity import Popularity
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
+_BLOCK_PAIRS = 2**20  # node-replica pairs per block of _nearest_replica
 
 
 @dataclass(frozen=True)
@@ -68,40 +60,68 @@ def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.n
 
     Selection key: hop distance, then north-before-south, then west-before-
     east, then replica coordinates — all folded into one integer so the
-    argmin is exact.
+    argmin is exact.  Nodes are taken in blocks of at most _BLOCK_PAIRS
+    node-replica pairs, so the temporaries stay bounded as N grows.
     """
     side = grid.side
-    nodes = np.arange(grid.node_count, dtype=np.int64)
-    dx = signed_axis_delta(side, nodes[:, None] // side, reps[None, :, 0])
-    dy = signed_axis_delta(side, nodes[:, None] % side, reps[None, :, 1])
-    dist = np.abs(dx) + np.abs(dy)
-    key = ((dist * 3 + np.sign(dx) + 1) * 3 + np.sign(dy) + 1) * (side * side)
-    key += reps[None, :, 0] * side + reps[None, :, 1]
-    choice = np.argmin(key, axis=1)
-    return choice, dist[nodes, choice]
+    n = grid.node_count
+    block = max(1, _BLOCK_PAIRS // reps.shape[0])
+    choice = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        nodes = np.arange(lo, hi, dtype=np.int64)
+        dx = signed_axis_delta(side, nodes[:, None] // side, reps[None, :, 0])
+        dy = signed_axis_delta(side, nodes[:, None] % side, reps[None, :, 1])
+        d = np.abs(dx) + np.abs(dy)
+        key = ((d * 3 + np.sign(dx) + 1) * 3 + np.sign(dy) + 1) * (side * side)
+        key += reps[None, :, 0] * side + reps[None, :, 1]
+        c = np.argmin(key, axis=1)
+        choice[lo:hi] = c
+        dist[lo:hi] = d[np.arange(hi - lo), c]
+    return choice, dist
 
 
-def serve_map(
-    grid: GridSpec, placement: CachePlacement, m: int
-) -> dict[Node, tuple[Node, RouteSet]]:
-    """Map every node to its serving replica of m and the routes used."""
-    reps = _replica_coords(placement, m)
-    choice, _ = _nearest_replica(grid, reps)
-    out: dict[Node, tuple[Node, RouteSet]] = {}
-    for idx, node in enumerate(grid.nodes()):
-        server = (int(reps[choice[idx], 0]), int(reps[choice[idx], 1]))
-        out[node] = (server, shortest_routes(grid, node, server))
-    return out
+def _run_counts(side: int, line: np.ndarray, start: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per-link count of cyclic runs, as a (line, position) array.
+
+    Run i steps |delta[i]| links along its line from coordinate start[i];
+    a step toward a lower coordinate crosses the link owned by the node it
+    lands on, so the run covers the links owned by positions
+    (start + min(delta, 0)) % side onward.  Each run adds +1 and -1 to a
+    difference array twice the line length, so no run wraps in it; the
+    cumulative sum's wrapped half is folded back onto the line.
+    """
+    first = line * (2 * side) + (start + np.minimum(delta, 0)) % side
+    size = 2 * side * side
+    diff = np.bincount(first, minlength=size) - np.bincount(first + np.abs(delta), minlength=size)
+    runs = diff.reshape(side, 2 * side).cumsum(axis=1)
+    return runs[:, :side] + runs[:, side:]
 
 
 def _deposit_file_loads(
     grid: GridSpec, placement: CachePlacement, m: int, weight: float, loads: np.ndarray
 ) -> None:
-    for _node, (_server, routes) in serve_map(grid, placement, m).items():
-        for frac, path in routes.routes:
-            w = weight * float(frac)
-            for a, b in zip(path, path[1:]):
-                loads[link_index(grid, a, b)] += w
+    """Add file m's traffic at request weight `weight` to loads.
+
+    A client's demand goes half along the x-first L-route (along column
+    y_c to row x_s, then along row x_s) and half along the y-first one
+    (along row x_c to column y_s, then along column y_s); an I-route is
+    the case where the two coincide.  Half-routes are counted per link in
+    integers, so a link that carries nothing stays at exactly 0.
+    """
+    side = grid.side
+    reps = _replica_coords(placement, m)
+    choice, _ = _nearest_replica(grid, reps)
+    nodes = np.arange(grid.node_count, dtype=np.int64)
+    xc, yc = nodes // side, nodes % side
+    xs, ys = reps[choice, 0], reps[choice, 1]
+    dx = signed_axis_delta(side, xc, xs)
+    dy = signed_axis_delta(side, yc, ys)
+    rows = _run_counts(side, xs, yc, dy) + _run_counts(side, xc, yc, dy)
+    cols = _run_counts(side, yc, xc, dx) + _run_counts(side, ys, xc, dx)
+    loads[0::2] += (weight / 2) * rows.ravel()
+    loads[1::2] += (weight / 2) * cols.T.ravel()
 
 
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:

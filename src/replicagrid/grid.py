@@ -15,7 +15,6 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidInputError
 
@@ -72,20 +71,6 @@ class Link:
     axis: str
 
 
-@dataclass(frozen=True)
-class RouteSet:
-    """The (fraction, path) pairs used to serve one client/server pair.
-
-    Fractions are exact rationals summing to 1; each path is an ordered node
-    list from client to server whose hop count equals the torus L1 distance.
-    """
-
-    routes: tuple[tuple[Fraction, tuple[Node, ...]], ...]
-
-    def total_fraction(self) -> Fraction:
-        return sum((f for f, _ in self.routes), Fraction(0))
-
-
 def signed_axis_delta(side: int, a, b):
     """Shortest signed displacement from coordinate a to b on a cycle.
 
@@ -106,48 +91,6 @@ def hop_distance(grid: GridSpec, a: Node, b: Node) -> int:
     return min(dx, side - dx) + min(dy, side - dy)
 
 
-def _axis_walk(side: int, node: Node, axis: int, delta: int) -> list[Node]:
-    """Nodes visited moving `delta` steps along one axis, start excluded."""
-    out = []
-    step = 1 if delta > 0 else -1
-    coord = list(node)
-    for _ in range(abs(delta)):
-        coord[axis] = (coord[axis] + step) % side
-        out.append((coord[0], coord[1]))
-    return out
-
-
-def shortest_routes(grid: GridSpec, client: Node, server: Node) -> RouteSet:
-    """Shortest route(s) from client to server.
-
-    Same node: a single zero-hop path.  Same row or column (on the shortest
-    wrap side): the single I-shaped path.  Otherwise the two L-shaped paths,
-    each carrying half the traffic.
-    """
-    grid.check_node(client)
-    grid.check_node(server)
-    side = grid.side
-    dx = signed_axis_delta(side, client[0], server[0])
-    dy = signed_axis_delta(side, client[1], server[1])
-
-    if dx == 0 and dy == 0:
-        return RouteSet(routes=((Fraction(1), (client,)),))
-
-    if dx == 0 or dy == 0:
-        axis = 0 if dy == 0 else 1
-        delta = dx if dy == 0 else dy
-        path = [client] + _axis_walk(side, client, axis, delta)
-        return RouteSet(routes=((Fraction(1), tuple(path)),))
-
-    # Two L-shaped paths: rows first, then columns first.
-    via_x = [client] + _axis_walk(side, client, 0, dx)
-    via_x += _axis_walk(side, via_x[-1], 1, dy)
-    via_y = [client] + _axis_walk(side, client, 1, dy)
-    via_y += _axis_walk(side, via_y[-1], 0, dx)
-    half = Fraction(1, 2)
-    return RouteSet(routes=((half, tuple(via_x)), (half, tuple(via_y))))
-
-
 def enumerate_links(grid: GridSpec) -> list[Link]:
     """All 2N links, row-major by origin, east link before south link.
 
@@ -160,26 +103,3 @@ def enumerate_links(grid: GridSpec) -> list[Link]:
         links.append(Link(origin=node, axis=ROW))
         links.append(Link(origin=node, axis=COLUMN))
     return links
-
-
-def link_index(grid: GridSpec, a: Node, b: Node) -> int:
-    """Index (in enumerate_links order) of the link used to step a -> b.
-
-    The step direction follows the signed-delta convention, which matters on
-    side-2 axes where the east and west neighbor coincide but the two
-    parallel links are distinct.
-    """
-    side = grid.side
-    if a[0] == b[0]:
-        d = signed_axis_delta(side, a[1], b[1])
-        if abs(d) != 1:
-            raise InvalidInputError(f"nodes {a}, {b} are not row-adjacent")
-        origin = a if d == 1 else b
-        return 2 * grid.node_index(origin)
-    if a[1] == b[1]:
-        d = signed_axis_delta(side, a[0], b[0])
-        if abs(d) != 1:
-            raise InvalidInputError(f"nodes {a}, {b} are not column-adjacent")
-        origin = a if d == 1 else b
-        return 2 * grid.node_index(origin) + 1
-    raise InvalidInputError(f"nodes {a}, {b} are not adjacent")

@@ -1,8 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from replicagrid import delivery
 from replicagrid.delivery import (
     avg_link,
     cluster_hop_sum,
@@ -10,7 +14,6 @@ from replicagrid.delivery import (
     per_file_link_bound,
     per_file_link_loads,
     rhombus_lower_hop_sum,
-    serve_map,
     to_csv,
     total_hop_load,
     worst_link,
@@ -18,6 +21,7 @@ from replicagrid.delivery import (
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import GridSpec, enumerate_links
+from replicagrid.oracle import route_walk_loads, serve_map
 from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
 
@@ -270,3 +274,105 @@ def test_csv_export():
     assert len(lines) == 1 + 8 + 2
     assert lines[-2].startswith("summary,,,worst,")
     assert lines[-1].startswith("summary,,,avg,")
+
+
+def _placement_from_holders(grid, holders):
+    """Placement where file f is held at the node indices in holders[f]."""
+    m = len(holders)
+    buffers = tuple(
+        frozenset(f for f in range(m) if idx in holders[f]) for idx in range(grid.node_count)
+    )
+    return CachePlacement(grid=grid, capacity=m, file_count=m, buffers=buffers)
+
+
+def _decreasing_popularity(draw, m):
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    return Popularity(np.sort(raw / raw.sum())[::-1])
+
+
+def _assert_matches_walker(grid, placed, pop):
+    """The load kernel equals the per-hop route walk, file by file and summed."""
+    total = np.zeros(2 * grid.node_count)
+    for m in range(placed.file_count):
+        p_m = float(pop.probs[m])
+        expect = route_walk_loads(grid, placed, m, p_m)
+        assert np.abs(per_file_link_loads(grid, placed, m, p_m) - expect).max() <= 1e-12
+        total += expect
+    assert np.abs(link_loads(grid, placed, pop).loads - total).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_kernel_matches_walker_random_placements(nu, data):
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    m = data.draw(st.integers(1, 4))
+    holders = []
+    for _ in range(m):
+        count = data.draw(st.integers(1, n))
+        holders.append(set(data.draw(st.permutations(range(n)))[:count]))
+    pop = _decreasing_popularity(data.draw, m)
+    _assert_matches_walker(grid, _placement_from_holders(grid, holders), pop)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_kernel_matches_walker_files_everywhere(nu, m, data):
+    grid = GridSpec(nu=nu)
+    placed = _placement_from_holders(grid, [set(range(grid.node_count))] * m)
+    pop = _decreasing_popularity(data.draw, m)
+    _assert_matches_walker(grid, placed, pop)
+    assert np.all(link_loads(grid, placed, pop).loads == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_kernel_matches_walker_single_replica(nu, data):
+    grid = GridSpec(nu=nu)
+    at = data.draw(st.integers(0, grid.node_count - 1))
+    _assert_matches_walker(grid, _placement_from_holders(grid, [{at}]), Popularity(np.array([1.0])))
+
+
+@pytest.mark.parametrize(
+    "holders", [set(c) for r in range(1, 5) for c in itertools.combinations(range(4), r)]
+)
+def test_kernel_matches_walker_side2(holders):
+    # On the side-2 grid east and west (north and south) neighbours coincide,
+    # but the two parallel links between them are distinct.
+    grid = GridSpec(nu=1)
+    _assert_matches_walker(grid, _placement_from_holders(grid, [holders]), Popularity(np.array([1.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_kernel_matches_walker_half_side_offsets(nu, data):
+    # Replicas side/2 apart put clients midway, where the north/west tie
+    # rule picks both the serving replica and the route direction.
+    grid = GridSpec(nu=nu)
+    side, half = grid.side, grid.side // 2
+    bx, by = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
+    offsets = [(0, 0), (half, 0), (0, half), (half, half)]
+    holders = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        chosen = data.draw(st.sets(st.sampled_from(offsets), min_size=1))
+        holders.append({((bx + ox) % side) * side + (by + oy) % side for ox, oy in chosen})
+    pop = _decreasing_popularity(data.draw, len(holders))
+    _assert_matches_walker(grid, _placement_from_holders(grid, holders), pop)
+
+
+@pytest.mark.parametrize(
+    "nu, w_count, pairs",
+    # Blocks of max(1, pairs // W) nodes: one node per block, a block
+    # smaller than W, and ragged last blocks (16 % 3, 64 % 12, 256 % 33).
+    [(1, 1, 1), (2, 16, 4), (2, 2, 7), (3, 5, 64), (4, 3, 100), (4, 64, 1000)],
+)
+def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, pairs):
+    grid = GridSpec(nu=nu)
+    rng = np.random.default_rng(nu * 1000 + w_count)
+    idx = rng.choice(grid.node_count, size=w_count, replace=False)
+    reps = np.stack([idx // grid.side, idx % grid.side], axis=1).astype(np.int64)
+    choice, dist = delivery._nearest_replica(grid, reps)
+    monkeypatch.setattr(delivery, "_BLOCK_PAIRS", pairs)
+    small_choice, small_dist = delivery._nearest_replica(grid, reps)
+    assert np.array_equal(small_choice, choice)
+    assert np.array_equal(small_dist, dist)

@@ -11,10 +11,9 @@ from replicagrid.grid import (
     GridSpec,
     enumerate_links,
     hop_distance,
-    link_index,
-    shortest_routes,
     signed_axis_delta,
 )
+from replicagrid.oracle import link_index, shortest_routes
 
 
 def test_grid_spec_basics():
