@@ -8,13 +8,14 @@ directions accumulate on the same undirected link.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import ROW, GridSpec, enumerate_links, signed_axis_delta
+from .grid import COLUMN, ROW, GridSpec, enumerate_links, signed_axis_delta
 from .placement import CachePlacement
 from .popularity import Popularity
 
@@ -47,11 +48,32 @@ def avg_link(load_map: LinkLoadMap) -> float:
     return float(load_map.loads.mean())
 
 
-def _replica_coords(placement: CachePlacement, m: int) -> np.ndarray:
-    reps = placement.replica_nodes(m)
-    if not reps:
-        raise InvalidInputError(f"file {m} is cached nowhere")
-    return np.array(reps, dtype=np.int64)
+def _replica_coords(placement: CachePlacement, files) -> list[np.ndarray]:
+    """Replica coordinates of each file in files, as (W_m, 2) int64 arrays in
+    row-major order (the order of replica_nodes), from one pass over the caches.
+
+    Raises for the first listed file that is outside the catalog or cached
+    nowhere.
+    """
+    count = placement.file_count
+    buffers = placement.buffers
+    sizes = np.fromiter(map(len, buffers), dtype=np.int64, count=len(buffers))
+    held = np.fromiter(
+        itertools.chain.from_iterable(buffers), dtype=np.int64, count=int(sizes.sum())
+    )
+    holder = np.repeat(np.arange(len(buffers), dtype=np.int64), sizes)
+    # A stable sort by file keeps each file's holders in row-major order.
+    order = np.argsort(held, kind="stable")
+    coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
+    table = np.split(coords, np.cumsum(np.bincount(held, minlength=count))[:-1])
+    out = []
+    for m in files:
+        if not 0 <= m < count:
+            raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
+        if table[m].shape[0] == 0:
+            raise InvalidInputError(f"file {m} is cached nowhere")
+        out.append(table[m])
+    return out
 
 
 def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,26 +82,31 @@ def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.n
 
     Selection key: hop distance, then north-before-south, then west-before-
     east, then replica coordinates — all folded into one integer so the
-    argmin is exact.  Nodes are taken in blocks of at most _BLOCK_PAIRS
+    argmin is exact.  The key is a row term plus a column term, so it is
+    tabulated per axis coordinate and replica, (side, W) each, and each block
+    of nodes adds the two tables and takes one argmin.  A block is whole grid
+    rows, or a column chunk of one row when a row alone exceeds _BLOCK_PAIRS
     node-replica pairs, so the temporaries stay bounded as N grows.
     """
     side = grid.side
     n = grid.node_count
-    block = max(1, _BLOCK_PAIRS // reps.shape[0])
-    choice = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        nodes = np.arange(lo, hi, dtype=np.int64)
-        dx = signed_axis_delta(side, nodes[:, None] // side, reps[None, :, 0])
-        dy = signed_axis_delta(side, nodes[:, None] % side, reps[None, :, 1])
-        d = np.abs(dx) + np.abs(dy)
-        key = ((d * 3 + np.sign(dx) + 1) * 3 + np.sign(dy) + 1) * (side * side)
-        key += reps[None, :, 0] * side + reps[None, :, 1]
-        c = np.argmin(key, axis=1)
-        choice[lo:hi] = c
-        dist[lo:hi] = d[np.arange(hi - lo), c]
-    return choice, dist
+    w_count = reps.shape[0]
+    axis = np.arange(side, dtype=np.int64)[:, None]
+    dx = signed_axis_delta(side, axis, reps[None, :, 0])
+    dy = signed_axis_delta(side, axis, reps[None, :, 1])
+    key_x = (9 * np.abs(dx) + 3 * (np.sign(dx) + 1)) * n + reps[None, :, 0] * side
+    key_y = (9 * np.abs(dy) + np.sign(dy) + 1) * n + reps[None, :, 1]
+    if side * w_count <= _BLOCK_PAIRS:
+        rows, cols = _BLOCK_PAIRS // (side * w_count), side
+    else:
+        rows, cols = 1, max(1, _BLOCK_PAIRS // w_count)
+    choice = np.empty((side, side), dtype=np.int64)
+    for x0 in range(0, side, rows):
+        for y0 in range(0, side, cols):
+            key = key_x[x0:x0 + rows, None, :] + key_y[None, y0:y0 + cols, :]
+            choice[x0:x0 + rows, y0:y0 + cols] = np.argmin(key, axis=2)
+    dist = np.abs(dx[axis, choice]) + np.abs(dy[axis.T, choice])
+    return choice.ravel(), dist.ravel()
 
 
 def _run_counts(side: int, line: np.ndarray, start: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -99,10 +126,8 @@ def _run_counts(side: int, line: np.ndarray, start: np.ndarray, delta: np.ndarra
     return runs[:, :side] + runs[:, side:]
 
 
-def _deposit_file_loads(
-    grid: GridSpec, placement: CachePlacement, m: int, weight: float, loads: np.ndarray
-) -> None:
-    """Add file m's traffic at request weight `weight` to loads.
+def _deposit_file_loads(grid: GridSpec, reps: np.ndarray, weight: float, loads: np.ndarray) -> None:
+    """Add the traffic of a file held at reps, at request weight `weight`, to loads.
 
     A client's demand goes half along the x-first L-route (along column
     y_c to row x_s, then along row x_s) and half along the y-first one
@@ -111,7 +136,6 @@ def _deposit_file_loads(
     integers, so a link that carries nothing stays at exactly 0.
     """
     side = grid.side
-    reps = _replica_coords(placement, m)
     choice, _ = _nearest_replica(grid, reps)
     nodes = np.arange(grid.node_count, dtype=np.int64)
     xc, yc = nodes // side, nodes % side
@@ -134,8 +158,8 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
     loads = np.zeros(2 * grid.node_count)
-    for m in range(placement.file_count):
-        _deposit_file_loads(grid, placement, m, REQUEST_RATE * float(pop.probs[m]), loads)
+    for m, reps in enumerate(_replica_coords(placement, range(placement.file_count))):
+        _deposit_file_loads(grid, reps, REQUEST_RATE * float(pop.probs[m]), loads)
     return LinkLoadMap(grid=grid, loads=loads)
 
 
@@ -145,8 +169,8 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     This equals the sum of all link loads (total-load identity).
     """
     total = 0.0
-    for m in range(placement.file_count):
-        _, dist = _nearest_replica(grid, _replica_coords(placement, m))
+    for m, reps in enumerate(_replica_coords(placement, range(placement.file_count))):
+        _, dist = _nearest_replica(grid, reps)
         total += float(pop.probs[m]) * float(dist.sum())
     return REQUEST_RATE * total
 
@@ -177,8 +201,9 @@ def per_file_link_loads(
     grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
 ) -> np.ndarray:
     """Link loads generated by file m alone, at popularity weight p_m."""
+    [reps] = _replica_coords(placement, [m])
     loads = np.zeros(2 * grid.node_count)
-    _deposit_file_loads(grid, placement, m, REQUEST_RATE * p_m, loads)
+    _deposit_file_loads(grid, reps, REQUEST_RATE * p_m, loads)
     return loads
 
 
@@ -192,7 +217,7 @@ def per_file_link_bound(
     2^(k-1) (2^(k-1) + 1/2) p_m, and all other links at most 2^(k-2) p_m,
     where 4^-k is the file's replication density.
     """
-    reps = _replica_coords(placement, m)
+    [reps] = _replica_coords(placement, [m])
     w_count = reps.shape[0]
     ratio = grid.node_count / w_count
     level = round(math.log(ratio, 4))
@@ -232,12 +257,13 @@ def per_file_link_bound(
 def to_csv(load_map: LinkLoadMap) -> str:
     """CSV rendering: link_index, origin_x, origin_y, axis, load + summary."""
     lines = ["link_index,origin_x,origin_y,axis,load"]
-    links = enumerate_links(load_map.grid)
-    for idx, link in enumerate(links):
-        lines.append(
-            f"{idx},{link.origin[0]},{link.origin[1]},{link.axis},"
-            f"{load_map.loads[idx]:.12g}"
-        )
+    grid = load_map.grid
+    # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN;
+    # the 1-node grid has no links (see enumerate_links).
+    for idx in range(2 * grid.node_count if grid.nu else 0):
+        x, y = divmod(idx // 2, grid.side)
+        axis = COLUMN if idx % 2 else ROW
+        lines.append(f"{idx},{x},{y},{axis},{load_map.loads[idx]:.12g}")
     lines.append(f"summary,,,worst,{worst_link(load_map):.12g}")
     lines.append(f"summary,,,avg,{avg_link(load_map):.12g}")
     return "\n".join(lines) + "\n"

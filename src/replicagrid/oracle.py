@@ -334,7 +334,7 @@ def serve_map(
     grid: GridSpec, placement: CachePlacement, m: int
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
-    reps = _replica_coords(placement, m)
+    [reps] = _replica_coords(placement, [m])
     choice, _ = _nearest_replica(grid, reps)
     out: dict[Node, tuple[Node, RouteSet]] = {}
     for idx, node in enumerate(grid.nodes()):

@@ -20,7 +20,7 @@ from replicagrid.delivery import (
 )
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import GridSpec, enumerate_links
+from replicagrid.grid import GridSpec, enumerate_links, signed_axis_delta
 from replicagrid.oracle import route_walk_loads, serve_map
 from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
@@ -362,9 +362,13 @@ def test_kernel_matches_walker_half_side_offsets(nu, data):
 
 @pytest.mark.parametrize(
     "nu, w_count, pairs",
-    # Blocks of max(1, pairs // W) nodes: one node per block, a block
-    # smaller than W, and ragged last blocks (16 % 3, 64 % 12, 256 % 33).
-    [(1, 1, 1), (2, 16, 4), (2, 2, 7), (3, 5, 64), (4, 3, 100), (4, 64, 1000)],
+    # Blocks are pairs // (side * W) whole rows, or column chunks of one row
+    # max(1, pairs // W) nodes wide when side * W > pairs: one node per block
+    # (rows 1, 2 and 10), chunks ragged at the row end (4 % 3, 16 % 15, 8 % 7,
+    # 16 % 15, 32 % 31), one row (row 4, and exactly side * W in row 11), two
+    # rows, and three rows ragged at the grid end (16 % 3, row 12).
+    [(1, 1, 1), (2, 16, 4), (2, 2, 7), (3, 5, 64), (4, 3, 100), (4, 64, 1000),
+     (3, 5, 39), (4, 3, 47), (5, 100, 3199), (5, 1024, 500), (3, 5, 40), (4, 3, 144)],
 )
 def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, pairs):
     grid = GridSpec(nu=nu)
@@ -376,3 +380,154 @@ def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, pairs):
     small_choice, small_dist = delivery._nearest_replica(grid, reps)
     assert np.array_equal(small_choice, choice)
     assert np.array_equal(small_dist, dist)
+
+
+_REFERENCE_BLOCK_PAIRS = 2**20
+
+
+def _reference_nearest_replica(grid, reps):
+    """The original N x W nearest-replica scan, kept as a reference."""
+    side = grid.side
+    n = grid.node_count
+    block = max(1, _REFERENCE_BLOCK_PAIRS // reps.shape[0])
+    choice = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        nodes = np.arange(lo, hi, dtype=np.int64)
+        dx = signed_axis_delta(side, nodes[:, None] // side, reps[None, :, 0])
+        dy = signed_axis_delta(side, nodes[:, None] % side, reps[None, :, 1])
+        d = np.abs(dx) + np.abs(dy)
+        key = ((d * 3 + np.sign(dx) + 1) * 3 + np.sign(dy) + 1) * (side * side)
+        key += reps[None, :, 0] * side + reps[None, :, 1]
+        c = np.argmin(key, axis=1)
+        choice[lo:hi] = c
+        dist[lo:hi] = d[np.arange(hi - lo), c]
+    return choice, dist
+
+
+def _block_pairs(draw, side, w_count):
+    """A _BLOCK_PAIRS value giving the drawn block shape for side x side nodes
+    and W replicas: the default, a column chunk of one row (one node when
+    W exceeds it), exactly one row, or several rows (ragged when side % rows)."""
+    row = side * w_count
+    shape = draw(st.sampled_from(["default", "chunk", "row", "rows"]))
+    if shape == "chunk" and row > 1:
+        return draw(st.integers(1, row - 1))
+    if shape == "row":
+        return row
+    if shape == "rows":
+        return row * draw(st.integers(2, side + 1)) + draw(st.integers(0, row - 1))
+    return delivery._BLOCK_PAIRS
+
+
+def _assert_nearest_matches_reference(grid, reps, pairs):
+    expect_choice, expect_dist = _reference_nearest_replica(grid, reps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delivery, "_BLOCK_PAIRS", pairs)
+        choice, dist = delivery._nearest_replica(grid, reps)
+    assert choice.dtype == dist.dtype == np.int64
+    assert np.array_equal(choice, expect_choice)
+    assert np.array_equal(dist, expect_dist)
+
+
+def _coords(grid, indices):
+    idx = np.sort(np.asarray(list(indices), dtype=np.int64))
+    return np.stack([idx // grid.side, idx % grid.side], axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_nearest_replica_matches_reference_scan(nu, data):
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    w_count = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    reps = _coords(grid, np.random.default_rng(seed).choice(n, size=w_count, replace=False))
+    _assert_nearest_matches_reference(grid, reps, _block_pairs(data.draw, grid.side, w_count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_nearest_replica_matches_reference_half_side_offsets(nu, data):
+    # Clients midway between replicas side/2 apart are served under the
+    # north/west tie rule.
+    grid = GridSpec(nu=nu)
+    side, half = grid.side, grid.side // 2
+    bx, by = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
+    corners = [(0, 0), (half, 0), (0, half), (half, half)]
+    offsets = data.draw(st.sets(st.sampled_from(corners), min_size=1))
+    reps = _coords(grid, {((bx + ox) % side) * side + (by + oy) % side for ox, oy in offsets})
+    _assert_nearest_matches_reference(grid, reps, _block_pairs(data.draw, side, reps.shape[0]))
+
+
+def _assert_table_matches_replica_nodes(placed):
+    files = range(placed.file_count)
+    for m, reps in zip(files, delivery._replica_coords(placed, files)):
+        assert reps.dtype == np.int64 and reps.shape == (len(placed.replica_nodes(m)), 2)
+        assert [tuple(r) for r in reps.tolist()] == placed.replica_nodes(m)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap, tau", [(1, 0.8), (2, 0.0), (3, 2.0)])
+def test_replica_table_matches_replica_nodes_canonical(nu, cap, tau):
+    grid = GridSpec(nu=nu)
+    m = min(2 * grid.node_count, cap * grid.node_count)
+    _assert_table_matches_replica_nodes(_canonical(grid, cap, zipf(m, tau)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_replica_table_matches_replica_nodes_random(nu, data):
+    # Holders drawn from half the nodes at most, so some buffers stay empty.
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    holders = [
+        set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 2))))
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    _assert_table_matches_replica_nodes(_placement_from_holders(grid, holders))
+
+
+def _with_uncached_file(grid, uncached, m=3):
+    holders = [{0, grid.node_count - 1} for _ in range(m)]
+    holders[uncached] = set()
+    return _placement_from_holders(grid, holders)
+
+
+@pytest.mark.parametrize("uncached", [0, 1, 2])
+def test_uncached_file_is_named(uncached):
+    grid = GridSpec(nu=2)
+    placed = _with_uncached_file(grid, uncached)
+    pop = zipf(3, 1.0)
+    message = f"file {uncached} is cached nowhere"
+    with pytest.raises(InvalidInputError, match=message):
+        link_loads(grid, placed, pop)
+    with pytest.raises(InvalidInputError, match=message):
+        total_hop_load(grid, placed, pop)
+    with pytest.raises(InvalidInputError, match=message):
+        per_file_link_loads(grid, placed, uncached)
+    for m in {0, 1, 2} - {uncached}:
+        assert np.array_equal(
+            per_file_link_loads(grid, placed, m), route_walk_loads(grid, placed, m)
+        )
+
+
+@pytest.mark.parametrize("m", [-1, 3])
+def test_file_outside_catalog_rejected(m):
+    grid = GridSpec(nu=2)
+    placed = _with_uncached_file(grid, 0)
+    with pytest.raises(InvalidInputError, match=f"file id {m} outside 0..2"):
+        per_file_link_loads(grid, placed, m)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_csv_rows_follow_enumerate_links(nu):
+    grid = GridSpec(nu=nu)
+    placed = _single_replica(grid, at=(1, 0))
+    loads = link_loads(grid, placed, Popularity(np.array([1.0])))
+    rows = to_csv(loads).splitlines()[1:-2]
+    assert rows == [
+        f"{idx},{link.origin[0]},{link.origin[1]},{link.axis},{loads.loads[idx]:.12g}"
+        for idx, link in enumerate(enumerate_links(grid))
+    ]
