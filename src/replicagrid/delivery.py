@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import COLUMN, ROW, GridSpec, enumerate_links, signed_axis_delta
+from .grid import COLUMN, ROW, GridSpec, signed_axis_delta
 from .placement import CachePlacement
 from .popularity import Popularity
 
@@ -48,13 +48,10 @@ def avg_link(load_map: LinkLoadMap) -> float:
     return float(load_map.loads.mean())
 
 
-def _replica_coords(placement: CachePlacement, files) -> list[np.ndarray]:
-    """Replica coordinates of each file in files, as (W_m, 2) int64 arrays in
-    row-major order (the order of replica_nodes), from one pass over the caches.
-
-    Raises for the first listed file that is outside the catalog or cached
-    nowhere.
-    """
+def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
+    """Every replica as one (R, 2) int64 coordinate array sorted by file id,
+    each file's rows in row-major order (the order of replica_nodes), and the
+    M + 1 offsets of each file's rows, from one pass over the caches."""
     count = placement.file_count
     buffers = placement.buffers
     sizes = np.fromiter(map(len, buffers), dtype=np.int64, count=len(buffers))
@@ -65,20 +62,35 @@ def _replica_coords(placement: CachePlacement, files) -> list[np.ndarray]:
     # A stable sort by file keeps each file's holders in row-major order.
     order = np.argsort(held, kind="stable")
     coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
-    table = np.split(coords, np.cumsum(np.bincount(held, minlength=count))[:-1])
-    out = []
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    # Ids outside the catalog sort last and are left out, as in replica_nodes.
+    np.cumsum(np.bincount(held, minlength=count)[:count], out=offsets[1:])
+    return coords[:offsets[-1]], offsets
+
+
+def _replica_coords(placement: CachePlacement, files) -> list[np.ndarray]:
+    """Replica coordinates of each file in files, as (W_m, 2) int64 arrays in
+    row-major order (the order of replica_nodes).
+
+    Raises for the first listed file that is outside the catalog or cached
+    nowhere.
+    """
+    coords, offsets = _replica_table(placement)
+    count = placement.file_count
     for m in files:
         if not 0 <= m < count:
             raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-        if table[m].shape[0] == 0:
+        if offsets[m + 1] == offsets[m]:
             raise InvalidInputError(f"file {m} is cached nowhere")
-        out.append(table[m])
-    return out
+    return [coords[offsets[m]:offsets[m + 1]] for m in files]
 
 
-def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_replica(
+    grid: GridSpec, reps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every node (row-major) the index into reps of its serving replica
-    and the hop distance to it.
+    and the signed row and column offsets from the node to it; the hop
+    distance is |dx| + |dy|.
 
     Selection key: hop distance, then north-before-south, then west-before-
     east, then replica coordinates — all folded into one integer so the
@@ -105,8 +117,56 @@ def _nearest_replica(grid: GridSpec, reps: np.ndarray) -> tuple[np.ndarray, np.n
         for y0 in range(0, side, cols):
             key = key_x[x0:x0 + rows, None, :] + key_y[None, y0:y0 + cols, :]
             choice[x0:x0 + rows, y0:y0 + cols] = np.argmin(key, axis=2)
-    dist = np.abs(dx[axis, choice]) + np.abs(dy[axis.T, choice])
-    return choice.ravel(), dist.ravel()
+    return choice.ravel(), dx[axis, choice].ravel(), dy[axis.T, choice].ravel()
+
+
+def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Level k of each lattice file, -1 for every other file.
+
+    File m is a lattice file at level k when it has 4^(nu-k) replicas, all
+    congruent mod 2^k to its first row-major replica (its anchor): distinct
+    nodes, so they are the whole 2^k-periodic lattice through the anchor.
+    """
+    counts = np.diff(offsets)
+    powers = 4 ** np.arange(grid.nu + 1, dtype=np.int64)
+    j = np.searchsorted(powers, counts)  # counts <= N = 4^nu, so j <= nu
+    level = np.where(powers[j] == counts, grid.nu - j, -1)
+    owner = np.repeat(np.arange(counts.size), counts)
+    period = 2 ** np.maximum(level, 0)[owner, None]
+    off_lattice = np.any((coords - coords[offsets[:-1]][owner]) % period != 0, axis=1)
+    return np.where(np.bincount(owner, weights=off_lattice, minlength=counts.size) == 0, level, -1)
+
+
+def _lattice_loads(
+    grid: GridSpec, level: np.ndarray, anchors: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column link loads, each (side, side) by owning node, of the
+    lattice files at levels >= 1 with the given anchors and request weights.
+
+    One replica at (0, 0) on a 2^k torus of side s loads row link (x, y)
+    with (w/2) h[y] (1 + s [x == 0]), h[y] = |y - s/2|, and column links
+    with the transpose; the 2^k-periodic lattice repeats that torus.  So
+    level k is an s x s matrix A of weight per anchor times the circulant
+    H[b, y] = h[(y - b) mod s], tiled over the grid.  Every term is a
+    non-negative weight times a non-negative integer, so a link that
+    carries nothing stays at exactly 0.
+    """
+    side = grid.side
+    rows = np.zeros((side, side))
+    cols = np.zeros((side, side))
+    for k in np.unique(level[level >= 1]).tolist():
+        s = 2 ** k
+        sel = level == k
+        # The first row-major replica of a full lattice lies in [0, s)^2.
+        a = np.bincount(
+            anchors[sel, 0] * s + anchors[sel, 1], weights=weights[sel], minlength=s * s
+        ).reshape(s, s)
+        h = np.abs(np.arange(s) - s // 2).astype(float)
+        circ = h[(np.arange(s)[None, :] - np.arange(s)[:, None]) % s]
+        tiles = (side // s, side // s)
+        rows += np.tile(0.5 * (s * (a @ circ) + a.sum(axis=0) @ circ), tiles)
+        cols += np.tile(0.5 * (s * (circ.T @ a) + (circ.T @ a.sum(axis=1))[:, None]), tiles)
+    return rows, cols
 
 
 def _run_counts(side: int, line: np.ndarray, start: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -136,43 +196,65 @@ def _deposit_file_loads(grid: GridSpec, reps: np.ndarray, weight: float, loads: 
     integers, so a link that carries nothing stays at exactly 0.
     """
     side = grid.side
-    choice, _ = _nearest_replica(grid, reps)
+    choice, dx, dy = _nearest_replica(grid, reps)
     nodes = np.arange(grid.node_count, dtype=np.int64)
     xc, yc = nodes // side, nodes % side
     xs, ys = reps[choice, 0], reps[choice, 1]
-    dx = signed_axis_delta(side, xc, xs)
-    dy = signed_axis_delta(side, yc, ys)
     rows = _run_counts(side, xs, yc, dy) + _run_counts(side, xc, yc, dy)
     cols = _run_counts(side, yc, xc, dx) + _run_counts(side, ys, xc, dx)
     loads[0::2] += (weight / 2) * rows.ravel()
     loads[1::2] += (weight / 2) * cols.T.ravel()
 
 
+def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
+    """The replica table, its offsets and each file's lattice level (-1 for a
+    file off any lattice), after checking that every file is cached."""
+    if placement.file_count != pop.m_count:
+        raise InvalidInputError("placement and popularity sizes differ")
+    coords, offsets = _replica_table(placement)
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if empty.size:
+        raise InvalidInputError(f"file {empty[0]} is cached nowhere")
+    return coords, offsets, _lattice_levels(grid, coords, offsets)
+
+
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
     """Accumulate per-link traffic over all files.
 
+    Lattice files (every file of a canonical placement) are summed per level
+    in closed form; every other file goes through the per-file kernel.
     Requires a nu >= 1 grid; the single-node grid has no links to load.
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
-    if placement.file_count != pop.m_count:
-        raise InvalidInputError("placement and popularity sizes differ")
-    loads = np.zeros(2 * grid.node_count)
-    for m, reps in enumerate(_replica_coords(placement, range(placement.file_count))):
-        _deposit_file_loads(grid, reps, REQUEST_RATE * float(pop.probs[m]), loads)
+    coords, offsets, level = _catalog(grid, placement, pop)
+    weights = REQUEST_RATE * pop.probs
+    rows, cols = _lattice_loads(grid, level, coords[offsets[:-1]], weights)
+    loads = np.empty(2 * grid.node_count)
+    loads[0::2] = rows.ravel()
+    loads[1::2] = cols.ravel()
+    for m in np.flatnonzero(level < 0).tolist():
+        _deposit_file_loads(grid, coords[offsets[m]:offsets[m + 1]], float(weights[m]), loads)
     return LinkLoadMap(grid=grid, loads=loads)
 
 
 def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> float:
     """Sum over nodes and files of hop-distance-to-nearest-replica times p_m.
 
-    This equals the sum of all link loads (total-load identity).
+    A lattice file at level k has 4^(nu-k) clusters of cluster_hop_sum(k)
+    hops each; other files sum their nearest-replica distances.  This equals
+    the sum of all link loads (total-load identity).
     """
-    total = 0.0
-    for m, reps in enumerate(_replica_coords(placement, range(placement.file_count))):
-        _, dist = _nearest_replica(grid, reps)
-        total += float(pop.probs[m]) * float(dist.sum())
-    return REQUEST_RATE * total
+    coords, offsets, level = _catalog(grid, placement, pop)
+    hops = np.zeros(placement.file_count)
+    for k in range(grid.nu + 1):
+        hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
+    for m in np.flatnonzero(level < 0).tolist():
+        _, dx, dy = _nearest_replica(grid, coords[offsets[m]:offsets[m + 1]])
+        hops[m] = np.abs(dx).sum() + np.abs(dy).sum()
+    # cumsum adds in file order, so the total is bit-identical to a running
+    # per-file sum.
+    return REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
 
 
 def cluster_hop_sum(level: int) -> int:
@@ -228,28 +310,25 @@ def per_file_link_bound(
     if level == 0:
         return bool(np.all(loads <= 1e-12))
 
-    choice, _ = _nearest_replica(grid, reps)
-    servers = {node: int(choice[i]) for i, node in enumerate(grid.nodes())}
-
+    choice, _, _ = _nearest_replica(grid, reps)
+    side = grid.side
+    server = choice.reshape(side, side)
+    axis = np.arange(side)
     aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
     off_cap = 2.0 ** (level - 2) * p_m
     tol = 1e-12
-    side = grid.side
-    for idx, link in enumerate(enumerate_links(grid)):
-        load = loads[idx]
-        if load <= tol:
-            continue
-        (x, y) = link.origin
-        other = (x, (y + 1) % side) if link.axis == ROW else ((x + 1) % side, y)
-        if servers[link.origin] != servers[other]:
+    # Row link (x, y) joins (x, y) to its east neighbour and is aligned with
+    # a serving replica in row x; column links likewise, south and column y.
+    rows, cols = loads[0::2].reshape(side, side), loads[1::2].reshape(side, side)
+    for load, other, aligned in (
+        (rows, np.roll(server, -1, axis=1), axis[:, None] == reps[server, 0]),
+        (cols, np.roll(server, -1, axis=0), axis[None, :] == reps[server, 1]),
+    ):
+        carried = load > tol
+        if np.any(carried & (server != other)):
             return False  # cross-cluster links must carry no traffic of m
-        w = reps[servers[link.origin]]
-        if link.axis == ROW:
-            aligned = x == int(w[0])
-        else:
-            aligned = y == int(w[1])
-        cap = aligned_cap if aligned else off_cap
-        if load > cap + tol:
+        cap = np.where(aligned, aligned_cap, off_cap)
+        if np.any(carried & (load > cap + tol)):
             return False
     return True
 

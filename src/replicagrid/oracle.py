@@ -335,7 +335,7 @@ def serve_map(
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
     [reps] = _replica_coords(placement, [m])
-    choice, _ = _nearest_replica(grid, reps)
+    choice, _, _ = _nearest_replica(grid, reps)
     out: dict[Node, tuple[Node, RouteSet]] = {}
     for idx, node in enumerate(grid.nodes()):
         server = (int(reps[choice[idx], 0]), int(reps[choice[idx], 1]))

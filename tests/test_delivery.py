@@ -20,7 +20,7 @@ from replicagrid.delivery import (
 )
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import GridSpec, enumerate_links, signed_axis_delta
+from replicagrid.grid import ROW, GridSpec, enumerate_links, signed_axis_delta
 from replicagrid.oracle import route_walk_loads, serve_map
 from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
@@ -375,11 +375,11 @@ def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, pairs):
     rng = np.random.default_rng(nu * 1000 + w_count)
     idx = rng.choice(grid.node_count, size=w_count, replace=False)
     reps = np.stack([idx // grid.side, idx % grid.side], axis=1).astype(np.int64)
-    choice, dist = delivery._nearest_replica(grid, reps)
+    default = delivery._nearest_replica(grid, reps)
     monkeypatch.setattr(delivery, "_BLOCK_PAIRS", pairs)
-    small_choice, small_dist = delivery._nearest_replica(grid, reps)
-    assert np.array_equal(small_choice, choice)
-    assert np.array_equal(small_dist, dist)
+    small = delivery._nearest_replica(grid, reps)
+    for got, expect in zip(small, default, strict=True):
+        assert np.array_equal(got, expect)
 
 
 _REFERENCE_BLOCK_PAIRS = 2**20
@@ -425,10 +425,14 @@ def _assert_nearest_matches_reference(grid, reps, pairs):
     expect_choice, expect_dist = _reference_nearest_replica(grid, reps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "_BLOCK_PAIRS", pairs)
-        choice, dist = delivery._nearest_replica(grid, reps)
-    assert choice.dtype == dist.dtype == np.int64
+        choice, dx, dy = delivery._nearest_replica(grid, reps)
+    assert choice.dtype == dx.dtype == dy.dtype == np.int64
     assert np.array_equal(choice, expect_choice)
-    assert np.array_equal(dist, expect_dist)
+    assert np.array_equal(np.abs(dx) + np.abs(dy), expect_dist)
+    # The offsets are the signed steps from each node to its chosen replica.
+    nodes = np.arange(grid.node_count)
+    assert np.array_equal(dx, signed_axis_delta(grid.side, nodes // grid.side, reps[choice, 0]))
+    assert np.array_equal(dy, signed_axis_delta(grid.side, nodes % grid.side, reps[choice, 1]))
 
 
 def _coords(grid, indices):
@@ -531,3 +535,292 @@ def test_csv_rows_follow_enumerate_links(nu):
         f"{idx},{link.origin[0]},{link.origin[1]},{link.axis},{loads.loads[idx]:.12g}"
         for idx, link in enumerate(enumerate_links(grid))
     ]
+
+
+def _lattice_holders(grid, level, anchor):
+    """Node indices of the 2^level-periodic lattice through anchor."""
+    side, s = grid.side, 2**level
+    ax, ay = anchor
+    return {
+        ((ax + i) % side) * side + (ay + j) % side
+        for i in range(0, side, s) for j in range(0, side, s)
+    }
+
+
+def _reference_levels(grid, placed):
+    """Lattice level of each file by a per-file loop, -1 off any lattice."""
+    levels = []
+    for m in range(placed.file_count):
+        reps = placed.replica_nodes(m)
+        level = grid.nu - round(math.log(len(reps), 4))
+        on = len(reps) == 4 ** (grid.nu - level) and all(
+            (x - reps[0][0]) % 2**level == 0 and (y - reps[0][1]) % 2**level == 0
+            for x, y in reps
+        )
+        levels.append(level if on else -1)
+    return levels
+
+
+def _assert_engine_matches(grid, placed, pop):
+    """link_loads equals the per-file kernel summed over files (and the route
+    walk at nu <= 3) to 1e-12 of the largest load, with the same unloaded
+    links and no negative load."""
+    got = link_loads(grid, placed, pop).loads
+    refs = [sum(per_file_link_loads(grid, placed, m, float(pop.probs[m]))
+                for m in range(placed.file_count))]
+    if grid.nu <= 3:
+        refs.append(sum(route_walk_loads(grid, placed, m, float(pop.probs[m]))
+                        for m in range(placed.file_count)))
+    for expect in refs:
+        assert np.abs(got - expect).max() <= 1e-12 * expect.max()
+        assert np.array_equal(got == 0.0, expect == 0.0)
+    assert np.all(got >= 0.0)
+
+
+def _catalog_levels(grid, placed, pop):
+    return delivery._catalog(grid, placed, pop)[2].tolist()
+
+
+_FILE_CAPS = {5: 160, 6: 160}  # files per canonical case, to bound the per-file reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([0.0, 0.8, 2.0]), st.data())
+def test_engine_matches_per_file_canonical(nu, cap, tau, data):
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    m = data.draw(st.integers(1, min(cap * n, _FILE_CAPS.get(nu, 2 * n))))
+    pop = zipf(m, tau)
+    placed = _canonical(grid, cap, pop)
+    assert min(_catalog_levels(grid, placed, pop)) >= 0
+    _assert_engine_matches(grid, placed, pop)
+
+
+def _draw_mixed_holders(draw, grid):
+    """Holders and expected lattice levels (None off any lattice) of a mixed
+    catalog: lattice files at random anchors and at half-period offsets from
+    one base (side/2 for single replicas), single-replica and everywhere
+    files, and files held at random nodes."""
+    nu, side, n = grid.nu, grid.side, grid.node_count
+    node = st.integers(0, side - 1)
+    base = (draw(node), draw(node))
+    holders, levels = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["lattice", "half-period", "single", "everywhere", "random"]))
+        if kind == "random":
+            count = draw(st.integers(1, n))
+            holders.append(set(draw(st.permutations(range(n)))[:count]))
+            levels.append(None)
+            continue
+        level = {"single": nu, "everywhere": 0}.get(kind) or draw(st.integers(1, nu))
+        if kind == "half-period":
+            half = 2**level // 2
+            shift = st.integers(0, 1)
+            anchor = (base[0] + half * draw(shift), base[1] + half * draw(shift))
+        else:
+            anchor = (draw(node), draw(node))
+        holders.append(_lattice_holders(grid, level, anchor))
+        levels.append(level)
+    return holders, levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_engine_matches_per_file_mixed(nu, data):
+    grid = GridSpec(nu=nu)
+    holders, levels = _draw_mixed_holders(data.draw, grid)
+    placed = _placement_from_holders(grid, holders)
+    pop = _decreasing_popularity(data.draw, len(holders))
+    detected = _catalog_levels(grid, placed, pop)
+    assert detected == _reference_levels(grid, placed)
+    assert all(d == k for d, k in zip(detected, levels) if k is not None)
+    _assert_engine_matches(grid, placed, pop)
+
+
+@pytest.mark.parametrize("extra", [[], [{0, 3}], [set(range(4))], [{1, 2}, {0}]])
+@pytest.mark.parametrize("anchors", [[0], [3], [0, 3], [1, 2], [0, 1, 2, 3], [2, 2, 1]])
+def test_engine_matches_per_file_side2(anchors, extra):
+    # Level-1 lattice files on the side-2 grid are single replicas whose
+    # clients use both parallel links; {0, 3} and {1, 2} are off any lattice.
+    grid = GridSpec(nu=1)
+    holders = [{a} for a in anchors] + extra
+    raw = np.arange(len(holders), 0, -1, dtype=float)
+    pop = Popularity(raw / raw.sum())
+    _assert_engine_matches(grid, _placement_from_holders(grid, holders), pop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_engine_every_file_at_one_anchor(nu, data):
+    # Files sharing one anchor leave whole lines of links unloaded when they
+    # share a level too: those links must read exactly 0.
+    grid = GridSpec(nu=nu)
+    anchor = (data.draw(st.integers(0, grid.side - 1)), data.draw(st.integers(0, grid.side - 1)))
+    levels = data.draw(st.lists(st.integers(0, nu), min_size=1, max_size=8))
+    placed = _placement_from_holders(grid, [_lattice_holders(grid, k, anchor) for k in levels])
+    pop = _decreasing_popularity(data.draw, len(levels))
+    assert _catalog_levels(grid, placed, pop) == levels
+    _assert_engine_matches(grid, placed, pop)
+    # With one level k >= 1, a row and a column of links per 2^k block idle.
+    if len(set(levels) - {0}) == 1:
+        idle = np.count_nonzero(link_loads(grid, placed, pop).loads == 0.0)
+        assert idle == 2 * grid.node_count // 2 ** max(levels)
+
+
+def _counting_deposits(monkeypatch):
+    calls = []
+    deposit = delivery._deposit_file_loads
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        deposit(*args)
+
+    monkeypatch.setattr(delivery, "_deposit_file_loads", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_near_lattice_file_takes_per_file_path(nu, data):
+    # 4^j replicas on a lattice with one moved off it are not a lattice file
+    # (a single replica always is one, so j >= 1).
+    grid = GridSpec(nu=nu)
+    side = grid.side
+    level = data.draw(st.integers(1, nu - 1))
+    anchor = (data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1)))
+    lattice = _lattice_holders(grid, level, anchor)
+    moved = data.draw(st.sampled_from(sorted(lattice)))
+    target = data.draw(st.sampled_from(sorted(set(range(grid.node_count)) - lattice)))
+    holders = [(lattice - {moved}) | {target}, _lattice_holders(grid, level, anchor)]
+    placed = _placement_from_holders(grid, holders)
+    pop = Popularity(np.array([0.6, 0.4]))
+    assert _catalog_levels(grid, placed, pop) == [-1, level]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_deposits(mp)
+        link_loads(grid, placed, pop)
+    assert calls == [len(lattice)]
+    _assert_engine_matches(grid, placed, pop)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap, tau, share", [(1, 0.8, 0.5), (2, 2.0, 1.75), (3, 0.0, 2.0)])
+def test_canonical_link_loads_skip_per_file_kernel(monkeypatch, nu, cap, tau, share):
+    grid = GridSpec(nu=nu)
+    pop = zipf(max(1, min(int(share * grid.node_count), cap * grid.node_count)), tau)
+    placed = _canonical(grid, cap, pop)
+    calls = _counting_deposits(monkeypatch)
+    link_loads(grid, placed, pop)
+    assert calls == []
+
+
+def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatch):
+    rng = np.random.default_rng(53)
+    calls = _counting_deposits(monkeypatch)
+    for _ in range(20):
+        grid = GridSpec(nu=int(rng.integers(1, 4)))
+        m = int(rng.integers(1, 9))
+        placed = _random_placement(rng, grid, m, capacity=m)
+        pop = zipf(m, 0.8)
+        calls.clear()
+        link_loads(grid, placed, pop)
+        off = [f for f, k in enumerate(_reference_levels(grid, placed)) if k < 0]
+        assert calls == [len(placed.replica_nodes(f)) for f in off]
+
+
+def _per_file_hop_sum(grid, placed, pop):
+    total = 0.0
+    for m, reps in enumerate(delivery._replica_coords(placed, range(placed.file_count))):
+        _, dx, dy = delivery._nearest_replica(grid, reps)
+        total += float(pop.probs[m]) * float(np.abs(dx).sum() + np.abs(dy).sum())
+    return total
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cap, tau, share", [(1, 0.8, 0.5), (2, 2.0, 1.75), (3, 0.0, 2.0)])
+def test_closed_form_hop_total_is_exact_canonical(nu, cap, tau, share):
+    grid = GridSpec(nu=nu)
+    pop = zipf(max(1, min(int(share * grid.node_count), cap * grid.node_count)), tau)
+    placed = _canonical(grid, cap, pop)
+    assert total_hop_load(grid, placed, pop) == _per_file_hop_sum(grid, placed, pop)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_hop_total_is_exact_mixed(nu, data):
+    grid = GridSpec(nu=nu)
+    holders, _ = _draw_mixed_holders(data.draw, grid)
+    placed = _placement_from_holders(grid, holders)
+    pop = _decreasing_popularity(data.draw, len(holders))
+    assert total_hop_load(grid, placed, pop) == _per_file_hop_sum(grid, placed, pop)
+
+
+def _reference_link_bound(grid, placement, m, p_m=1.0):
+    """The per-link loop per_file_link_bound used to run, kept as a reference."""
+    [reps] = delivery._replica_coords(placement, [m])
+    w_count = reps.shape[0]
+    ratio = grid.node_count / w_count
+    level = round(math.log(ratio, 4))
+    if 4 ** level != ratio:
+        raise InvalidInputError(f"file {m} does not have a power-of-4 replica count")
+
+    loads = per_file_link_loads(grid, placement, m, p_m)
+    if level == 0:
+        return bool(np.all(loads <= 1e-12))
+
+    choice = delivery._nearest_replica(grid, reps)[0]
+    servers = {node: int(choice[i]) for i, node in enumerate(grid.nodes())}
+
+    aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
+    off_cap = 2.0 ** (level - 2) * p_m
+    tol = 1e-12
+    side = grid.side
+    for idx, link in enumerate(enumerate_links(grid)):
+        load = loads[idx]
+        if load <= tol:
+            continue
+        (x, y) = link.origin
+        other = (x, (y + 1) % side) if link.axis == ROW else ((x + 1) % side, y)
+        if servers[link.origin] != servers[other]:
+            return False
+        w = reps[servers[link.origin]]
+        if link.axis == ROW:
+            aligned = x == int(w[0])
+        else:
+            aligned = y == int(w[1])
+        cap = aligned_cap if aligned else off_cap
+        if load > cap + tol:
+            return False
+    return True
+
+
+def _assert_same_bound_verdicts(grid, placed, p_values):
+    for m in range(placed.file_count):
+        for p_m in p_values:
+            try:
+                expect = _reference_link_bound(grid, placed, m, p_m)
+            except InvalidInputError:
+                with pytest.raises(InvalidInputError, match="power-of-4"):
+                    per_file_link_bound(grid, placed, m, p_m)
+                continue
+            assert per_file_link_bound(grid, placed, m, p_m) is expect
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap, tau", [(1, 0.8), (2, 2.0), (3, 0.0)])
+def test_link_bound_matches_reference_loop_canonical(nu, cap, tau):
+    grid = GridSpec(nu=nu)
+    pop = zipf(min(2 * grid.node_count, cap * grid.node_count, 24), tau)
+    _assert_same_bound_verdicts(grid, _canonical(grid, cap, pop), [1.0, 1e-13])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_link_bound_matches_reference_loop_random(nu, data):
+    # Power-of-4 replica counts at random nodes: verdicts of both kinds,
+    # plus counts that are not a power of 4 and must raise.
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    counts = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 16, 64, n]), min_size=1, max_size=4))
+    holders = [set(data.draw(st.permutations(range(n)))[:min(c, n)]) for c in counts]
+    p_values = [data.draw(st.sampled_from([1.0, 0.3, 1e-13]))]
+    _assert_same_bound_verdicts(grid, _placement_from_holders(grid, holders), p_values)
