@@ -4,6 +4,11 @@ Files at level k (density 4^-k) get one replica per 2^k x 2^k submatrix of
 the grid, tiled with period 2^k on both axes.  Within a submatrix the anchor
 node is the least-occupied one, ties resolved by a fixed diagonal scan
 order.  Level-0 files go into every cache at the end.
+
+Before level k the occupancy is 2^k-periodic, so one 2^k x 2^k block holds
+all of it; the next level's block is four copies of it.  Anchors are chosen
+in rounds on that block rather than by a scan per file (see
+canonical_place), and every cache is filled at the end in one pass.
 """
 
 from __future__ import annotations
@@ -45,16 +50,23 @@ class CachePlacement:
         return np.bincount(held, minlength=self.file_count) / self.grid.node_count
 
     def to_json(self) -> str:
+        side = self.grid.side
         doc = {
             "nu": self.grid.nu,
             "capacity": self.capacity,
             "file_count": self.file_count,
             "buffers": {
-                f"{x},{y}": sorted(self.buffer_at((x, y)))
-                for (x, y) in self.grid.nodes()
+                f"{i // side},{i % side}": sorted(buf) for i, buf in enumerate(self.buffers)
             },
         }
         return json.dumps(doc)
+
+
+def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column arrays of the 2^k x 2^k matrix in diagonal order."""
+    s = 2 ** k
+    j, t = np.divmod(np.arange(s * s, dtype=np.int64), s)
+    return (j + t) % s, t
 
 
 def diagonal_order(k: int) -> list[Node]:
@@ -66,8 +78,8 @@ def diagonal_order(k: int) -> list[Node]:
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    s = 2 ** k
-    return [((j + t) % s, t) for j in range(s) for t in range(s)]
+    xs, ys = _diagonal_cells(k)
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def canonical_place(
@@ -77,6 +89,16 @@ def canonical_place(
     capacity: int,
 ) -> CachePlacement:
     """Fill the caches level by level, most popular files first.
+
+    Each file at level k is anchored at the least-occupied cell of the
+    2^k x 2^k occupancy block, ties to the lower diagonal rank, and is held
+    at its anchor plus every multiple of 2^k on both axes.  File by file,
+    that choice is water-filling, so a level runs in rounds: with o the
+    block read in diagonal order, round w lists in rank order every cell
+    with o <= w, for w = min(o), min(o) + 1, ...  A cell listed in round w
+    was listed w - o times before, so it then holds w, the least occupancy
+    left.  The level's files, most popular first (equal popularity to the
+    lower id), take the concatenated rounds' cells.
 
     Requires sum of canonical densities <= capacity; under that premise the
     result never exceeds capacity at any node and covers every file.
@@ -94,38 +116,56 @@ def canonical_place(
 
     side = grid.side
     p = pop.probs
-    nodes = np.arange(grid.node_count).reshape(side, side)
-    occupancy = np.zeros((side, side), dtype=np.int64)
-    buffers: list[set[int]] = [set() for _ in range(grid.node_count)]
+    block = np.zeros((1, 1), dtype=np.int64)
+    level0 = np.asarray(canon.level_sets[0], dtype=np.int64)
+    # Per level: (k, file ids in placing order, anchor rows, anchor columns).
+    lattices = [(0, level0, np.zeros_like(level0), np.zeros_like(level0))]
 
     for k in range(1, grid.nu + 1):
-        members = canon.level_sets[k]
-        if not members:
+        ids = np.asarray(canon.level_sets[k], dtype=np.int64)
+        if ids.size == 0:
             continue
-        xs, ys = np.array(diagonal_order(k)).T
-        period = 2 ** k
-        # Most popular first; equal popularity resolves to the lower index.
-        for m in sorted(members, key=lambda f: (-p[f], f)):
-            # All period x period submatrices are identical at this point, so
-            # the top-left one stands in for the step-5 search; argmin picks
-            # the first least-occupied cell in diagonal order.
-            rank = int(np.argmin(occupancy[xs, ys]))
-            tile = np.s_[xs[rank]::period, ys[rank]::period]
-            occupancy[tile] += 1
-            for i in nodes[tile].ravel().tolist():
-                buffers[i].add(m)
+        # Occupancy so far has the block's period, so copies of it fill 2^k.
+        copies = 2 ** k // block.shape[0]
+        block = np.tile(block, (copies, copies))
+        # Most popular first; equal popularity resolves to the lower id.
+        ids = ids[np.lexsort((ids, -p[ids]))]
+        xs, ys = _diagonal_cells(k)
+        o = block[xs, ys]
+        rounds, w, need = [], int(o.min()), ids.size
+        while need:
+            cells = np.flatnonzero(o <= w)[:need]
+            rounds.append(cells)
+            need -= cells.size
+            w += 1
+        ranks = np.concatenate(rounds)
+        ax, ay = xs[ranks], ys[ranks]
+        np.add.at(block, (ax, ay), 1)
+        lattices.append((k, ids, ax, ay))
 
     # Occupancy only grows, so its final maximum is over capacity iff some add was.
-    if occupancy.max() + len(canon.level_sets[0]) > capacity:
+    if block.max() + level0.size > capacity:
         raise InternalInvariantError("cache capacity exceeded during placement")
-    for buf in buffers:
-        buf.update(canon.level_sets[0])
+
+    # Every (node, file) pair: each file's anchor plus all lattice offsets.
+    nodes, held = [], []
+    for k, ids, ax, ay in lattices:
+        steps = np.arange(0, side, 2 ** k, dtype=np.int64)
+        cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
+        nodes.append(cells.ravel())
+        held.append(np.repeat(ids, steps.size ** 2))
+    nodes = np.concatenate(nodes)
+    held = np.concatenate(held)
+    files = held[np.lexsort((held, nodes))].tolist()
+    bounds = np.zeros(grid.node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=grid.node_count), out=bounds[1:])
+    bounds = bounds.tolist()
 
     return CachePlacement(
         grid=grid,
         capacity=capacity,
         file_count=canon.m_count,
-        buffers=tuple(frozenset(b) for b in buffers),
+        buffers=tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:])),
     )
 
 
@@ -148,14 +188,11 @@ def render_matrix(placement: CachePlacement) -> str:
     side = placement.grid.side
     compact = placement.file_count < len(_DIGITS)
     cells = []
-    for x in range(side):
-        row = []
-        for y in range(side):
-            files = sorted(placement.buffer_at((x, y)))
-            if compact:
-                row.append("".join(_DIGITS[m + 1] for m in files) or ".")
-            else:
-                row.append(",".join(str(m + 1) for m in files) or ".")
-        cells.append(row)
-    width = max((len(c) for row in cells for c in row), default=1)
-    return "\n".join(" ".join(c.ljust(width) for c in row) for row in cells)
+    for files in map(sorted, placement.buffers):
+        if compact:
+            cells.append("".join(_DIGITS[m + 1] for m in files) or ".")
+        else:
+            cells.append(",".join(str(m + 1) for m in files) or ".")
+    width = max(map(len, cells), default=1)
+    rows = (cells[x * side:(x + 1) * side] for x in range(side))
+    return "\n".join(" ".join(c.ljust(width) for c in row) for row in rows)

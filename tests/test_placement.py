@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replicagrid.density import CanonicalProfile
@@ -212,15 +214,33 @@ def _reference_place(grid, canon, pop, capacity):
     return tuple(frozenset(b) for b in buffers)
 
 
+@st.composite
+def _placement_cases(draw):
+    nu = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, 3))
+    tau = draw(st.sampled_from([0.0, 0.8, 2.0]))
+    # The reference scans 4^k cells per file, so fewer files keep nu 5-6 quick.
+    m_max = 40 if nu <= 4 else 20
+    levels = _random_levels(np.random.default_rng(draw(st.integers(0, 10**6))), nu, cap, m_max)
+    return nu, cap, tau, levels
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 3),
-    st.sampled_from([0.0, 0.8, 2.0]),
-    st.integers(0, 10**6),
-)
-def test_canonical_place_matches_reference_scan(nu, cap, tau, seed):
-    levels = _random_levels(np.random.default_rng(seed), nu, cap)
+@given(_placement_cases())
+# tau = 0: every popularity ties, so files go in id order.
+@example((3, 2, 0.0, [1] * 3 + [2] * 12 + [3] * 20))
+# Side-2 grid, with a level-0 file.
+@example((1, 2, 0.8, [0, 1, 1, 1]))
+# Level 2 empty between occupied levels 1 and 3, level 4 on top.
+@example((4, 1, 0.8, [1, 1, 3, 3, 3, 3, 3, 4, 4, 4]))
+# Every file at level nu.
+@example((2, 1, 2.0, [2] * 5))
+# Level 2 needs three rounds: 4 cells at occupancy 0, 12 at 1, and 30 files.
+@example((2, 3, 0.8, [1] * 3 + [2] * 30))
+# The K*N - 1 catalog of solve_cd + canonical_truncate (K = 2): all at level nu.
+@example((3, 2, 0.8, [3] * 127))
+def test_canonical_place_matches_reference_scan(case):
+    nu, cap, tau, levels = case
     canon = _levels_profile(levels, nu=nu, capacity=float(cap))
     pop = zipf(len(levels), tau)
     grid = GridSpec(nu=nu)
@@ -246,3 +266,69 @@ def test_replica_nodes_row_major_for_arbitrary_placement():
     )
     assert placed.replica_nodes(1) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert placed.replica_nodes(0) == []
+
+
+def _reference_render_matrix(placement):
+    """render_matrix as it was written with one buffer_at call per cell."""
+    side = placement.grid.side
+    compact = placement.file_count < 36
+    digits = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    cells = []
+    for x in range(side):
+        row = []
+        for y in range(side):
+            files = sorted(placement.buffer_at((x, y)))
+            if compact:
+                row.append("".join(digits[m + 1] for m in files) or ".")
+            else:
+                row.append(",".join(str(m + 1) for m in files) or ".")
+        cells.append(row)
+    width = max((len(c) for row in cells for c in row), default=1)
+    return "\n".join(" ".join(c.ljust(width) for c in row) for row in cells)
+
+
+def _reference_to_json(placement):
+    """CachePlacement.to_json as it was written with one buffer_at call per cell."""
+    doc = {
+        "nu": placement.grid.nu,
+        "capacity": placement.capacity,
+        "file_count": placement.file_count,
+        "buffers": {
+            f"{x},{y}": sorted(placement.buffer_at((x, y))) for (x, y) in placement.grid.nodes()
+        },
+    }
+    return json.dumps(doc)
+
+
+def _renderer_cases():
+    rng = np.random.default_rng(17)
+    for nu in range(1, 6):
+        for cap in (1, 2, 3):
+            # m_max 40 crosses the base-36 limit of 35 files.
+            levels = _random_levels(rng, nu, cap, m_max=40)
+            canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+            yield canonical_place(GridSpec(nu=nu), canon, zipf(len(levels), 0.8), cap)
+    # Catalogs just under and at the base-36 limit, some buffers empty.
+    for m_count in (35, 36, 37):
+        buffers = [frozenset() for _ in range(16)]
+        buffers[0] = frozenset(range(m_count))
+        buffers[5] = frozenset({m_count - 1})
+        yield CachePlacement(
+            grid=GridSpec(nu=2), capacity=m_count, file_count=m_count, buffers=tuple(buffers)
+        )
+    # Every buffer empty, on a side-2 and a side-1 grid.
+    yield CachePlacement(grid=GridSpec(nu=1), capacity=1, file_count=2, buffers=(frozenset(),) * 4)
+    yield CachePlacement(grid=GridSpec(nu=0), capacity=1, file_count=1, buffers=(frozenset(),))
+
+
+def test_renderers_match_per_cell_reference():
+    compact_seen = comma_seen = 0
+    for placed in _renderer_cases():
+        assert render_matrix(placed) == _reference_render_matrix(placed)
+        assert placed.to_json() == _reference_to_json(placed)
+        if placed.file_count < 36:
+            compact_seen += 1
+        else:
+            comma_seen += 1
+    assert compact_seen and comma_seen
+
