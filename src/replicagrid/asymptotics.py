@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .density import DensityProfile, solve_cd
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
@@ -32,6 +32,18 @@ _TAU_TOL = 1e-12
 STATE_EMPTY = "empty"
 STATE_ALMOST_EMPTY = "almost_empty"
 STATE_NONEMPTY = "nonempty"
+
+# Euler-Maclaurin for zeta(s): direct terms below _ZETA_N, then the
+# coefficients B_2k / (2k)! of the first 12 Bernoulli corrections.
+_ZETA_N = 10
+_ZETA_COEFFS = tuple(
+    float(Fraction(b) / math.factorial(2 * k))
+    for k, b in enumerate(
+        ["1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
+         "43867/798", "-174611/330", "854513/138", "-236364091/2730"],
+        start=1,
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -90,9 +102,17 @@ def analytic_capacity(n_nodes: int, capacity: float, pop: Popularity) -> Capacit
 
 
 def _zeta(s: float) -> float:
+    """Riemann zeta for real s > 1 (inf for s <= 1), by Euler-Maclaurin."""
     if s <= 1.0:
         return math.inf
-    return float(_riemann_zeta(s))
+    n = _ZETA_N
+    terms = [j ** -s for j in range(1, n)]
+    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    rising = s  # s (s + 1) ... (s + 2k - 2)
+    for k, coeff in enumerate(_ZETA_COEFFS, start=1):
+        terms.append(coeff * rising * n ** (-s - 2 * k + 1))
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return math.fsum(terms)
 
 
 def _l_hat_scan(tau: float, k_eff: float) -> int:
@@ -102,16 +122,28 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
       (K - l + 1) l^(-s)       <  zeta(s) - H_s(l - 1)
       (K - l + 2) (l-1)^(-s)  >=  zeta(s) - H_s(l - 2)
     with s = 2 tau / 3.  Returns the solution > 1, or 1 if none exists.
+
+    The first condition is monotone in l for l <= K + 1 (false, then true),
+    and the second is the first's negation at l - 1, so only the first l
+    meeting the first condition can meet both; bisection finds it.
     """
     s = 2.0 * tau / 3.0
     z = _zeta(s)
-    top = int(math.floor(k_eff + 1e-12)) + 1
-    for cand in range(2, top + 1):
-        upper = (k_eff - cand + 1) * cand ** (-s) < z - harmonic(s, cand - 1)
-        lower = (k_eff - cand + 2) * (cand - 1) ** (-s) >= z - harmonic(s, cand - 2)
-        if upper and lower:
-            return cand
-    return 1
+
+    def upper(cand: int) -> bool:
+        return (k_eff - cand + 1) * cand ** (-s) < z - harmonic(s, cand - 1)
+
+    lo, hi = 2, int(math.floor(k_eff + 1e-12)) + 1
+    if hi < lo or not upper(hi):
+        return 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if upper(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    lower = (k_eff - lo + 2) * (lo - 1) ** (-s) >= z - harmonic(s, lo - 2)
+    return lo if lower else 1
 
 
 def _x_log_x_root(c: float, hi: float) -> float:
@@ -332,7 +364,8 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     ``m_of_n`` maps the node count N to the catalog size M.  The growth
     exponent of C in M is fitted by least squares on the largest decade of
     M (all points if fewer than three fall in it); a second fit removes the
-    predicted log-M factor first.
+    predicted log-M factor first.  The fitted points need C > 0 and at
+    least two distinct M, else there is no slope to fit (InvalidInputError).
     """
     nus = list(nus)
     if len(nus) < 3:
@@ -373,6 +406,12 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     if top.sum() < 3:
         top = np.zeros_like(top)
         top[-3:] = True
+    if np.any(cs[top] <= 0.0):
+        raise InvalidInputError("cannot fit a growth exponent: C = 0 at a fitted point")
+    if np.unique(ms[top]).size < 2:
+        raise InvalidInputError(
+            "cannot fit a growth exponent: the fitted points need two distinct M"
+        )
     raw, corrected = _fit_slope(ms[top], cs[top], log_expo)
     return SweepResult(
         points=tuple(points),

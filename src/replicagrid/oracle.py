@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .delivery import REQUEST_RATE, _nearest_replica, _replica_coords
 from .density import COST_FACTOR
@@ -119,6 +117,10 @@ def _milp_an(
     of node n's demand for m served by w.  For fixed x the LP over y picks
     nearest replicas, so the model value equals the enumeration value.
     """
+    # scipy is imported here, on first use, so the CLI starts without it.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = grid.node_count
     m_count = pop.m_count
     p = pop.probs

@@ -71,7 +71,10 @@ def harmonic(tau: float, n: int) -> float:
         return 0.0
     if n <= _FSUM_CUTOFF:
         return math.fsum(j ** (-tau) for j in range(1, n + 1))
-    js = np.arange(1, n + 1, dtype=float)
+    try:
+        js = np.arange(1, n + 1, dtype=float)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidInputError(f"n = {n:.3g} terms are too many to allocate") from exc
     return float(np.sum(js ** (-tau)))
 
 

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta as scipy_zeta
 
+from replicagrid import asymptotics
 from replicagrid.asymptotics import (
     SMALL_SLACK,
+    _l_hat_scan,
     _regime,
+    _zeta,
     analytic_capacity,
     capacity_breakdown,
     classify_regime,
@@ -16,7 +20,7 @@ from replicagrid.asymptotics import (
 )
 from replicagrid.density import solve_cd
 from replicagrid.errors import InfeasibleError, InvalidInputError
-from replicagrid.popularity import Popularity, zipf
+from replicagrid.popularity import Popularity, harmonic, zipf
 
 
 def test_breakdown_reference_value():
@@ -203,3 +207,60 @@ def test_regime_ladder(tau, k, m, state, label, law, expo, log_expo):
     assert got[3] == pytest.approx(expo, rel=1e-12) and got[4] == log_expo
     report = classify_regime(tau, k, m, n)
     assert (report.truncation_state, report.regime_label, report.predicted_law) == got[:3]
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / math.ulp(want)
+
+
+def test_zeta_matches_scipy():
+    grid = np.concatenate([1.0 + np.geomspace(1e-9, 1.0, 400), np.linspace(2.0, 60.0, 2000)])
+    worst = max(_ulps(_zeta(float(s)), float(scipy_zeta(float(s)))) for s in grid)
+    assert worst <= 8.0
+
+
+def test_zeta_closed_forms():
+    assert _ulps(_zeta(2.0), math.pi ** 2 / 6) <= 2.0
+    assert _ulps(_zeta(4.0), math.pi ** 4 / 90) <= 2.0
+    assert _ulps(_zeta(6.0), math.pi ** 6 / 945) <= 2.0
+
+
+@pytest.mark.parametrize("s", [1.0, 0.999, 0.5, 0.0, -3.0])
+def test_zeta_diverges_at_and_below_one(s):
+    assert _zeta(s) == math.inf
+
+
+def _l_hat_linear(tau: float, k_eff: float) -> int:
+    """Reference: try every candidate head size in turn."""
+    s = 2.0 * tau / 3.0
+    z = _zeta(s)
+    top = int(math.floor(k_eff + 1e-12)) + 1
+    for cand in range(2, top + 1):
+        upper = (k_eff - cand + 1) * cand ** (-s) < z - harmonic(s, cand - 1)
+        lower = (k_eff - cand + 2) * (cand - 1) ** (-s) >= z - harmonic(s, cand - 2)
+        if upper and lower:
+            return cand
+    return 1
+
+
+def test_l_hat_bisection_matches_linear_scan():
+    rng = np.random.default_rng(21)
+    ks = [1.0, 2.0, 3.0, 7.0, 50.0, 199.0, 200.0] + list(rng.uniform(0.5, 200.0, 20))
+    for tau in np.linspace(1.5 + 1e-6, 5.0, 14):
+        for k in ks:
+            assert _l_hat_scan(float(tau), float(k)) == _l_hat_linear(float(tau), float(k)), (tau, k)
+
+
+def test_classify_same_with_scipy_zeta(monkeypatch):
+    grid = [
+        (tau, k, m, n)
+        for tau in (1.2, 1.45, 1.5, 1.5 + 1e-9, 1.51, 1.6, 2.0, 2.5, 3.0, 4.0, 5.0)
+        for k in (1.0, 2.0, 3.5, 7.0, 20.0)
+        for n in (4 ** 3, 4 ** 6)
+        for m in sorted({1, 5, n // 4, n, int(0.6 * k * n), int(k * n) - 3, int(k * n)})
+        if 1 <= m <= k * n
+    ]
+    ours = [classify_regime(*case) for case in grid]
+    monkeypatch.setattr(asymptotics, "_zeta", lambda s: float(scipy_zeta(s)) if s > 1 else math.inf)
+    assert [classify_regime(*case) for case in grid] == ours
+

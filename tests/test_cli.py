@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import replicagrid
 from replicagrid import density
 from replicagrid.cli import build_parser, main, parse_m_expression
 from replicagrid.errors import InvalidInputError
@@ -169,6 +174,10 @@ def test_determinism(capsys):
         ("solve --nu 26 --K 1 --M N --tau 1", None),
         ("simulate --nu 2 --K 1 --M 100000000000000000000000 --tau 1", None),
         ("sweep --K 2 --M N --tau 1 --nus 3,4,40", None),
+        ("sweep --nus 1,2,3 --K 100 --M 5 --tau 1", None),  # C = 0 at every point
+        ("sweep --nus 0,3,4 --K 2 --M N --tau 2", None),  # C = 0 at nu = 0
+        ("sweep --nus 3,3,3 --K 2 --M N --tau 1", None),  # one M: no slope to fit
+        ("classify --nu 4 --K 1e300 --M 3 --tau 5", None),
     ],
 )
 def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
@@ -182,6 +191,7 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -200,6 +210,74 @@ def test_ignored_flags_are_rejected(capsys, argv):
         main(argv.split())
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_classify_large_capacity_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "--nu", "2", "--K", "1e6", "--M", "3", "--tau", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and json.loads(out)["predicted_law"] == "C = Theta(1)"
+
+
+# Every subcommand but `oracle --problem an` must run with scipy unimportable.
+NO_SCIPY_ARGVS = [
+    "solve --nu 3 --K 2 --M 0.5*N --tau 0.8",
+    "place --nu 3 --K 2 --M 1.75*N --tau 2",
+    "simulate --nu 3 --K 2 --M 0.5*N --tau 0.8",
+    "sweep --nus 3,4,5,6 --K 2 --M N^0.6 --tau 3",
+    "classify --nu 5 --K 7 --M N --tau 2",
+]
+_RUN_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from replicagrid.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this replicagrid."""
+    src = os.path.dirname(os.path.dirname(replicagrid.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+
+
+def test_subcommands_run_without_scipy(capsys):
+    proc = _python(_RUN_WITHOUT_SCIPY, json.dumps(NO_SCIPY_ARGVS))
+    blocked = json.loads(proc.stdout)
+    for argv, (code, out) in zip(NO_SCIPY_ARGVS, blocked):
+        assert code == 0, argv
+        assert out == run(capsys, *argv.split())[1], argv
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python("import sys, replicagrid.cli; print('scipy' in sys.modules)")
+    assert proc.stdout.strip() == "False"
+
+
+def test_oracle_an_imports_scipy_on_first_use():
+    # nu = 2, M = 3, K = 1 is too many placements to enumerate: the
+    # integer-program path runs.
+    code = (
+        "import sys; from replicagrid.cli import main; before = 'scipy' in sys.modules; "
+        "status = main('oracle --nu 2 --K 1 --M 3 --tau 1 --problem an'.split()); "
+        "print(before, status, 'scipy' in sys.modules)"
+    )
+    proc = _python(code)
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("best_avg_load = ")
+    assert lines[1] == "instances_examined = 0"
+    assert lines[-1] == "False 0 True"
 
 
 def test_simulate_solves_once(capsys, monkeypatch):

@@ -52,6 +52,11 @@ def test_harmonic_examples():
     assert harmonic(0.0, 7) == 7.0
 
 
+def test_harmonic_too_many_terms_is_invalid():
+    with pytest.raises(InvalidInputError, match="too many"):
+        harmonic(2.0, 10 ** 300)
+
+
 def test_harmonic_bounds_tau1_example():
     lo, hi = harmonic_bounds(1.0, 0, 9)
     assert math.isclose(lo, math.log(10), rel_tol=1e-15)
