@@ -227,19 +227,30 @@ def estimate_l_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> i
 
 
 def _r_hat_small_slack(tau: float, slack: float) -> float:
-    """Integer scan for the tail split when K*N - M stays bounded.
+    """Integer search for the tail split when K*N - M stays bounded.
 
     Finds the smallest r with slack + r <= r^s H_s(r), s = 2 tau / 3; the
     companion strict inequality at r - 1 then holds automatically.
+    r^s H_s(r) - r = sum_j ((r/j)^s - 1) never decreases in r, so the
+    condition is monotone: doubling brackets r and bisection finds it.
     """
     s = 2.0 * tau / 3.0
-    r = 1
-    while True:
-        if slack + r <= r ** s * harmonic(s, r):
-            return float(r)
-        r += 1
-        if r > slack + 2 and r > 10_000_000:
-            raise InternalInvariantError("tail-split scan failed to terminate")
+
+    def holds(r: int) -> bool:
+        return slack + r <= r ** s * harmonic(s, r)
+
+    lo, hi = 0, 1  # the condition fails at lo (or lo = 0) and holds at hi
+    while not holds(hi):
+        if hi > slack + 2 and hi > 10_000_000:
+            raise InternalInvariantError("tail-split search failed to terminate")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
 
 
 def estimate_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> float:

@@ -207,15 +207,22 @@ def _deposit_file_loads(grid: GridSpec, reps: np.ndarray, weight: float, loads: 
 
 
 def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
-    """The replica table, its offsets and each file's lattice level (-1 for a
-    file off any lattice), after checking that every file is cached."""
+    """Each file's lattice level (-1 off any lattice) and anchor, then the
+    replica table and its offsets, after checking the sizes.
+
+    A compact placement gives its own levels and anchors and no table: all
+    its files are lattice files.  Otherwise the table is built from the
+    caches, and a file cached nowhere is an error.
+    """
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
+    if placement.levels is not None:
+        return placement.levels, placement.anchors, None, None
     coords, offsets = _replica_table(placement)
     empty = np.flatnonzero(offsets[1:] == offsets[:-1])
     if empty.size:
         raise InvalidInputError(f"file {empty[0]} is cached nowhere")
-    return coords, offsets, _lattice_levels(grid, coords, offsets)
+    return _lattice_levels(grid, coords, offsets), coords[offsets[:-1]], coords, offsets
 
 
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
@@ -227,9 +234,9 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
-    coords, offsets, level = _catalog(grid, placement, pop)
+    level, anchors, coords, offsets = _catalog(grid, placement, pop)
     weights = REQUEST_RATE * pop.probs
-    rows, cols = _lattice_loads(grid, level, coords[offsets[:-1]], weights)
+    rows, cols = _lattice_loads(grid, level, anchors, weights)
     loads = np.empty(2 * grid.node_count)
     loads[0::2] = rows.ravel()
     loads[1::2] = cols.ravel()
@@ -245,7 +252,7 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     hops each; other files sum their nearest-replica distances.  This equals
     the sum of all link loads (total-load identity).
     """
-    coords, offsets, level = _catalog(grid, placement, pop)
+    level, _, coords, offsets = _catalog(grid, placement, pop)
     hops = np.zeros(placement.file_count)
     for k in range(grid.nu + 1):
         hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
@@ -339,10 +346,10 @@ def to_csv(load_map: LinkLoadMap) -> str:
     grid = load_map.grid
     # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN;
     # the 1-node grid has no links (see enumerate_links).
-    for idx in range(2 * grid.node_count if grid.nu else 0):
-        x, y = divmod(idx // 2, grid.side)
-        axis = COLUMN if idx % 2 else ROW
-        lines.append(f"{idx},{x},{y},{axis},{load_map.loads[idx]:.12g}")
+    loads = load_map.loads.tolist() if grid.nu else []
+    for idx, load in enumerate(loads):
+        x, y = divmod(idx >> 1, grid.side)
+        lines.append(f"{idx},{x},{y},{COLUMN if idx & 1 else ROW},{load:.12g}")
     lines.append(f"summary,,,worst,{worst_link(load_map):.12g}")
     lines.append(f"summary,,,avg,{avg_link(load_map):.12g}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ normalized in closed form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,12 +79,12 @@ class CanonicalProfile:
     """Densities rounded down to powers of 1/4.
 
     levels[m] is the level of file m (0-based): density 4^(-level).
-    level_sets[k] lists the 0-based files at level k, for k = 0..nu.
+    level_sets[k] lists the 0-based files at level k, for k = 0..nu; it is
+    built from levels on first read.
     """
 
     levels: np.ndarray
     densities: np.ndarray
-    level_sets: tuple[tuple[int, ...], ...]
     nu: int
     capacity: float
 
@@ -91,16 +92,17 @@ class CanonicalProfile:
     def m_count(self) -> int:
         return int(self.levels.size)
 
+    @functools.cached_property
+    def level_sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(np.flatnonzero(self.levels == k).tolist()) for k in range(self.nu + 1))
+
     @classmethod
     def from_levels(cls, levels, nu: int, capacity: float) -> "CanonicalProfile":
         lv = np.asarray(levels, dtype=int)
         if np.any(lv < 0) or np.any(lv > nu):
             raise InvalidInputError(f"levels must lie in 0..{nu}")
         dens = 4.0 ** (-lv.astype(float))
-        sets = tuple(
-            tuple(int(i) for i in np.flatnonzero(lv == k)) for k in range(nu + 1)
-        )
-        return cls(levels=lv, densities=dens, level_sets=sets, nu=nu, capacity=capacity)
+        return cls(levels=lv, densities=dens, nu=nu, capacity=capacity)
 
 
 def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:

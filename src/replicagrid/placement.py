@@ -8,11 +8,14 @@ order.  Level-0 files go into every cache at the end.
 Before level k the occupancy is 2^k-periodic, so one 2^k x 2^k block holds
 all of it; the next level's block is four copies of it.  Anchors are chosen
 in rounds on that block rather than by a scan per file (see
-canonical_place), and every cache is filled at the end in one pass.
+canonical_place).  The placement keeps only each file's level and anchor;
+the cache contents per node are derived from them when read.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -24,15 +27,67 @@ from .grid import GridSpec, Node
 from .popularity import Popularity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CachePlacement:
-    """Per-node cache contents; buffers[i] holds 0-based file ids for the
-    node with row-major index i."""
+    """Per-node cache contents, in one of two forms.
+
+    Built from buffers, buffers[i] holds 0-based file ids for the node with
+    row-major index i.  canonical_place builds the compact form instead:
+    file m is held on the 2^levels[m]-periodic lattice through anchors[m],
+    its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
+    In the compact form buffers is built on first read; delivery,
+    measured_densities and the renderers never read it.
+    """
 
     grid: GridSpec
     capacity: int
     file_count: int
-    buffers: tuple[frozenset[int], ...]
+    levels: np.ndarray | None
+    anchors: np.ndarray | None
+
+    def __init__(self, grid, capacity, file_count, buffers=None, *, levels=None, anchors=None):
+        if (buffers is None) == (levels is None or anchors is None):
+            raise InvalidInputError("a placement takes either buffers or levels and anchors")
+        for name, value in (
+            ("grid", grid), ("capacity", capacity), ("file_count", file_count),
+            ("levels", levels), ("anchors", anchors),
+        ):
+            object.__setattr__(self, name, value)
+        if buffers is not None:
+            # An instance attribute hides the cached property below.
+            object.__setattr__(self, "buffers", tuple(buffers))
+
+    @functools.cached_property
+    def buffers(self) -> tuple[frozenset[int], ...]:
+        files, bounds = (v.tolist() for v in self._node_major)
+        return tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @functools.cached_property
+    def _node_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every held file id, grouped by node in row-major order and
+        ascending within a node, and the offsets of each node's ids."""
+        if self.levels is None:
+            sizes = np.fromiter(map(len, self.buffers), dtype=np.int64, count=len(self.buffers))
+            files = np.fromiter(
+                itertools.chain.from_iterable(map(sorted, self.buffers)),
+                dtype=np.int64, count=int(sizes.sum()),
+            )
+        else:
+            # Each file's anchor plus all lattice offsets, sorted by one
+            # (node, file) key.
+            side, count = self.grid.side, self.file_count
+            keys = []
+            for k in np.unique(self.levels).tolist():
+                ids = np.flatnonzero(self.levels == k)
+                steps = np.arange(0, side, 2 ** k, dtype=np.int64)
+                ax, ay = self.anchors[ids, 0], self.anchors[ids, 1]
+                cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
+                keys.append((cells * count + ids[:, None, None]).ravel())
+            nodes, files = np.divmod(np.sort(np.concatenate(keys)), count)
+            sizes = np.bincount(nodes, minlength=self.grid.node_count)
+        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return files, bounds
 
     def buffer_at(self, node: Node) -> frozenset[int]:
         return self.buffers[self.grid.node_index(node)]
@@ -46,20 +101,31 @@ class CachePlacement:
 
     def measured_densities(self) -> np.ndarray:
         """Fraction of caches holding each file."""
+        if self.levels is not None:
+            # 4^(nu - k) of 4^nu caches; powers of 2 divide exactly.
+            return 4.0 ** -self.levels
         held = np.array([m for buf in self.buffers for m in buf], dtype=np.int64)
         return np.bincount(held, minlength=self.file_count) / self.grid.node_count
 
     def to_json(self) -> str:
         side = self.grid.side
-        doc = {
+        # The header up to an empty buffers object, then the buffers.
+        head = json.dumps({
             "nu": self.grid.nu,
             "capacity": self.capacity,
             "file_count": self.file_count,
-            "buffers": {
-                f"{i // side},{i % side}": sorted(buf) for i, buf in enumerate(self.buffers)
-            },
-        }
-        return json.dumps(doc)
+            "buffers": {},
+        })
+        files, bounds = (v.tolist() for v in self._node_major)
+        ids = list(map(str, files))
+        cells = [", ".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+        # Entry '"x,y": [ids]'; each key is a row prefix plus a column suffix.
+        tails = [f'{y}": [' for y in range(side)]
+        rows = []
+        for x in range(side):
+            keys = map(f'"{x},'.__add__, tails)
+            rows.append("], ".join(map(str.__add__, keys, cells[x * side:(x + 1) * side])))
+        return head[:-2] + "], ".join(rows) + "]}}"
 
 
 def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,22 +180,20 @@ def canonical_place(
     if float(canon.densities.sum()) > capacity + 1e-9:
         raise InvalidInputError("canonical densities exceed the cache capacity")
 
-    side = grid.side
-    p = pop.probs
     block = np.zeros((1, 1), dtype=np.int64)
-    level0 = np.asarray(canon.level_sets[0], dtype=np.int64)
-    # Per level: (k, file ids in placing order, anchor rows, anchor columns).
-    lattices = [(0, level0, np.zeros_like(level0), np.zeros_like(level0))]
+    levels = np.array(canon.levels, dtype=np.int64)
+    anchors = np.zeros((levels.size, 2), dtype=np.int64)
 
     for k in range(1, grid.nu + 1):
-        ids = np.asarray(canon.level_sets[k], dtype=np.int64)
+        # Popularity never increases with the id, so ascending ids put the
+        # most popular first and equal popularity to the lower id.
+        ids = np.flatnonzero(levels == k)
         if ids.size == 0:
             continue
         # Occupancy so far has the block's period, so copies of it fill 2^k.
-        copies = 2 ** k // block.shape[0]
+        s = 2 ** k
+        copies = s // block.shape[0]
         block = np.tile(block, (copies, copies))
-        # Most popular first; equal popularity resolves to the lower id.
-        ids = ids[np.lexsort((ids, -p[ids]))]
         xs, ys = _diagonal_cells(k)
         o = block[xs, ys]
         rounds, w, need = [], int(o.min()), ids.size
@@ -140,40 +204,28 @@ def canonical_place(
             w += 1
         ranks = np.concatenate(rounds)
         ax, ay = xs[ranks], ys[ranks]
-        np.add.at(block, (ax, ay), 1)
-        lattices.append((k, ids, ax, ay))
+        block += np.bincount(ax * s + ay, minlength=s * s).reshape(s, s)
+        anchors[ids, 0], anchors[ids, 1] = ax, ay
 
     # Occupancy only grows, so its final maximum is over capacity iff some add was.
-    if block.max() + level0.size > capacity:
+    if block.max() + np.count_nonzero(levels == 0) > capacity:
         raise InternalInvariantError("cache capacity exceeded during placement")
-
-    # Every (node, file) pair: each file's anchor plus all lattice offsets.
-    nodes, held = [], []
-    for k, ids, ax, ay in lattices:
-        steps = np.arange(0, side, 2 ** k, dtype=np.int64)
-        cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
-        nodes.append(cells.ravel())
-        held.append(np.repeat(ids, steps.size ** 2))
-    nodes = np.concatenate(nodes)
-    held = np.concatenate(held)
-    files = held[np.lexsort((held, nodes))].tolist()
-    bounds = np.zeros(grid.node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=grid.node_count), out=bounds[1:])
-    bounds = bounds.tolist()
-
+    levels.setflags(write=False)
+    anchors.setflags(write=False)
     return CachePlacement(
-        grid=grid,
-        capacity=capacity,
-        file_count=canon.m_count,
-        buffers=tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:])),
+        grid=grid, capacity=capacity, file_count=canon.m_count, levels=levels, anchors=anchors
     )
 
 
 def validate_capacity(placement: CachePlacement) -> bool:
     """True iff no buffer exceeds capacity and every file is cached somewhere."""
-    if any(len(b) > placement.capacity for b in placement.buffers):
+    files, bounds = placement._node_major
+    if np.diff(bounds).max() > placement.capacity:
         return False
-    return set().union(*placement.buffers) == set(range(placement.file_count))
+    count = placement.file_count
+    if files.size and (files.min() < 0 or files.max() >= count):
+        return False
+    return bool(np.all(np.bincount(files, minlength=count) > 0))
 
 
 _DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -186,13 +238,13 @@ def render_matrix(placement: CachePlacement) -> str:
     is small enough, comma-separated numbers otherwise.
     """
     side = placement.grid.side
-    compact = placement.file_count < len(_DIGITS)
-    cells = []
-    for files in map(sorted, placement.buffers):
-        if compact:
-            cells.append("".join(_DIGITS[m + 1] for m in files) or ".")
-        else:
-            cells.append(",".join(str(m + 1) for m in files) or ".")
+    files, bounds = placement._node_major
+    if placement.file_count < len(_DIGITS):
+        labels, sep = [_DIGITS[m + 1] for m in files.tolist()], ""
+    else:
+        labels, sep = list(map(str, (files + 1).tolist())), ","
+    bounds = bounds.tolist()
+    cells = [sep.join(labels[a:b]) or "." for a, b in zip(bounds, bounds[1:])]
     width = max(map(len, cells), default=1)
     rows = (cells[x * side:(x + 1) * side] for x in range(side))
     return "\n".join(" ".join(c.ljust(width) for c in row) for row in rows)

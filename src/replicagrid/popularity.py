@@ -11,6 +11,8 @@ from .errors import InvalidInputError
 
 _SUM_TOL = 1e-12
 _FSUM_CUTOFF = 200_000  # above this, numpy pairwise summation is accurate enough
+_CHUNK = 2**16  # terms per numpy sum above _FSUM_CUTOFF
+_MAX_TERMS = 2**30  # about 15 s of summing; one array of them would take 8 GB
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ def zipf(m_count: int, tau: float) -> Popularity:
 def harmonic(tau: float, n: int) -> float:
     """Generalized harmonic number: sum of j^(-tau) for j = 1..n.
 
-    Computed by direct summation; compensated (fsum) for moderate n,
-    pairwise numpy summation for large n.
+    Computed by direct summation; compensated (fsum) for moderate n, and
+    for large n as pairwise numpy sums over fixed-size chunks combined by
+    fsum, so memory stays bounded.
     """
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
@@ -71,11 +74,13 @@ def harmonic(tau: float, n: int) -> float:
         return 0.0
     if n <= _FSUM_CUTOFF:
         return math.fsum(j ** (-tau) for j in range(1, n + 1))
-    try:
-        js = np.arange(1, n + 1, dtype=float)
-    except (MemoryError, ValueError) as exc:
-        raise InvalidInputError(f"n = {n:.3g} terms are too many to allocate") from exc
-    return float(np.sum(js ** (-tau)))
+    if n > _MAX_TERMS:
+        raise InvalidInputError(f"n = {n:.3g} terms are too many to sum (limit 2^30)")
+    chunk = np.arange(1, _CHUNK + 1, dtype=float)
+    return math.fsum(
+        float(np.sum((chunk[:min(_CHUNK, n - start)] + start) ** (-tau)))
+        for start in range(0, n, _CHUNK)
+    )
 
 
 def harmonic_bounds(tau: float, m: int, n: int) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from replicagrid import asymptotics
 from replicagrid.asymptotics import (
     SMALL_SLACK,
     _l_hat_scan,
+    _r_hat_small_slack,
     _regime,
     _zeta,
     analytic_capacity,
@@ -249,6 +250,34 @@ def test_l_hat_bisection_matches_linear_scan():
     for tau in np.linspace(1.5 + 1e-6, 5.0, 14):
         for k in ks:
             assert _l_hat_scan(float(tau), float(k)) == _l_hat_linear(float(tau), float(k)), (tau, k)
+
+
+def _r_hat_linear(tau: float, slack: float) -> float:
+    """Reference: the tail-split scan over r = 1, 2, ... as it was written."""
+    s = 2.0 * tau / 3.0
+    r = 1
+    while not slack + r <= r ** s * harmonic(s, r):
+        r += 1
+    return float(r)
+
+
+# The scan costs O(r^2) with r about 1.5 slack / tau, so small taus take the
+# smaller slacks.
+_SLACK_GRID = [
+    (tau, slack)
+    for tau in (0.05, 0.06, 0.08, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0)
+    for slack in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0, 20.0, 33.3, 50.0, 99.5, 100.0)
+    if slack / tau <= 600.0
+]
+
+
+def test_r_hat_small_slack_bisection_matches_linear_scan():
+    assert len(_SLACK_GRID) > 150
+    for tau, slack in _SLACK_GRID:
+        assert _r_hat_small_slack(tau, slack) == _r_hat_linear(tau, slack), (tau, slack)
+    # Large answers, as given by the scan (0.3 s at tau 0.06, longer at 0.05).
+    assert _r_hat_small_slack(0.06, 100.0) == 2406.0
+    assert _r_hat_small_slack(0.05, 100.0) == 2906.0
 
 
 def test_classify_same_with_scipy_zeta(monkeypatch):

@@ -578,7 +578,7 @@ def _assert_engine_matches(grid, placed, pop):
 
 
 def _catalog_levels(grid, placed, pop):
-    return delivery._catalog(grid, placed, pop)[2].tolist()
+    return delivery._catalog(grid, placed, pop)[0].tolist()
 
 
 _FILE_CAPS = {5: 160, 6: 160}  # files per canonical case, to bound the per-file reference

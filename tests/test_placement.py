@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replicagrid.density import CanonicalProfile
+from replicagrid import cli, delivery, placement
+from replicagrid.delivery import link_loads, total_hop_load
+from replicagrid.density import CanonicalProfile, canonical_truncate, solve_cd
 from replicagrid.errors import InternalInvariantError, InvalidInputError
 from replicagrid.grid import GridSpec
 from replicagrid.placement import (
@@ -332,3 +334,117 @@ def test_renderers_match_per_cell_reference():
             comma_seen += 1
     assert compact_seen and comma_seen
 
+
+
+def _reference_buffers(grid, placed):
+    """The frozensets canonical_place used to build: every file's anchor
+    expanded over its lattice, the (node, file) pairs sorted, one frozenset
+    per node."""
+    side = grid.side
+    nodes, held = [], []
+    for k in range(grid.nu + 1):
+        ids = np.flatnonzero(placed.levels == k)
+        steps = np.arange(0, side, 2 ** k, dtype=np.int64)
+        ax, ay = placed.anchors[ids, 0], placed.anchors[ids, 1]
+        cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
+        nodes.append(cells.ravel())
+        held.append(np.repeat(ids, steps.size ** 2))
+    nodes = np.concatenate(nodes)
+    held = np.concatenate(held)
+    files = held[np.lexsort((held, nodes))].tolist()
+    bounds = np.zeros(grid.node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=grid.node_count), out=bounds[1:])
+    bounds = bounds.tolist()
+    return tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def _compact_cases(draw):
+    """(nu, K, tau, catalog): catalog is a list of levels, or a catalog size
+    for solve_cd and canonical_truncate."""
+    nu = draw(st.integers(0, 6))
+    cap = draw(st.integers(1, 3))
+    tau = draw(st.sampled_from([0.0, 0.8, 2.0]))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+        return nu, cap, tau, _random_levels(rng, nu, cap, m_max=60)
+    return nu, cap, tau, draw(st.integers(1, cap * 4 ** nu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compact_cases())
+# Side-2 grids: a level-0 file with level-1 files, and a solved catalog.
+@example((1, 2, 0.8, [0, 1, 1, 1]))
+@example((1, 1, 2.0, 4))
+# Levels 2 and 5 empty between occupied levels.
+@example((6, 1, 0.8, [1, 1, 3, 3, 3, 3, 3, 4, 4, 4, 6]))
+# All files at level 0, on a 64-node and on the 1-node grid.
+@example((3, 3, 0.8, [0, 0, 0]))
+@example((0, 2, 0.0, [0, 0]))
+# The K*N - 1 catalog, all at level nu; and equal popularities.
+@example((3, 2, 0.8, 127))
+@example((5, 3, 2.0, 3 * 4**5 - 1))
+@example((3, 2, 0.0, 100))
+def test_compact_form_matches_buffers_form(case):
+    nu, cap, tau, catalog = case
+    grid = GridSpec(nu=nu)
+    if isinstance(catalog, int):
+        pop = zipf(catalog, tau)
+        canon = canonical_truncate(solve_cd(grid.node_count, float(cap), pop))
+    else:
+        pop = zipf(len(catalog), tau)
+        canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
+    placed = canonical_place(grid, canon, pop, cap)
+    assert np.array_equal(placed.levels, canon.levels)
+    assert np.all((placed.anchors >= 0) & (placed.anchors < 2 ** placed.levels[:, None]))
+    # Renderers and loads first: none of them may need the buffers.
+    text, doc = render_matrix(placed), placed.to_json()
+    loads = link_loads(grid, placed, pop).loads if nu else None
+    hops = total_hop_load(grid, placed, pop)
+    densities = placed.measured_densities()
+    assert "buffers" not in vars(placed)
+
+    assert placed.buffers == _reference_buffers(grid, placed)
+    assert text == _reference_render_matrix(placed)
+    assert doc == _reference_to_json(placed)
+    # The same placement as buffers takes the lattice-detection path.
+    plain = CachePlacement(grid=grid, capacity=cap, file_count=canon.m_count, buffers=placed.buffers)
+    assert text == render_matrix(plain) and doc == plain.to_json()
+    if nu:
+        assert np.array_equal(loads, link_loads(grid, plain, pop).loads)
+    assert hops == total_hop_load(grid, plain, pop)
+    assert np.array_equal(densities, plain.measured_densities())
+    assert validate_capacity(placed) and validate_capacity(plain)
+
+
+def test_simulate_builds_no_buffers(monkeypatch, capsys):
+    placed = []
+
+    def place(*args):
+        placed.append(real_place(*args))
+        return placed[-1]
+
+    def no_table(*args):
+        raise AssertionError("simulate read the replica table")
+
+    real_place = placement.canonical_place
+    monkeypatch.setattr(placement, "canonical_place", place)
+    monkeypatch.setattr(delivery, "_replica_table", no_table)
+    for tau, m in (("0.8", "0.5*N"), ("2", "1.75*N"), ("0", "K*N - 1")):
+        assert cli.main(["simulate", "--nu", "4", "--K", "2", "--M", m, "--tau", tau]) == 0
+    assert "load_identity_residual" in capsys.readouterr().out
+    assert len(placed) == 3
+    assert all("buffers" not in vars(p) and p.levels is not None for p in placed)
+
+
+def test_placement_takes_one_form():
+    grid = GridSpec(nu=1)
+    with pytest.raises(InvalidInputError):
+        CachePlacement(grid=grid, capacity=1, file_count=1)
+    with pytest.raises(InvalidInputError):
+        CachePlacement(grid=grid, capacity=1, file_count=1, levels=np.zeros(1, dtype=np.int64))
+    with pytest.raises(InvalidInputError):
+        CachePlacement(
+            grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4,
+            levels=np.zeros(1, dtype=np.int64), anchors=np.zeros((1, 2), dtype=np.int64),
+        )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,26 @@ def test_harmonic_examples():
 def test_harmonic_too_many_terms_is_invalid():
     with pytest.raises(InvalidInputError, match="too many"):
         harmonic(2.0, 10 ** 300)
+
+
+def test_harmonic_large_n_memory_is_bounded():
+    # Chunked sums: 10^7 terms in one array would take 80 MB.
+    tracemalloc.start()
+    try:
+        value = harmonic(2.0, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert math.isclose(value, math.pi ** 2 / 6 - 1e-7, rel_tol=1e-14)
+
+
+def test_harmonic_chunks_cover_every_term():
+    # Just past the fsum cutoff, and across a chunk boundary with a short
+    # last chunk: against the fsum of every term.
+    for n in (200_001, 2**16 * 4 + 3):
+        exact = math.fsum(j ** -1.5 for j in range(1, n + 1))
+        assert math.isclose(harmonic(1.5, n), exact, rel_tol=1e-15)
 
 
 def test_harmonic_bounds_tau1_example():
