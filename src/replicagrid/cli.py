@@ -9,6 +9,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -276,6 +277,7 @@ def _add_options(sub, command: str) -> None:
         sub.add_argument("--resolution", type=float, help="cd grid resolution")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replicagrid",

@@ -134,7 +134,9 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
 
     q = p ** (2.0 / 3.0)
     # prefix[i] = sum of q over 1-based files 1..i
-    prefix = np.concatenate(([0.0], np.cumsum(q)))
+    prefix = np.empty(m_count + 1)
+    prefix[0] = 0.0
+    np.cumsum(q, out=prefix[1:])
 
     def interior_mass(l: int, r: int) -> float:
         return float(prefix[r - 1] - prefix[l - 1])
@@ -192,16 +194,18 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     d[r - 1 :] = 1.0 / n
     if l < r:
         scale = interior_cap(l, r) / interior_mass(l, r)
-        d[l - 1 : r - 1] = scale * q[l - 1 : r - 1]
+        np.multiply(scale, q[l - 1 : r - 1], out=d[l - 1 : r - 1])
         mu = 0.5 * p[l - 1] * d[l - 1] ** (-1.5)
     else:
         # Empty interior: any multiplier between the boundary marginals works.
         lo_mu = 0.5 * p[r - 1] * n ** 1.5 if r <= m_count else 0.0
         hi_mu = 0.5 * p[l - 2] if l > 1 else math.inf
         mu = lo_mu if math.isinf(hi_mu) else 0.5 * (lo_mu + hi_mu)
+    del q, prefix  # free them before DensityProfile copies d
 
     total = float(d.sum())
-    if total > k_cap + 1e-9 or (k_cap < m_count and abs(total - k_cap) > 1e-9):
+    tol = 1e-9 * max(1.0, k_cap)  # the prefix sums and d.sum() round relative to K
+    if total > k_cap + tol or (k_cap < m_count and abs(total - k_cap) > tol):
         raise InternalInvariantError(
             f"density sum {total!r} violates capacity {k_cap!r}"
         )
@@ -226,7 +230,10 @@ def lower_bound(densities, pop: Popularity) -> float:
         raise InvalidInputError("densities and popularity sizes differ")
     if np.any(d <= 0.0):
         raise InvalidInputError("densities must be positive")
-    return COST_FACTOR * float(np.sum((d ** -0.5 - 1.0) * pop.probs))
+    terms = d ** -0.5
+    terms -= 1.0
+    terms *= pop.probs
+    return COST_FACTOR * float(np.sum(terms))
 
 
 def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:

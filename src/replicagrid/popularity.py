@@ -30,11 +30,16 @@ class Popularity:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise InvalidInputError("popularity must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(p) & (p > 0.0)):
-            raise InvalidInputError("all popularities must be finite and strictly positive")
-        if np.any(np.diff(p) > 0.0):
-            raise InvalidInputError("popularities must be nonincreasing")
-        total = float(p.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            total = float(p.sum())
+        # A finite sum rules out NaN and +-inf, and a nonincreasing vector
+        # whose last entry is positive is positive throughout; only a vector
+        # failing this runs the per-element checks that choose the message.
+        if not (math.isfinite(total) and p[-1] > 0.0) or np.any(p[1:] > p[:-1]):
+            if not np.all(np.isfinite(p) & (p > 0.0)):
+                raise InvalidInputError("all popularities must be finite and strictly positive")
+            if np.any(p[1:] > p[:-1]):
+                raise InvalidInputError("popularities must be nonincreasing")
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidInputError(f"popularities must sum to 1, got {total!r}")
         p = p.copy()
@@ -53,11 +58,11 @@ def zipf(m_count: int, tau: float) -> Popularity:
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidInputError(f"tau must be a finite number >= 0, got {tau}")
     try:
-        ranks = np.arange(1, m_count + 1, dtype=float)
+        probs = np.arange(1, m_count + 1, dtype=float)  # the ranks, until powered
     except (MemoryError, ValueError) as exc:
         raise InvalidInputError(f"M = {m_count} files is too many to allocate") from exc
-    weights = ranks ** (-float(tau))
-    probs = weights / weights.sum()
+    probs **= -float(tau)  # in place; keeps numpy's fast paths (tau = 1: reciprocal)
+    probs /= probs.sum()
     return Popularity(probs=probs, tau=float(tau))
 
 

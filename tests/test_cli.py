@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import replicagrid
-from replicagrid import density
+from replicagrid import cli, density
 from replicagrid.cli import build_parser, main, parse_m_expression
 from replicagrid.errors import InvalidInputError
 
@@ -327,6 +327,44 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     }
     assert got == OPTIONS_READ
     assert sum(len(v) for v in got.values()) == 40
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    """main reuses one parser per process; a run of every subcommand, a parse
+    error and a --config run in turn gives what fresh parsers give."""
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"nu": 2, "capacity": 2, "tau": 0.8}))
+    calls = [
+        "solve --nu 2 --K 2 --M 0.5*N --tau 0.8 --output out.json",
+        "place --nu 2 --K 2 --M 1.75*N --tau 2 --output out.json",
+        "simulate --nu 2 --K 2 --M 0.5*N --tau 0.8 --output out.csv",
+        "sweep --nus 2,3,4 --K 2 --M N --tau 1 --output out.csv",
+        "classify --nu 5 --K 2 --M 0.5*N --tau 2",
+        "oracle --nu 1 --K 1 --M 3 --tau 1 --problem cd --resolution 0.05",
+        "simulate --nu 2 --K 2 --nus 3",  # not an option of simulate
+        "simulate --config config.json --M 3",
+        "classify --nu 5 --K 2 --M 0.5*N --tau 2",
+    ]
+
+    def run_all():
+        results = []
+        for call in calls:
+            for name in ("out.json", "out.csv"):
+                (tmp_path / name).unlink(missing_ok=True)
+            try:
+                code = main(call.split())
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            written = sorted(p.read_bytes() for p in tmp_path.glob("out.*"))
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    shared = run_all()
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert shared == run_all()
 
 
 # Small valid values (nu <= 1 for oracle, so that every case runs fast) and

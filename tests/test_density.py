@@ -51,6 +51,14 @@ def test_solve_cd_slack_capacity():
     assert prof.mu == 0.0
 
 
+def test_solve_cd_sum_check_is_relative_to_capacity():
+    # M = K N with K = 3959.75: the densities sum to K within 2.7e-13 of it,
+    # which is 1.1e-9 in absolute terms.
+    prof = solve_cd(4, 3959.75, zipf(15839, 0.0))
+    assert math.isclose(float(prof.densities.sum()), 3959.75, rel_tol=1e-12)
+    assert np.allclose(prof.densities, 0.25, rtol=1e-12)
+
+
 def test_solve_cd_infeasible():
     with pytest.raises(InfeasibleError):
         solve_cd(4, 1.0, zipf(5, 1.0))
