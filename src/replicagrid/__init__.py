@@ -37,7 +37,7 @@ from .density import (
     solve_cd,
 )
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .grid import GridSpec, Link, enumerate_links, hop_distance
+from .grid import GridSpec, hop_distance
 from .oracle import (
     OracleResult,
     RouteSet,
@@ -86,9 +86,7 @@ __all__ = [
     "InternalInvariantError",
     "InvalidInputError",
     "GridSpec",
-    "Link",
     "RouteSet",
-    "enumerate_links",
     "hop_distance",
     "shortest_routes",
     "OracleResult",

@@ -13,6 +13,7 @@ bounded or grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +34,8 @@ STATE_EMPTY = "empty"
 STATE_ALMOST_EMPTY = "almost_empty"
 STATE_NONEMPTY = "nonempty"
 
-# Euler-Maclaurin for zeta(s): direct terms below _ZETA_N, then the
-# coefficients B_2k / (2k)! of the first 12 Bernoulli corrections.
+# Euler-Maclaurin for zeta(s, a): direct terms below _ZETA_N + ceil(s), then
+# the coefficients B_2k / (2k)! of the first 12 Bernoulli corrections.
 _ZETA_N = 10
 _ZETA_COEFFS = tuple(
     float(Fraction(b) / math.factorial(2 * k))
@@ -126,12 +127,14 @@ def analytic_capacity(n_nodes: int, capacity: float, pop: Popularity) -> Capacit
     return capacity_breakdown(solve_cd(n_nodes, capacity, pop), pop)
 
 
-def _zeta(s: float) -> float:
-    """Riemann zeta for real s > 1 (inf for s <= 1), by Euler-Maclaurin."""
+def _zeta(s: float, a: int = 1) -> float:
+    """The zeta tail sum of j^(-s) over j >= a (Riemann zeta at a = 1) for
+    real s > 1 (inf for s <= 1), by Euler-Maclaurin from n = max(a,
+    _ZETA_N + ceil(s)) after direct terms for j = a..n-1."""
     if s <= 1.0:
         return math.inf
-    n = _ZETA_N
-    terms = [j ** -s for j in range(1, n)]
+    n = max(a, _ZETA_N + math.ceil(s))
+    terms = [j ** -s for j in range(a, n)]
     terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
     rising = s  # s (s + 1) ... (s + 2k - 2)
     for k, coeff in enumerate(_ZETA_COEFFS, start=1):
@@ -147,18 +150,25 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
       (K - l + 1) l^(-s)       <  zeta(s) - H_s(l - 1)
       (K - l + 2) (l-1)^(-s)  >=  zeta(s) - H_s(l - 2)
     with s = 2 tau / 3.  Returns the solution > 1, or 1 if none exists.
+    The right-hand sides are the tails _zeta(s, l) and _zeta(s, l - 1),
+    summed directly so they keep their relative precision at large l.
 
     The first condition is monotone in l for l <= K + 1 (false, then true),
     and the second is the first's negation at l - 1, so only the first l
     meeting the first condition can meet both; bisection finds it.
     """
     s = 2.0 * tau / 3.0
-    z = _zeta(s)
 
     def upper(cand: int) -> bool:
-        return (k_eff - cand + 1) * cand ** (-s) < z - harmonic(s, cand - 1)
+        return (k_eff - cand + 1) * cand ** (-s) < _zeta(s, cand)
 
     lo, hi = 2, int(math.floor(k_eff + 1e-12)) + 1
+    if hi > 2**53 or hi ** -s < sys.float_info.min:
+        # Candidates past 2^53 are not exact floats; past the underflow both
+        # sides of the comparison lose their digits.
+        raise InvalidInputError(
+            f"K = {k_eff:g} is too large for the head-size scan at tau = {tau:g}"
+        )
     if hi < lo or not upper(hi):
         return 1
     while lo < hi:
@@ -167,7 +177,7 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
             hi = mid
         else:
             lo = mid + 1
-    lower = (k_eff - lo + 2) * (lo - 1) ** (-s) >= z - harmonic(s, lo - 2)
+    lower = (k_eff - lo + 2) * (lo - 1) ** (-s) >= _zeta(s, lo - 1)
     return lo if lower else 1
 
 

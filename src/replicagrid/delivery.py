@@ -8,7 +8,6 @@ directions accumulate on the same undirected link.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .grid import COLUMN, ROW, GridSpec, signed_axis_delta
 from .placement import CachePlacement
-from .popularity import Popularity
+from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
 _BLOCK_PAIRS = 2**20  # node-replica pairs per block of _nearest_replica
@@ -25,15 +24,14 @@ _BLOCK_PAIRS = 2**20  # node-replica pairs per block of _nearest_replica
 
 @dataclass(frozen=True)
 class LinkLoadMap:
-    """Loads for the 2N links, indexed in enumerate_links order."""
+    """Loads for the 2N links, by the link index of the grid module:
+    link 2i is the row link of row-major node i, 2i + 1 its column link."""
 
     grid: GridSpec
     loads: np.ndarray
 
     def __post_init__(self) -> None:
-        loads = np.asarray(self.loads, dtype=float).copy()
-        loads.setflags(write=False)
-        object.__setattr__(self, "loads", loads)
+        object.__setattr__(self, "loads", _frozen(np.asarray(self.loads, dtype=float)))
 
 
 def worst_link(load_map: LinkLoadMap) -> float:
@@ -51,38 +49,32 @@ def avg_link(load_map: LinkLoadMap) -> float:
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
     each file's rows in row-major order (the order of replica_nodes), and the
-    M + 1 offsets of each file's rows, from one pass over the caches."""
+    M + 1 offsets of each file's rows, from the placement's node-major ids."""
     count = placement.file_count
-    buffers = placement.buffers
-    sizes = np.fromiter(map(len, buffers), dtype=np.int64, count=len(buffers))
-    held = np.fromiter(
-        itertools.chain.from_iterable(buffers), dtype=np.int64, count=int(sizes.sum())
-    )
-    holder = np.repeat(np.arange(len(buffers), dtype=np.int64), sizes)
+    files, bounds = placement._node_major
+    holder = np.repeat(np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds))
     # A stable sort by file keeps each file's holders in row-major order.
-    order = np.argsort(held, kind="stable")
+    order = np.argsort(files, kind="stable")
     coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
     offsets = np.zeros(count + 1, dtype=np.int64)
     # Ids outside the catalog sort last and are left out, as in replica_nodes.
-    np.cumsum(np.bincount(held, minlength=count)[:count], out=offsets[1:])
+    np.cumsum(placement._replica_counts()[:count], out=offsets[1:])
     return coords[:offsets[-1]], offsets
 
 
-def _replica_coords(placement: CachePlacement, files) -> list[np.ndarray]:
-    """Replica coordinates of each file in files, as (W_m, 2) int64 arrays in
-    row-major order (the order of replica_nodes).
+def _replica_coords(placement: CachePlacement, m: int) -> np.ndarray:
+    """Replica coordinates of file m as a (W_m, 2) int64 array in row-major
+    order (the order of replica_nodes).
 
-    Raises for the first listed file that is outside the catalog or cached
-    nowhere.
+    Raises when m is outside the catalog or cached nowhere.
     """
-    coords, offsets = _replica_table(placement)
     count = placement.file_count
-    for m in files:
-        if not 0 <= m < count:
-            raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-        if offsets[m + 1] == offsets[m]:
-            raise InvalidInputError(f"file {m} is cached nowhere")
-    return [coords[offsets[m]:offsets[m + 1]] for m in files]
+    if not 0 <= m < count:
+        raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
+    coords, offsets = _replica_table(placement)
+    if offsets[m + 1] == offsets[m]:
+        raise InvalidInputError(f"file {m} is cached nowhere")
+    return coords[offsets[m]:offsets[m + 1]]
 
 
 def _nearest_replica(
@@ -242,6 +234,7 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     loads[1::2] = cols.ravel()
     for m in np.flatnonzero(level < 0).tolist():
         _deposit_file_loads(grid, coords[offsets[m]:offsets[m + 1]], float(weights[m]), loads)
+    loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
 
@@ -290,7 +283,7 @@ def per_file_link_loads(
     grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
 ) -> np.ndarray:
     """Link loads generated by file m alone, at popularity weight p_m."""
-    [reps] = _replica_coords(placement, [m])
+    reps = _replica_coords(placement, m)
     loads = np.zeros(2 * grid.node_count)
     _deposit_file_loads(grid, reps, REQUEST_RATE * p_m, loads)
     return loads
@@ -306,7 +299,7 @@ def per_file_link_bound(
     2^(k-1) (2^(k-1) + 1/2) p_m, and all other links at most 2^(k-2) p_m,
     where 4^-k is the file's replication density.
     """
-    [reps] = _replica_coords(placement, [m])
+    reps = _replica_coords(placement, m)
     w_count = reps.shape[0]
     ratio = grid.node_count / w_count
     level = round(math.log(ratio, 4))
@@ -345,7 +338,7 @@ def to_csv(load_map: LinkLoadMap) -> str:
     lines = ["link_index,origin_x,origin_y,axis,load"]
     grid = load_map.grid
     # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN;
-    # the 1-node grid has no links (see enumerate_links).
+    # the 1-node grid has no links (the grid module's link index rule).
     loads = load_map.loads.tolist() if grid.nu else []
     for idx, load in enumerate(loads):
         x, y = divmod(idx >> 1, grid.side)

@@ -11,7 +11,6 @@ normalized in closed form.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .popularity import Popularity
+from .popularity import Popularity, _frozen
 
 COST_FACTOR = math.sqrt(2.0) / 6.0
 
@@ -41,9 +40,7 @@ class DensityProfile:
     capacity: float
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.densities, dtype=float).copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "densities", d)
+        object.__setattr__(self, "densities", _frozen(np.asarray(self.densities, dtype=float)))
 
     @property
     def m_count(self) -> int:
@@ -79,8 +76,6 @@ class CanonicalProfile:
     """Densities rounded down to powers of 1/4.
 
     levels[m] is the level of file m (0-based): density 4^(-level).
-    level_sets[k] lists the 0-based files at level k, for k = 0..nu; it is
-    built from levels on first read.
     """
 
     levels: np.ndarray
@@ -88,21 +83,13 @@ class CanonicalProfile:
     nu: int
     capacity: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", _frozen(np.asarray(self.levels, dtype=np.int64)))
+        object.__setattr__(self, "densities", _frozen(np.asarray(self.densities, dtype=float)))
+
     @property
     def m_count(self) -> int:
         return int(self.levels.size)
-
-    @functools.cached_property
-    def level_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(np.flatnonzero(self.levels == k).tolist()) for k in range(self.nu + 1))
-
-    @classmethod
-    def from_levels(cls, levels, nu: int, capacity: float) -> "CanonicalProfile":
-        lv = np.asarray(levels, dtype=int)
-        if np.any(lv < 0) or np.any(lv > nu):
-            raise InvalidInputError(f"levels must lie in 0..{nu}")
-        dens = 4.0 ** (-lv.astype(float))
-        return cls(levels=lv, densities=dens, nu=nu, capacity=capacity)
 
 
 def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
@@ -201,6 +188,8 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
         lo_mu = 0.5 * p[r - 1] * n ** 1.5 if r <= m_count else 0.0
         hi_mu = 0.5 * p[l - 2] if l > 1 else math.inf
         mu = lo_mu if math.isinf(hi_mu) else 0.5 * (lo_mu + hi_mu)
+    # d stays writable, so DensityProfile copies it: freezing it here saves the
+    # copy but raised the benchmark sweep's peak RSS (glibc's mmap threshold).
     del q, prefix  # free them before DensityProfile copies d
 
     total = float(d.sum())
@@ -243,16 +232,20 @@ def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
     if 4 ** nu != n:
         raise InvalidInputError(f"n_nodes={n} is not a power of 4")
     d = profile.densities
-    with np.errstate(divide="ignore"):
-        raw = np.ceil(-np.log(d) / math.log(4.0) - 1e-12)
-    levels = np.clip(raw, 0, nu).astype(int)
-    # Guard against logarithm rounding: never truncate upward.
-    for _ in range(2):
-        over = (4.0 ** (-levels) > d) & (levels < nu)
-        if not over.any():
-            break
-        levels[over] += 1
-    canon = CanonicalProfile.from_levels(levels, nu=nu, capacity=profile.capacity)
+    bad = np.flatnonzero(~(d > 0.0))  # NaN compares false
+    if bad.size:
+        m = int(bad[0])
+        raise InvalidInputError(f"density {float(d[m])!r} of file {m} is not positive")
+    # The level is the least k with 4^-k <= d, capped at nu: nu + 1 minus the
+    # count of the powers 4^-nu..4^0 that are <= d.  Float comparisons are
+    # exact, so no rounding can lift a file above its density.
+    levels = np.searchsorted(4.0 ** np.arange(-nu, 1), d, side="right")
+    np.subtract(nu + 1, levels, out=levels)
+    np.minimum(levels, nu, out=levels)
+    densities = 4.0 ** -levels.astype(float)
+    levels.setflags(write=False)
+    densities.setflags(write=False)
+    canon = CanonicalProfile(levels=levels, densities=densities, nu=nu, capacity=profile.capacity)
     if float(canon.densities.sum()) > profile.capacity + 1e-9:
         raise InternalInvariantError("canonical truncation exceeded capacity")
     return canon

@@ -4,7 +4,10 @@ Coordinates are 0-based ``(x, y)`` pairs with ``x`` the row and ``y`` the
 column, both in ``{0, ..., side - 1}``.  The grid wraps around on both axes.
 Every node owns two undirected links: one to its east neighbor
 ``(x, (y+1) % side)`` and one to its south neighbor ``((x+1) % side, y)``,
-for ``2N`` links in total.
+for ``2N`` links in total.  Link ``2i`` is the row (east) link of the node
+with row-major index ``i = x * side + y``, and link ``2i + 1`` its column
+(south) link; this is the index of every link-load array.  The nu = 0 grid
+has no links (its would-be links are self-loops).
 
 When a displacement of exactly ``side / 2`` can be covered by wrapping
 either way, the decreasing-coordinate (north / west) direction is chosen.
@@ -59,18 +62,6 @@ class GridSpec:
             raise InvalidInputError(f"node {node} outside {side}x{side} grid")
 
 
-@dataclass(frozen=True)
-class Link:
-    """An undirected link, identified by the node that owns it and the axis.
-
-    ``axis == ROW`` connects origin to its east neighbor, ``axis == COLUMN``
-    to its south neighbor (wrap-around included).
-    """
-
-    origin: Node
-    axis: str
-
-
 def signed_axis_delta(side: int, a, b):
     """Shortest signed displacement from coordinate a to b on a cycle.
 
@@ -90,16 +81,3 @@ def hop_distance(grid: GridSpec, a: Node, b: Node) -> int:
     dy = abs(a[1] - b[1])
     return min(dx, side - dx) + min(dy, side - dy)
 
-
-def enumerate_links(grid: GridSpec) -> list[Link]:
-    """All 2N links, row-major by origin, east link before south link.
-
-    The degenerate nu=0 grid has no usable links (self-loops are excluded).
-    """
-    if grid.nu == 0:
-        return []
-    links = []
-    for node in grid.nodes():
-        links.append(Link(origin=node, axis=ROW))
-        links.append(Link(origin=node, axis=COLUMN))
-    return links

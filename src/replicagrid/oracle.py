@@ -310,7 +310,8 @@ def shortest_routes(grid: GridSpec, client: Node, server: Node) -> RouteSet:
 
 
 def link_index(grid: GridSpec, a: Node, b: Node) -> int:
-    """Index (in enumerate_links order) of the link used to step a -> b.
+    """Index (by the link index rule of the grid module) of the link used to
+    step a -> b.
 
     The step direction follows the signed-delta convention, which matters on
     side-2 axes where the east and west neighbor coincide but the two
@@ -336,7 +337,7 @@ def serve_map(
     grid: GridSpec, placement: CachePlacement, m: int
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
-    [reps] = _replica_coords(placement, [m])
+    reps = _replica_coords(placement, m)
     choice, _, _ = _nearest_replica(grid, reps)
     out: dict[Node, tuple[Node, RouteSet]] = {}
     for idx, node in enumerate(grid.nodes()):
@@ -349,7 +350,8 @@ def route_walk_loads(
     grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
 ) -> np.ndarray:
     """Link loads generated by file m alone, at popularity weight p_m, found
-    by walking every hop of every client's routes (enumerate_links order)."""
+    by walking every hop of every client's routes (indexed by the link index
+    rule of the grid module)."""
     loads = np.zeros(2 * grid.node_count)
     weight = REQUEST_RATE * p_m
     for _node, (_server, routes) in serve_map(grid, placement, m).items():
@@ -364,7 +366,7 @@ def enumerate_cluster(level: int) -> tuple[int, np.ndarray]:
     """Walk a 2^level x 2^level torus served by a single replica at (0, 0).
 
     Returns the total hop count over all nodes and the per-link loads at
-    unit popularity (enumerate_links order).
+    unit popularity (indexed by the link index rule of the grid module).
     """
     if level not in (1, 2, 3):
         raise InvalidInputError(f"level must be in {{1, 2, 3}}, got {level}")

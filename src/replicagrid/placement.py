@@ -24,7 +24,7 @@ import numpy as np
 from .density import CanonicalProfile
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec, Node
-from .popularity import Popularity
+from .popularity import Popularity, _frozen
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -48,14 +48,18 @@ class CachePlacement:
     def __init__(self, grid, capacity, file_count, buffers=None, *, levels=None, anchors=None):
         if (buffers is None) == (levels is None or anchors is None):
             raise InvalidInputError("a placement takes either buffers or levels and anchors")
+        if buffers is None:
+            levels, anchors = (_frozen(np.asarray(v, dtype=np.int64)) for v in (levels, anchors))
+        elif len(buffers := tuple(buffers)) != grid.node_count:
+            raise InvalidInputError(f"{len(buffers)} buffers for a grid of {grid.node_count} nodes")
+        else:
+            # An instance attribute hides the cached property below.
+            object.__setattr__(self, "buffers", buffers)
         for name, value in (
             ("grid", grid), ("capacity", capacity), ("file_count", file_count),
             ("levels", levels), ("anchors", anchors),
         ):
             object.__setattr__(self, name, value)
-        if buffers is not None:
-            # An instance attribute hides the cached property below.
-            object.__setattr__(self, "buffers", tuple(buffers))
 
     @functools.cached_property
     def buffers(self) -> tuple[frozenset[int], ...]:
@@ -89,8 +93,12 @@ class CachePlacement:
         np.cumsum(sizes, out=bounds[1:])
         return files, bounds
 
-    def buffer_at(self, node: Node) -> frozenset[int]:
-        return self.buffers[self.grid.node_index(node)]
+    def _replica_counts(self) -> np.ndarray:
+        """Replicas of each file id, 0 to at least file_count - 1."""
+        files, _ = self._node_major
+        if files.size and files.min() < 0:
+            raise InvalidInputError(f"file id {int(files.min())} is negative")
+        return np.bincount(files, minlength=self.file_count)
 
     def replica_nodes(self, m: int) -> list[Node]:
         """Nodes holding file m, row-major order."""
@@ -104,8 +112,7 @@ class CachePlacement:
         if self.levels is not None:
             # 4^(nu - k) of 4^nu caches; powers of 2 divide exactly.
             return 4.0 ** -self.levels
-        held = np.array([m for buf in self.buffers for m in buf], dtype=np.int64)
-        return np.bincount(held, minlength=self.file_count) / self.grid.node_count
+        return self._replica_counts() / self.grid.node_count
 
     def to_json(self) -> str:
         side = self.grid.side
@@ -181,7 +188,7 @@ def canonical_place(
         raise InvalidInputError("canonical densities exceed the cache capacity")
 
     block = np.zeros((1, 1), dtype=np.int64)
-    levels = np.array(canon.levels, dtype=np.int64)
+    levels = canon.levels
     anchors = np.zeros((levels.size, 2), dtype=np.int64)
 
     for k in range(1, grid.nu + 1):
@@ -210,7 +217,6 @@ def canonical_place(
     # Occupancy only grows, so its final maximum is over capacity iff some add was.
     if block.max() + np.count_nonzero(levels == 0) > capacity:
         raise InternalInvariantError("cache capacity exceeded during placement")
-    levels.setflags(write=False)
     anchors.setflags(write=False)
     return CachePlacement(
         grid=grid, capacity=capacity, file_count=canon.m_count, levels=levels, anchors=anchors

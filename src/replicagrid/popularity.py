@@ -15,6 +15,15 @@ _CHUNK = 2**16  # terms per numpy sum above _FSUM_CUTOFF
 _MAX_TERMS = 2**30  # about 15 s of summing; one array of them would take 8 GB
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """The array a value type holds for a: a itself when it is read-only
+    and owns its memory, else a read-only copy, so no caller can write it."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Popularity:
     """A nonincreasing, strictly positive probability vector over M files.
@@ -42,9 +51,7 @@ class Popularity:
                 raise InvalidInputError("popularities must be nonincreasing")
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidInputError(f"popularities must sum to 1, got {total!r}")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _frozen(p))
 
     @property
     def m_count(self) -> int:
@@ -63,6 +70,8 @@ def zipf(m_count: int, tau: float) -> Popularity:
         raise InvalidInputError(f"M = {m_count} files is too many to allocate") from exc
     probs **= -float(tau)  # in place; keeps numpy's fast paths (tau = 1: reciprocal)
     probs /= probs.sum()
+    # Left writable, so Popularity copies it: freezing it here saves the copy
+    # but raised the benchmark sweep's peak RSS (glibc's mmap threshold).
     return Popularity(probs=probs, tau=float(tau))
 
 

@@ -231,14 +231,43 @@ def test_zeta_diverges_at_and_below_one(s):
     assert _zeta(s) == math.inf
 
 
+def test_zeta_tail_matches_scipy_hurwitz():
+    ss = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 40), np.linspace(1.05, 7.0, 60)])
+    aa = sorted(set(range(1, 30)) | set(np.geomspace(1, 1e12, 60).astype(np.int64).tolist()))
+    worst = max(
+        abs(_zeta(float(s), a) - float(scipy_zeta(float(s), a))) / float(scipy_zeta(float(s), a))
+        for s in ss
+        for a in aa
+    )
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "k, want", [(2e5, 140001), (3e5, 210001), (1e6, 700001), (4e6, 2800001), (1e10, 7000000001)]
+)
+def test_l_hat_scan_at_large_k(k, want):
+    # At tau = 5 the tails no longer cancel against zeta(s) - H_s(l - 1);
+    # the answers are exact by scipy's Hurwitz zeta on both sides.
+    assert _l_hat_scan(5.0, k) == want
+    s = 10.0 / 3.0
+    assert (k - want + 1) * want ** -s < float(scipy_zeta(s, want))
+    assert (k - want + 2) * (want - 1) ** -s >= float(scipy_zeta(s, want - 1))
+
+
+@pytest.mark.parametrize("tau, k", [(5.0, 2.0**53), (5.0, 1e300), (100.0, 1e5)])
+def test_l_hat_scan_rejects_k_past_float_range(tau, k):
+    with pytest.raises(InvalidInputError, match="too large for the head-size scan"):
+        _l_hat_scan(tau, k)
+
+
 def _l_hat_linear(tau: float, k_eff: float) -> int:
-    """Reference: try every candidate head size in turn."""
+    """Reference: try every candidate head size in turn, with scipy's
+    Hurwitz zeta for the tails."""
     s = 2.0 * tau / 3.0
-    z = _zeta(s)
     top = int(math.floor(k_eff + 1e-12)) + 1
     for cand in range(2, top + 1):
-        upper = (k_eff - cand + 1) * cand ** (-s) < z - harmonic(s, cand - 1)
-        lower = (k_eff - cand + 2) * (cand - 1) ** (-s) >= z - harmonic(s, cand - 2)
+        upper = (k_eff - cand + 1) * cand ** (-s) < float(scipy_zeta(s, cand))
+        lower = (k_eff - cand + 2) * (cand - 1) ** (-s) >= float(scipy_zeta(s, cand - 1))
         if upper and lower:
             return cand
     return 1
@@ -290,6 +319,8 @@ def test_classify_same_with_scipy_zeta(monkeypatch):
         if 1 <= m <= k * n
     ]
     ours = [classify_regime(*case) for case in grid]
-    monkeypatch.setattr(asymptotics, "_zeta", lambda s: float(scipy_zeta(s)) if s > 1 else math.inf)
+    monkeypatch.setattr(
+        asymptotics, "_zeta", lambda s, a=1: float(scipy_zeta(s, a)) if s > 1 else math.inf
+    )
     assert [classify_regime(*case) for case in grid] == ours
 

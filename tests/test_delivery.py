@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replicagrid import delivery
+from replicagrid import delivery, oracle
 from replicagrid.delivery import (
     avg_link,
     cluster_hop_sum,
@@ -20,10 +20,17 @@ from replicagrid.delivery import (
 )
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import ROW, GridSpec, enumerate_links, signed_axis_delta
+from replicagrid.grid import COLUMN, ROW, GridSpec, signed_axis_delta
 from replicagrid.oracle import route_walk_loads, serve_map
 from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
+
+
+def _links(grid):
+    """(x, y, axis) of every link in index order, by a loop over the nodes:
+    link 2i is the row link of row-major node i, 2i + 1 its column link."""
+    side = grid.side
+    return [(x, y, axis) for x in range(side) for y in range(side) for axis in (ROW, COLUMN)]
 
 
 def _single_replica(grid, at=(0, 0)):
@@ -194,10 +201,7 @@ def test_per_file_pattern_is_periodic():
         period = round(math.sqrt(grid.node_count / len(reps)))
         loads = per_file_link_loads(grid, placed, m, 1.0)
         side = grid.side
-        by_link = {}
-        for idx, link in enumerate(enumerate_links(grid)):
-            (x, y) = link.origin
-            by_link[(x, y, link.axis)] = loads[idx]
+        by_link = {link: loads[idx] for idx, link in enumerate(_links(grid))}
         for (x, y, axis), v in by_link.items():
             assert math.isclose(
                 v, by_link[((x + period) % side, (y + period) % side, axis)],
@@ -466,8 +470,8 @@ def test_nearest_replica_matches_reference_half_side_offsets(nu, data):
 
 
 def _assert_table_matches_replica_nodes(placed):
-    files = range(placed.file_count)
-    for m, reps in zip(files, delivery._replica_coords(placed, files)):
+    for m in range(placed.file_count):
+        reps = delivery._replica_coords(placed, m)
         assert reps.dtype == np.int64 and reps.shape == (len(placed.replica_nodes(m)), 2)
         assert [tuple(r) for r in reps.tolist()] == placed.replica_nodes(m)
 
@@ -526,15 +530,38 @@ def test_file_outside_catalog_rejected(m):
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
-def test_csv_rows_follow_enumerate_links(nu):
+def test_csv_rows_follow_link_index_rule(nu):
     grid = GridSpec(nu=nu)
     placed = _single_replica(grid, at=(1, 0))
     loads = link_loads(grid, placed, Popularity(np.array([1.0])))
     rows = to_csv(loads).splitlines()[1:-2]
     assert rows == [
-        f"{idx},{link.origin[0]},{link.origin[1]},{link.axis},{loads.loads[idx]:.12g}"
-        for idx, link in enumerate(enumerate_links(grid))
+        f"{idx},{x},{y},{axis},{loads.loads[idx]:.12g}"
+        for idx, (x, y, axis) in enumerate(_links(grid))
     ]
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_walker_and_load_map_follow_link_index_rule(nu):
+    # Each step of a single replica's routes is counted on the link the rule
+    # gives it; from side 4 on, a step's two nodes name one link.  (Side 2,
+    # where two parallel links join the same nodes, is in test_grid.)
+    grid = GridSpec(nu=nu)
+    side = grid.side
+    placed = _single_replica(grid, at=(1, 0))
+    link_of = {}
+    for idx, (x, y, axis) in enumerate(_links(grid)):
+        b = (x, (y + 1) % side) if axis == ROW else ((x + 1) % side, y)
+        assert oracle.link_index(grid, (x, y), b) == idx
+        link_of[(x, y), b] = link_of[b, (x, y)] = idx
+    counted = np.zeros(2 * grid.node_count)
+    for _node, (_server, routes) in serve_map(grid, placed, 0).items():
+        for frac, path in routes.routes:
+            for a, b in zip(path, path[1:]):
+                counted[link_of[a, b]] += float(frac)
+    assert np.array_equal(route_walk_loads(grid, placed, 0), counted)
+    loads = link_loads(grid, placed, Popularity(np.array([1.0]))).loads
+    assert np.allclose(loads, counted, rtol=0, atol=1e-12)
 
 
 def _lattice_holders(grid, level, anchor):
@@ -729,8 +756,9 @@ def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatc
 
 def _per_file_hop_sum(grid, placed, pop):
     total = 0.0
-    for m, reps in enumerate(delivery._replica_coords(placed, range(placed.file_count))):
-        _, dx, dy = delivery._nearest_replica(grid, reps)
+    coords, offsets = delivery._replica_table(placed)
+    for m in range(placed.file_count):
+        _, dx, dy = delivery._nearest_replica(grid, coords[offsets[m]:offsets[m + 1]])
         total += float(pop.probs[m]) * float(np.abs(dx).sum() + np.abs(dy).sum())
     return total
 
@@ -756,7 +784,7 @@ def test_hop_total_is_exact_mixed(nu, data):
 
 def _reference_link_bound(grid, placement, m, p_m=1.0):
     """The per-link loop per_file_link_bound used to run, kept as a reference."""
-    [reps] = delivery._replica_coords(placement, [m])
+    reps = delivery._replica_coords(placement, m)
     w_count = reps.shape[0]
     ratio = grid.node_count / w_count
     level = round(math.log(ratio, 4))
@@ -774,16 +802,15 @@ def _reference_link_bound(grid, placement, m, p_m=1.0):
     off_cap = 2.0 ** (level - 2) * p_m
     tol = 1e-12
     side = grid.side
-    for idx, link in enumerate(enumerate_links(grid)):
+    for idx, (x, y, axis) in enumerate(_links(grid)):
         load = loads[idx]
         if load <= tol:
             continue
-        (x, y) = link.origin
-        other = (x, (y + 1) % side) if link.axis == ROW else ((x + 1) % side, y)
-        if servers[link.origin] != servers[other]:
+        other = (x, (y + 1) % side) if axis == ROW else ((x + 1) % side, y)
+        if servers[(x, y)] != servers[other]:
             return False
-        w = reps[servers[link.origin]]
-        if link.axis == ROW:
+        w = reps[servers[(x, y)]]
+        if axis == ROW:
             aligned = x == int(w[0])
         else:
             aligned = y == int(w[1])

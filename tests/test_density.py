@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_canonical_truncate_examples():
     canon = canonical_truncate(prof)
     assert canon.levels.tolist() == [1, 1, 0]
     assert np.allclose(canon.densities, [0.25, 0.25, 1.0])
-    assert canon.level_sets[0] == (2,)
-    assert canon.level_sets[1] == (0, 1)
+    assert np.flatnonzero(canon.levels == 0).tolist() == [2]
+    assert np.flatnonzero(canon.levels == 1).tolist() == [0, 1]
 
     prof4 = solve_cd(4, 1.0, _pop([0.7, 0.2, 0.1]))
     canon4 = canonical_truncate(prof4)
@@ -210,3 +211,40 @@ def test_json_roundtrip():
     assert np.array_equal(back.densities, prof.densities)
     assert (back.l_index, back.r_index) == (prof.l_index, prof.r_index)
     assert back.mu == prof.mu
+
+
+def _level_reference(d: float, nu: int) -> int:
+    """The least k in 0..nu with 4^-k <= d, in exact rationals."""
+    if d == math.inf:
+        return 0
+    k = 0
+    while k < nu and Fraction(1, 4**k) > Fraction(d):
+        k += 1
+    return k
+
+
+def test_canonical_truncate_is_exact():
+    nu = 10
+    rng = np.random.default_rng(5)
+    powers = [4.0**-k for k in range(nu + 3)] + [2.0**-k for k in range(2 * nu + 3)]
+    values = list(np.exp(rng.uniform(math.log(4.0 ** -(nu + 2)), math.log(2.0), 2000)))
+    for v in powers:
+        values += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+    values += [5e-324, 1.0, 1.5, 2.0, math.inf]
+    d = np.array(values, dtype=float)
+    prof = DensityProfile(
+        densities=d, l_index=1, r_index=d.size + 1, mu=1.0, n_nodes=4**nu, capacity=float(d.size),
+    )
+    canon = canonical_truncate(prof)
+    assert canon.levels.tolist() == [_level_reference(float(v), nu) for v in d]
+    assert np.array_equal(canon.densities, 4.0 ** -canon.levels.astype(float))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -0.25, math.nan, -math.inf])
+def test_canonical_truncate_rejects_a_density_that_is_not_positive(bad):
+    prof = DensityProfile(
+        densities=np.array([0.5, 0.25, bad]), l_index=1, r_index=4, mu=1.0, n_nodes=16,
+        capacity=2.0,
+    )
+    with pytest.raises(InvalidInputError, match=f"density {bad!r} of file 2 "):
+        canonical_truncate(prof)

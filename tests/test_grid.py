@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import (
     GridSpec,
-    enumerate_links,
     hop_distance,
     signed_axis_delta,
 )
@@ -113,12 +112,6 @@ def test_routes_are_shortest_and_complete(nu, data):
         for u, v in zip(path, path[1:]):
             assert hop_distance(g, u, v) == 1
     assert rs == shortest_routes(g, a, b)  # deterministic
-
-
-def test_enumerate_links_counts():
-    assert len(enumerate_links(GridSpec(nu=1))) == 8
-    assert len(enumerate_links(GridSpec(nu=2))) == 32
-    assert enumerate_links(GridSpec(nu=0)) == []
 
 
 def test_link_index_covers_all_links():

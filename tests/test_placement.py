@@ -21,7 +21,10 @@ from replicagrid.popularity import Popularity, zipf
 
 
 def _levels_profile(levels, nu, capacity):
-    return CanonicalProfile.from_levels(np.array(levels), nu=nu, capacity=capacity)
+    levels = np.array(levels, dtype=np.int64)
+    return CanonicalProfile(
+        levels=levels, densities=4.0 ** -levels.astype(float), nu=nu, capacity=capacity
+    )
 
 
 def _random_levels(rng, nu, capacity, m_max=40):
@@ -77,8 +80,7 @@ def test_full_replication_when_everything_level0():
     grid = GridSpec(nu=2)
     canon = _levels_profile([0, 0, 0], nu=2, capacity=3.0)
     placed = canonical_place(grid, canon, zipf(3, 1.0), 3)
-    for node in grid.nodes():
-        assert placed.buffer_at(node) == frozenset({0, 1, 2})
+    assert placed.buffers == (frozenset({0, 1, 2}),) * grid.node_count
 
 
 def test_single_file_at_top_level():
@@ -128,7 +130,7 @@ def test_occupancy_balance_within_submatrix():
         canon = _levels_profile(levels, nu=nu, capacity=float(cap))
         placed = canonical_place(GridSpec(nu=nu), canon, zipf(len(levels), 1.2), cap)
         side = 2 ** nu
-        occ = np.array([[len(placed.buffer_at((x, y))) for y in range(side)] for x in range(side)])
+        occ = np.array([[len(placed.buffers[x * side + y]) for y in range(side)] for x in range(side)])
         assert occ.max() - occ.min() <= 1
 
 
@@ -183,7 +185,7 @@ def _reference_place(grid, canon, pop, capacity):
     buffers = [set() for _ in range(grid.node_count)]
 
     for k in range(1, grid.nu + 1):
-        members = canon.level_sets[k]
+        members = np.flatnonzero(canon.levels == k).tolist()
         if not members:
             continue
         order = diagonal_order(k)
@@ -207,7 +209,7 @@ def _reference_place(grid, canon, pop, capacity):
                             "cache capacity exceeded during placement"
                         )
 
-    for m in canon.level_sets[0]:
+    for m in np.flatnonzero(canon.levels == 0).tolist():
         for buf in buffers:
             buf.add(m)
             if len(buf) > capacity:
@@ -271,7 +273,7 @@ def test_replica_nodes_row_major_for_arbitrary_placement():
 
 
 def _reference_render_matrix(placement):
-    """render_matrix as it was written with one buffer_at call per cell."""
+    """render_matrix as it was written with one buffer lookup per cell."""
     side = placement.grid.side
     compact = placement.file_count < 36
     digits = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -279,7 +281,7 @@ def _reference_render_matrix(placement):
     for x in range(side):
         row = []
         for y in range(side):
-            files = sorted(placement.buffer_at((x, y)))
+            files = sorted(placement.buffers[x * side + y])
             if compact:
                 row.append("".join(digits[m + 1] for m in files) or ".")
             else:
@@ -290,13 +292,14 @@ def _reference_render_matrix(placement):
 
 
 def _reference_to_json(placement):
-    """CachePlacement.to_json as it was written with one buffer_at call per cell."""
+    """CachePlacement.to_json as it was written with one buffer lookup per cell."""
+    side = placement.grid.side
     doc = {
         "nu": placement.grid.nu,
         "capacity": placement.capacity,
         "file_count": placement.file_count,
         "buffers": {
-            f"{x},{y}": sorted(placement.buffer_at((x, y))) for (x, y) in placement.grid.nodes()
+            f"{x},{y}": sorted(placement.buffers[x * side + y]) for (x, y) in placement.grid.nodes()
         },
     }
     return json.dumps(doc)
@@ -448,3 +451,28 @@ def test_placement_takes_one_form():
             grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4,
             levels=np.zeros(1, dtype=np.int64), anchors=np.zeros((1, 2), dtype=np.int64),
         )
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_buffer_count_must_match_the_grid(count):
+    with pytest.raises(InvalidInputError, match=f"{count} buffers for a grid of 4 nodes"):
+        CachePlacement(
+            grid=GridSpec(nu=1), capacity=1, file_count=1, buffers=(frozenset({0}),) * count
+        )
+
+
+def test_negative_file_id_is_named():
+    grid = GridSpec(nu=1)
+    placed = CachePlacement(
+        grid=grid, capacity=2, file_count=2,
+        buffers=(frozenset({0, -3}), frozenset({1}), frozenset(), frozenset()),
+    )
+    pop = zipf(2, 1.0)
+    for call in (
+        lambda: link_loads(grid, placed, pop),
+        lambda: total_hop_load(grid, placed, pop),
+        placed.measured_densities,
+    ):
+        with pytest.raises(InvalidInputError, match="file id -3 is negative"):
+            call()
+    assert not validate_capacity(placed)
