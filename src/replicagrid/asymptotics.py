@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityProfile, solve_cd
+from .density import DensityProfile, _interior_cap, _split_indices, solve_cd
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .popularity import Popularity, harmonic, zipf
+from .popularity import Popularity, harmonic
 
 # Finite-scale proxy for "spare capacity K*N - M stays O(1)".
 SMALL_SLACK = 100.0
@@ -127,20 +127,83 @@ def analytic_capacity(n_nodes: int, capacity: float, pop: Popularity) -> Capacit
     return capacity_breakdown(solve_cd(n_nodes, capacity, pop), pop)
 
 
-def _zeta(s: float, a: int = 1) -> float:
-    """The zeta tail sum of j^(-s) over j >= a (Riemann zeta at a = 1) for
-    real s > 1 (inf for s <= 1), by Euler-Maclaurin from n = max(a,
-    _ZETA_N + ceil(s)) after direct terms for j = a..n-1."""
-    if s <= 1.0:
-        return math.inf
+def _power_sum(s: float, a: int, b: int | None = None) -> float:
+    """Sum of j^(-s) over j = a..b, or over j >= a when b is None (s > 1).
+
+    Direct terms below n = max(a, _ZETA_N + ceil(s)) and for short segments;
+    from n on, Euler-Maclaurin: the integral, the end-point halves and the
+    first 12 Bernoulli corrections.  s = 0 is a count.  Where b^(1-s) and
+    n^(1-s) are close, the finite integral goes through log1p and expm1, so
+    it keeps its digits at and near s = 1.
+    """
+    if b is not None:
+        if b < a:
+            return 0.0
+        if s == 0.0:
+            return float(b - a + 1)
     n = max(a, _ZETA_N + math.ceil(s))
+    if b is not None and b < n + _ZETA_N:
+        return math.fsum(j ** -s for j in range(a, b + 1))
     terms = [j ** -s for j in range(a, n)]
-    terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    if b is None:
+        terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
+    else:
+        e = 1.0 - s
+        ln_ratio = math.log1p((b - n) / n)
+        if abs(e * ln_ratio) < 1.0:
+            integral = n**e * math.expm1(e * ln_ratio) / e if e else ln_ratio
+        else:
+            integral = (b**e - n**e) / e
+        terms += [integral, 0.5 * n ** -s, 0.5 * b ** -s]
     rising = s  # s (s + 1) ... (s + 2k - 2)
     for k, coeff in enumerate(_ZETA_COEFFS, start=1):
         terms.append(coeff * rising * n ** (-s - 2 * k + 1))
+        if b is not None:
+            terms.append(-coeff * rising * b ** (-s - 2 * k + 1))
         rising *= (s + 2 * k - 1) * (s + 2 * k)
     return math.fsum(terms)
+
+
+def _zeta(s: float, a: int = 1) -> float:
+    """The zeta tail sum of j^(-s) over j >= a (Riemann zeta at a = 1) for
+    real s > 1 (inf for s <= 1)."""
+    if s <= 1.0:
+        return math.inf
+    return _power_sum(s, a)
+
+
+def _zipf_split(n_nodes: int, capacity: float, m_count: int, tau: float) -> tuple[int, int]:
+    """solve_cd's (l, r) for Zipf(tau) popularity, from power sums alone:
+    q_i = i^(-2 tau / 3), left unnormalised."""
+    if capacity >= m_count:
+        return m_count + 1, m_count + 1
+    s = 2.0 * tau / 3.0
+    return _split_indices(
+        n_nodes, capacity, m_count, lambda i: i ** -s, lambda l, r: _power_sum(s, l, r - 1)
+    )
+
+
+def _zipf_breakdown(
+    n_nodes: int, capacity: float, m_count: int, tau: float, l: int, r: int
+) -> CapacityBreakdown:
+    """capacity_breakdown at the split (l, r) for Zipf(tau), in closed form.
+
+    With U the interior's q-mass and cap its budget, every interior file
+    has p / sqrt(d) = i^(-2 tau / 3) sqrt(U / cap) / H, so c_mid is
+    U sqrt(U / cap) / H; c_down and the tail are Zipf tail masses.
+    """
+    n, m = n_nodes, m_count
+    h = _power_sum(tau, 1, m)
+    c_mid = 0.0
+    if l < r:
+        u = _power_sum(2.0 * tau / 3.0, l, r - 1)
+        c_mid = u * math.sqrt(u / _interior_cap(n, capacity, m, l, r)) / h
+    c_down = math.sqrt(n) * _power_sum(tau, r, m) / h
+    tail = _power_sum(tau, l, m) / h
+    k_mid = ((capacity - l + 1) * n - (m - r + 1)) / n
+    return CapacityBreakdown(
+        c_total=c_mid + c_down - tail, c_mid=c_mid, c_down=c_down, k_mid=k_mid, tail=tail
+    )
 
 
 def _l_hat_scan(tau: float, k_eff: float) -> int:
@@ -294,8 +357,8 @@ def estimate_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> f
     kn = capacity * n_nodes
     slack = kn - m_count
     if tau < 0.05:
-        # The closed forms blow up as 3/(2 tau); use the exact solver.
-        return float(solve_cd(n_nodes, capacity, zipf(m_count, tau)).r_index)
+        # The closed forms blow up as 3/(2 tau); use the exact split.
+        return float(_zipf_split(n_nodes, capacity, m_count, tau)[1])
     if _truncation_state(tau, capacity, m_count, n_nodes) != STATE_NONEMPTY:
         return float(m_count + 1)
     if slack <= SMALL_SLACK:
@@ -416,31 +479,42 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     nus = list(nus)
     if len(nus) < 3:
         raise InvalidInputError(f"sweep needs at least 3 points, got {len(nus)}")
-    points = []
-    for nu in nus:
-        n = 4 ** int(nu)
+    sizes = []
+    for nu in map(int, nus):
+        # File indices past 2^53 are not exact floats.  nu > 26 puts N (and
+        # K*N >= N) past it before 4^nu is formed; a feasible point has
+        # M <= K*N, so the K*N bound covers M.
+        if nu > 26:
+            raise InvalidInputError(f"at nu = {nu}, N exceeds 2^53, past which indices are inexact")
+        n = 4 ** nu
         m = int(m_of_n(n))
         if m < 1:
             raise InvalidInputError(f"catalog size must be >= 1, got {m} at N={n}")
-        pop = zipf(m, tau)
-        profile = solve_cd(n, capacity, pop)
-        bd = capacity_breakdown(profile, pop)
-        if bd.c_total > 3.0 * math.sqrt(n):
-            raise InternalInvariantError(
-                f"capacity {bd.c_total} exceeds the O(sqrt(N)) guard at N={n}"
-            )
         _check_instance(tau, capacity, m, n)
+        if capacity * n > 2**53:
+            raise InvalidInputError(
+                f"at nu = {nu}, K*N exceeds 2^53, past which indices are inexact"
+            )
+        sizes.append((nu, n, m))
+    points = []
+    for nu, n, m in sizes:
+        l, r = _zipf_split(n, capacity, m, tau)
+        c_value = _zipf_breakdown(n, capacity, m, tau, l, r).c_total
+        if c_value > 3.0 * math.sqrt(n):
+            raise InternalInvariantError(
+                f"capacity {c_value} exceeds the O(sqrt(N)) guard at N={n}"
+            )
         regime = _regime(tau, capacity, m, n)
         points.append(
             SweepPoint(
-                nu=int(nu),
+                nu=nu,
                 n_nodes=n,
                 m_count=m,
                 capacity=capacity,
                 tau=tau,
-                c_value=bd.c_total,
-                l_index=profile.l_index,
-                r_index=profile.r_index,
+                c_value=c_value,
+                l_index=l,
+                r_index=r,
                 regime_label=regime[1],
             )
         )

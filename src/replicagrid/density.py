@@ -92,6 +92,62 @@ class CanonicalProfile:
         return int(self.levels.size)
 
 
+def _interior_cap(n: int, k_cap: float, m_count: int, l: int, r: int) -> float:
+    """Cache budget left for files l..r-1 once the head has 1 and the tail 1/N each."""
+    return k_cap - (l - 1) - (m_count - r + 1) / n
+
+
+def _split_indices(n: int, k_cap: float, m_count: int, q_at, mass) -> tuple[int, int]:
+    """The optimal split (l, r) for K < M, from q_i = p_i^(2/3) alone.
+
+    q_at(i) is q of 1-based file i and mass(l, r) the sum of q over files
+    l..r-1.  The conditions are homogeneous in q, so q need not be
+    normalised.  Raises InternalInvariantError when no pair satisfies them.
+    """
+
+    def cap(l: int, r: int) -> float:
+        return _interior_cap(n, k_cap, m_count, l, r)
+
+    def cond_interior_above_floor(l: int, r: int) -> bool:
+        # d_{r-1} > 1/N when files l..r-1 form the interior; vacuous at r == l.
+        if r == l:
+            return True
+        return cap(l, r) * n * q_at(r - 1) > mass(l, r)
+
+    def cond_head_below_one(l: int, r: int) -> bool:
+        # d_l < 1; vacuous when the interior is empty.
+        if r == l:
+            return True
+        return cap(l, r) * q_at(l) < mass(l, r)
+
+    def cond_prev_head_pinned(l: int, r: int) -> bool:
+        # Un-truncating file l-1 would push its density to >= 1.
+        if l == 1:
+            return True
+        return cap(l - 1, r) * q_at(l - 1) >= mass(l - 1, r)
+
+    l_max = min(int(math.floor(k_cap + 1e-12)) + 1, m_count)
+    for l in range(1, l_max + 1):
+        # Largest r in [l, M+1] keeping the interior above the 1/N floor;
+        # the predicate is monotone (true, ..., true, false, ..., false).
+        lo, hi = l, m_count + 1
+        if cond_interior_above_floor(l, m_count + 1):
+            r = m_count + 1
+        else:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if cond_interior_above_floor(l, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            r = lo
+        if cap(l, r) < -1e-12:
+            continue
+        if cond_head_below_one(l, r) and cond_prev_head_pinned(l, r):
+            return l, r
+    raise InternalInvariantError("no (l, r) pair satisfied the optimality conditions")
+
+
 def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     """Solve the continuous density problem exactly.
 
@@ -128,59 +184,13 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     def interior_mass(l: int, r: int) -> float:
         return float(prefix[r - 1] - prefix[l - 1])
 
-    def interior_cap(l: int, r: int) -> float:
-        return k_cap - (l - 1) - (m_count - r + 1) / n
-
-    def cond_interior_above_floor(l: int, r: int) -> bool:
-        # d_{r-1} > 1/N when files l..r-1 form the interior; vacuous at r == l.
-        if r == l:
-            return True
-        return interior_cap(l, r) * n * q[r - 2] > interior_mass(l, r)
-
-    def cond_head_below_one(l: int, r: int) -> bool:
-        # d_l < 1; vacuous when the interior is empty.
-        if r == l:
-            return True
-        return interior_cap(l, r) * q[l - 1] < interior_mass(l, r)
-
-    def cond_prev_head_pinned(l: int, r: int) -> bool:
-        # Un-truncating file l-1 would push its density to >= 1.
-        if l == 1:
-            return True
-        return interior_cap(l - 1, r) * q[l - 2] >= interior_mass(l - 1, r)
-
-    l_max = min(int(math.floor(k_cap + 1e-12)) + 1, m_count)
-    found = None
-    for l in range(1, l_max + 1):
-        # Largest r in [l, M+1] keeping the interior above the 1/N floor;
-        # the predicate is monotone (true, ..., true, false, ..., false).
-        lo, hi = l, m_count + 1
-        if cond_interior_above_floor(l, m_count + 1):
-            r = m_count + 1
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if cond_interior_above_floor(l, mid):
-                    lo = mid
-                else:
-                    hi = mid
-            r = lo
-        if interior_cap(l, r) < -1e-12:
-            continue
-        if cond_head_below_one(l, r) and cond_prev_head_pinned(l, r):
-            found = (l, r)
-            break
-    if found is None:
-        raise InternalInvariantError(
-            "no (l, r) pair satisfied the optimality conditions"
-        )
-    l, r = found
+    l, r = _split_indices(n, k_cap, m_count, lambda i: q[i - 1], interior_mass)
 
     d = np.empty(m_count)
     d[: l - 1] = 1.0
     d[r - 1 :] = 1.0 / n
     if l < r:
-        scale = interior_cap(l, r) / interior_mass(l, r)
+        scale = _interior_cap(n, k_cap, m_count, l, r) / interior_mass(l, r)
         np.multiply(scale, q[l - 1 : r - 1], out=d[l - 1 : r - 1])
         mu = 0.5 * p[l - 1] * d[l - 1] ** (-1.5)
     else:

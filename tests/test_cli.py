@@ -108,6 +108,29 @@ def test_sweep_command(capsys, tmp_path):
     assert len(out_path.read_text().strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sweep --K 2 --M N --tau 1 --nus 3,4,27", "at nu = 27, N exceeds 2^53"),
+        ("sweep --K 2 --M N --tau 1 --nus 3,40,4", "at nu = 40, N exceeds 2^53"),
+        ("sweep --K 3 --M N --tau 1 --nus 3,4,26", "at nu = 26, K*N exceeds 2^53"),
+        # Feasibility is checked first, so an infeasible point says so.
+        ("sweep --K 1 --M 2*N --tau 1 --nus 3,4,26", "infeasible: KN < M"),
+        ("sweep --K 2 --M 3*N --tau 1 --nus 3,4,40", "infeasible: KN < M"),
+    ],
+)
+def test_sweep_bounds_are_checked_before_any_point(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_sweep_reaches_k_n_of_2_to_the_53(capsys):
+    code, out, _ = run(capsys, "sweep", "--K", "2", "--M", "N", "--tau", "1", "--nus", "3,4,26")
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"26,{4**26},{4**26},2,1,")
+
+
 def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "--nu", "6", "--K", "2", "--M", "N^0.6", "--tau", "2")
     assert code == 0
@@ -174,6 +197,7 @@ def test_determinism(capsys):
         ("solve --nu 26 --K 1 --M N --tau 1", None),
         ("simulate --nu 2 --K 1 --M 100000000000000000000000 --tau 1", None),
         ("sweep --K 2 --M N --tau 1 --nus 3,4,40", None),
+        ("sweep --K 2 --M N --tau 1 --nus 3,4,27", None),
         ("sweep --nus 1,2,3 --K 100 --M 5 --tau 1", None),  # C = 0 at every point
         ("sweep --nus 0,3,4 --K 2 --M N --tau 2", None),  # C = 0 at nu = 0
         ("sweep --nus 3,3,3 --K 2 --M N --tau 1", None),  # one M: no slope to fit

@@ -1,0 +1,190 @@
+"""The catalog-free Zipf path of `asymptotics` against the array reference.
+
+`_power_sum` is checked against math.fsum and the zeta tail; the split
+(l, r) and the capacity breakdown are checked against solve_cd and
+capacity_breakdown on a grid of taus and catalog sizes up to nu = 9.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from replicagrid.asymptotics import (
+    _power_sum,
+    _zeta,
+    _zipf_breakdown,
+    _zipf_split,
+    capacity_breakdown,
+    estimate_r_hat,
+    sweep,
+)
+from replicagrid.density import _interior_cap, solve_cd
+from replicagrid.popularity import zipf
+
+POWERS = (0.0, 1 / 3, 2 / 3, 1 - 1e-9, 1.0, 1 + 1e-9, 4 / 3, 2.0)
+SEGMENTS = (
+    (5, 4),  # empty
+    (1, 0),  # empty at the start
+    (7, 7),  # one term
+    (1, 1),
+    (3, 15),  # short: direct terms only
+    (1, 40),  # direct head, then Euler-Maclaurin
+    (1, 100_000),
+    (37, 250_000),
+    (123_456, 123_500),  # short, far out
+    (90_000, 600_000),
+)
+
+
+def _fsum_reference(s, a, b):
+    if b < a:
+        return 0.0
+    return math.fsum(np.arange(a, b + 1, dtype=float) ** -s)
+
+
+@pytest.mark.parametrize("s", POWERS)
+def test_power_sum_matches_fsum(s):
+    for a, b in SEGMENTS:
+        want = _fsum_reference(s, a, b)
+        got = _power_sum(s, a, b)
+        # A few ulp: the integral's pow, expm1 and division each round.
+        assert got == want if want == 0.0 else abs(got - want) <= 1e-15 * want, (a, b)
+
+
+def test_power_sum_counts_at_s_zero():
+    assert _power_sum(0.0, 1, 2**53) == 2.0**53
+    assert _power_sum(0.0, 10, 9) == 0.0
+
+
+@pytest.mark.parametrize("s", [1 + 1e-9, 4 / 3, 2.0, 3.5])
+@pytest.mark.parametrize("a", [1, 11, 1000])
+def test_power_sum_approaches_zeta_tail(s, a):
+    # The segment plus the tail past it is the whole tail, and the segment
+    # grows towards it.
+    total = _zeta(s, a)
+    last = 0.0
+    for b in [a, a + 5, a + 50] + [int(v) for v in np.geomspace(a + 100, 1e15, 12)]:
+        seg = _power_sum(s, a, b)
+        assert last <= seg <= total
+        assert math.isclose(seg + _zeta(s, b + 1), total, rel_tol=2e-15), b
+        last = seg
+
+
+def _certificate(q_at, mass, n, k, m, l, r):
+    """(lhs, rhs, holds) of each condition that makes the (l, r) search stop
+    at (l, r) for this l: the interior l..r-1 above the 1/N floor, file r
+    not, file l below density one, and file l-1 pinned at one."""
+    cap = lambda l, r: _interior_cap(n, k, m, l, r)
+    out = []
+    if r > l:
+        lhs, rhs = cap(l, r) * n * q_at(r - 1), mass(l, r)
+        out.append((lhs, rhs, lhs > rhs))
+        lhs, rhs = cap(l, r) * q_at(l), mass(l, r)
+        out.append((lhs, rhs, lhs < rhs))
+    if r <= m:
+        lhs, rhs = cap(l, r + 1) * n * q_at(r), mass(l, r + 1)
+        out.append((lhs, rhs, not lhs > rhs))
+    if l > 1:
+        lhs, rhs = cap(l - 1, r) * q_at(l - 1), mass(l - 1, r)
+        out.append((lhs, rhs, lhs >= rhs))
+    return out
+
+
+def _near_tie(lhs, rhs):
+    return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def _fsum_breakdown(n, k, m, tau, l, r):
+    """Breakdown fields at (l, r) from per-file terms summed by math.fsum."""
+    ranks = np.arange(1, m + 1, dtype=float)
+    h = math.fsum(ranks ** -tau)
+    p = ranks ** -tau / h
+    q = ranks[l - 1 : r - 1] ** (-2.0 * tau / 3.0)
+    d = _interior_cap(n, k, m, l, r) * q / math.fsum(q)
+    c_mid = math.fsum(p[l - 1 : r - 1] / np.sqrt(d))
+    c_down = math.sqrt(n) * math.fsum(p[r - 1 :])
+    tail = math.fsum(p[l - 1 :])
+    return {"c_mid": c_mid, "c_down": c_down, "tail": tail, "c_total": c_mid + c_down - tail}
+
+
+def _catalog_sizes(n, k):
+    kn = int(k * n)
+    named = (1, int(k), int(n**0.6), n // 2, n, int(1.75 * n), kn - 50, kn - 1, kn)
+    return sorted({m for m in named if 1 <= m <= kn})
+
+
+EQUIVALENCE_TAUS = (0.0, 0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 3.0)
+FIELDS = ("c_total", "c_mid", "c_down", "tail", "k_mid")
+
+
+@pytest.mark.parametrize("nu", range(0, 10))
+def test_catalog_free_split_and_breakdown_match_arrays(nu):
+    n, k = 4**nu, 2.0
+    ties = 0
+    for tau in EQUIVALENCE_TAUS:
+        for m in _catalog_sizes(n, k):
+            pop = zipf(m, tau)
+            prof = solve_cd(n, k, pop)
+            want = capacity_breakdown(prof, pop)
+            l, r = _zipf_split(n, k, m, tau)
+            got = _zipf_breakdown(n, k, m, tau, l, r)
+            case = (tau, m, (prof.l_index, prof.r_index), (l, r))
+            fields = FIELDS
+            if (l, r) != (prof.l_index, prof.r_index):
+                # Only a condition whose two sides tie to 1e-12 in the array
+                # path's own arithmetic may decide differently here.
+                q = pop.probs ** (2.0 / 3.0)
+                prefix = np.concatenate(([0.0], np.cumsum(q)))
+                s = 2.0 * tau / 3.0
+                array_side = _certificate(
+                    lambda i: q[i - 1], lambda a, b: prefix[b - 1] - prefix[a - 1],
+                    n, k, m, prof.l_index, prof.r_index,
+                )
+                free_side = _certificate(
+                    lambda i: i**-s, lambda a, b: _power_sum(s, a, b - 1),
+                    n, k, m, prof.l_index, prof.r_index,
+                )
+                flipped = [a for a, f in zip(array_side, free_side) if a[2] != f[2]]
+                assert flipped and all(_near_tie(lhs, rhs) for lhs, rhs, _ in flipped), case
+                ties += 1
+                fields = ("c_total",)  # the parts split differently at a tie
+            for name in fields:
+                a, b = getattr(want, name), getattr(got, name)
+                if math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0):
+                    continue
+                # The array path sums its q prefix sequentially; where that
+                # is off by more than 1e-12 (tau = 0, equal terms), the
+                # power sums must be the ones that agree with math.fsum.
+                ref = _fsum_breakdown(n, k, m, tau, l, r)[name]
+                assert math.isclose(b, ref, rel_tol=1e-14), (name, case, a, b, ref)
+                assert not math.isclose(a, ref, rel_tol=1e-12), (name, case, a, b, ref)
+    # The two tie families: every density exactly 1/N (tau = 0, M = KN), and
+    # 2 q_2 = q_1 deciding r at tau = 1.5, KN - M = 1.
+    if nu in (1, 2, 3, 4):
+        assert ties >= 1
+
+
+def test_sweep_to_nu_20_builds_no_catalog():
+    sweep(2.0, 2.0, lambda n: int(1.75 * n), range(3, 6))  # first-call imports
+    tracemalloc.start()
+    try:
+        res = sweep(2.0, 2.0, lambda n: int(1.75 * n), range(3, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.points[-1].m_count == int(1.75 * 4**20)
+    assert peak < 1_000_000
+
+
+def test_classify_at_small_tau_builds_no_catalog():
+    n = 4**13
+    tracemalloc.start()
+    try:
+        r_hat = estimate_r_hat(0.01, 2.0, n, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= r_hat <= n + 1
+    assert peak < 1_000_000
