@@ -309,6 +309,14 @@ def _check_instance(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
         )
 
 
+def _check_exact_indices(capacity: float, n_nodes: int, where: str = "") -> None:
+    """File indices past 2^53 are not exact floats.  A feasible instance has
+    M <= K*N and K >= 1, so bounding N and K*N bounds every index."""
+    for name, size in (("N", n_nodes), ("K*N", capacity * n_nodes)):
+        if size > 2**53:
+            raise InvalidInputError(f"{where}{name} exceeds 2^53, past which indices are inexact")
+
+
 def estimate_l_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> int:
     """Predicted 1-based index of the first not-fully-replicated file."""
     _check_instance(tau, capacity, m_count, n_nodes)
@@ -423,6 +431,7 @@ def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
     above it the fully-replicated head shrinks to a single file.
     """
     _check_instance(tau, capacity, m_count, n_nodes)
+    _check_exact_indices(capacity, n_nodes)
     state, label, law, _, _ = _regime(tau, capacity, m_count, n_nodes)
     return RegimeReport(
         tau=tau,
@@ -481,20 +490,13 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
         raise InvalidInputError(f"sweep needs at least 3 points, got {len(nus)}")
     sizes = []
     for nu in map(int, nus):
-        # File indices past 2^53 are not exact floats.  nu > 26 puts N (and
-        # K*N >= N) past it before 4^nu is formed; a feasible point has
-        # M <= K*N, so the K*N bound covers M.
-        if nu > 26:
-            raise InvalidInputError(f"at nu = {nu}, N exceeds 2^53, past which indices are inexact")
-        n = 4 ** nu
+        # 4^27 is already past 2^53, so a larger 4^nu need not be formed.
+        n = 4 ** min(nu, 27)
         m = int(m_of_n(n))
         if m < 1:
             raise InvalidInputError(f"catalog size must be >= 1, got {m} at N={n}")
         _check_instance(tau, capacity, m, n)
-        if capacity * n > 2**53:
-            raise InvalidInputError(
-                f"at nu = {nu}, K*N exceeds 2^53, past which indices are inexact"
-            )
+        _check_exact_indices(capacity, n, f"at nu = {nu}, ")
         sizes.append((nu, n, m))
     points = []
     for nu, n, m in sizes:

@@ -4,6 +4,14 @@ Each node issues requests at unit rate; a request for file m is served by
 the nearest replica (ties to the north, then west).  I-shaped routes carry
 the full request stream, the two L-shaped routes half each.  Both traffic
 directions accumulate on the same undirected link.
+
+Files held on one 2^k-periodic lattice (every file of a canonical
+placement) are loaded per level in closed form.  Every other file is
+served by one batched kernel: consecutive files in blocks of
+_BLOCK_NODE_FILES node-file pairs, the nearest replica of every node by a
+row pass then a column pass over an integer selection key (_serving_keys),
+and the half-route counts of all files of a block from one bincount per
+axis and sign (_run_counts).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from .placement import CachePlacement
 from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
-_BLOCK_PAIRS = 2**20  # node-replica pairs per block of _nearest_replica
+_BLOCK_NODE_FILES = 2**13  # node-file pairs per block of off-lattice files
 
 
 @dataclass(frozen=True)
@@ -62,54 +70,66 @@ def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     return coords[:offsets[-1]], offsets
 
 
-def _replica_coords(placement: CachePlacement, m: int) -> np.ndarray:
-    """Replica coordinates of file m as a (W_m, 2) int64 array in row-major
-    order (the order of replica_nodes).
+def _blocks(grid: GridSpec, files: np.ndarray):
+    """Consecutive runs of files, _BLOCK_NODE_FILES node-file pairs each
+    (one file when a file alone has more nodes)."""
+    step = max(1, _BLOCK_NODE_FILES // grid.node_count)
+    for lo in range(0, files.size, step):
+        yield files[lo:lo + step]
 
-    Raises when m is outside the catalog or cached nowhere.
+
+def _serving_keys(
+    grid: GridSpec, coords: np.ndarray, offsets: np.ndarray, files: np.ndarray
+) -> np.ndarray:
+    """Selection key of every node's serving replica, (len(files), N), for
+    each listed file of the replica table (coords, offsets).
+
+    The key of replica (rx, ry) for node (x, y) is n (9 hops + tie) + rx side
+    + ry, with tie = 3 (sign dx + 1) + sign dy + 1 over the signed offsets
+    from node to replica: fewest hops, then north before south, then west
+    before east.  Distinct replicas have distinct keys, so the least key
+    picks one exactly: key % n is the serving node and key // 9n the hops.
+
+    The key is a row term in (x, rx) plus a column term in (y, ry), so it is
+    minimised in two passes of _cyclic_minimum: first along each row of the
+    file's replica grid (the least column term per replica row and client
+    column), then along each column over the replica rows.  Each pass costs
+    O(N) per file, and the temporaries are (len(files), 2N).
     """
-    count = placement.file_count
-    if not 0 <= m < count:
-        raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-    coords, offsets = _replica_table(placement)
-    if offsets[m + 1] == offsets[m]:
-        raise InvalidInputError(f"file {m} is cached nowhere")
-    return coords[offsets[m]:offsets[m + 1]]
+    side, n = grid.side, grid.node_count
+    counts = offsets[files + 1] - offsets[files]
+    owner = np.repeat(np.arange(files.size), counts)
+    starts = np.cumsum(counts) - counts
+    reps = coords[offsets[files][owner] + np.arange(owner.size) - starts[owner]]
+    # A cell with no replica is past every real key: keys are below
+    # n (9 side + 9) <= 18 n side.
+    value = np.full((files.size, side, side), 18 * n * side, dtype=np.int64)
+    value[owner, reps[:, 0], reps[:, 1]] = reps[:, 1]
+    column = _cyclic_minimum(value, 9 * n, n)
+    column += np.arange(side)[:, None] * side
+    key = _cyclic_minimum(column.swapaxes(1, 2), 9 * n, 3 * n)
+    return key.swapaxes(1, 2).reshape(files.size, n)
 
 
-def _nearest_replica(
-    grid: GridSpec, reps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every node (row-major) the index into reps of its serving replica
-    and the signed row and column offsets from the node to it; the hop
-    distance is |dx| + |dy|.
+def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> np.ndarray:
+    """For each position p of the last axis, a cycle of length side: the
+    least value[q] + step d + tie t over positions q at cyclic distance d,
+    with t = 0 for q before p (a decreasing step, as at d = side/2), 1 for
+    q = p and 2 for q after p.
 
-    Selection key: hop distance, then north-before-south, then west-before-
-    east, then replica coordinates — all folded into one integer so the
-    argmin is exact.  The key is a row term plus a column term, so it is
-    tabulated per axis coordinate and replica, (side, W) each, and each block
-    of nodes adds the two tables and takes one argmin.  A block is whole grid
-    rows, or a column chunk of one row when a row alone exceeds _BLOCK_PAIRS
-    node-replica pairs, so the temporaries stay bounded as N grows.
+    min over q before p of value[q] + step (p - q) is step p plus a running
+    minimum of value[q] - step q; likewise after p.  Over the doubled axis
+    both scans also see each q at its distance the other way round, and at
+    d >= side: those terms exceed the right one (step > 2 tie), so the
+    minimum is unchanged.
     """
-    side = grid.side
-    n = grid.node_count
-    w_count = reps.shape[0]
-    axis = np.arange(side, dtype=np.int64)[:, None]
-    dx = signed_axis_delta(side, axis, reps[None, :, 0])
-    dy = signed_axis_delta(side, axis, reps[None, :, 1])
-    key_x = (9 * np.abs(dx) + 3 * (np.sign(dx) + 1)) * n + reps[None, :, 0] * side
-    key_y = (9 * np.abs(dy) + np.sign(dy) + 1) * n + reps[None, :, 1]
-    if side * w_count <= _BLOCK_PAIRS:
-        rows, cols = _BLOCK_PAIRS // (side * w_count), side
-    else:
-        rows, cols = 1, max(1, _BLOCK_PAIRS // w_count)
-    choice = np.empty((side, side), dtype=np.int64)
-    for x0 in range(0, side, rows):
-        for y0 in range(0, side, cols):
-            key = key_x[x0:x0 + rows, None, :] + key_y[None, y0:y0 + cols, :]
-            choice[x0:x0 + rows, y0:y0 + cols] = np.argmin(key, axis=2)
-    return choice.ravel(), dx[axis, choice].ravel(), dy[axis.T, choice].ravel()
+    side = value.shape[-1]
+    ramp = step * np.arange(2 * side)
+    doubled = np.concatenate([value, value], axis=-1)
+    before = np.minimum.accumulate(doubled - ramp, axis=-1)[..., side - 1:-1] + ramp[side:]
+    after = np.minimum.accumulate((doubled + ramp)[..., ::-1], axis=-1)[..., ::-1]
+    after = after[..., 1:side + 1] + (2 * tie - ramp[:side])
+    return np.minimum(np.minimum(before, after, out=before), value + tie, out=before)
 
 
 def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -161,39 +181,51 @@ def _lattice_loads(
     return rows, cols
 
 
-def _run_counts(side: int, line: np.ndarray, start: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Per-link count of cyclic runs, as a (line, position) array.
-
-    Run i steps |delta[i]| links along its line from coordinate start[i];
-    a step toward a lower coordinate crosses the link owned by the node it
-    lands on, so the run covers the links owned by positions
-    (start + min(delta, 0)) % side onward.  Each run adds +1 and -1 to a
-    difference array twice the line length, so no run wraps in it; the
-    cumulative sum's wrapped half is folded back onto the line.
-    """
-    first = line * (2 * side) + (start + np.minimum(delta, 0)) % side
-    size = 2 * side * side
-    diff = np.bincount(first, minlength=size) - np.bincount(first + np.abs(delta), minlength=size)
-    runs = diff.reshape(side, 2 * side).cumsum(axis=1)
-    return runs[:, :side] + runs[:, side:]
-
-
-def _deposit_file_loads(grid: GridSpec, reps: np.ndarray, weight: float, loads: np.ndarray) -> None:
-    """Add the traffic of a file held at reps, at request weight `weight`, to loads.
+def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """Per-link count of half-routes of each file served by keys, as a
+    (files, 2, side, side) integer array: [:, 0] the row links by (x, y),
+    [:, 1] the column links by (y, x).
 
     A client's demand goes half along the x-first L-route (along column
     y_c to row x_s, then along row x_s) and half along the y-first one
     (along row x_c to column y_s, then along column y_s); an I-route is
-    the case where the two coincide.  Half-routes are counted per link in
-    integers, so a link that carries nothing stays at exactly 0.
+    the case where the two coincide.  Each half-route is one cyclic run per
+    axis: |delta| links along its line from coordinate start, and a step
+    toward a lower coordinate crosses the link owned by the node it lands
+    on, so the run covers the links owned by positions
+    (start + min(delta, 0)) % side onward.  Every run adds +1 and -1 to a
+    difference array twice the line length, so no run wraps in it; one
+    bincount per sign serves all runs of all files, and the cumulative
+    sum's wrapped half is folded back onto the line.
     """
-    side = grid.side
-    choice, dx, dy = _nearest_replica(grid, reps)
-    nodes = np.arange(grid.node_count, dtype=np.int64)
-    xc, yc = nodes // side, nodes % side
-    xs, ys = reps[choice, 0], reps[choice, 1]
-    rows = _run_counts(side, xs, yc, dy) + _run_counts(side, xc, yc, dy)
-    cols = _run_counts(side, yc, xc, dx) + _run_counts(side, ys, xc, dx)
+    side, n = grid.side, grid.node_count
+    files = keys.shape[0]
+    server = keys % n
+    xs, ys = server // side, server % side
+    xc, yc = np.divmod(np.arange(n), side)
+    dx = signed_axis_delta(side, xc, xs)
+    dy = signed_axis_delta(side, yc, ys)
+    # Lines are numbered file by file; a row run lies on row x_s or x_c at
+    # column position y_c, a column run on column y_c or y_s at row x_c.
+    base = np.arange(files)[:, None] * side
+    size = files * side * 2 * side
+    counts = np.empty((files, 2, side, side), dtype=np.int64)
+    for axis, lines, start, delta in ((0, (xs, xc), yc, dy), (1, (yc, ys), xc, dx)):
+        first = np.stack([base + line for line in lines]) * (2 * side)
+        first += (start + np.minimum(delta, 0)) % side
+        first = first.ravel()
+        diff = np.bincount(first, minlength=size)
+        diff -= np.bincount(first + np.tile(np.abs(delta).ravel(), 2), minlength=size)
+        runs = diff.reshape(files, side, 2 * side).cumsum(axis=2)
+        np.add(runs[..., :side], runs[..., side:], out=counts[:, axis])
+    return counts
+
+
+def _deposit(loads: np.ndarray, counts: np.ndarray, weight: float) -> None:
+    """Add one file's half-route counts (_run_counts), at request weight
+    `weight`, to loads.  Counts are integers, so a link that carries
+    nothing stays at exactly 0."""
+    rows, cols = counts
     loads[0::2] += (weight / 2) * rows.ravel()
     loads[1::2] += (weight / 2) * cols.T.ravel()
 
@@ -221,8 +253,10 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     """Accumulate per-link traffic over all files.
 
     Lattice files (every file of a canonical placement) are summed per level
-    in closed form; every other file goes through the per-file kernel.
-    Requires a nu >= 1 grid; the single-node grid has no links to load.
+    in closed form; every other file is served in blocks of consecutive
+    files (_blocks, _serving_keys) and its half-route counts are added to
+    the loads file by file, in file order.  Requires a nu >= 1 grid; the
+    single-node grid has no links to load.
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
@@ -232,8 +266,10 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     loads = np.empty(2 * grid.node_count)
     loads[0::2] = rows.ravel()
     loads[1::2] = cols.ravel()
-    for m in np.flatnonzero(level < 0).tolist():
-        _deposit_file_loads(grid, coords[offsets[m]:offsets[m + 1]], float(weights[m]), loads)
+    for block in _blocks(grid, np.flatnonzero(level < 0)):
+        counts = _run_counts(grid, _serving_keys(grid, coords, offsets, block))
+        for m, file_counts in zip(block.tolist(), counts):
+            _deposit(loads, file_counts, weights[m])
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
@@ -249,9 +285,9 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     hops = np.zeros(placement.file_count)
     for k in range(grid.nu + 1):
         hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
-    for m in np.flatnonzero(level < 0).tolist():
-        _, dx, dy = _nearest_replica(grid, coords[offsets[m]:offsets[m + 1]])
-        hops[m] = np.abs(dx).sum() + np.abs(dy).sum()
+    for block in _blocks(grid, np.flatnonzero(level < 0)):
+        keys = _serving_keys(grid, coords, offsets, block)
+        hops[block] = (keys // (9 * grid.node_count)).sum(axis=1)
     # cumsum adds in file order, so the total is bit-identical to a running
     # per-file sum.
     return REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
@@ -279,14 +315,34 @@ def rhombus_lower_hop_sum(cluster_size: float) -> float:
     return 2.0 * rho * (rho + 1.0) * (2.0 * rho + 1.0) / 3.0
 
 
+def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.ndarray, int]:
+    """Serving keys of file m as a (1, N) block (_serving_keys) and its
+    replica count.
+
+    Raises when m is outside the catalog or cached nowhere.
+    """
+    count = placement.file_count
+    if not 0 <= m < count:
+        raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
+    coords, offsets = _replica_table(placement)
+    if offsets[m + 1] == offsets[m]:
+        raise InvalidInputError(f"file {m} is cached nowhere")
+    return _serving_keys(grid, coords, offsets, np.array([m])), int(offsets[m + 1] - offsets[m])
+
+
+def _file_loads(grid: GridSpec, keys: np.ndarray, p_m: float) -> np.ndarray:
+    """Link loads of the one file served by keys, at popularity weight p_m."""
+    loads = np.zeros(2 * grid.node_count)
+    _deposit(loads, _run_counts(grid, keys)[0], REQUEST_RATE * p_m)
+    return loads
+
+
 def per_file_link_loads(
     grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
 ) -> np.ndarray:
     """Link loads generated by file m alone, at popularity weight p_m."""
-    reps = _replica_coords(placement, m)
-    loads = np.zeros(2 * grid.node_count)
-    _deposit_file_loads(grid, reps, REQUEST_RATE * p_m, loads)
-    return loads
+    keys, _ = _file_keys(grid, placement, m)
+    return _file_loads(grid, keys, p_m)
 
 
 def per_file_link_bound(
@@ -299,20 +355,18 @@ def per_file_link_bound(
     2^(k-1) (2^(k-1) + 1/2) p_m, and all other links at most 2^(k-2) p_m,
     where 4^-k is the file's replication density.
     """
-    reps = _replica_coords(placement, m)
-    w_count = reps.shape[0]
+    keys, w_count = _file_keys(grid, placement, m)
     ratio = grid.node_count / w_count
     level = round(math.log(ratio, 4))
     if 4 ** level != ratio:
         raise InvalidInputError(f"file {m} does not have a power-of-4 replica count")
 
-    loads = per_file_link_loads(grid, placement, m, p_m)
+    loads = _file_loads(grid, keys, p_m)
     if level == 0:
         return bool(np.all(loads <= 1e-12))
 
-    choice, _, _ = _nearest_replica(grid, reps)
     side = grid.side
-    server = choice.reshape(side, side)
+    server = (keys[0] % grid.node_count).reshape(side, side)
     axis = np.arange(side)
     aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
     off_cap = 2.0 ** (level - 2) * p_m
@@ -321,8 +375,8 @@ def per_file_link_bound(
     # a serving replica in row x; column links likewise, south and column y.
     rows, cols = loads[0::2].reshape(side, side), loads[1::2].reshape(side, side)
     for load, other, aligned in (
-        (rows, np.roll(server, -1, axis=1), axis[:, None] == reps[server, 0]),
-        (cols, np.roll(server, -1, axis=0), axis[None, :] == reps[server, 1]),
+        (rows, np.roll(server, -1, axis=1), axis[:, None] == server // side),
+        (cols, np.roll(server, -1, axis=0), axis[None, :] == server % side),
     ):
         carried = load > tol
         if np.any(carried & (server != other)):

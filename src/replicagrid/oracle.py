@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .delivery import REQUEST_RATE, _nearest_replica, _replica_coords
+from .delivery import REQUEST_RATE, _file_keys
 from .density import COST_FACTOR
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
 from .grid import GridSpec, Node, hop_distance, signed_axis_delta
@@ -337,11 +337,11 @@ def serve_map(
     grid: GridSpec, placement: CachePlacement, m: int
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
-    reps = _replica_coords(placement, m)
-    choice, _, _ = _nearest_replica(grid, reps)
+    keys, _ = _file_keys(grid, placement, m)
+    servers = (keys[0] % grid.node_count).tolist()
     out: dict[Node, tuple[Node, RouteSet]] = {}
-    for idx, node in enumerate(grid.nodes()):
-        server = (int(reps[choice[idx], 0]), int(reps[choice[idx], 1]))
+    for node, server in zip(grid.nodes(), servers):
+        server = divmod(server, grid.side)
         out[node] = (server, shortest_routes(grid, node, server))
     return out
 

@@ -139,6 +139,29 @@ def test_classify_command(capsys):
     assert doc["truncation_state"] in ("empty", "almost_empty")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # K*N - 1000 at nu = 30 is not an exact float; it used to print
+        # m_count = K*N - 1024 and exit 0.
+        ("classify --nu 30 --K 2 --M K*N-1000 --tau 0.01", "N exceeds 2^53"),
+        ("classify --nu 27 --K 1 --M N --tau 1", "N exceeds 2^53"),
+        ("classify --nu 26 --K 3 --M N --tau 1", "K*N exceeds 2^53"),
+        # Feasibility is checked first, as in sweep.
+        ("classify --nu 30 --K 1 --M 2*N --tau 1", "infeasible: KN < M"),
+    ],
+)
+def test_classify_bounds_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_classify_reaches_k_n_of_2_to_the_53(capsys):
+    code, out, _ = run(capsys, "classify", "--nu", "26", "--K", "2", "--M", "N", "--tau", "1")
+    assert code == 0 and json.loads(out)["m_count"] == 4**26
+
+
 def test_oracle_commands(capsys, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("0.7\n0.2\n0.1\n")

@@ -364,26 +364,47 @@ def test_kernel_matches_walker_half_side_offsets(nu, data):
     _assert_matches_walker(grid, _placement_from_holders(grid, holders), pop)
 
 
+def _replica_coords(placed, m):
+    """Replica coordinates of file m, row-major, from the replica table."""
+    coords, offsets = delivery._replica_table(placed)
+    return coords[offsets[m]:offsets[m + 1]]
+
+
+def _block_keys(grid, placed):
+    """Serving keys of every file, block by block under the module's block
+    rule, stacked in file order."""
+    coords, offsets = delivery._replica_table(placed)
+    blocks = delivery._blocks(grid, np.arange(placed.file_count))
+    return np.concatenate([delivery._serving_keys(grid, coords, offsets, b) for b in blocks])
+
+
 @pytest.mark.parametrize(
-    "nu, w_count, pairs",
-    # Blocks are pairs // (side * W) whole rows, or column chunks of one row
-    # max(1, pairs // W) nodes wide when side * W > pairs: one node per block
-    # (rows 1, 2 and 10), chunks ragged at the row end (4 % 3, 16 % 15, 8 % 7,
-    # 16 % 15, 32 % 31), one row (row 4, and exactly side * W in row 11), two
-    # rows, and three rows ragged at the grid end (16 % 3, row 12).
+    "nu, w_count, budget",
+    # A block is max(1, budget // N) consecutive files of the seven drawn.
+    # One file per block: every budget below 2N, among them a budget of one
+    # node-file pair (1, 1, 1), exactly N (3, 5, 64), and files at every
+    # node (5, 1024, 500).  Three files per block, the last block ragged:
+    # (4, 64, 1000) and (5, 100, 3199).  Two per block: (2, 16, 40).  All
+    # seven in one block: (2, 2, 112) exactly, (3, 5, 1000) with room left.
     [(1, 1, 1), (2, 16, 4), (2, 2, 7), (3, 5, 64), (4, 3, 100), (4, 64, 1000),
-     (3, 5, 39), (4, 3, 47), (5, 100, 3199), (5, 1024, 500), (3, 5, 40), (4, 3, 144)],
+     (3, 5, 39), (4, 3, 47), (5, 100, 3199), (5, 1024, 500), (3, 5, 40), (4, 3, 144),
+     (2, 16, 40), (2, 2, 112), (3, 5, 1000)],
 )
-def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, pairs):
+def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, budget):
     grid = GridSpec(nu=nu)
     rng = np.random.default_rng(nu * 1000 + w_count)
-    idx = rng.choice(grid.node_count, size=w_count, replace=False)
-    reps = np.stack([idx // grid.side, idx % grid.side], axis=1).astype(np.int64)
-    default = delivery._nearest_replica(grid, reps)
-    monkeypatch.setattr(delivery, "_BLOCK_PAIRS", pairs)
-    small = delivery._nearest_replica(grid, reps)
-    for got, expect in zip(small, default, strict=True):
-        assert np.array_equal(got, expect)
+    holders = [set(rng.choice(grid.node_count, size=w_count, replace=False).tolist()) for _ in range(7)]
+    placed = _placement_from_holders(grid, holders)
+    pop = zipf(7, 0.8)
+
+    def run():
+        return _block_keys(grid, placed), link_loads(grid, placed, pop).loads, total_hop_load(grid, placed, pop)
+
+    default = run()
+    monkeypatch.setattr(delivery, "_BLOCK_NODE_FILES", budget)
+    small = run()
+    assert np.array_equal(small[0], default[0]) and np.array_equal(small[1], default[1])
+    assert small[2] == default[2]
 
 
 _REFERENCE_BLOCK_PAIRS = 2**20
@@ -410,38 +431,39 @@ def _reference_nearest_replica(grid, reps):
     return choice, dist
 
 
-def _block_pairs(draw, side, w_count):
-    """A _BLOCK_PAIRS value giving the drawn block shape for side x side nodes
-    and W replicas: the default, a column chunk of one row (one node when
-    W exceeds it), exactly one row, or several rows (ragged when side % rows)."""
-    row = side * w_count
-    shape = draw(st.sampled_from(["default", "chunk", "row", "rows"]))
-    if shape == "chunk" and row > 1:
-        return draw(st.integers(1, row - 1))
-    if shape == "row":
-        return row
-    if shape == "rows":
-        return row * draw(st.integers(2, side + 1)) + draw(st.integers(0, row - 1))
-    return delivery._BLOCK_PAIRS
+def _block_budget(draw, n, files):
+    """A _BLOCK_NODE_FILES value for `files` files on N = n nodes: the
+    default, one file per block (any budget below 2N), k files per block for
+    2 <= k < files (ragged when files % k), or all files in one block."""
+    shape = draw(st.sampled_from(["default", "one", "some", "all"]))
+    if shape == "one":
+        return draw(st.integers(1, 2 * n - 1))
+    if shape == "some" and files > 2:
+        return draw(st.integers(2, files - 1)) * n + draw(st.integers(0, n - 1))
+    if shape == "all":
+        return files * n + draw(st.integers(0, n))
+    return delivery._BLOCK_NODE_FILES
 
 
-def _assert_nearest_matches_reference(grid, reps, pairs):
-    expect_choice, expect_dist = _reference_nearest_replica(grid, reps)
+def _assert_nearest_matches_reference(grid, placed, budget):
+    """Under the given block budget, every file's serving node and hop count
+    from the batched kernel match the reference scan, and the key's tie
+    digit matches the signed offsets to the serving replica."""
+    n, side = grid.node_count, grid.side
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(delivery, "_BLOCK_PAIRS", pairs)
-        choice, dx, dy = delivery._nearest_replica(grid, reps)
-    assert choice.dtype == dx.dtype == dy.dtype == np.int64
-    assert np.array_equal(choice, expect_choice)
-    assert np.array_equal(np.abs(dx) + np.abs(dy), expect_dist)
-    # The offsets are the signed steps from each node to its chosen replica.
-    nodes = np.arange(grid.node_count)
-    assert np.array_equal(dx, signed_axis_delta(grid.side, nodes // grid.side, reps[choice, 0]))
-    assert np.array_equal(dy, signed_axis_delta(grid.side, nodes % grid.side, reps[choice, 1]))
-
-
-def _coords(grid, indices):
-    idx = np.sort(np.asarray(list(indices), dtype=np.int64))
-    return np.stack([idx // grid.side, idx % grid.side], axis=1)
+        mp.setattr(delivery, "_BLOCK_NODE_FILES", budget)
+        keys = _block_keys(grid, placed)
+    assert keys.dtype == np.int64 and keys.shape == (placed.file_count, n)
+    nodes = np.arange(n)
+    for m, key in enumerate(keys):
+        reps = _replica_coords(placed, m)
+        choice, dist = _reference_nearest_replica(grid, reps)
+        server = key % n
+        assert np.array_equal(server, reps[choice, 0] * side + reps[choice, 1])
+        assert np.array_equal(key // (9 * n), dist)
+        dx = signed_axis_delta(side, nodes // side, server // side)
+        dy = signed_axis_delta(side, nodes % side, server % side)
+        assert np.array_equal(key // n % 9, 3 * (np.sign(dx) + 1) + np.sign(dy) + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,10 +471,26 @@ def _coords(grid, indices):
 def test_nearest_replica_matches_reference_scan(nu, data):
     grid = GridSpec(nu=nu)
     n = grid.node_count
-    w_count = data.draw(st.integers(1, n))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    reps = _coords(grid, np.random.default_rng(seed).choice(n, size=w_count, replace=False))
-    _assert_nearest_matches_reference(grid, reps, _block_pairs(data.draw, grid.side, w_count))
+    holders = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        w_count = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        holders.append(set(np.random.default_rng(seed).choice(n, size=w_count, replace=False).tolist()))
+    placed = _placement_from_holders(grid, holders)
+    _assert_nearest_matches_reference(grid, placed, _block_budget(data.draw, n, len(holders)))
+
+
+def _half_side_holders(draw, grid):
+    """1 to 3 files, each held at some of the four nodes side/2 apart
+    around a drawn base."""
+    side, half = grid.side, grid.side // 2
+    bx, by = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    corners = [(0, 0), (half, 0), (0, half), (half, half)]
+    return [
+        {((bx + ox) % side) * side + (by + oy) % side
+         for ox, oy in draw(st.sets(st.sampled_from(corners), min_size=1))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,17 +499,14 @@ def test_nearest_replica_matches_reference_half_side_offsets(nu, data):
     # Clients midway between replicas side/2 apart are served under the
     # north/west tie rule.
     grid = GridSpec(nu=nu)
-    side, half = grid.side, grid.side // 2
-    bx, by = data.draw(st.integers(0, side - 1)), data.draw(st.integers(0, side - 1))
-    corners = [(0, 0), (half, 0), (0, half), (half, half)]
-    offsets = data.draw(st.sets(st.sampled_from(corners), min_size=1))
-    reps = _coords(grid, {((bx + ox) % side) * side + (by + oy) % side for ox, oy in offsets})
-    _assert_nearest_matches_reference(grid, reps, _block_pairs(data.draw, side, reps.shape[0]))
+    holders = _half_side_holders(data.draw, grid)
+    placed = _placement_from_holders(grid, holders)
+    _assert_nearest_matches_reference(grid, placed, _block_budget(data.draw, grid.node_count, len(holders)))
 
 
 def _assert_table_matches_replica_nodes(placed):
     for m in range(placed.file_count):
-        reps = delivery._replica_coords(placed, m)
+        reps = _replica_coords(placed, m)
         assert reps.dtype == np.int64 and reps.shape == (len(placed.replica_nodes(m)), 2)
         assert [tuple(r) for r in reps.tolist()] == placed.replica_nodes(m)
 
@@ -694,15 +729,16 @@ def test_engine_every_file_at_one_anchor(nu, data):
         assert idle == 2 * grid.node_count // 2 ** max(levels)
 
 
-def _counting_deposits(monkeypatch):
+def _counting_kernel_files(monkeypatch):
+    """Record the replica count of every file the batched kernel serves."""
     calls = []
-    deposit = delivery._deposit_file_loads
+    kernel = delivery._serving_keys
 
-    def counted(*args):
-        calls.append(args[1].shape[0])
-        deposit(*args)
+    def counted(grid, coords, offsets, files):
+        calls.extend(np.diff(offsets)[files].tolist())
+        return kernel(grid, coords, offsets, files)
 
-    monkeypatch.setattr(delivery, "_deposit_file_loads", counted)
+    monkeypatch.setattr(delivery, "_serving_keys", counted)
     return calls
 
 
@@ -723,7 +759,7 @@ def test_near_lattice_file_takes_per_file_path(nu, data):
     pop = Popularity(np.array([0.6, 0.4]))
     assert _catalog_levels(grid, placed, pop) == [-1, level]
     with pytest.MonkeyPatch.context() as mp:
-        calls = _counting_deposits(mp)
+        calls = _counting_kernel_files(mp)
         link_loads(grid, placed, pop)
     assert calls == [len(lattice)]
     _assert_engine_matches(grid, placed, pop)
@@ -735,14 +771,14 @@ def test_canonical_link_loads_skip_per_file_kernel(monkeypatch, nu, cap, tau, sh
     grid = GridSpec(nu=nu)
     pop = zipf(max(1, min(int(share * grid.node_count), cap * grid.node_count)), tau)
     placed = _canonical(grid, cap, pop)
-    calls = _counting_deposits(monkeypatch)
+    calls = _counting_kernel_files(monkeypatch)
     link_loads(grid, placed, pop)
     assert calls == []
 
 
 def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatch):
     rng = np.random.default_rng(53)
-    calls = _counting_deposits(monkeypatch)
+    calls = _counting_kernel_files(monkeypatch)
     for _ in range(20):
         grid = GridSpec(nu=int(rng.integers(1, 4)))
         m = int(rng.integers(1, 9))
@@ -756,10 +792,9 @@ def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatc
 
 def _per_file_hop_sum(grid, placed, pop):
     total = 0.0
-    coords, offsets = delivery._replica_table(placed)
+    hops = (_block_keys(grid, placed) // (9 * grid.node_count)).sum(axis=1)
     for m in range(placed.file_count):
-        _, dx, dy = delivery._nearest_replica(grid, coords[offsets[m]:offsets[m + 1]])
-        total += float(pop.probs[m]) * float(np.abs(dx).sum() + np.abs(dy).sum())
+        total += float(pop.probs[m]) * float(hops[m])
     return total
 
 
@@ -784,7 +819,7 @@ def test_hop_total_is_exact_mixed(nu, data):
 
 def _reference_link_bound(grid, placement, m, p_m=1.0):
     """The per-link loop per_file_link_bound used to run, kept as a reference."""
-    reps = delivery._replica_coords(placement, m)
+    reps = _replica_coords(placement, m)
     w_count = reps.shape[0]
     ratio = grid.node_count / w_count
     level = round(math.log(ratio, 4))
@@ -795,7 +830,7 @@ def _reference_link_bound(grid, placement, m, p_m=1.0):
     if level == 0:
         return bool(np.all(loads <= 1e-12))
 
-    choice = delivery._nearest_replica(grid, reps)[0]
+    choice = _reference_nearest_replica(grid, reps)[0]
     servers = {node: int(choice[i]) for i, node in enumerate(grid.nodes())}
 
     aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
@@ -851,3 +886,96 @@ def test_link_bound_matches_reference_loop_random(nu, data):
     holders = [set(data.draw(st.permutations(range(n)))[:min(c, n)]) for c in counts]
     p_values = [data.draw(st.sampled_from([1.0, 0.3, 1e-13]))]
     _assert_same_bound_verdicts(grid, _placement_from_holders(grid, holders), p_values)
+
+
+def _reference_run_counts(side, line, start, delta):
+    """Per-link count of one file's cyclic runs, as a (line, position) array:
+    the per-file difference-array count the batched kernel replaced."""
+    first = line * (2 * side) + (start + np.minimum(delta, 0)) % side
+    size = 2 * side * side
+    diff = np.bincount(first, minlength=size) - np.bincount(first + np.abs(delta), minlength=size)
+    runs = diff.reshape(side, 2 * side).cumsum(axis=1)
+    return runs[:, :side] + runs[:, side:]
+
+
+def _reference_file_loads(grid, reps, weight, loads):
+    """Add the loads of one file held at reps, served by the reference scan
+    and counted per file, to loads."""
+    side = grid.side
+    choice, _ = _reference_nearest_replica(grid, reps)
+    nodes = np.arange(grid.node_count)
+    xc, yc = nodes // side, nodes % side
+    xs, ys = reps[choice, 0], reps[choice, 1]
+    dx, dy = signed_axis_delta(side, xc, xs), signed_axis_delta(side, yc, ys)
+    rows = _reference_run_counts(side, xs, yc, dy) + _reference_run_counts(side, xc, yc, dy)
+    cols = _reference_run_counts(side, yc, xc, dx) + _reference_run_counts(side, ys, xc, dx)
+    loads[0::2] += (weight / 2) * rows.ravel()
+    loads[1::2] += (weight / 2) * cols.T.ravel()
+
+
+def _reference_loads_and_hops(grid, placed, pop):
+    """link_loads and total_hop_load by a loop over files: lattice files per
+    level as the engine loads them, every other file by the reference scan
+    and per-file run counts, added in file order; hops by the scan."""
+    level, anchors, coords, offsets = delivery._catalog(grid, placed, pop)
+    weights = delivery.REQUEST_RATE * pop.probs
+    rows, cols = delivery._lattice_loads(grid, level, anchors, weights)
+    loads = np.empty(2 * grid.node_count)
+    loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
+    hops = np.zeros(placed.file_count)
+    for m in range(placed.file_count):
+        reps = coords[offsets[m]:offsets[m + 1]]
+        hops[m] = _reference_nearest_replica(grid, reps)[1].sum()
+        if level[m] < 0:
+            _reference_file_loads(grid, reps, float(weights[m]), loads)
+    return loads, delivery.REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
+
+
+def _assert_bit_identical_to_reference(grid, placed, pop, budget):
+    """Under the given block budget, link_loads, total_hop_load and every
+    per_file_link_loads equal the per-file reference exactly."""
+    expect_loads, expect_hops = _reference_loads_and_hops(grid, placed, pop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delivery, "_BLOCK_NODE_FILES", budget)
+        loads = link_loads(grid, placed, pop).loads
+        hops = total_hop_load(grid, placed, pop)
+    assert np.array_equal(loads, expect_loads)
+    assert hops == expect_hops
+    for m in range(placed.file_count):
+        p_m = float(pop.probs[m])
+        expect = np.zeros(2 * grid.node_count)
+        _reference_file_loads(grid, _replica_coords(placed, m), delivery.REQUEST_RATE * p_m, expect)
+        assert np.array_equal(per_file_link_loads(grid, placed, m, p_m), expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_batched_kernel_bit_identical_to_per_file_reference(nu, data):
+    # Mixed catalogs (lattice, single-replica, everywhere and random files)
+    # plus files at nodes side/2 apart, under drawn block budgets.
+    grid = GridSpec(nu=nu)
+    holders, _ = _draw_mixed_holders(data.draw, grid)
+    holders += _half_side_holders(data.draw, grid)
+    placed = _placement_from_holders(grid, holders)
+    pop = _decreasing_popularity(data.draw, len(holders))
+    off = int(np.count_nonzero(delivery._catalog(grid, placed, pop)[0] < 0))
+    _assert_bit_identical_to_reference(grid, placed, pop, _block_budget(data.draw, grid.node_count, off))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+@pytest.mark.parametrize("per_block", [1, 3, 5])
+def test_batched_kernel_bit_identical_forced_blocks(nu, per_block):
+    # Five off-lattice files (a pair side/2 apart on one row, a diagonal
+    # pair side/2 apart, three random sets) among a single-replica file and
+    # a file at every node: one file per block, three per block with a
+    # ragged last block of two, or all five in one block.
+    grid = GridSpec(nu=nu)
+    n, side, half = grid.node_count, grid.side, grid.side // 2
+    rng = np.random.default_rng(nu)
+    holders = [{3 % n}, set(range(n)), {0, half}, {0, half * side + half}]
+    holders += [set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()) for _ in range(3)]
+    placed = _placement_from_holders(grid, holders)
+    pop = zipf(len(holders), 0.8)
+    levels = delivery._catalog(grid, placed, pop)[0]
+    assert levels[0] == nu and levels[1] == 0 and np.all(levels[2:] < 0)
+    _assert_bit_identical_to_reference(grid, placed, pop, per_block * n)
