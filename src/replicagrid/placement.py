@@ -114,25 +114,56 @@ class CachePlacement:
             return 4.0 ** -self.levels
         return self._replica_counts() / self.grid.node_count
 
+    def _checked_node_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """_node_major, once every id is known to be in 0..file_count - 1."""
+        files, bounds = self._node_major
+        if files.size and (low := int(files.min())) < 0:
+            raise InvalidInputError(f"file id {low} is negative")
+        if files.size and (high := int(files.max())) >= self.file_count:
+            raise InvalidInputError(f"file id {high} outside 0..{self.file_count - 1}")
+        return files, bounds
+
     def to_json(self) -> str:
-        side = self.grid.side
-        # The header up to an empty buffers object, then the buffers.
+        """The header, then '"x,y": [ids]' per node in row-major order.
+
+        Each key, id (with its ', ') and closing '], ' is one NUL-padded row
+        of a byte table, the rows in output order; dropping the NULs leaves
+        the text.
+        """
         head = json.dumps({
             "nu": self.grid.nu,
             "capacity": self.capacity,
             "file_count": self.file_count,
             "buffers": {},
         })
-        files, bounds = (v.tolist() for v in self._node_major)
-        ids = list(map(str, files))
-        cells = [", ".join(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
-        # Entry '"x,y": [ids]'; each key is a row prefix plus a column suffix.
-        tails = [f'{y}": [' for y in range(side)]
-        rows = []
-        for x in range(side):
-            keys = map(f'"{x},'.__add__, tails)
-            rows.append("], ".join(map(str.__add__, keys, cells[x * side:(x + 1) * side])))
-        return head[:-2] + "], ".join(rows) + "]}}"
+        side = self.grid.side
+        files, bounds = self._checked_node_major()
+        sizes = np.diff(bounds)
+        ids = _decimal_digits(files)
+        coords = _decimal_digits(np.arange(side))
+        wx, wd = coords.shape[1] + 2, ids.shape[1]
+        row = np.dtype((np.void, max(2 * wx + 2, wd + 2, 3)))
+        # Key rows '"x,y": [', broadcast from the x and the y table.
+        keys = np.zeros((side, side, row.itemsize), dtype=np.uint8)
+        keys[:, :, 0] = ord('"')
+        keys[:, :, 1:wx - 1] = coords[:, None]
+        keys[:, :, wx - 1] = ord(",")
+        keys[:, :, wx:2 * wx - 2] = coords
+        keys[:, :, 2 * wx - 2:2 * wx + 2] = list(b'": [')
+        # Id rows 'id, ', the last of each cell without its ', '.
+        items = np.zeros((files.size, row.itemsize), dtype=np.uint8)
+        items[:, :wd] = ids
+        items[:, wd:wd + 2] = list(b", ")
+        items[bounds[1:][sizes > 0] - 1, wd:] = 0
+        # Node n's key row, then its ids, then its closing row.
+        table = np.zeros(files.size + 2 * sizes.size, dtype=row)
+        before = 2 * np.arange(sizes.size)
+        table[bounds[:-1] + before] = keys.view(row).ravel()
+        table[np.arange(files.size) + np.repeat(before + 1, sizes)] = items.view(row).ravel()
+        table[bounds[1:] + before + 1] = np.void(b"], ".ljust(row.itemsize, b"\0"))
+        # The last node's '], ' loses its ', ' to the closing '}}'.
+        text = table.tobytes().translate(None, b"\0")[:-2].decode("ascii")
+        return head[:-2] + text + "}}"
 
 
 def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,23 +265,71 @@ def validate_capacity(placement: CachePlacement) -> bool:
     return bool(np.all(np.bincount(files, minlength=count) > 0))
 
 
-_DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+@functools.cache
+def _chunk_table() -> np.ndarray:
+    """The ASCII digits of 0..9999, four bytes in one uint32 each, leading
+    zeros as NUL bytes (0 is all NUL)."""
+    values = np.arange(10_000, dtype=np.int16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.int16)
+    chars = (values // places % 10 + ord("0")).astype(np.uint8)
+    chars[values < places] = 0
+    return _frozen(chars.view(np.uint32).ravel())
+
+
+def _decimal_digits(values: np.ndarray) -> np.ndarray:
+    """ASCII decimal digits of non-negative ints, one right-aligned uint8 row
+    per value, NUL-padded on the left to the width of the largest.
+
+    Four digits at a time: one divmod by 10^4 and one lookup per chunk.  A
+    chunk below the leading one keeps its leading zeros as '0' (OR 0x30).
+    """
+    table = _chunk_table()
+    rest = np.asarray(values, dtype=np.int64)
+    width = len(str(int(rest.max(initial=0))))
+    chunks = -(-width // 4)
+    words = np.empty((rest.size, chunks), dtype=np.uint32)
+    for j in range(chunks - 1, -1, -1):
+        rest, low = np.divmod(rest, 10_000)
+        words[:, j] = table[low] | (rest > 0) * np.uint32(0x30303030)
+    digits = words.view(np.uint8)
+    # The last digit is NUL only for 0.
+    digits[:, -1] |= ord("0")
+    return digits[:, 4 * chunks - width:]
+
+
+_DIGITS = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", dtype=np.uint8)
 
 
 def render_matrix(placement: CachePlacement) -> str:
     """Compact text rendering of the cache contents, one grid row per line.
 
     File ids are printed 1-based; single base-36 characters when the catalog
-    is small enough, comma-separated numbers otherwise.
+    is small enough, comma-separated numbers otherwise.  Every cell is
+    padded to the widest, so the text is an (N, width + 1) byte matrix of
+    spaces, a newline ending each grid row, each cell's text written at the
+    start of its row ('.' when empty).
     """
     side = placement.grid.side
-    files, bounds = placement._node_major
-    if placement.file_count < len(_DIGITS):
-        labels, sep = [_DIGITS[m + 1] for m in files.tolist()], ""
+    files, bounds = placement._checked_node_major()
+    sizes = np.diff(bounds)
+    if placement.file_count < _DIGITS.size:
+        chars, lengths = _DIGITS[files + 1], sizes
     else:
-        labels, sep = list(map(str, (files + 1).tolist())), ","
-    bounds = bounds.tolist()
-    cells = [sep.join(labels[a:b]) or "." for a, b in zip(bounds, bounds[1:])]
-    width = max(map(len, cells), default=1)
-    rows = (cells[x * side:(x + 1) * side] for x in range(side))
-    return "\n".join(" ".join(c.ljust(width) for c in row) for row in rows)
+        # Each label's digits and a comma, less the comma after a cell's last.
+        labels = files + 1
+        digits = _decimal_digits(labels)
+        cells = np.zeros((files.size, digits.shape[1] + 1), dtype=np.uint8)
+        cells[:, :-1] = digits
+        cells[:, -1] = ord(",")
+        cells[bounds[1:][sizes > 0] - 1, -1] = 0
+        # A label has one digit more than the powers 10, 100, ... it reaches.
+        ends = np.zeros(files.size + 1, dtype=np.int64)
+        np.cumsum(np.searchsorted(10 ** np.arange(1, 19), labels, side="right") + 2, out=ends[1:])
+        chars, lengths = cells[cells != 0], np.diff(ends[bounds]) - (sizes > 0)
+    width = max(int(lengths.max()), 1)
+    text = np.full((sizes.size, width + 1), ord(" "), dtype=np.uint8)
+    # The cells' characters, in order, fill the first lengths[n] of row n.
+    text[np.arange(width + 1) < lengths[:, None]] = chars
+    text[sizes == 0, 0] = ord(".")
+    text[side - 1::side, -1] = ord("\n")
+    return text.ravel()[:-1].tobytes().decode("ascii")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -337,6 +338,89 @@ def test_renderers_match_per_cell_reference():
             comma_seen += 1
     assert compact_seen and comma_seen
 
+
+# Values on both sides of the 4-digit chunk edges, up to 2^53 - 1.
+_CHUNK_EDGE_VALUES = [0, 9, 10, 9999, 10000, 10001, 10000005, 99999999, 10**8, 2**53 - 1]
+
+
+def test_decimal_digits_match_str():
+    for values in (_CHUNK_EDGE_VALUES, *([v] for v in _CHUNK_EDGE_VALUES)):
+        digits = placement._decimal_digits(np.array(values, dtype=np.int64))
+        width = max(len(str(v)) for v in values)
+        assert digits.dtype == np.uint8 and digits.shape == (len(values), width)
+        expected = [str(v).rjust(width, "\0").encode() for v in values]
+        assert [row.tobytes() for row in digits] == expected
+
+
+# File ids whose 1-based labels, or themselves, sit at a chunk edge.
+_EDGE_IDS = [9998, 9999, 10000, 99999998, 99999999, 10**8, 10**9 - 1]
+
+
+@st.composite
+def _buffer_placements(draw):
+    nu = draw(st.integers(0, 4))
+    cap = draw(st.integers(1, 5))
+    # Both sides of the base-36 limit, and catalogs up to 10^9.
+    count = draw(st.one_of(st.integers(1, 40), st.sampled_from([35, 36]), st.integers(41, 10**9)))
+    edges = [m for m in _EDGE_IDS if m < count]
+    ids = st.integers(0, count - 1)
+    if edges:
+        ids = st.one_of(ids, st.sampled_from(edges))
+    # Cells may be empty; some draws leave every cell empty.
+    buffers = draw(st.lists(st.frozensets(ids, max_size=cap), min_size=4**nu, max_size=4**nu))
+    return CachePlacement(grid=GridSpec(nu=nu), capacity=cap, file_count=count, buffers=buffers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_buffer_placements())
+def test_buffer_placement_renderers_match_per_cell_reference(placed):
+    assert render_matrix(placed) == _reference_render_matrix(placed)
+    assert placed.to_json() == _reference_to_json(placed)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-3, "file id -3 is negative"),
+        (-2, "file id -2 is negative"),
+        (40, "file id 40 outside 0..2"),
+    ],
+)
+@pytest.mark.parametrize("render", [render_matrix, CachePlacement.to_json], ids=["matrix", "json"])
+def test_renderers_reject_ids_outside_the_catalog(bad, message, render):
+    placed = CachePlacement(
+        grid=GridSpec(nu=1), capacity=2, file_count=3,
+        buffers=(frozenset({0, bad}), frozenset({1}), frozenset({2}), frozenset()),
+    )
+    with pytest.raises(InvalidInputError, match=message):
+        render(placed)
+
+
+@pytest.mark.parametrize(
+    "tau, m, stdout_sha256, output_sha256",
+    [
+        (
+            "0.8", "0.5*N",
+            "0a0a9dedcd6c0446d7c9b0df063098a3c1b2bcff186524747a2a36e2934203ec",
+            "206d470a77036cd9f3b85ed5f23428cf0c29be4d0cc67305bb034110ecdf1dfa",
+        ),
+        (
+            "2", "1.75*N",
+            "e72233f6c599809a07e3a51ff52f08dfddf59b3d27b8bb4a9f6bf5b3df5c362b",
+            "a1c960f0e97065956e829108451d7b09c16ef881f7a709ea483c6ac15ecc8319",
+        ),
+    ],
+    ids=["tau-0.8", "tau-2"],
+)
+def test_place_nu_7_output_is_pinned(capsys, tmp_path, tau, m, stdout_sha256, output_sha256):
+    """The stdout and --output bytes of `place --nu 7 --K 2`, pinned.  At
+    tau 2 the catalog (28,672 files) has 5-digit ids, across the first
+    4-digit chunk edge."""
+    out = tmp_path / "placement.json"
+    argv = ["place", "--nu", "7", "--K", "2", "--M", m, "--tau", tau, "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == output_sha256
 
 
 def _reference_buffers(grid, placed):
