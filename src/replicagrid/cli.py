@@ -12,10 +12,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
+import numpy as np
+
 from . import asymptotics, delivery, density, oracle, placement
+from ._text import _TEXT_ROWS, _g12_digits, _text_blocks
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec
 from .popularity import Popularity, load_popularity, zipf
@@ -119,6 +123,20 @@ def _resolve_instance(args, config):
     return grid, capacity, pop
 
 
+def _output_path(args, config) -> str | None:
+    """The --output path, checked before any work is done: its directory
+    must exist and it must not be a directory itself.  The file is neither
+    opened nor truncated here."""
+    path = _optional(args, config, "output", str)
+    if path is None:
+        return None
+    if os.path.isdir(path):
+        raise InvalidInputError(f"--output: {path!r} is a directory")
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidInputError(f"--output: {path!r} is not a file in an existing directory")
+    return path
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path is None:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -128,6 +146,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def cmd_solve(args, config) -> int:
+    out = _output_path(args, config)
     grid, capacity, pop = _resolve_instance(args, config)
     profile = density.solve_cd(grid.node_count, capacity, pop)
     canon = density.canonical_truncate(profile)
@@ -135,13 +154,25 @@ def cmd_solve(args, config) -> int:
     canonical_cost = density.lower_bound(canon.densities, pop)
     print(f"l = {profile.l_index}")
     print(f"r = {profile.r_index}")
-    print(f"densities = [{', '.join(_fmt(v) for v in profile.densities)}]")
+    densities = profile.densities
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # 'v, ' per density, each v as _fmt writes it; the last has no ', '.
+        digits = _g12_digits(densities[lo:hi])
+        table = np.empty((digits.shape[0], digits.shape[1] + 2), dtype=np.uint8)
+        table[:, :-2] = digits
+        table[:, -2:] = list(b", ")
+        if hi == densities.size:
+            table[-1, -2:] = 0
+        return table
+
+    blocks = _text_blocks(densities.size, _TEXT_ROWS, rows)
+    print(b"".join((b"densities = [", *blocks, b"]")).decode("ascii"))
     print(f"C_cd = {_fmt(exact)}")
     print(f"C_cd_canonical = {_fmt(canonical_cost)}")
     print(f"sandwich_lower_margin = {_fmt(canonical_cost - exact)}")
     upper = 2.0 * exact + math.sqrt(2.0) / 6.0
     print(f"sandwich_upper_margin = {_fmt(upper - canonical_cost)}")
-    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(profile.to_json() + "\n", out)
     return 0
@@ -158,17 +189,18 @@ def _build_placement(grid, capacity, pop):
 
 
 def cmd_place(args, config) -> int:
+    out = _output_path(args, config)
     grid, capacity, pop = _resolve_instance(args, config)
     _, placed = _build_placement(grid, capacity, pop)
     print(placement.render_matrix(placed))
     print(f"valid = {str(placement.validate_capacity(placed)).lower()}")
-    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(placed.to_json() + "\n", out)
     return 0
 
 
 def cmd_simulate(args, config) -> int:
+    out = _output_path(args, config)
     grid, capacity, pop = _resolve_instance(args, config)
     canon, placed = _build_placement(grid, capacity, pop)
     loads = delivery.link_loads(grid, placed, pop)
@@ -186,13 +218,13 @@ def cmd_simulate(args, config) -> int:
     print(f"load_identity_residual = {_fmt(residual)}")
     print(f"lemma3_margin = {_fmt(avg - lemma3)}")
     print(f"theorem9_margin = {_fmt(theorem9_cap - avg)}")
-    out = _optional(args, config, "output", str)
     if out is not None:
         _write_or_print(delivery.to_csv(loads), out)
     return 0
 
 
 def cmd_sweep(args, config) -> int:
+    out = _output_path(args, config)
     tau = _require(args, config, "tau", float)
     capacity = _require(args, config, "capacity", float)
     m_expr = _require(args, config, "m_count", str)
@@ -210,7 +242,7 @@ def cmd_sweep(args, config) -> int:
     print(f"fitted_exponent = {_fmt(result.fitted_exponent)}")
     print(f"fitted_exponent_corrected = {_fmt(result.fitted_exponent_corrected)}")
     csv_text = asymptotics.sweep_to_csv(result)
-    _write_or_print(csv_text, _optional(args, config, "output", str))
+    _write_or_print(csv_text, out)
     return 0
 
 

@@ -16,11 +16,13 @@ axis and sign (_run_counts).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import _TEXT_ROWS, _decimal_digits, _g12_digits, _text_blocks
 from .errors import InvalidInputError
 from .grid import COLUMN, ROW, GridSpec, signed_axis_delta
 from .placement import CachePlacement
@@ -388,15 +390,52 @@ def per_file_link_bound(
 
 
 def to_csv(load_map: LinkLoadMap) -> str:
-    """CSV rendering: link_index, origin_x, origin_y, axis, load + summary."""
-    lines = ["link_index,origin_x,origin_y,axis,load"]
+    """CSV rendering: link_index, origin_x, origin_y, axis, load + summary.
+
+    Each link is one NUL-padded byte row, 'idx,x,y,axis,load' and a
+    newline.  Blocks of rows hold whole origin rows x (2 * side links), so
+    a block writes each x once and every ',y,axis,' from one (side, 2)
+    table.
+    """
     grid = load_map.grid
+    worst, avg = worst_link(load_map), avg_link(load_map)
     # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN;
     # the 1-node grid has no links (the grid module's link index rule).
-    loads = load_map.loads.tolist() if grid.nu else []
-    for idx, load in enumerate(loads):
-        x, y = divmod(idx >> 1, grid.side)
-        lines.append(f"{idx},{x},{y},{COLUMN if idx & 1 else ROW},{load:.12g}")
-    lines.append(f"summary,,,worst,{worst_link(load_map):.12g}")
-    lines.append(f"summary,,,avg,{avg_link(load_map):.12g}")
-    return "\n".join(lines) + "\n"
+    loads = load_map.loads if grid.nu else load_map.loads[:0]
+    side = grid.side
+    x_count = -(-loads.size // (2 * side))
+    # ',x' per origin row x and ',y,axis,' per link of a row, from one
+    # digit table of the coordinates.
+    coords = _decimal_digits(np.arange(max(x_count, side)))
+    wc = coords.shape[1]
+    x_text = np.zeros((x_count, wc + 1), dtype=np.uint8)
+    x_text[:, 0] = ord(",")
+    x_text[:, 1:] = coords[:x_count]
+    axes = [f",{ROW},".encode(), f",{COLUMN},".encode()]
+    y_axis_text = np.zeros((side, 2, wc + 1 + max(map(len, axes))), dtype=np.uint8)
+    y_axis_text[:, :, 0] = ord(",")
+    y_axis_text[:, :, 1:wc + 1] = coords[:side, None]
+    for j, axis in enumerate(axes):
+        y_axis_text[:, j, wc + 1:wc + 1 + len(axis)] = list(axis)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        index = _decimal_digits(np.arange(lo, hi))
+        x_rows = x_text[lo // (2 * side):-(-hi // (2 * side))]
+        load = _g12_digits(loads[lo:hi])
+        widths = [index.shape[1], x_text.shape[1], y_axis_text.shape[2], load.shape[1], 1]
+        ends = list(itertools.accumulate(widths))
+        table = np.empty((x_rows.shape[0], side, 2, ends[-1]), dtype=np.uint8)
+        table[..., ends[0]:ends[1]] = x_rows[:, None, None]
+        table[..., ends[1]:ends[2]] = y_axis_text
+        table[..., -1] = ord("\n")
+        block = table.reshape(-1, ends[-1])[:hi - lo]
+        block[:, :ends[0]] = index
+        block[:, ends[2]:ends[3]] = load
+        return block
+
+    step = 2 * side * max(1, _TEXT_ROWS // (2 * side))
+    return b"".join((
+        b"link_index,origin_x,origin_y,axis,load\n",
+        *_text_blocks(loads.size, step, rows),
+        f"summary,,,worst,{worst:.12g}\nsummary,,,avg,{avg:.12g}\n".encode(),
+    )).decode("ascii")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import _decimal_digits
 from .density import CanonicalProfile
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec, Node
@@ -263,38 +264,6 @@ def validate_capacity(placement: CachePlacement) -> bool:
     if files.size and (files.min() < 0 or files.max() >= count):
         return False
     return bool(np.all(np.bincount(files, minlength=count) > 0))
-
-
-@functools.cache
-def _chunk_table() -> np.ndarray:
-    """The ASCII digits of 0..9999, four bytes in one uint32 each, leading
-    zeros as NUL bytes (0 is all NUL)."""
-    values = np.arange(10_000, dtype=np.int16)[:, None]
-    places = np.array([1000, 100, 10, 1], dtype=np.int16)
-    chars = (values // places % 10 + ord("0")).astype(np.uint8)
-    chars[values < places] = 0
-    return _frozen(chars.view(np.uint32).ravel())
-
-
-def _decimal_digits(values: np.ndarray) -> np.ndarray:
-    """ASCII decimal digits of non-negative ints, one right-aligned uint8 row
-    per value, NUL-padded on the left to the width of the largest.
-
-    Four digits at a time: one divmod by 10^4 and one lookup per chunk.  A
-    chunk below the leading one keeps its leading zeros as '0' (OR 0x30).
-    """
-    table = _chunk_table()
-    rest = np.asarray(values, dtype=np.int64)
-    width = len(str(int(rest.max(initial=0))))
-    chunks = -(-width // 4)
-    words = np.empty((rest.size, chunks), dtype=np.uint32)
-    for j in range(chunks - 1, -1, -1):
-        rest, low = np.divmod(rest, 10_000)
-        words[:, j] = table[low] | (rest > 0) * np.uint32(0x30303030)
-    digits = words.view(np.uint8)
-    # The last digit is NUL only for 0.
-    digits[:, -1] |= ord("0")
-    return digits[:, 4 * chunks - width:]
 
 
 _DIGITS = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", dtype=np.uint8)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import replicagrid
-from replicagrid import cli, density
+from replicagrid import asymptotics, cli, density
 from replicagrid.cli import build_parser, main, parse_m_expression
 from replicagrid.errors import InvalidInputError
+from replicagrid.popularity import zipf
 
 
 def run(capsys, *argv):
@@ -94,6 +96,80 @@ def test_simulate_reports_identities(capsys, tmp_path):
     assert float(values["C_wn"]) >= float(values["C_an"])
     csv_lines = out_path.read_text().strip().splitlines()
     assert csv_lines[0] == "link_index,origin_x,origin_y,axis,load"
+
+
+@pytest.mark.parametrize(
+    "tau, m, csv_sha256",
+    [
+        ("0.8", "0.5*N", "9c235671d159c4b0fbd0783cd96f89e22c8daa8ff68a5a2609385c1f41c0a545"),
+        ("2", "1.75*N", "f7e0f053235a09433956f8eed96009d633300aad2870a46794c29a99244801c5"),
+    ],
+    ids=["tau-0.8", "tau-2"],
+)
+def test_simulate_nu_7_csv_is_pinned(capsys, tmp_path, tau, m, csv_sha256):
+    """The --output bytes of `simulate --nu 7 --K 2`: 32,768 links, two
+    blocks of rows."""
+    out = tmp_path / "loads.csv"
+    argv = ["simulate", "--nu", "7", "--K", "2", "--M", m, "--tau", tau, "--output", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
+
+@pytest.mark.parametrize(
+    "tau, m, stdout_sha256",
+    [
+        ("0.8", "0.5*N", "079325b45f31201f31f96d0ec00c03bd379ae2e4668245111a2aef9d10720362"),
+        ("2", "1.75*N", "6c84d7b01abb3eabd47da44dfe9fdf842ae910b649417a3b0db58435298337f6"),
+    ],
+    ids=["tau-0.8", "tau-2"],
+)
+def test_solve_nu_8_stdout_is_pinned(capsys, tau, m, stdout_sha256):
+    """The stdout of `solve --nu 8 --K 2`, 32,768 and 114,688 densities."""
+    assert main(["solve", "--nu", "8", "--K", "2", "--M", m, "--tau", tau]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+
+
+@pytest.mark.parametrize("tau", ["0", "0.8", "2"])
+def test_solve_densities_line_matches_per_value_reference(capsys, tau):
+    """40,000 densities: two full blocks of rows and a short one."""
+    assert main(["solve", "--nu", "6", "--K", "16", "--M", "40000", "--tau", tau]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("densities = "))
+    grid_n = 4**6
+    pop = zipf(40000, float(tau))
+    profile = density.solve_cd(grid_n, 16.0, pop)
+    assert line == f"densities = [{', '.join(f'{v:.12g}' for v in profile.densities.tolist())}]"
+
+
+_OUTPUT_CALLS = {
+    "solve": ["solve", "--nu", "2", "--K", "2", "--M", "3", "--tau", "0.5"],
+    "place": ["place", "--nu", "2", "--K", "2", "--M", "3", "--tau", "0.5"],
+    "simulate": ["simulate", "--nu", "2", "--K", "2", "--M", "3", "--tau", "0.5"],
+    "sweep": ["sweep", "--nus", "2,3,4", "--K", "2", "--M", "N", "--tau", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_CALLS))
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+def test_bad_output_path_exits_2_before_any_work(capsys, tmp_path, monkeypatch, command, where):
+    path = {"missing-directory": str(tmp_path / "none" / "x.out"), "directory": str(tmp_path), "empty": ""}[where]
+    monkeypatch.setattr(cli, "_resolve_instance", lambda *a: pytest.fail("the instance was resolved"))
+    monkeypatch.setattr(asymptotics, "sweep", lambda *a: pytest.fail("the sweep ran"))
+    code, out, err = run(capsys, *_OUTPUT_CALLS[command], "--output", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --output") and err.count("\n") == 1
+    assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_CALLS))
+def test_output_file_untouched_when_the_run_fails(capsys, tmp_path, command):
+    """The --output file is opened only once there is a result to write."""
+    out = tmp_path / "kept.out"
+    out.write_text("earlier result\n")
+    argv = _OUTPUT_CALLS[command][:-1] + ["nan", "--output", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: --tau")
+    assert out.read_text() == "earlier result\n"
 
 
 def test_sweep_command(capsys, tmp_path):

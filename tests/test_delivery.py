@@ -576,6 +576,52 @@ def test_csv_rows_follow_link_index_rule(nu):
     ]
 
 
+def _reference_to_csv(load_map):
+    """to_csv as one f-string per link."""
+    lines = ["link_index,origin_x,origin_y,axis,load"]
+    grid = load_map.grid
+    loads = load_map.loads.tolist() if grid.nu else []
+    for idx, load in enumerate(loads):
+        x, y = divmod(idx >> 1, grid.side)
+        lines.append(f"{idx},{x},{y},{COLUMN if idx & 1 else ROW},{load:.12g}")
+    lines.append(f"summary,,,worst,{worst_link(load_map):.12g}")
+    lines.append(f"summary,,,avg,{avg_link(load_map):.12g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("nu", range(1, 8))
+@pytest.mark.parametrize("tau, share", [(0.8, 0.5), (2.0, 1.75)])
+def test_csv_matches_per_link_reference_canonical(nu, tau, share):
+    """From nu = 7 (32,768 links) the rows come in more than one block."""
+    grid = GridSpec(nu=nu)
+    pop = zipf(max(1, int(share * grid.node_count)), tau)
+    loads = link_loads(grid, _canonical(grid, 2, pop), pop)
+    assert to_csv(loads) == _reference_to_csv(loads)
+
+
+def test_csv_matches_per_link_reference_off_lattice():
+    grid = GridSpec(nu=4)
+    placed = _random_placement(np.random.default_rng(11), grid, 12, 12)
+    loads = link_loads(grid, placed, zipf(12, 0.8))
+    assert to_csv(loads) == _reference_to_csv(loads)
+
+
+@pytest.mark.parametrize(
+    "nu, loads",
+    [
+        (2, [0.0, -0.0, -1.5, float("nan"), 1e-300, -2.5e17, float("inf"), 1234567890.125] * 4),
+        (1, [0.0] * 8),
+        (3, list(np.random.default_rng(5).normal(size=128))),
+        # Other sizes than 2N: the rows the map has, x past the grid.
+        (1, np.arange(11.0)),
+        (0, [1.0, 2.0]),
+    ],
+)
+def test_csv_matches_per_link_reference_any_loads(nu, loads):
+    load_map = delivery.LinkLoadMap(grid=GridSpec(nu=nu), loads=np.array(loads))
+    assert to_csv(load_map) == _reference_to_csv(load_map)
+
+
 @pytest.mark.parametrize("nu", [2, 3, 4])
 def test_walker_and_load_map_follow_link_index_rule(nu):
     # Each step of a single replica's routes is counted on the link the rule

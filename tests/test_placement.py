@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replicagrid import cli, delivery, placement
+from replicagrid import _text, cli, delivery, placement
 from replicagrid.delivery import link_loads, total_hop_load
 from replicagrid.density import CanonicalProfile, canonical_truncate, solve_cd
 from replicagrid.errors import InternalInvariantError, InvalidInputError
@@ -345,7 +345,7 @@ _CHUNK_EDGE_VALUES = [0, 9, 10, 9999, 10000, 10001, 10000005, 99999999, 10**8, 2
 
 def test_decimal_digits_match_str():
     for values in (_CHUNK_EDGE_VALUES, *([v] for v in _CHUNK_EDGE_VALUES)):
-        digits = placement._decimal_digits(np.array(values, dtype=np.int64))
+        digits = _text._decimal_digits(np.array(values, dtype=np.int64))
         width = max(len(str(v)) for v in values)
         assert digits.dtype == np.uint8 and digits.shape == (len(values), width)
         expected = [str(v).rjust(width, "\0").encode() for v in values]
