@@ -127,41 +127,114 @@ def analytic_capacity(n_nodes: int, capacity: float, pop: Popularity) -> Capacit
     return capacity_breakdown(solve_cd(n_nodes, capacity, pop), pop)
 
 
-def _power_sum(s: float, a: int, b: int | None = None) -> float:
-    """Sum of j^(-s) over j = a..b, or over j >= a when b is None (s > 1).
+class _PowerSums:
+    """Sums of j^(-s) over j = a..b for one s, built afresh for each call
+    that needs them, so that no cache outlives that call.
 
-    Direct terms below n = max(a, _ZETA_N + ceil(s)) and for short segments;
-    from n on, Euler-Maclaurin: the integral, the end-point halves and the
-    first 12 Bernoulli corrections.  s = 0 is a count.  Where b^(1-s) and
-    n^(1-s) are close, the finite integral goes through log1p and expm1, so
-    it keeps its digits at and near s = 1.
+    Exact sums (calling the object) take direct terms below
+    n = max(a, _ZETA_N + ceil(s)) and for short segments; from n on,
+    Euler-Maclaurin: the integral, the end-point halves and the first 12
+    Bernoulli corrections, all added by one math.fsum.  s = 0 is a count.
+    Where b^(1-s) and n^(1-s) are close, the finite integral goes through
+    log1p and expm1, so it keeps its digits at and near s = 1.  The terms
+    that depend on one end only are kept per a and per b; since fsum
+    rounds the exact sum of its terms once, the order in which they are
+    gathered does not change a bit of the result.
     """
-    if b is not None:
-        if b < a:
-            return 0.0
-        if s == 0.0:
-            return float(b - a + 1)
-    n = max(a, _ZETA_N + math.ceil(s))
-    if b is not None and b < n + _ZETA_N:
-        return math.fsum(j ** -s for j in range(a, b + 1))
-    terms = [j ** -s for j in range(a, n)]
-    if b is None:
-        terms += [n ** (1.0 - s) / (s - 1.0), 0.5 * n ** -s]
-    else:
-        e = 1.0 - s
+
+    def __init__(self, s: float) -> None:
+        self.s = s
+        self.n_min = _ZETA_N + math.ceil(s)
+        # (B_2k / (2k)!) s (s + 1) ... (s + 2k - 2) and the exponent of the
+        # k-th correction, -s - 2k + 1.
+        self.corrections = []
+        rising = s
+        for k, coeff in enumerate(_ZETA_COEFFS, start=1):
+            self.corrections.append((coeff * rising, -s - 2 * k + 1))
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+        self._starts: dict[int, list[float]] = {}
+        self._ends: dict[int, list[float]] = {}
+        self._heads: dict[int, float] = {}
+
+    def _start(self, a: int, n: int) -> list[float]:
+        """Direct terms a..n-1, n^(-s)/2 and the corrections at n."""
+        terms = self._starts.get(a)
+        if terms is None:
+            s = self.s
+            terms = [j ** -s for j in range(a, n)]
+            terms.append(0.5 * n ** -s)
+            terms += [c * n ** e for c, e in self.corrections]
+            self._starts[a] = terms
+        return terms
+
+    def _end(self, b: int) -> list[float]:
+        """b^(-s)/2 and the corrections at b."""
+        terms = self._ends.get(b)
+        if terms is None:
+            terms = [0.5 * b ** -self.s]
+            terms += [-c * b ** e for c, e in self.corrections]
+            self._ends[b] = terms
+        return terms
+
+    def _integral(self, n: int, b: int) -> float:
+        e = 1.0 - self.s
         ln_ratio = math.log1p((b - n) / n)
         if abs(e * ln_ratio) < 1.0:
-            integral = n**e * math.expm1(e * ln_ratio) / e if e else ln_ratio
-        else:
-            integral = (b**e - n**e) / e
-        terms += [integral, 0.5 * n ** -s, 0.5 * b ** -s]
-    rising = s  # s (s + 1) ... (s + 2k - 2)
-    for k, coeff in enumerate(_ZETA_COEFFS, start=1):
-        terms.append(coeff * rising * n ** (-s - 2 * k + 1))
+            return n**e * math.expm1(e * ln_ratio) / e if e else ln_ratio
+        return (b**e - n**e) / e
+
+    def __call__(self, a: int, b: int | None = None) -> float:
+        """Sum of j^(-s) over j = a..b, or over j >= a when b is None (s > 1)."""
+        s = self.s
         if b is not None:
-            terms.append(-coeff * rising * b ** (-s - 2 * k + 1))
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-    return math.fsum(terms)
+            if b < a:
+                return 0.0
+            if s == 0.0:
+                return float(b - a + 1)
+        n = max(a, self.n_min)
+        if b is not None and b < n + _ZETA_N:
+            return math.fsum(j ** -s for j in range(a, b + 1))
+        start = self._start(a, n)
+        if b is None:
+            return math.fsum([*start, n ** (1.0 - s) / (s - 1.0)])
+        return math.fsum([*start, self._integral(n, b), *self._end(b)])
+
+    def estimate(self, a: int, b: int) -> tuple[float, float]:
+        """(est, err) with the exact sum self(a, b) within err / 4 of est.
+
+        From n = max(a, n_min) on, est keeps the start's terms (summed once
+        per a), the integral, b^(-s)/2 and the first correction at b, and
+        drops the other 11 corrections at b.  Those alternate in sign, as
+        the B_2k do, and shrink from one to the next by a factor below
+        (s + 22)^2 / (4 pi^2 (10 + s)^2) < 0.13, since b >= n >= 10 + s.  So
+        their sum is at most the first of them, t_2, in size; for x^(-s),
+        t_2 also bounds Euler-Maclaurin's remainder past the first
+        correction at b, which covers short segments, summed directly.
+        est adds positive terms but the small first correction, so it
+        rounds by a few ulp.  err = 4 |t_2| + 1e-9 est, plus the least
+        normal float for sums that underflow, covers |t_2| and the rounding
+        four times over.  A segment that ends before n is summed from the
+        start's direct terms, which is exact, and a count (s = 0) is exact.
+        """
+        s = self.s
+        if b < a:
+            return 0.0, 0.0
+        if s == 0.0:
+            return float(b - a + 1), 0.0
+        n = max(a, self.n_min)
+        if b < n:
+            return math.fsum(self._start(a, n)[: b - a + 1]), 0.0
+        head = self._heads.get(a)
+        if head is None:
+            head = self._heads[a] = math.fsum(self._start(a, n))
+        (c1, e1), (c2, e2) = self.corrections[0], self.corrections[1]
+        est = head + self._integral(n, b) + 0.5 * b ** -s - c1 * b ** e1
+        return est, 4.0 * abs(c2 * b ** e2) + 1e-9 * est + sys.float_info.min
+
+
+def _power_sum(s: float, a: int, b: int | None = None) -> float:
+    """Sum of j^(-s) over j = a..b, or over j >= a when b is None (s > 1)."""
+    return _PowerSums(s)(a, b)
 
 
 def _zeta(s: float, a: int = 1) -> float:
@@ -172,34 +245,54 @@ def _zeta(s: float, a: int = 1) -> float:
     return _power_sum(s, a)
 
 
-def _zipf_split(n_nodes: int, capacity: float, m_count: int, tau: float) -> tuple[int, int]:
+def _zipf_split(
+    n_nodes: int, capacity: float, m_count: int, tau: float, q_sums: _PowerSums | None = None
+) -> tuple[int, int]:
     """solve_cd's (l, r) for Zipf(tau) popularity, from power sums alone:
-    q_i = i^(-2 tau / 3), left unnormalised."""
+    q_i = i^(-2 tau / 3), left unnormalised.  q_sums, the sums at
+    s = 2 tau / 3, may be shared with the caller's other points."""
     if capacity >= m_count:
         return m_count + 1, m_count + 1
     s = 2.0 * tau / 3.0
+    sums = q_sums or _PowerSums(s)
     return _split_indices(
-        n_nodes, capacity, m_count, lambda i: i ** -s, lambda l, r: _power_sum(s, l, r - 1)
+        n_nodes,
+        capacity,
+        m_count,
+        lambda i: i ** -s,
+        lambda l, r: sums(l, r - 1),
+        rough=lambda l, r: sums.estimate(l, r - 1),
     )
 
 
 def _zipf_breakdown(
-    n_nodes: int, capacity: float, m_count: int, tau: float, l: int, r: int
+    n_nodes: int,
+    capacity: float,
+    m_count: int,
+    tau: float,
+    l: int,
+    r: int,
+    q_sums: _PowerSums | None = None,
+    p_sums: _PowerSums | None = None,
 ) -> CapacityBreakdown:
     """capacity_breakdown at the split (l, r) for Zipf(tau), in closed form.
 
     With U the interior's q-mass and cap its budget, every interior file
     has p / sqrt(d) = i^(-2 tau / 3) sqrt(U / cap) / H, so c_mid is
-    U sqrt(U / cap) / H; c_down and the tail are Zipf tail masses.
+    U sqrt(U / cap) / H; c_down and the tail are Zipf tail masses.  H,
+    c_down and the tail share the end b = M; at l = 1 the tail is H.
+    q_sums and p_sums, the sums at s = 2 tau / 3 and s = tau, may be shared
+    with the caller's other points.
     """
     n, m = n_nodes, m_count
-    h = _power_sum(tau, 1, m)
+    p_sums = p_sums or _PowerSums(tau)
+    h = p_sums(1, m)
     c_mid = 0.0
     if l < r:
-        u = _power_sum(2.0 * tau / 3.0, l, r - 1)
+        u = (q_sums or _PowerSums(2.0 * tau / 3.0))(l, r - 1)
         c_mid = u * math.sqrt(u / _interior_cap(n, capacity, m, l, r)) / h
-    c_down = math.sqrt(n) * _power_sum(tau, r, m) / h
-    tail = _power_sum(tau, l, m) / h
+    c_down = math.sqrt(n) * p_sums(r, m) / h if r <= m else 0.0
+    tail = (h if l == 1 else p_sums(l, m)) / h
     k_mid = ((capacity - l + 1) * n - (m - r + 1)) / n
     return CapacityBreakdown(
         c_total=c_mid + c_down - tail, c_mid=c_mid, c_down=c_down, k_mid=k_mid, tail=tail
@@ -260,24 +353,32 @@ def _x_log_x_root(c: float, hi: float) -> float:
     return lo
 
 
-def _almost_empty_threshold(tau: float, capacity: float, n_nodes: int) -> float:
-    """Largest catalog size M for which the down-truncated set stays o(M)."""
+def _almost_empty_threshold(
+    tau: float, capacity: float, n_nodes: int, l_hat: int | None = None
+) -> float:
+    """Largest catalog size M for which the down-truncated set stays o(M).
+
+    l_hat, when given, is _l_hat_scan(tau, capacity): a caller that needs
+    it at several points scans once."""
     kn = capacity * n_nodes
     if tau < 1.5 - _TAU_TOL:
         return (1.0 - 2.0 * tau / 3.0) * kn
     if abs(tau - 1.5) <= _TAU_TOL:
         return _x_log_x_root(kn, kn)
-    l_hat = _l_hat_scan(tau, capacity)
+    if l_hat is None:
+        l_hat = _l_hat_scan(tau, capacity)
     h = ((capacity - l_hat + 1) * (2.0 * tau / 3.0 - 1.0) / l_hat ** (1.0 - 2.0 * tau / 3.0)) ** (
         3.0 / (2.0 * tau)
     )
     return h * n_nodes ** (3.0 / (2.0 * tau))
 
 
-def _truncation_state(tau: float, capacity: float, m_count: int, n_nodes: int) -> str:
+def _truncation_state(
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
+) -> str:
     """Down-truncated set against its closed-form threshold (below half of
     it counts as empty at finite scale)."""
-    threshold = _almost_empty_threshold(tau, capacity, n_nodes)
+    threshold = _almost_empty_threshold(tau, capacity, n_nodes, l_hat)
     if m_count < _EMPTY_RATIO * threshold:
         return STATE_EMPTY
     if m_count <= threshold:
@@ -317,13 +418,19 @@ def _check_exact_indices(capacity: float, n_nodes: int, where: str = "") -> None
             raise InvalidInputError(f"{where}{name} exceeds 2^53, past which indices are inexact")
 
 
-def estimate_l_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> int:
-    """Predicted 1-based index of the first not-fully-replicated file."""
+def estimate_l_hat(
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
+) -> int:
+    """Predicted 1-based index of the first not-fully-replicated file.
+
+    l_hat, when given, is _l_hat_scan(tau, capacity), already scanned."""
     _check_instance(tau, capacity, m_count, n_nodes)
     if tau <= 1.5 + _TAU_TOL:
         return 1
-    if _truncation_state(tau, capacity, m_count, n_nodes) != STATE_NONEMPTY:
-        return _l_hat_scan(tau, capacity)
+    if l_hat is None:
+        l_hat = _l_hat_scan(tau, capacity)
+    if _truncation_state(tau, capacity, m_count, n_nodes, l_hat) != STATE_NONEMPTY:
+        return l_hat
     # Non-empty down-truncated set: beyond M = (K - beta) N the head
     # collapses to one file; below it the tail occupies M/N capacity units,
     # so the head condition is evaluated at K - M/N.
@@ -359,15 +466,19 @@ def _r_hat_small_slack(tau: float, slack: float) -> float:
     return float(hi)
 
 
-def estimate_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> float:
-    """Predicted 1-based index of the first down-truncated file."""
+def estimate_r_hat(
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
+) -> float:
+    """Predicted 1-based index of the first down-truncated file.
+
+    l_hat, when given, is _l_hat_scan(tau, capacity), already scanned."""
     _check_instance(tau, capacity, m_count, n_nodes)
     kn = capacity * n_nodes
     slack = kn - m_count
     if tau < 0.05:
         # The closed forms blow up as 3/(2 tau); use the exact split.
         return float(_zipf_split(n_nodes, capacity, m_count, tau)[1])
-    if _truncation_state(tau, capacity, m_count, n_nodes) != STATE_NONEMPTY:
+    if _truncation_state(tau, capacity, m_count, n_nodes, l_hat) != STATE_NONEMPTY:
         return float(m_count + 1)
     if slack <= SMALL_SLACK:
         return _r_hat_small_slack(tau, slack)
@@ -384,7 +495,7 @@ def estimate_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int) -> f
 
 
 def _regime(
-    tau: float, capacity: float, m_count: int, n_nodes: int
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
 ) -> tuple[str, str, str, float, float]:
     """Truncation state, regime label, symbolic law, M-exponent and log-M
     exponent of one instance.
@@ -392,7 +503,7 @@ def _regime(
     The law strings follow Table-of-regimes shorthand; the two exponents let
     the sweep harness fit ln C = a ln M + b ln ln M + const.
     """
-    state = _truncation_state(tau, capacity, m_count, n_nodes)
+    state = _truncation_state(tau, capacity, m_count, n_nodes, l_hat)
     if state == STATE_NONEMPTY and capacity * n_nodes - m_count <= SMALL_SLACK:
         return state, "M ~ KN, KN - M = O(1)", "C = Theta(M^0.5)", 0.5, 0.0
     if state == STATE_NONEMPTY and _near_full(tau, capacity, m_count, n_nodes):
@@ -432,15 +543,16 @@ def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
     """
     _check_instance(tau, capacity, m_count, n_nodes)
     _check_exact_indices(capacity, n_nodes)
-    state, label, law, _, _ = _regime(tau, capacity, m_count, n_nodes)
+    l_hat = _l_hat_scan(tau, capacity) if tau > 1.5 + _TAU_TOL else None
+    state, label, law, _, _ = _regime(tau, capacity, m_count, n_nodes, l_hat)
     return RegimeReport(
         tau=tau,
         capacity=capacity,
         m_count=m_count,
         n_nodes=n_nodes,
         regime_label=label,
-        predicted_l_hat=estimate_l_hat(tau, capacity, m_count, n_nodes),
-        predicted_r_hat=estimate_r_hat(tau, capacity, m_count, n_nodes),
+        predicted_l_hat=estimate_l_hat(tau, capacity, m_count, n_nodes, l_hat),
+        predicted_r_hat=estimate_r_hat(tau, capacity, m_count, n_nodes, l_hat),
         predicted_law=law,
         truncation_state=state,
     )
@@ -499,14 +611,20 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
         _check_exact_indices(capacity, n, f"at nu = {nu}, ")
         sizes.append((nu, n, m))
     points = []
+    # One set of power sums per exponent and one head-size scan serve every
+    # point of this call.
+    q_sums, p_sums = _PowerSums(2.0 * tau / 3.0), _PowerSums(tau)
+    l_hat = None
     for nu, n, m in sizes:
-        l, r = _zipf_split(n, capacity, m, tau)
-        c_value = _zipf_breakdown(n, capacity, m, tau, l, r).c_total
+        l, r = _zipf_split(n, capacity, m, tau, q_sums)
+        c_value = _zipf_breakdown(n, capacity, m, tau, l, r, q_sums, p_sums).c_total
         if c_value > 3.0 * math.sqrt(n):
             raise InternalInvariantError(
                 f"capacity {c_value} exceeds the O(sqrt(N)) guard at N={n}"
             )
-        regime = _regime(tau, capacity, m, n)
+        if l_hat is None and tau > 1.5 + _TAU_TOL:
+            l_hat = _l_hat_scan(tau, capacity)
+        regime = _regime(tau, capacity, m, n, l_hat)
         points.append(
             SweepPoint(
                 nu=nu,

@@ -97,34 +97,53 @@ def _interior_cap(n: int, k_cap: float, m_count: int, l: int, r: int) -> float:
     return k_cap - (l - 1) - (m_count - r + 1) / n
 
 
-def _split_indices(n: int, k_cap: float, m_count: int, q_at, mass) -> tuple[int, int]:
+def _split_indices(
+    n: int, k_cap: float, m_count: int, q_at, mass, rough=None
+) -> tuple[int, int]:
     """The optimal split (l, r) for K < M, from q_i = p_i^(2/3) alone.
 
     q_at(i) is q of 1-based file i and mass(l, r) the sum of q over files
     l..r-1.  The conditions are homogeneous in q, so q need not be
     normalised.  Raises InternalInvariantError when no pair satisfies them.
+
+    rough(l, r), when given, returns (est, err) with mass(l, r) within
+    err / 2 of est.  A condition compares some lhs with the mass; where
+    |lhs - est| > err, est lies on the same side of lhs as the mass, so it
+    decides the comparison and mass is not called.  Every probe is made in
+    the same order either way, so (l, r) does not depend on rough.
     """
 
     def cap(l: int, r: int) -> float:
         return _interior_cap(n, k_cap, m_count, l, r)
 
+    def mass_against(lhs: float, l: int, r: int) -> float:
+        # mass(l, r), or an estimate on the same side of lhs.
+        if rough is not None:
+            est, err = rough(l, r)
+            if abs(lhs - est) > err:
+                return est
+        return mass(l, r)
+
     def cond_interior_above_floor(l: int, r: int) -> bool:
         # d_{r-1} > 1/N when files l..r-1 form the interior; vacuous at r == l.
         if r == l:
             return True
-        return cap(l, r) * n * q_at(r - 1) > mass(l, r)
+        lhs = cap(l, r) * n * q_at(r - 1)
+        return lhs > mass_against(lhs, l, r)
 
     def cond_head_below_one(l: int, r: int) -> bool:
         # d_l < 1; vacuous when the interior is empty.
         if r == l:
             return True
-        return cap(l, r) * q_at(l) < mass(l, r)
+        lhs = cap(l, r) * q_at(l)
+        return lhs < mass_against(lhs, l, r)
 
     def cond_prev_head_pinned(l: int, r: int) -> bool:
         # Un-truncating file l-1 would push its density to >= 1.
         if l == 1:
             return True
-        return cap(l - 1, r) * q_at(l - 1) >= mass(l - 1, r)
+        lhs = cap(l - 1, r) * q_at(l - 1)
+        return lhs >= mass_against(lhs, l - 1, r)
 
     l_max = min(int(math.floor(k_cap + 1e-12)) + 1, m_count)
     for l in range(1, l_max + 1):

@@ -319,8 +319,14 @@ def test_classify_same_with_scipy_zeta(monkeypatch):
         if 1 <= m <= k * n
     ]
     ours = [classify_regime(*case) for case in grid]
-    monkeypatch.setattr(
-        asymptotics, "_zeta", lambda s, a=1: float(scipy_zeta(s, a)) if s > 1 else math.inf
-    )
+    calls = []
+
+    def scipy_tail(s, a=1):
+        calls.append((s, a))
+        return float(scipy_zeta(s, a)) if s > 1 else math.inf
+
+    monkeypatch.setattr(asymptotics, "_zeta", scipy_tail)
     assert [classify_regime(*case) for case in grid] == ours
+    # The head-size scan reads its tails through _zeta, so scipy's were used.
+    assert len(calls) > 0
 

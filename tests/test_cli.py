@@ -238,6 +238,64 @@ def test_classify_reaches_k_n_of_2_to_the_53(capsys):
     assert code == 0 and json.loads(out)["m_count"] == 4**26
 
 
+@pytest.mark.parametrize(
+    "argv, stdout_sha256",
+    [
+        # l = 504 at nu = 5: about 500 r-bisections, each on exact power sums
+        # before the estimates filtered them.
+        ("sweep --K 2000 --M N^2 --tau 3 --nus 3,4,5", "384ff99d9894f949947e9ddbd741ac48dec36fc216dbbb18d1a8d1b8117dd5a3"),
+        ("sweep --K 2 --M 1.75*N --tau 2 --nus 3,4,5,6,7,8,9,10", "787127153140e157595088895b5abae99b29c671cf8cd883d8b60ed9d82b2473"),
+        ("classify --nu 10 --K 2 --M 1.75*N --tau 2", "5956b2dca0d92c5b440605c0264a41758d0ed1a2c563a36175ec639b6fb86bc0"),
+    ],
+    ids=["large-head", "sweep-tau-2", "classify-tau-2"],
+)
+def test_sweep_and_classify_stdout_is_pinned(capsys, argv, stdout_sha256):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+
+
+def _sweep_classify_grid():
+    """The benchmark's 42 sweep and classify calls, then every (tau, K, M) of
+    a wider grid: sweep at nu = 3..11 and classify at nu = 3 and 11, error
+    exits included, then the tau = 0 tie K*N = M at N = 4."""
+    calls = []
+    for tau in ("0.5", "0.8", "1", "1.2", "1.5", "2", "3"):
+        for m in ("N^0.6", "0.5*N", "1.75*N"):
+            common = ["--K", "2", "--M", m, "--tau", tau]
+            calls.append(["sweep", "--nus", "3,4,5,6,7,8,9,10", *common])
+            calls.append(["classify", "--nu", "10", *common])
+    for tau in ("0", "0.3", "0.5", "0.8", "1", "1.2", "1.5", "1.7", "2", "3", "4"):
+        for k in ("1", "2", "3.5", "17"):
+            for m in ("N^0.6", "0.5*N", "N", "1.75*N", "K*N-7", "K*N-0"):
+                common = ["--K", k, "--M", m, "--tau", tau]
+                calls.append(["sweep", "--nus", "3,4,5,6,7,8,9,10,11", *common])
+                calls += [["classify", "--nu", nu, *common] for nu in ("3", "11")]
+    calls.append(["sweep", "--K", "55.25", "--M", "221", "--tau", "0", "--nus", "1,2,3,4"])
+    calls.append(["classify", "--K", "55.25", "--M", "221", "--tau", "0", "--nu", "1"])
+    return calls
+
+
+def test_sweep_and_classify_grid_is_pinned(capsys, tmp_path):
+    """Exit code, stdout, stderr and --output file of 836 calls, in one
+    SHA-256 recorded before the split search filtered its probes with
+    estimates.  To find a call that differs, print the per-call digests
+    here and at an earlier commit and compare them."""
+    digest = hashlib.sha256()
+    out_path = tmp_path / "sweep.csv"
+    for argv in _sweep_classify_grid():
+        if argv[0] == "sweep":
+            argv = [*argv, "--output", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        written = out_path.read_bytes() if out_path.exists() else b""
+        if out_path.exists():
+            out_path.unlink()
+        for part in (" ".join(argv[:-2] if argv[0] == "sweep" else argv), str(code), out, err):
+            digest.update(part.encode() + b"\0")
+        digest.update(written + b"\n")
+    assert digest.hexdigest() == "d0db857f7f1e1a7d22e2fdee99349cc7f8197939b2d49b9e6c4b508cd8f2f7f7"
+
+
 def test_oracle_commands(capsys, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("0.7\n0.2\n0.1\n")

@@ -1,17 +1,25 @@
 """The catalog-free Zipf path of `asymptotics` against the array reference.
 
-`_power_sum` is checked against math.fsum and the zeta tail; the split
+`_power_sum` is checked against math.fsum and the zeta tail, and the
+estimates that filter the split search against the exact sums; the split
 (l, r) and the capacity breakdown are checked against solve_cd and
-capacity_breakdown on a grid of taus and catalog sizes up to nu = 9.
+capacity_breakdown on a grid of taus and catalog sizes up to nu = 9, and
+the split against itself without the filter.
 """
 
+import contextlib
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from replicagrid import asymptotics
 from replicagrid.asymptotics import (
+    _PowerSums,
     _power_sum,
     _zeta,
     _zipf_breakdown,
@@ -20,7 +28,8 @@ from replicagrid.asymptotics import (
     estimate_r_hat,
     sweep,
 )
-from replicagrid.density import _interior_cap, solve_cd
+from replicagrid.cli import main
+from replicagrid.density import _interior_cap, _split_indices, solve_cd
 from replicagrid.popularity import zipf
 
 POWERS = (0.0, 1 / 3, 2 / 3, 1 - 1e-9, 1.0, 1 + 1e-9, 4 / 3, 2.0)
@@ -70,6 +79,25 @@ def test_power_sum_approaches_zeta_tail(s, a):
         assert last <= seg <= total
         assert math.isclose(seg + _zeta(s, b + 1), total, rel_tol=2e-15), b
         last = seg
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    s=st.floats(0.0, 8.0),
+    a=st.integers(1, 10**4),
+    length=st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+)
+@example(s=0.0, a=1, length=2**40 - 1)
+@example(s=1.0, a=1, length=10)  # ends at n = 11: the start's direct terms
+@example(s=1.0, a=1, length=11)  # ends at n: the shortest Euler-Maclaurin segment
+@example(s=1.0, a=1, length=30)  # a short segment past n, summed directly
+@example(s=8.0, a=10**4, length=2**40 - 10**4)
+def test_estimate_lies_within_a_quarter_of_its_bound(s, a, length):
+    b = min(a + length, 2**40)
+    sums = _PowerSums(s)
+    est, err = sums.estimate(a, b)
+    exact = sums(a, b)
+    assert abs(exact - est) <= err / 4, (est, err, exact)
 
 
 def _certificate(q_at, mass, n, k, m, l, r):
@@ -164,6 +192,82 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
     # 2 q_2 = q_1 deciding r at tau = 1.5, KN - M = 1.
     if nu in (1, 2, 3, 4):
         assert ties >= 1
+
+
+def _split_both_ways(n, k, m, tau):
+    """(l, r) and the probed files of the Zipf split search: with exact
+    sums only, with the estimate filter, and with estimates that are off by
+    err / 2, the most split_indices allows, to alternating sides."""
+    s = 2.0 * tau / 3.0
+    sums = _PowerSums(s)
+
+    def skewed(l, r):
+        mass = sums(l, r - 1)
+        return mass * (1.0 + (-1) ** r * 1e-4), 2e-4 * mass
+
+    runs = []
+    for rough in (None, lambda l, r: sums.estimate(l, r - 1), skewed):
+        probes = []
+
+        def q_at(i):
+            probes.append(i)
+            return i**-s
+
+        split = _split_indices(n, k, m, q_at, lambda l, r: sums(l, r - 1), rough=rough)
+        runs.append((split, probes))
+    return runs
+
+
+@pytest.mark.parametrize("nu", range(0, 10))
+def test_filter_leaves_split_and_probes_unchanged_on_the_catalog_grid(nu):
+    n, k = 4**nu, 2.0
+    for tau in EQUIVALENCE_TAUS:
+        for m in _catalog_sizes(n, k):
+            if k < m:
+                exact, filtered, skewed = _split_both_ways(n, k, m, tau)
+                assert filtered == exact and skewed == exact, (tau, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nu=st.integers(0, 9),
+    k=st.one_of(st.sampled_from([1.0, 2.0, 3.5, 55.25]), st.floats(1.0, 64.0)),
+    tau=st.one_of(st.just(0.0), st.sampled_from(EQUIVALENCE_TAUS), st.floats(0.0, 4.0)),
+    data=st.data(),
+)
+@example(nu=1, k=55.25, tau=0.0, data=None)  # K*N = M = 221: every density ties at 1/N
+def test_filter_leaves_split_unchanged_at_ties(nu, k, tau, data):
+    n = 4**nu
+    kn = int(k * n)
+    # M = K*N (rounded down) half the time: at tau = 0 the conditions tie in floats.
+    m = kn if data is None else data.draw(st.one_of(st.just(kn), st.integers(1, kn)))
+    if k < m:
+        exact, filtered, skewed = _split_both_ways(n, k, m, tau)
+        assert filtered == exact and skewed == exact
+
+
+# (argv, exact power sums before the estimates filtered the split search,
+# counted as calls of _power_sum, and the bound now: a third of that).
+EXACT_SUM_COUNTS = [
+    ("sweep --K 2 --M 0.5*N --tau 0.8 --nus 3,4,5,6,7,8,9,10", 48, 16),
+    ("sweep --K 2 --M 1.75*N --tau 2 --nus 3,4,5,6,7,8,9,10", 184, 61),
+]
+
+
+@pytest.mark.parametrize("argv, before, bound", EXACT_SUM_COUNTS)
+def test_sweep_makes_few_exact_power_sums(monkeypatch, argv, before, bound):
+    calls = []
+    exact = _PowerSums.__call__
+
+    def counted(self, a, b=None):
+        calls.append((self.s, a, b))
+        return exact(self, a, b)
+
+    monkeypatch.setattr(asymptotics._PowerSums, "__call__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0
+    # 16 and 27 when this test was written.
+    assert 0 < len(calls) <= bound < before
 
 
 def test_sweep_to_nu_20_builds_no_catalog():
