@@ -10,8 +10,11 @@ placement) are loaded per level in closed form.  Every other file is
 served by one batched kernel: consecutive files in blocks of
 _BLOCK_NODE_FILES node-file pairs, the nearest replica of every node by a
 row pass then a column pass over an integer selection key (_serving_keys),
-and the half-route counts of all files of a block from one bincount per
-axis and sign (_run_counts).
+and the half-route counts of all files of a block, node-major like the
+loads, from one difference array of line length per axis (_run_counts).
+The grid side is 2^nu, so the kernel indexes by shifts and masks.  The
+replica table and lattice levels of a placement given by buffers are built
+once and kept on it (CachePlacement._replicas).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from ._text import _TEXT_ROWS, _decimal_digits, _g12_digits, _text_blocks
 from .errors import InvalidInputError
-from .grid import COLUMN, ROW, GridSpec, signed_axis_delta
+from .grid import COLUMN, ROW, GridSpec
 from .placement import CachePlacement
 from .popularity import Popularity, _frozen
 
@@ -54,22 +57,6 @@ def avg_link(load_map: LinkLoadMap) -> float:
     if load_map.loads.size == 0:
         raise InvalidInputError("grid has no links")
     return float(load_map.loads.mean())
-
-
-def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
-    """Every replica as one (R, 2) int64 coordinate array sorted by file id,
-    each file's rows in row-major order (the order of replica_nodes), and the
-    M + 1 offsets of each file's rows, from the placement's node-major ids."""
-    count = placement.file_count
-    files, bounds = placement._node_major
-    holder = np.repeat(np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds))
-    # A stable sort by file keeps each file's holders in row-major order.
-    order = np.argsort(files, kind="stable")
-    coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    # Ids outside the catalog sort last and are left out, as in replica_nodes.
-    np.cumsum(placement._replica_counts()[:count], out=offsets[1:])
-    return coords[:offsets[-1]], offsets
 
 
 def _blocks(grid: GridSpec, files: np.ndarray):
@@ -134,23 +121,6 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> np.ndarray:
     return np.minimum(np.minimum(before, after, out=before), value + tie, out=before)
 
 
-def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Level k of each lattice file, -1 for every other file.
-
-    File m is a lattice file at level k when it has 4^(nu-k) replicas, all
-    congruent mod 2^k to its first row-major replica (its anchor): distinct
-    nodes, so they are the whole 2^k-periodic lattice through the anchor.
-    """
-    counts = np.diff(offsets)
-    powers = 4 ** np.arange(grid.nu + 1, dtype=np.int64)
-    j = np.searchsorted(powers, counts)  # counts <= N = 4^nu, so j <= nu
-    level = np.where(powers[j] == counts, grid.nu - j, -1)
-    owner = np.repeat(np.arange(counts.size), counts)
-    period = 2 ** np.maximum(level, 0)[owner, None]
-    off_lattice = np.any((coords - coords[offsets[:-1]][owner]) % period != 0, axis=1)
-    return np.where(np.bincount(owner, weights=off_lattice, minlength=counts.size) == 0, level, -1)
-
-
 def _lattice_loads(
     grid: GridSpec, level: np.ndarray, anchors: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,70 +155,83 @@ def _lattice_loads(
 
 def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     """Per-link count of half-routes of each file served by keys, as a
-    (files, 2, side, side) integer array: [:, 0] the row links by (x, y),
-    [:, 1] the column links by (y, x).
+    (files, side, side, 2) integer array by owning node (x, y): [..., 0]
+    the row link, [..., 1] the column link, the interleaved order of loads.
 
     A client's demand goes half along the x-first L-route (along column
     y_c to row x_s, then along row x_s) and half along the y-first one
     (along row x_c to column y_s, then along column y_s); an I-route is
     the case where the two coincide.  Each half-route is one cyclic run per
-    axis: |delta| links along its line from coordinate start, and a step
-    toward a lower coordinate crosses the link owned by the node it lands
-    on, so the run covers the links owned by positions
-    (start + min(delta, 0)) % side onward.  Every run adds +1 and -1 to a
-    difference array twice the line length, so no run wraps in it; one
-    bincount per sign serves all runs of all files, and the cumulative
-    sum's wrapped half is folded back onto the line.
+    axis: |delta| links along its line from the client's coordinate c, and
+    a step toward a lower coordinate crosses the link owned by the node it
+    lands on, so the run covers the links owned by positions
+    start = (c + min(delta, 0)) & (side - 1) onward.
+
+    Every run goes into one difference array of line length: +1 at start,
+    -1 at (start + |delta|) & (side - 1), and +1 at position 0 when
+    start + |delta| >= side, that is when the run wraps past the line end
+    (at exactly side the +1 and -1 at position 0 cancel).  One bincount per
+    sign, and one of the wrapped runs per line, serve all runs of all
+    files; a cumulative sum along each line gives the counts.
     """
-    side, n = grid.side, grid.node_count
-    files = keys.shape[0]
-    server = keys % n
-    xs, ys = server // side, server % side
-    xc, yc = np.divmod(np.arange(n), side)
-    dx = signed_axis_delta(side, xc, xs)
-    dy = signed_axis_delta(side, yc, ys)
-    # Lines are numbered file by file; a row run lies on row x_s or x_c at
-    # column position y_c, a column run on column y_c or y_s at row x_c.
-    base = np.arange(files)[:, None] * side
-    size = files * side * 2 * side
-    counts = np.empty((files, 2, side, side), dtype=np.int64)
-    for axis, lines, start, delta in ((0, (xs, xc), yc, dy), (1, (yc, ys), xc, dx)):
-        first = np.stack([base + line for line in lines]) * (2 * side)
-        first += (start + np.minimum(delta, 0)) % side
-        first = first.ravel()
-        diff = np.bincount(first, minlength=size)
-        diff -= np.bincount(first + np.tile(np.abs(delta).ravel(), 2), minlength=size)
-        runs = diff.reshape(files, side, 2 * side).cumsum(axis=2)
-        np.add(runs[..., :side], runs[..., side:], out=counts[:, axis])
+    nu, side, n = grid.nu, grid.side, grid.node_count
+    files, mask = keys.shape[0], side - 1
+    server = keys & (n - 1)
+    nodes = np.arange(n)
+    size = files * n
+    base = np.arange(0, size, n)[:, None]
+    counts = np.empty((files, side, side, 2), dtype=np.int64)
+    # Lines are numbered file by file, side positions each, a line's first
+    # position at line * side: rows x by column position y, then columns y
+    # by row position x.  A row run lies on row x_s or x_c from client
+    # column y_c, a column run on column y_c or y_s from client row x_c.
+    for axis, lines, client, target in (
+        (0, (server & -side, nodes & -side), nodes & mask, server & mask),
+        (1, ((nodes & mask) << nu, (server & mask) << nu), nodes >> nu, server >> nu),
+    ):
+        delta = (target - client) & mask
+        delta -= side * (2 * delta >= side)  # as signed_axis_delta
+        start = (client + np.minimum(delta, 0)) & mask
+        stop = start + np.abs(delta)
+        line = np.empty((2, files, n), dtype=np.int64)
+        for out, at in zip(line, lines):
+            np.add(base, at, out=out)
+        diff = np.bincount((line + start).ravel(), minlength=size)
+        diff -= np.bincount((line + (stop & mask)).ravel(), minlength=size)
+        runs = diff.reshape(files, side, side)
+        wrapped = line[:, stop >= side].ravel() >> nu
+        runs[..., 0] += np.bincount(wrapped, minlength=files * side).reshape(files, side)
+        np.cumsum(runs, axis=2, out=runs)
+        counts[..., axis] = runs if axis == 0 else runs.swapaxes(1, 2)
     return counts
 
 
 def _deposit(loads: np.ndarray, counts: np.ndarray, weight: float) -> None:
     """Add one file's half-route counts (_run_counts), at request weight
-    `weight`, to loads.  Counts are integers, so a link that carries
-    nothing stays at exactly 0."""
-    rows, cols = counts
-    loads[0::2] += (weight / 2) * rows.ravel()
-    loads[1::2] += (weight / 2) * cols.T.ravel()
+    `weight`, to loads: one multiply and add per link, in link order.
+    Counts are integers, so a link that carries nothing stays at exactly
+    0."""
+    loads += (weight / 2) * counts.ravel()
 
 
-def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
+def _catalog(placement: CachePlacement, pop: Popularity):
     """Each file's lattice level (-1 off any lattice) and anchor, then the
     replica table and its offsets, after checking the sizes.
 
     A compact placement gives its own levels and anchors and no table: all
-    its files are lattice files.  Otherwise the table is built from the
-    caches, and a file cached nowhere is an error.
+    its files are lattice files.  Otherwise they come from the placement's
+    catalog, built on its first read (CachePlacement._replicas), and a file
+    cached nowhere is an error.
     """
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
     if placement.levels is not None:
         return placement.levels, placement.anchors, None, None
-    coords, offsets = _replica_table(placement)
+    coords, offsets, levels = placement._replicas
     empty = np.flatnonzero(offsets[1:] == offsets[:-1])
     if empty.size:
         raise InvalidInputError(f"file {empty[0]} is cached nowhere")
-    return _lattice_levels(grid, coords, offsets), coords[offsets[:-1]], coords, offsets
+    return levels, coords[offsets[:-1]], coords, offsets
 
 
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
@@ -262,7 +245,7 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
-    level, anchors, coords, offsets = _catalog(grid, placement, pop)
+    level, anchors, coords, offsets = _catalog(placement, pop)
     weights = REQUEST_RATE * pop.probs
     rows, cols = _lattice_loads(grid, level, anchors, weights)
     loads = np.empty(2 * grid.node_count)
@@ -283,7 +266,7 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     hops each; other files sum their nearest-replica distances.  This equals
     the sum of all link loads (total-load identity).
     """
-    level, _, coords, offsets = _catalog(grid, placement, pop)
+    level, _, coords, offsets = _catalog(placement, pop)
     hops = np.zeros(placement.file_count)
     for k in range(grid.nu + 1):
         hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
@@ -326,7 +309,7 @@ def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.nd
     count = placement.file_count
     if not 0 <= m < count:
         raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-    coords, offsets = _replica_table(placement)
+    coords, offsets, _ = placement._replicas
     if offsets[m + 1] == offsets[m]:
         raise InvalidInputError(f"file {m} is cached nowhere")
     return _serving_keys(grid, coords, offsets, np.array([m])), int(offsets[m + 1] - offsets[m])
@@ -368,7 +351,7 @@ def per_file_link_bound(
         return bool(np.all(loads <= 1e-12))
 
     side = grid.side
-    server = (keys[0] % grid.node_count).reshape(side, side)
+    server = (keys[0] & (grid.node_count - 1)).reshape(side, side)
     axis = np.arange(side)
     aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
     off_cap = 2.0 ** (level - 2) * p_m
@@ -377,8 +360,8 @@ def per_file_link_bound(
     # a serving replica in row x; column links likewise, south and column y.
     rows, cols = loads[0::2].reshape(side, side), loads[1::2].reshape(side, side)
     for load, other, aligned in (
-        (rows, np.roll(server, -1, axis=1), axis[:, None] == server // side),
-        (cols, np.roll(server, -1, axis=0), axis[None, :] == server % side),
+        (rows, np.roll(server, -1, axis=1), axis[:, None] == server >> grid.nu),
+        (cols, np.roll(server, -1, axis=0), axis[None, :] == server & (side - 1)),
     ):
         carried = load > tol
         if np.any(carried & (server != other)):

@@ -37,7 +37,9 @@ class CachePlacement:
     file m is held on the 2^levels[m]-periodic lattice through anchors[m],
     its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
     In the compact form buffers is built on first read; delivery,
-    measured_densities and the renderers never read it.
+    measured_densities and the renderers never read it.  Delivery reads
+    the replica table and lattice levels (_replicas), built on first read
+    and kept; of a compact placement only the per-file calls read them.
     """
 
     grid: GridSpec
@@ -93,6 +95,14 @@ class CachePlacement:
         bounds = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
         return files, bounds
+
+    @functools.cached_property
+    def _replicas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The replica table and its offsets (_replica_table) and each
+        file's lattice level (_lattice_levels); read-only, built once."""
+        coords, offsets = _replica_table(self)
+        levels = _lattice_levels(self.grid, coords, offsets)
+        return tuple(map(_frozen, (coords, offsets, levels)))
 
     def _replica_counts(self) -> np.ndarray:
         """Replicas of each file id, 0 to at least file_count - 1."""
@@ -165,6 +175,41 @@ class CachePlacement:
         # The last node's '], ' loses its ', ' to the closing '}}'.
         text = table.tobytes().translate(None, b"\0")[:-2].decode("ascii")
         return head[:-2] + text + "}}"
+
+
+def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
+    """Every replica as one (R, 2) int64 coordinate array sorted by file id,
+    each file's rows in row-major order (the order of replica_nodes), and the
+    M + 1 offsets of each file's rows, from the placement's node-major ids.
+
+    Raises on an id outside the catalog, as the renderers do.
+    """
+    files, bounds = placement._checked_node_major()
+    holder = np.repeat(np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds))
+    # A stable sort by file keeps each file's holders in row-major order.
+    order = np.argsort(files, kind="stable")
+    coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
+    offsets = np.zeros(placement.file_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(files, minlength=placement.file_count), out=offsets[1:])
+    return coords, offsets
+
+
+def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Level k of each lattice file, -1 for every other file.
+
+    File m is a lattice file at level k when it has 4^(nu-k) replicas, all
+    congruent mod 2^k to its first row-major replica (its anchor): distinct
+    nodes, so they are the whole 2^k-periodic lattice through the anchor.
+    A file held nowhere is no lattice file.
+    """
+    counts = np.diff(offsets)
+    powers = 4 ** np.arange(grid.nu + 1, dtype=np.int64)
+    j = np.searchsorted(powers, counts)  # counts <= N = 4^nu, so j <= nu
+    level = np.where(powers[j] == counts, grid.nu - j, -1)
+    owner = np.repeat(np.arange(counts.size), counts)
+    period = 2 ** np.maximum(level, 0)[owner, None]
+    off_lattice = np.any((coords - coords[offsets[owner]]) % period != 0, axis=1)
+    return np.where(np.bincount(owner, weights=off_lattice, minlength=counts.size) == 0, level, -1)
 
 
 def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:

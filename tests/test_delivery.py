@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replicagrid import delivery, oracle
+from replicagrid import delivery, oracle, placement
 from replicagrid.delivery import (
     avg_link,
     cluster_hop_sum,
@@ -22,7 +22,7 @@ from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import COLUMN, ROW, GridSpec, signed_axis_delta
 from replicagrid.oracle import route_walk_loads, serve_map
-from replicagrid.placement import CachePlacement, canonical_place
+from replicagrid.placement import CachePlacement, canonical_place, render_matrix
 from replicagrid.popularity import Popularity, zipf
 
 
@@ -366,14 +366,14 @@ def test_kernel_matches_walker_half_side_offsets(nu, data):
 
 def _replica_coords(placed, m):
     """Replica coordinates of file m, row-major, from the replica table."""
-    coords, offsets = delivery._replica_table(placed)
+    coords, offsets, _ = placed._replicas
     return coords[offsets[m]:offsets[m + 1]]
 
 
 def _block_keys(grid, placed):
     """Serving keys of every file, block by block under the module's block
     rule, stacked in file order."""
-    coords, offsets = delivery._replica_table(placed)
+    coords, offsets, _ = placed._replicas
     blocks = delivery._blocks(grid, np.arange(placed.file_count))
     return np.concatenate([delivery._serving_keys(grid, coords, offsets, b) for b in blocks])
 
@@ -564,6 +564,53 @@ def test_file_outside_catalog_rejected(m):
         per_file_link_loads(grid, placed, m)
 
 
+@pytest.mark.parametrize("bad, message", [(5, "file id 5 outside 0..1"), (-1, "file id -1 is negative")])
+def test_held_id_outside_catalog_rejected(bad, message):
+    # The message render_matrix gives for the same placement.
+    grid = GridSpec(nu=1)
+    placed = CachePlacement(
+        grid=grid, capacity=2, file_count=2,
+        buffers=(frozenset({0, bad}), frozenset({1}), frozenset(), frozenset({0})),
+    )
+    pop = zipf(2, 0.8)
+    with pytest.raises(InvalidInputError, match=message):
+        render_matrix(placed)
+    with pytest.raises(InvalidInputError, match=message):
+        link_loads(grid, placed, pop)
+    with pytest.raises(InvalidInputError, match=message):
+        total_hop_load(grid, placed, pop)
+    for m in (0, 1):
+        with pytest.raises(InvalidInputError, match=message):
+            per_file_link_loads(grid, placed, m)
+
+
+def test_catalog_is_built_once_and_read_only(monkeypatch):
+    grid = GridSpec(nu=3)
+    rng = np.random.default_rng(3)
+    holders = [set(rng.choice(grid.node_count, size=c, replace=False).tolist()) for c in (1, 5, 16, 30)]
+    placed = _placement_from_holders(grid, holders)
+    pop = zipf(len(holders), 0.8)
+    calls = []
+    build = placement._replica_table
+
+    def counted(built):
+        calls.append(built)
+        return build(built)
+
+    monkeypatch.setattr(placement, "_replica_table", counted)
+    loads = link_loads(grid, placed, pop).loads
+    total_hop_load(grid, placed, pop)
+    for m in range(placed.file_count):
+        per_file_link_loads(grid, placed, m, float(pop.probs[m]))
+    assert calls == [placed]
+    for array in placed._replicas:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert np.array_equal(link_loads(grid, placed, pop).loads, loads)
+    assert calls == [placed]
+
+
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_csv_rows_follow_link_index_rule(nu):
     grid = GridSpec(nu=nu)
@@ -685,8 +732,8 @@ def _assert_engine_matches(grid, placed, pop):
     assert np.all(got >= 0.0)
 
 
-def _catalog_levels(grid, placed, pop):
-    return delivery._catalog(grid, placed, pop)[0].tolist()
+def _catalog_levels(placed, pop):
+    return delivery._catalog(placed, pop)[0].tolist()
 
 
 _FILE_CAPS = {5: 160, 6: 160}  # files per canonical case, to bound the per-file reference
@@ -700,7 +747,7 @@ def test_engine_matches_per_file_canonical(nu, cap, tau, data):
     m = data.draw(st.integers(1, min(cap * n, _FILE_CAPS.get(nu, 2 * n))))
     pop = zipf(m, tau)
     placed = _canonical(grid, cap, pop)
-    assert min(_catalog_levels(grid, placed, pop)) >= 0
+    assert min(_catalog_levels(placed, pop)) >= 0
     _assert_engine_matches(grid, placed, pop)
 
 
@@ -739,7 +786,7 @@ def test_engine_matches_per_file_mixed(nu, data):
     holders, levels = _draw_mixed_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
-    detected = _catalog_levels(grid, placed, pop)
+    detected = _catalog_levels(placed, pop)
     assert detected == _reference_levels(grid, placed)
     assert all(d == k for d, k in zip(detected, levels) if k is not None)
     _assert_engine_matches(grid, placed, pop)
@@ -767,7 +814,7 @@ def test_engine_every_file_at_one_anchor(nu, data):
     levels = data.draw(st.lists(st.integers(0, nu), min_size=1, max_size=8))
     placed = _placement_from_holders(grid, [_lattice_holders(grid, k, anchor) for k in levels])
     pop = _decreasing_popularity(data.draw, len(levels))
-    assert _catalog_levels(grid, placed, pop) == levels
+    assert _catalog_levels(placed, pop) == levels
     _assert_engine_matches(grid, placed, pop)
     # With one level k >= 1, a row and a column of links per 2^k block idle.
     if len(set(levels) - {0}) == 1:
@@ -803,7 +850,7 @@ def test_near_lattice_file_takes_per_file_path(nu, data):
     holders = [(lattice - {moved}) | {target}, _lattice_holders(grid, level, anchor)]
     placed = _placement_from_holders(grid, holders)
     pop = Popularity(np.array([0.6, 0.4]))
-    assert _catalog_levels(grid, placed, pop) == [-1, level]
+    assert _catalog_levels(placed, pop) == [-1, level]
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_kernel_files(mp)
         link_loads(grid, placed, pop)
@@ -944,6 +991,31 @@ def _reference_run_counts(side, line, start, delta):
     return runs[:, :side] + runs[:, side:]
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_run_counts_match_reference_on_every_run(nu):
+    # One file per (client, server) pair: every other client serves itself
+    # and makes no run, so the file's counts are the four runs of that pair.
+    # Over all pairs every (line, start, delta) run occurs, among them runs
+    # ending exactly at the line end and delta = -side/2.
+    grid = GridSpec(nu=nu)
+    side, n = grid.side, grid.node_count
+    client, server = np.divmod(np.arange(n * n), n)
+    keys = np.tile(np.arange(n), (n * n, 1))
+    keys[np.arange(n * n), client] = server
+    counts = delivery._run_counts(grid, keys)
+    assert counts.shape == (n * n, side, side, 2)
+    xc, yc = np.divmod(client, side)
+    xs, ys = np.divmod(server, side)
+    dx, dy = signed_axis_delta(side, xc, xs), signed_axis_delta(side, yc, ys)
+    for f in range(n * n):
+        at = slice(f, f + 1)
+        rows = sum(_reference_run_counts(side, line[at], yc[at], dy[at]) for line in (xs, xc))
+        cols = sum(_reference_run_counts(side, line[at], xc[at], dx[at]) for line in (yc, ys))
+        assert np.array_equal(counts[f], np.stack([rows, cols.T], axis=-1))
+    ends = (yc + np.minimum(dy, 0)) % side + np.abs(dy)
+    assert -side // 2 in dy.tolist() and side in ends.tolist()
+
+
 def _reference_file_loads(grid, reps, weight, loads):
     """Add the loads of one file held at reps, served by the reference scan
     and counted per file, to loads."""
@@ -963,7 +1035,7 @@ def _reference_loads_and_hops(grid, placed, pop):
     """link_loads and total_hop_load by a loop over files: lattice files per
     level as the engine loads them, every other file by the reference scan
     and per-file run counts, added in file order; hops by the scan."""
-    level, anchors, coords, offsets = delivery._catalog(grid, placed, pop)
+    level, anchors, coords, offsets = delivery._catalog(placed, pop)
     weights = delivery.REQUEST_RATE * pop.probs
     rows, cols = delivery._lattice_loads(grid, level, anchors, weights)
     loads = np.empty(2 * grid.node_count)
@@ -1004,7 +1076,7 @@ def test_batched_kernel_bit_identical_to_per_file_reference(nu, data):
     holders += _half_side_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
-    off = int(np.count_nonzero(delivery._catalog(grid, placed, pop)[0] < 0))
+    off = int(np.count_nonzero(delivery._catalog(placed, pop)[0] < 0))
     _assert_bit_identical_to_reference(grid, placed, pop, _block_budget(data.draw, grid.node_count, off))
 
 
@@ -1022,6 +1094,6 @@ def test_batched_kernel_bit_identical_forced_blocks(nu, per_block):
     holders += [set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()) for _ in range(3)]
     placed = _placement_from_holders(grid, holders)
     pop = zipf(len(holders), 0.8)
-    levels = delivery._catalog(grid, placed, pop)[0]
+    levels = delivery._catalog(placed, pop)[0]
     assert levels[0] == nu and levels[1] == 0 and np.all(levels[2:] < 0)
     _assert_bit_identical_to_reference(grid, placed, pop, per_block * n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replicagrid import _text, cli, delivery, placement
+from replicagrid import _text, cli, placement
 from replicagrid.delivery import link_loads, total_hop_load
 from replicagrid.density import CanonicalProfile, canonical_truncate, solve_cd
 from replicagrid.errors import InternalInvariantError, InvalidInputError
@@ -516,7 +516,7 @@ def test_simulate_builds_no_buffers(monkeypatch, capsys):
 
     real_place = placement.canonical_place
     monkeypatch.setattr(placement, "canonical_place", place)
-    monkeypatch.setattr(delivery, "_replica_table", no_table)
+    monkeypatch.setattr(placement, "_replica_table", no_table)
     for tau, m in (("0.8", "0.5*N"), ("2", "1.75*N"), ("0", "K*N - 1")):
         assert cli.main(["simulate", "--nu", "4", "--K", "2", "--M", m, "--tau", tau]) == 0
     assert "load_identity_residual" in capsys.readouterr().out
