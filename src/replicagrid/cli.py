@@ -179,7 +179,12 @@ def cmd_solve(args, config) -> int:
 
 
 def _build_placement(grid, capacity, pop):
-    """The canonical profile and the placement built from it."""
+    """The canonical profile and the placement built from it.
+
+    Past 2^53 nodes or capacity slots the placement could neither index
+    its files exactly nor be held in memory, so such a grid is refused
+    before any work."""
+    asymptotics._check_exact_indices(capacity, grid.node_count)
     profile = density.solve_cd(grid.node_count, capacity, pop)
     canon = density.canonical_truncate(profile)
     cap_int = int(math.floor(capacity + 1e-12))

@@ -15,6 +15,14 @@ loads, from one difference array of line length per axis (_run_counts).
 The grid side is 2^nu, so the kernel indexes by shifts and masks.  The
 replica table and lattice levels of a placement given by buffers are built
 once and kept on it (CachePlacement._replicas).
+
+Each file served by the kernel is served once per placement for its hop
+total: link_loads and total_hop_load write the total, the key's hops
+summed over the nodes, into the placement's hop record
+(CachePlacement._hops, M int64 values, -1 until known), and
+total_hop_load serves only files not yet recorded.  A total depends on
+the placement alone, not on popularity, so writing it again gives the
+same value.  Every call checks that the grid is the placement's.
 """
 
 from __future__ import annotations
@@ -214,15 +222,24 @@ def _deposit(loads: np.ndarray, counts: np.ndarray, weight: float) -> None:
     loads += (weight / 2) * counts.ravel()
 
 
-def _catalog(placement: CachePlacement, pop: Popularity):
+def _check_grid(grid: GridSpec, placement: CachePlacement) -> None:
+    """Raise unless the placement lies on this grid."""
+    if grid.nu != placement.grid.nu:
+        raise InvalidInputError(
+            f"grid nu={grid.nu} does not match the placement's grid nu={placement.grid.nu}"
+        )
+
+
+def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
     """Each file's lattice level (-1 off any lattice) and anchor, then the
-    replica table and its offsets, after checking the sizes.
+    replica table and its offsets, after checking the grid and the sizes.
 
     A compact placement gives its own levels and anchors and no table: all
     its files are lattice files.  Otherwise they come from the placement's
     catalog, built on its first read (CachePlacement._replicas), and a file
     cached nowhere is an error.
     """
+    _check_grid(grid, placement)
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
     if placement.levels is not None:
@@ -234,25 +251,38 @@ def _catalog(placement: CachePlacement, pop: Popularity):
     return levels, coords[offsets[:-1]], coords, offsets
 
 
+def _record_hops(
+    grid: GridSpec, placement: CachePlacement, block: np.ndarray, keys: np.ndarray
+) -> None:
+    """Write the hop totals of the block's files, served by keys
+    (_serving_keys), into the placement's hop record."""
+    placement._hops[block] = (keys // (9 * grid.node_count)).sum(axis=1)
+
+
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
     """Accumulate per-link traffic over all files.
 
     Lattice files (every file of a canonical placement) are summed per level
     in closed form; every other file is served in blocks of consecutive
     files (_blocks, _serving_keys) and its half-route counts are added to
-    the loads file by file, in file order.  Requires a nu >= 1 grid; the
-    single-node grid has no links to load.
+    the loads file by file, in file order.  The hop totals of those files
+    go into the placement's hop record on the way (_record_hops), so a
+    later total_hop_load serves none of them again; the loads are not
+    kept.  Requires a nu >= 1 grid; the single-node grid has no links to
+    load.
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
-    level, anchors, coords, offsets = _catalog(placement, pop)
+    level, anchors, coords, offsets = _catalog(grid, placement, pop)
     weights = REQUEST_RATE * pop.probs
     rows, cols = _lattice_loads(grid, level, anchors, weights)
     loads = np.empty(2 * grid.node_count)
     loads[0::2] = rows.ravel()
     loads[1::2] = cols.ravel()
     for block in _blocks(grid, np.flatnonzero(level < 0)):
-        counts = _run_counts(grid, _serving_keys(grid, coords, offsets, block))
+        keys = _serving_keys(grid, coords, offsets, block)
+        _record_hops(grid, placement, block, keys)
+        counts = _run_counts(grid, keys)
         for m, file_counts in zip(block.tolist(), counts):
             _deposit(loads, file_counts, weights[m])
     loads.setflags(write=False)
@@ -263,16 +293,22 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     """Sum over nodes and files of hop-distance-to-nearest-replica times p_m.
 
     A lattice file at level k has 4^(nu-k) clusters of cluster_hop_sum(k)
-    hops each; other files sum their nearest-replica distances.  This equals
-    the sum of all link loads (total-load identity).
+    hops each; other files sum their nearest-replica distances.  Those are
+    read from the placement's hop record, and only files it does not hold
+    yet are served (_blocks, _serving_keys) and recorded, so the result is
+    the same whether or not link_loads ran first.  This equals the sum of
+    all link loads (total-load identity).
     """
-    level, _, coords, offsets = _catalog(placement, pop)
+    level, _, coords, offsets = _catalog(grid, placement, pop)
     hops = np.zeros(placement.file_count)
     for k in range(grid.nu + 1):
         hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
-    for block in _blocks(grid, np.flatnonzero(level < 0)):
-        keys = _serving_keys(grid, coords, offsets, block)
-        hops[block] = (keys // (9 * grid.node_count)).sum(axis=1)
+    off = np.flatnonzero(level < 0)
+    if off.size:
+        record = placement._hops
+        for block in _blocks(grid, off[record[off] < 0]):
+            _record_hops(grid, placement, block, _serving_keys(grid, coords, offsets, block))
+        hops[off] = record[off]
     # cumsum adds in file order, so the total is bit-identical to a running
     # per-file sum.
     return REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
@@ -304,8 +340,10 @@ def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.nd
     """Serving keys of file m as a (1, N) block (_serving_keys) and its
     replica count.
 
-    Raises when m is outside the catalog or cached nowhere.
+    Raises when the grid is not the placement's, or m is outside the
+    catalog or cached nowhere.
     """
+    _check_grid(grid, placement)
     count = placement.file_count
     if not 0 <= m < count:
         raise InvalidInputError(f"file id {m} outside 0..{count - 1}")

@@ -40,6 +40,8 @@ class CachePlacement:
     measured_densities and the renderers never read it.  Delivery reads
     the replica table and lattice levels (_replicas), built on first read
     and kept; of a compact placement only the per-file calls read them.
+    Delivery also keeps each off-lattice file's hop total in _hops, M
+    int64 values made on first use; a compact placement never makes it.
     """
 
     grid: GridSpec
@@ -103,6 +105,17 @@ class CachePlacement:
         coords, offsets = _replica_table(self)
         levels = _lattice_levels(self.grid, coords, offsets)
         return tuple(map(_frozen, (coords, offsets, levels)))
+
+    @functools.cached_property
+    def _hops(self) -> np.ndarray:
+        """Each file's hop total, the hops from every node to its nearest
+        replica summed over the nodes, or -1 while not yet known.
+
+        Written by delivery (link_loads and total_hop_load), for off-lattice
+        files only.  A total depends on the placement alone, not on
+        popularity, so writing it again gives the same value.
+        """
+        return np.full(self.file_count, -1, dtype=np.int64)
 
     def _replica_counts(self) -> np.ndarray:
         """Replicas of each file id, 0 to at least file_count - 1."""

@@ -233,6 +233,17 @@ def test_classify_bounds_exit_2_with_one_line(capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["place", "simulate"])
+@pytest.mark.parametrize("nu", [27, 40])
+def test_placement_bounds_exit_2_with_one_line(capsys, command, nu):
+    # Refused before solve_cd: at nu = 40 the placement once failed to
+    # allocate terabytes, and simulate raised "array is too big".
+    code, out, err = run(capsys, command, "--nu", str(nu), "--K", "2", "--M", "4", "--tau", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: N exceeds 2^53") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_classify_reaches_k_n_of_2_to_the_53(capsys):
     code, out, _ = run(capsys, "classify", "--nu", "26", "--K", "2", "--M", "N", "--tau", "1")
     assert code == 0 and json.loads(out)["m_count"] == 4**26

@@ -394,11 +394,18 @@ def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, budget):
     grid = GridSpec(nu=nu)
     rng = np.random.default_rng(nu * 1000 + w_count)
     holders = [set(rng.choice(grid.node_count, size=w_count, replace=False).tolist()) for _ in range(7)]
-    placed = _placement_from_holders(grid, holders)
     pop = zipf(7, 0.8)
 
     def run():
-        return _block_keys(grid, placed), link_loads(grid, placed, pop).loads, total_hop_load(grid, placed, pop)
+        # A fresh placement per call order, so that total_hop_load serves
+        # its own blocks on one and reads what link_loads recorded on the
+        # other.
+        first, second = (_placement_from_holders(grid, holders) for _ in range(2))
+        hops = total_hop_load(grid, first, pop)
+        loads = link_loads(grid, second, pop).loads
+        assert total_hop_load(grid, second, pop) == hops
+        assert np.array_equal(link_loads(grid, first, pop).loads, loads)
+        return _block_keys(grid, first), loads, hops
 
     default = run()
     monkeypatch.setattr(delivery, "_BLOCK_NODE_FILES", budget)
@@ -611,6 +618,73 @@ def test_catalog_is_built_once_and_read_only(monkeypatch):
     assert calls == [placed]
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_hop_record_gives_the_same_results_in_every_call_order(nu):
+    grid = GridSpec(nu=nu)
+    n = grid.node_count
+    rng = np.random.default_rng(nu)
+    holders = [set(range(n)), {n - 1}]
+    holders += [set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) for _ in range(6)]
+    pop = zipf(len(holders), 0.8)
+    alone, loads_first, hops_first = (_placement_from_holders(grid, holders) for _ in range(3))
+    hops = total_hop_load(grid, alone, pop)
+    loads = link_loads(grid, loads_first, pop).loads
+    assert total_hop_load(grid, loads_first, pop) == hops
+    assert total_hop_load(grid, hops_first, pop) == hops
+    assert np.array_equal(link_loads(grid, hops_first, pop).loads, loads)
+    # Every order records the kernel's hop totals of the off-lattice files
+    # and nothing for the lattice files.
+    off = delivery._catalog(grid, alone, pop)[0] < 0
+    expect = np.where(off, (_block_keys(grid, alone) // (9 * n)).sum(axis=1), -1)
+    for placed in (alone, loads_first, hops_first):
+        assert placed._hops.dtype == np.int64 and np.array_equal(placed._hops, expect)
+
+
+def test_link_loads_then_total_hop_load_serve_each_file_once(monkeypatch):
+    grid = GridSpec(nu=3)
+    rng = np.random.default_rng(11)
+    placed = _random_placement(rng, grid, 9, capacity=9)
+    pop = zipf(9, 0.8)
+    off = [f for f, k in enumerate(_reference_levels(grid, placed)) if k < 0]
+    assert len(off) >= 3
+    served = []
+    kernel = delivery._serving_keys
+
+    def counted(grid, coords, offsets, files):
+        served.append(files.tolist())
+        return kernel(grid, coords, offsets, files)
+
+    monkeypatch.setattr(delivery, "_serving_keys", counted)
+    monkeypatch.setattr(delivery, "_BLOCK_NODE_FILES", 2 * grid.node_count)
+    link_loads(grid, placed, pop)
+    total_hop_load(grid, placed, pop)
+    total_hop_load(grid, placed, pop)
+    assert served == [off[i:i + 2] for i in range(0, len(off), 2)]
+
+
+@pytest.mark.parametrize("nu", [2, 4])
+@pytest.mark.parametrize("form", ["buffers", "compact"])
+def test_grid_must_be_the_placements(nu, form):
+    # A nu = 2 grid used to raise a bare IndexError, a nu = 4 grid to give
+    # loads of a grid the placement is not on.
+    grid, other = GridSpec(nu=3), GridSpec(nu=nu)
+    pop = zipf(8, 0.8)
+    if form == "compact":
+        placed = _canonical(grid, 2, pop)
+    else:
+        placed = _random_placement(np.random.default_rng(3), grid, 8, capacity=8)
+    message = f"grid nu={nu} does not match the placement's grid nu=3"
+    for call in (link_loads, total_hop_load):
+        with pytest.raises(InvalidInputError, match=message):
+            call(other, placed, pop)
+    for call in (per_file_link_loads, per_file_link_bound):
+        with pytest.raises(InvalidInputError, match=message):
+            call(other, placed, 0)
+    assert "_hops" not in vars(placed)
+    loads = link_loads(grid, placed, pop).loads
+    assert math.isclose(float(loads.sum()), total_hop_load(grid, placed, pop), rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_csv_rows_follow_link_index_rule(nu):
     grid = GridSpec(nu=nu)
@@ -733,7 +807,7 @@ def _assert_engine_matches(grid, placed, pop):
 
 
 def _catalog_levels(placed, pop):
-    return delivery._catalog(placed, pop)[0].tolist()
+    return delivery._catalog(placed.grid, placed, pop)[0].tolist()
 
 
 _FILE_CAPS = {5: 160, 6: 160}  # files per canonical case, to bound the per-file reference
@@ -1035,7 +1109,7 @@ def _reference_loads_and_hops(grid, placed, pop):
     """link_loads and total_hop_load by a loop over files: lattice files per
     level as the engine loads them, every other file by the reference scan
     and per-file run counts, added in file order; hops by the scan."""
-    level, anchors, coords, offsets = delivery._catalog(placed, pop)
+    level, anchors, coords, offsets = delivery._catalog(grid, placed, pop)
     weights = delivery.REQUEST_RATE * pop.probs
     rows, cols = delivery._lattice_loads(grid, level, anchors, weights)
     loads = np.empty(2 * grid.node_count)
@@ -1049,16 +1123,29 @@ def _reference_loads_and_hops(grid, placed, pop):
     return loads, delivery.REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
 
 
+def _fresh(placed):
+    """An equal placement with nothing built or recorded on it yet."""
+    return CachePlacement(
+        grid=placed.grid, capacity=placed.capacity, file_count=placed.file_count,
+        buffers=placed.buffers,
+    )
+
+
 def _assert_bit_identical_to_reference(grid, placed, pop, budget):
     """Under the given block budget, link_loads, total_hop_load and every
-    per_file_link_loads equal the per-file reference exactly."""
+    per_file_link_loads equal the per-file reference exactly, whichever of
+    the first two runs first on a fresh placement."""
     expect_loads, expect_hops = _reference_loads_and_hops(grid, placed, pop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "_BLOCK_NODE_FILES", budget)
-        loads = link_loads(grid, placed, pop).loads
-        hops = total_hop_load(grid, placed, pop)
-    assert np.array_equal(loads, expect_loads)
-    assert hops == expect_hops
+        loads_first = _fresh(placed)
+        loads = link_loads(grid, loads_first, pop).loads
+        hops = total_hop_load(grid, loads_first, pop)
+        hops_first = _fresh(placed)
+        hops_alone = total_hop_load(grid, hops_first, pop)
+        loads_after = link_loads(grid, hops_first, pop).loads
+    assert np.array_equal(loads, expect_loads) and np.array_equal(loads_after, expect_loads)
+    assert hops == expect_hops and hops_alone == expect_hops
     for m in range(placed.file_count):
         p_m = float(pop.probs[m])
         expect = np.zeros(2 * grid.node_count)
@@ -1076,7 +1163,7 @@ def test_batched_kernel_bit_identical_to_per_file_reference(nu, data):
     holders += _half_side_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
-    off = int(np.count_nonzero(delivery._catalog(placed, pop)[0] < 0))
+    off = int(np.count_nonzero(delivery._catalog(grid, placed, pop)[0] < 0))
     _assert_bit_identical_to_reference(grid, placed, pop, _block_budget(data.draw, grid.node_count, off))
 
 
@@ -1094,6 +1181,6 @@ def test_batched_kernel_bit_identical_forced_blocks(nu, per_block):
     holders += [set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()) for _ in range(3)]
     placed = _placement_from_holders(grid, holders)
     pop = zipf(len(holders), 0.8)
-    levels = delivery._catalog(placed, pop)[0]
+    levels = delivery._catalog(grid, placed, pop)[0]
     assert levels[0] == nu and levels[1] == 0 and np.all(levels[2:] < 0)
     _assert_bit_identical_to_reference(grid, placed, pop, per_block * n)

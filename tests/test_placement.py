@@ -522,6 +522,7 @@ def test_simulate_builds_no_buffers(monkeypatch, capsys):
     assert "load_identity_residual" in capsys.readouterr().out
     assert len(placed) == 3
     assert all("buffers" not in vars(p) and p.levels is not None for p in placed)
+    assert all("_hops" not in vars(p) for p in placed)
 
 
 def test_placement_takes_one_form():
