@@ -36,7 +36,7 @@ import numpy as np
 from ._text import _TEXT_ROWS, _decimal_digits, _g12_digits, _text_blocks
 from .errors import InvalidInputError
 from .grid import COLUMN, ROW, GridSpec
-from .placement import CachePlacement
+from .placement import CachePlacement, _level_groups
 from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
@@ -142,23 +142,32 @@ def _lattice_loads(
     H[b, y] = h[(y - b) mod s], tiled over the grid.  Every term is a
     non-negative weight times a non-negative integer, so a link that
     carries nothing stays at exactly 0.
+
+    The files are grouped by level once (_level_groups), ascending within a
+    level as bincount needs them for a fixed order of additions.  The sums
+    are kept at the last level's period, tiled up to each next level's and
+    to the grid once at the end: each cell adds its levels' terms in level
+    order onto an exact 0, as sums over the whole grid would.
     """
-    side = grid.side
-    rows = np.zeros((side, side))
-    cols = np.zeros((side, side))
-    for k in np.unique(level[level >= 1]).tolist():
+    rows = cols = np.zeros((1, 1))
+    order, bounds = _level_groups(level, grid.nu)
+    for k in range(1, grid.nu + 1):
+        ids = order[bounds[k]:bounds[k + 1]]
+        if ids.size == 0:
+            continue
         s = 2 ** k
-        sel = level == k
         # The first row-major replica of a full lattice lies in [0, s)^2.
         a = np.bincount(
-            anchors[sel, 0] * s + anchors[sel, 1], weights=weights[sel], minlength=s * s
+            anchors[ids, 0] * s + anchors[ids, 1], weights=weights[ids], minlength=s * s
         ).reshape(s, s)
         h = np.abs(np.arange(s) - s // 2).astype(float)
         circ = h[(np.arange(s)[None, :] - np.arange(s)[:, None]) % s]
-        tiles = (side // s, side // s)
-        rows += np.tile(0.5 * (s * (a @ circ) + a.sum(axis=0) @ circ), tiles)
-        cols += np.tile(0.5 * (s * (circ.T @ a) + (circ.T @ a.sum(axis=1))[:, None]), tiles)
-    return rows, cols
+        # The sums so far have the last level's period: tile them to s.
+        tiles = (s // rows.shape[0],) * 2
+        rows = np.tile(rows, tiles) + 0.5 * (s * (a @ circ) + a.sum(axis=0) @ circ)
+        cols = np.tile(cols, tiles) + 0.5 * (s * (circ.T @ a) + (circ.T @ a.sum(axis=1))[:, None])
+    tiles = (grid.side // rows.shape[0],) * 2
+    return np.tile(rows, tiles), np.tile(cols, tiles)
 
 
 def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
@@ -300,9 +309,10 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     all link loads (total-load identity).
     """
     level, _, coords, offsets = _catalog(grid, placement, pop)
+    order, bounds = _level_groups(level, grid.nu)
     hops = np.zeros(placement.file_count)
     for k in range(grid.nu + 1):
-        hops[level == k] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
+        hops[order[bounds[k]:bounds[k + 1]]] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
     off = np.flatnonzero(level < 0)
     if off.size:
         record = placement._hops

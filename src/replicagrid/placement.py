@@ -5,11 +5,23 @@ the grid, tiled with period 2^k on both axes.  Within a submatrix the anchor
 node is the least-occupied one, ties resolved by a fixed diagonal scan
 order.  Level-0 files go into every cache at the end.
 
-Before level k the occupancy is 2^k-periodic, so one 2^k x 2^k block holds
-all of it; the next level's block is four copies of it.  Anchors are chosen
-in rounds on that block rather than by a scan per file (see
-canonical_place).  The placement keeps only each file's level and anchor;
-the cache contents per node are derived from them when read.
+Before level k the occupancy is 2^k-periodic and differs by at most 1
+between cells, so the level's water-filling rounds follow from the level
+counts alone (_water_fill): how many files each round takes, and the
+occupancy w each of them finds in its cell.  Only the first round of a
+level reads the 2^k x 2^k occupancy block, for which cells are the least
+occupied.  The placement keeps only each file's level and anchor.
+
+The per-node view is one (N, W) int64 node table, W the largest
+occupancy: row i holds the ids cached at row-major node i, ascending,
+padded with -1 at the end.  A canonical placement writes file m into slot
+(number of level-0 files) + w of every row of its lattice, a level's
+rounds at a time through a view of the table with the coordinates mod
+2^k as axes; no (node, file) sort is needed unless the levels decrease
+somewhere along the ids.  A placement given by buffers builds its table
+from them.  Either way the table is built on first read and kept:
+buffers, validation, both renderers and delivery's replica table read it,
+and simulate never builds it.
 """
 
 from __future__ import annotations
@@ -37,11 +49,13 @@ class CachePlacement:
     file m is held on the 2^levels[m]-periodic lattice through anchors[m],
     its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
     In the compact form buffers is built on first read; delivery,
-    measured_densities and the renderers never read it.  Delivery reads
-    the replica table and lattice levels (_replicas), built on first read
-    and kept; of a compact placement only the per-file calls read them.
-    Delivery also keeps each off-lattice file's hop total in _hops, M
-    int64 values made on first use; a compact placement never makes it.
+    measured_densities and the renderers never read it.  The node table
+    (_node_table) is built on first read and kept; delivery of a compact
+    placement never reads it.  Delivery reads the replica table and lattice
+    levels (_replicas), built on first read and kept; of a compact
+    placement only the per-file calls read them.  Delivery also keeps each
+    off-lattice file's hop total in _hops, M int64 values made on first
+    use; a compact placement never makes it.
     """
 
     grid: GridSpec
@@ -68,35 +82,48 @@ class CachePlacement:
 
     @functools.cached_property
     def buffers(self) -> tuple[frozenset[int], ...]:
-        files, bounds = (v.tolist() for v in self._node_major)
-        return tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return tuple(frozenset(row).difference((-1,)) for row in self._node_table.tolist())
 
     @functools.cached_property
-    def _node_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every held file id, grouped by node in row-major order and
-        ascending within a node, and the offsets of each node's ids."""
+    def _node_table(self) -> np.ndarray:
+        """The held ids of row-major node i in row i, ascending and padded
+        with -1 to the largest occupancy; read-only.
+
+        Raises on a negative file id, which the padding could not tell
+        apart.
+        """
         if self.levels is None:
             sizes = np.fromiter(map(len, self.buffers), dtype=np.int64, count=len(self.buffers))
             files = np.fromiter(
                 itertools.chain.from_iterable(map(sorted, self.buffers)),
                 dtype=np.int64, count=int(sizes.sum()),
             )
-        else:
-            # Each file's anchor plus all lattice offsets, sorted by one
-            # (node, file) key.
-            side, count = self.grid.side, self.file_count
-            keys = []
-            for k in np.unique(self.levels).tolist():
-                ids = np.flatnonzero(self.levels == k)
-                steps = np.arange(0, side, 2 ** k, dtype=np.int64)
-                ax, ay = self.anchors[ids, 0], self.anchors[ids, 1]
-                cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
-                keys.append((cells * count + ids[:, None, None]).ravel())
-            nodes, files = np.divmod(np.sort(np.concatenate(keys)), count)
-            sizes = np.bincount(nodes, minlength=self.grid.node_count)
-        bounds = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        return files, bounds
+            if files.size and (low := int(files.min())) < 0:
+                raise InvalidInputError(f"file id {low} is negative")
+            table = np.full((sizes.size, int(sizes.max())), -1, dtype=np.int64)
+            table[np.arange(table.shape[1]) < sizes[:, None]] = files
+            table.setflags(write=False)
+            return table
+        nu, side, n = self.grid.nu, self.grid.side, self.grid.node_count
+        order, bounds = _level_groups(self.levels, nu)
+        counts = np.diff(bounds).tolist()
+        # Occupancy is balanced over the grid, so its largest value is the
+        # level-0 files plus the ceiling of the mean over the other levels.
+        replicas = sum(c * 4 ** (nu - k) for k, c in enumerate(counts[1:], start=1))
+        table = np.full((n, counts[0] - (-replicas // n)), -1, dtype=np.int64)
+        table[:, :counts[0]] = order[:bounds[1]]
+        for k, ids, w in _water_fill(order, bounds):
+            # Axes 1 and 3 of the lattice view are the coordinates mod 2^k,
+            # so one write puts a file at every replica.
+            lattice = table.reshape(side >> k, 2 ** k, side >> k, 2 ** k, -1)
+            ax, ay = self.anchors[ids, 0], self.anchors[ids, 1]
+            lattice[:, ax, :, ay, counts[0] + w] = ids[:, None, None]
+        if np.any(self.levels[1:] < self.levels[:-1]):
+            # Files arrived by level, not by id: sort each row.  As uint64
+            # the -1 padding is the largest value, so it stays at the end.
+            table.view(np.uint64).sort(axis=1)
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def _replicas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,10 +146,8 @@ class CachePlacement:
 
     def _replica_counts(self) -> np.ndarray:
         """Replicas of each file id, 0 to at least file_count - 1."""
-        files, _ = self._node_major
-        if files.size and files.min() < 0:
-            raise InvalidInputError(f"file id {int(files.min())} is negative")
-        return np.bincount(files, minlength=self.file_count)
+        table = self._node_table
+        return np.bincount(table[table >= 0], minlength=self.file_count)
 
     def replica_nodes(self, m: int) -> list[Node]:
         """Nodes holding file m, row-major order."""
@@ -138,21 +163,20 @@ class CachePlacement:
             return 4.0 ** -self.levels
         return self._replica_counts() / self.grid.node_count
 
-    def _checked_node_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """_node_major, once every id is known to be in 0..file_count - 1."""
-        files, bounds = self._node_major
-        if files.size and (low := int(files.min())) < 0:
-            raise InvalidInputError(f"file id {low} is negative")
-        if files.size and (high := int(files.max())) >= self.file_count:
+    def _checked_table(self) -> np.ndarray:
+        """_node_table, once every id is known to be in 0..file_count - 1."""
+        table = self._node_table
+        if table.size and (high := int(table.max())) >= self.file_count:
             raise InvalidInputError(f"file id {high} outside 0..{self.file_count - 1}")
-        return files, bounds
+        return table
 
     def to_json(self) -> str:
         """The header, then '"x,y": [ids]' per node in row-major order.
 
-        Each key, id (with its ', ') and closing '], ' is one NUL-padded row
-        of a byte table, the rows in output order; dropping the NULs leaves
-        the text.
+        Node i's text is row i of an NUL-padded byte table: its key, one
+        fixed-width cell per slot of the node table (the id, after ', ' past
+        the first slot; all NUL for padding) and its closing '], '; dropping
+        the NULs leaves the text.
         """
         head = json.dumps({
             "nu": self.grid.nu,
@@ -160,45 +184,39 @@ class CachePlacement:
             "file_count": self.file_count,
             "buffers": {},
         })
-        side = self.grid.side
-        files, bounds = self._checked_node_major()
-        sizes = np.diff(bounds)
-        ids = _decimal_digits(files)
+        table = self._checked_table()
+        side, (n, width) = self.grid.side, table.shape
+        ids = _decimal_digits(np.maximum(table, 0).ravel())
         coords = _decimal_digits(np.arange(side))
-        wx, wd = coords.shape[1] + 2, ids.shape[1]
-        row = np.dtype((np.void, max(2 * wx + 2, wd + 2, 3)))
-        # Key rows '"x,y": [', broadcast from the x and the y table.
-        keys = np.zeros((side, side, row.itemsize), dtype=np.uint8)
-        keys[:, :, 0] = ord('"')
-        keys[:, :, 1:wx - 1] = coords[:, None]
-        keys[:, :, wx - 1] = ord(",")
-        keys[:, :, wx:2 * wx - 2] = coords
-        keys[:, :, 2 * wx - 2:2 * wx + 2] = list(b'": [')
-        # Id rows 'id, ', the last of each cell without its ', '.
-        items = np.zeros((files.size, row.itemsize), dtype=np.uint8)
-        items[:, :wd] = ids
-        items[:, wd:wd + 2] = list(b", ")
-        items[bounds[1:][sizes > 0] - 1, wd:] = 0
-        # Node n's key row, then its ids, then its closing row.
-        table = np.zeros(files.size + 2 * sizes.size, dtype=row)
-        before = 2 * np.arange(sizes.size)
-        table[bounds[:-1] + before] = keys.view(row).ravel()
-        table[np.arange(files.size) + np.repeat(before + 1, sizes)] = items.view(row).ravel()
-        table[bounds[1:] + before + 1] = np.void(b"], ".ljust(row.itemsize, b"\0"))
+        wx, wd = coords.shape[1], ids.shape[1]
+        key = 2 * wx + 6
+        text = np.zeros((side, side, key + width * (wd + 2) + 3), dtype=np.uint8)
+        # Keys '"x,y": [', broadcast from the x and the y table.
+        text[..., 0] = ord('"')
+        text[..., 1:wx + 1] = coords[:, None]
+        text[..., wx + 1] = ord(",")
+        text[..., wx + 2:2 * wx + 2] = coords
+        text[..., 2 * wx + 2:key] = list(b'": [')
+        # Splitting the last axis of a row slice keeps a view.
+        cells = text.reshape(n, -1)[:, key:-3].reshape(n, width, wd + 2)
+        cells[:, 1:, :2] = list(b", ")
+        cells[..., 2:] = ids.reshape(n, width, wd)
+        cells[table < 0] = 0
+        text[..., -3:] = list(b"], ")
         # The last node's '], ' loses its ', ' to the closing '}}'.
-        text = table.tobytes().translate(None, b"\0")[:-2].decode("ascii")
-        return head[:-2] + text + "}}"
+        return head[:-2] + text.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "}}"
 
 
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
     each file's rows in row-major order (the order of replica_nodes), and the
-    M + 1 offsets of each file's rows, from the placement's node-major ids.
+    M + 1 offsets of each file's rows, from the placement's node table.
 
     Raises on an id outside the catalog, as the renderers do.
     """
-    files, bounds = placement._checked_node_major()
-    holder = np.repeat(np.arange(bounds.size - 1, dtype=np.int64), np.diff(bounds))
+    table = placement._checked_table()
+    holder, slot = np.nonzero(table >= 0)
+    files = table[holder, slot]
     # A stable sort by file keeps each file's holders in row-major order.
     order = np.argsort(files, kind="stable")
     coords = np.stack(np.divmod(holder[order], placement.grid.side), axis=1)
@@ -227,9 +245,9 @@ def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> 
 
 def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column arrays of the 2^k x 2^k matrix in diagonal order."""
-    s = 2 ** k
-    j, t = np.divmod(np.arange(s * s, dtype=np.int64), s)
-    return (j + t) % s, t
+    rank = np.arange(4 ** k, dtype=np.int64)
+    t = rank & (2 ** k - 1)
+    return ((rank >> k) + t) & (2 ** k - 1), t
 
 
 def diagonal_order(k: int) -> list[Node]:
@@ -245,6 +263,41 @@ def diagonal_order(k: int) -> list[Node]:
     return list(zip(xs.tolist(), ys.tolist()))
 
 
+def _level_groups(levels: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """File ids grouped by level: those at level k are order[bounds[k]:
+    bounds[k + 1]], ascending, for k = 0..nu (level -1 comes first).
+
+    A stable sort keeps ids ascending within a level; on a canonical
+    catalog's non-decreasing levels it is one linear pass.
+    """
+    order = np.argsort(levels, kind="stable")
+    return order, np.searchsorted(levels, np.arange(nu + 2), sorter=order)
+
+
+def _water_fill(order: np.ndarray, bounds: np.ndarray):
+    """Canonical placement's water-filling rounds in order, from the level
+    groups (_level_groups) alone: (k, ids, w) for each round of each level
+    k >= 1, ids the round's files and w the occupancy each finds in its
+    cell.
+
+    The 2^k x 2^k block before level k holds T = sum_{1 <= k' < k}
+    n_k' 4^(k - k') replicas, with occupancy differing by at most 1 between
+    cells: c = 4^k - (T mod 4^k) cells hold w0 = T // 4^k, the rest
+    w0 + 1.  So round w0 gives the level's first c files (ascending id) the
+    c cells at w0, in diagonal rank order, and each later round w gives the
+    next 4^k files every cell, all then at w, in rank order.
+    """
+    held = 0
+    for k in range(1, bounds.size - 1):
+        held, ids = 4 * held, order[bounds[k]:bounds[k + 1]]
+        if ids.size:
+            w0, extra = divmod(held, 4 ** k)
+            starts = [0, *range(4 ** k - extra, ids.size, 4 ** k)]
+            for w, lo, hi in zip(itertools.count(w0), starts, starts[1:] + [ids.size]):
+                yield k, ids[lo:hi], w
+        held += ids.size
+
+
 def canonical_place(
     grid: GridSpec,
     canon: CanonicalProfile,
@@ -256,12 +309,10 @@ def canonical_place(
     Each file at level k is anchored at the least-occupied cell of the
     2^k x 2^k occupancy block, ties to the lower diagonal rank, and is held
     at its anchor plus every multiple of 2^k on both axes.  File by file,
-    that choice is water-filling, so a level runs in rounds: with o the
-    block read in diagonal order, round w lists in rank order every cell
-    with o <= w, for w = min(o), min(o) + 1, ...  A cell listed in round w
-    was listed w - o times before, so it then holds w, the least occupancy
-    left.  The level's files, most popular first (equal popularity to the
-    lower id), take the concatenated rounds' cells.
+    that choice is water-filling, so a level runs in rounds (_water_fill):
+    the first takes the least-occupied cells in rank order, each later one
+    every cell in rank order.  The level's files, most popular first (equal
+    popularity to the lower id), take the rounds' cells in turn.
 
     Requires sum of canonical densities <= capacity; under that premise the
     result never exceeds capacity at any node and covers every file.
@@ -277,35 +328,26 @@ def canonical_place(
     if float(canon.densities.sum()) > capacity + 1e-9:
         raise InvalidInputError("canonical densities exceed the cache capacity")
 
-    block = np.zeros((1, 1), dtype=np.int64)
     levels = canon.levels
     anchors = np.zeros((levels.size, 2), dtype=np.int64)
-
-    for k in range(1, grid.nu + 1):
-        # Popularity never increases with the id, so ascending ids put the
-        # most popular first and equal popularity to the lower id.
-        ids = np.flatnonzero(levels == k)
-        if ids.size == 0:
-            continue
-        # Occupancy so far has the block's period, so copies of it fill 2^k.
-        s = 2 ** k
-        copies = s // block.shape[0]
-        block = np.tile(block, (copies, copies))
-        xs, ys = _diagonal_cells(k)
-        o = block[xs, ys]
-        rounds, w, need = [], int(o.min()), ids.size
-        while need:
-            cells = np.flatnonzero(o <= w)[:need]
-            rounds.append(cells)
-            need -= cells.size
-            w += 1
-        ranks = np.concatenate(rounds)
-        ax, ay = xs[ranks], ys[ranks]
-        block += np.bincount(ax * s + ay, minlength=s * s).reshape(s, s)
-        anchors[ids, 0], anchors[ids, 1] = ax, ay
-
+    # Popularity never increases with the id, so ascending ids put the most
+    # popular first and equal popularity to the lower id.
+    order, bounds = _level_groups(levels, grid.nu)
+    # The occupancy of the current level's block, in diagonal rank order.
+    occupancy, period = np.zeros(1, dtype=np.int64), 0
+    for k, ids, w in _water_fill(order, bounds):
+        if k > period:
+            # Occupancy so far is 2^period-periodic: cell (x, y) holds what
+            # (x, y) mod s does, at rank ((x - y) mod s) s + y mod s, s = 2^period.
+            xs, ys = _diagonal_cells(k)
+            mask = 2 ** period - 1
+            occupancy, period = occupancy[(((xs - ys) & mask) << period) | (ys & mask)], k
+        # The round's files take its cells at w, the least occupied, in rank order.
+        cells = np.flatnonzero(occupancy == w)[:ids.size]
+        anchors[ids, 0], anchors[ids, 1] = xs[cells], ys[cells]
+        occupancy[cells] += 1
     # Occupancy only grows, so its final maximum is over capacity iff some add was.
-    if block.max() + np.count_nonzero(levels == 0) > capacity:
+    if occupancy.max() + bounds[1] > capacity:
         raise InternalInvariantError("cache capacity exceeded during placement")
     anchors.setflags(write=False)
     return CachePlacement(
@@ -315,11 +357,16 @@ def canonical_place(
 
 def validate_capacity(placement: CachePlacement) -> bool:
     """True iff no buffer exceeds capacity and every file is cached somewhere."""
-    files, bounds = placement._node_major
-    if np.diff(bounds).max() > placement.capacity:
+    try:
+        table = placement._node_table
+    except InvalidInputError:  # a negative file id
         return False
-    count = placement.file_count
-    if files.size and (files.min() < 0 or files.max() >= count):
+    # Rows are padded at the end, so a node holds more than capacity ids iff
+    # its slot at index capacity is held.
+    if np.any(table[:, placement.capacity:] >= 0):
+        return False
+    files, count = table[table >= 0], placement.file_count
+    if files.size and files.max() >= count:
         return False
     return bool(np.all(np.bincount(files, minlength=count) > 0))
 
@@ -337,25 +384,32 @@ def render_matrix(placement: CachePlacement) -> str:
     start of its row ('.' when empty).
     """
     side = placement.grid.side
-    files, bounds = placement._checked_node_major()
-    sizes = np.diff(bounds)
+    table = placement._checked_table()
+    # Ids per node, by a loop over the few columns: a sum along the short
+    # last axis is several times slower.
+    sizes = np.zeros(table.shape[0], dtype=np.int64)
+    for column in table.T:
+        sizes += column >= 0
+    labels = table[table >= 0] + 1
     if placement.file_count < _DIGITS.size:
-        chars, lengths = _DIGITS[files + 1], sizes
+        chars, lengths = _DIGITS[labels], sizes
     else:
-        # Each label's digits and a comma, less the comma after a cell's last.
-        labels = files + 1
+        # Each label's digits and a comma, less the comma after a node's last.
+        ends = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ends[1:])
         digits = _decimal_digits(labels)
-        cells = np.zeros((files.size, digits.shape[1] + 1), dtype=np.uint8)
+        cells = np.zeros((labels.size, digits.shape[1] + 1), dtype=np.uint8)
         cells[:, :-1] = digits
         cells[:, -1] = ord(",")
-        cells[bounds[1:][sizes > 0] - 1, -1] = 0
+        cells[ends[1:][sizes > 0] - 1, -1] = 0
         # A label has one digit more than the powers 10, 100, ... it reaches.
-        ends = np.zeros(files.size + 1, dtype=np.int64)
-        np.cumsum(np.searchsorted(10 ** np.arange(1, 19), labels, side="right") + 2, out=ends[1:])
-        chars, lengths = cells[cells != 0], np.diff(ends[bounds]) - (sizes > 0)
+        offsets = np.zeros(labels.size + 1, dtype=np.int64)
+        widths = np.searchsorted(10 ** np.arange(1, 19), labels, side="right") + 2
+        np.cumsum(widths, out=offsets[1:])
+        chars, lengths = cells[cells != 0], np.diff(offsets[ends]) - (sizes > 0)
     width = max(int(lengths.max()), 1)
     text = np.full((sizes.size, width + 1), ord(" "), dtype=np.uint8)
-    # The cells' characters, in order, fill the first lengths[n] of row n.
+    # The cells' characters, in order, fill the first lengths[i] of row i.
     text[np.arange(width + 1) < lengths[:, None]] = chars
     text[sizes == 0, 0] = ord(".")
     text[side - 1::side, -1] = ord("\n")

@@ -896,6 +896,61 @@ def test_engine_every_file_at_one_anchor(nu, data):
         assert idle == 2 * grid.node_count // 2 ** max(levels)
 
 
+def _reference_lattice_loads(grid, level, anchors, weights):
+    """_lattice_loads as it was written with one mask per level, each level
+    tiled to the whole grid and added there."""
+    side = grid.side
+    rows = np.zeros((side, side))
+    cols = np.zeros((side, side))
+    for k in np.unique(level[level >= 1]).tolist():
+        s = 2 ** k
+        sel = level == k
+        a = np.bincount(
+            anchors[sel, 0] * s + anchors[sel, 1], weights=weights[sel], minlength=s * s
+        ).reshape(s, s)
+        h = np.abs(np.arange(s) - s // 2).astype(float)
+        circ = h[(np.arange(s)[None, :] - np.arange(s)[:, None]) % s]
+        tiles = (side // s, side // s)
+        rows += np.tile(0.5 * (s * (a @ circ) + a.sum(axis=0) @ circ), tiles)
+        cols += np.tile(0.5 * (s * (circ.T @ a) + (circ.T @ a.sum(axis=1))[:, None]), tiles)
+    return rows, cols
+
+
+def _assert_lattice_loads_match_reference(grid, level, anchors, weights):
+    got = delivery._lattice_loads(grid, level, anchors, weights)
+    expect = _reference_lattice_loads(grid, level, anchors, weights)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+
+
+@pytest.mark.parametrize("nu", range(1, 9))
+@pytest.mark.parametrize("tau, share", [(0.8, 0.5), (2.0, 1.75), (0.0, 2.0)])
+def test_lattice_loads_bit_identical_to_per_level_masks_canonical(nu, tau, share):
+    grid = GridSpec(nu=nu)
+    pop = zipf(int(share * grid.node_count) - (tau == 0.0), tau)
+    placed = _canonical(grid, 2, pop)
+    weights = delivery.REQUEST_RATE * pop.probs
+    _assert_lattice_loads_match_reference(grid, placed.levels, placed.anchors, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_lattice_loads_bit_identical_to_per_level_masks_random(nu, data):
+    # Random catalogs of lattice files, unsorted levels, off-lattice files
+    # (-1) among them, and any weights.  Anchors in a corner of each block
+    # put many files of a level on one anchor, where the order of the
+    # additions shows in the rounding.
+    grid = GridSpec(nu=nu)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    level = rng.integers(-1, nu + 1, size=data.draw(st.integers(1, 400)))
+    corner = data.draw(st.sampled_from([1, 2, 2**nu]))
+    period = np.minimum(2 ** np.maximum(level, 0), corner)
+    anchors = rng.integers(0, period[:, None], size=(level.size, 2))
+    weights = rng.random(level.size)
+    if data.draw(st.booleans()):
+        weights *= 10.0 ** rng.integers(-300, 3, size=level.size)
+    _assert_lattice_loads_match_reference(grid, level, anchors, weights)
+
+
 def _counting_kernel_files(monkeypatch):
     """Record the replica count of every file the batched kernel serves."""
     calls = []

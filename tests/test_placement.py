@@ -423,25 +423,10 @@ def test_place_nu_7_output_is_pinned(capsys, tmp_path, tau, m, stdout_sha256, ou
     assert hashlib.sha256(out.read_bytes()).hexdigest() == output_sha256
 
 
-def _reference_buffers(grid, placed):
-    """The frozensets canonical_place used to build: every file's anchor
-    expanded over its lattice, the (node, file) pairs sorted, one frozenset
-    per node."""
-    side = grid.side
-    nodes, held = [], []
-    for k in range(grid.nu + 1):
-        ids = np.flatnonzero(placed.levels == k)
-        steps = np.arange(0, side, 2 ** k, dtype=np.int64)
-        ax, ay = placed.anchors[ids, 0], placed.anchors[ids, 1]
-        cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
-        nodes.append(cells.ravel())
-        held.append(np.repeat(ids, steps.size ** 2))
-    nodes = np.concatenate(nodes)
-    held = np.concatenate(held)
-    files = held[np.lexsort((held, nodes))].tolist()
-    bounds = np.zeros(grid.node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=grid.node_count), out=bounds[1:])
-    bounds = bounds.tolist()
+def _reference_buffers(placed):
+    """The frozensets canonical_place used to build, one per node, from the
+    (node, file) key sort (_reference_node_major)."""
+    files, bounds = (v.tolist() for v in _reference_node_major(placed))
     return tuple(frozenset(files[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
@@ -491,7 +476,7 @@ def test_compact_form_matches_buffers_form(case):
     densities = placed.measured_densities()
     assert "buffers" not in vars(placed)
 
-    assert placed.buffers == _reference_buffers(grid, placed)
+    assert placed.buffers == _reference_buffers(placed)
     assert text == _reference_render_matrix(placed)
     assert doc == _reference_to_json(placed)
     # The same placement as buffers takes the lattice-detection path.
@@ -502,6 +487,168 @@ def test_compact_form_matches_buffers_form(case):
     assert hops == total_hop_load(grid, plain, pop)
     assert np.array_equal(densities, plain.measured_densities())
     assert validate_capacity(placed) and validate_capacity(plain)
+
+
+def _reference_rounds(levels, nu):
+    """Anchors and round values by the round loop canonical_place used to
+    run: per level, with o the block read in diagonal order, round w lists
+    in rank order every cell with o <= w, from w = min(o) up, and the
+    level's files (ascending id) take the rounds' cells in turn.  A file's
+    round value is the w of its round.  Checks on the way that occupancy
+    differs by at most 1 between cells before every level."""
+    block = np.zeros((1, 1), dtype=np.int64)
+    anchors = np.zeros((levels.size, 2), dtype=np.int64)
+    values = np.full(levels.size, -1, dtype=np.int64)
+    for k in range(1, nu + 1):
+        ids = np.flatnonzero(levels == k)
+        if ids.size == 0:
+            continue
+        s = 2 ** k
+        copies = s // block.shape[0]
+        block = np.tile(block, (copies, copies))
+        assert block.max() - block.min() <= 1
+        xs, ys = np.array(diagonal_order(k)).T
+        o = block[xs, ys]
+        rounds, w, need = [], int(o.min()), ids.size
+        while need:
+            cells = np.flatnonzero(o <= w)[:need]
+            rounds.append(cells)
+            values[ids[ids.size - need:ids.size - need + cells.size]] = w
+            need -= cells.size
+            w += 1
+        ranks = np.concatenate(rounds)
+        ax, ay = xs[ranks], ys[ranks]
+        block += np.bincount(ax * s + ay, minlength=s * s).reshape(s, s)
+        anchors[ids, 0], anchors[ids, 1] = ax, ay
+    return anchors, values
+
+
+@st.composite
+def _level_sets(draw):
+    """(nu, levels): random levels for 1..300 files, sorted or not."""
+    nu = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.integers(0, nu), min_size=1, max_size=300))
+    if draw(st.booleans()):
+        levels.sort()
+    return nu, levels
+
+
+def _place_levels(nu, levels, tau=0.8):
+    """canonical_place on the given levels at the least capacity they fit."""
+    levels = np.array(levels, dtype=np.int64)
+    counts = np.bincount(levels, minlength=nu + 1)
+    replicas = sum(int(c) * 4 ** (nu - k) for k, c in enumerate(counts) if k)
+    cap = int(counts[0]) - (-replicas // 4**nu) or 1
+    canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+    return canonical_place(GridSpec(nu=nu), canon, zipf(levels.size, tau), cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_sets())
+# Several rounds at level 1 after a partly filled level, and one file per level.
+@example((2, [1] * 9 + [2] * 7))
+@example((3, [1, 2, 3]))
+# Unsorted: a level-0 file last, level 1 after level 2.
+@example((2, [2, 2, 1, 2, 1, 0]))
+def test_closed_form_rounds_match_reference_loop(case):
+    nu, levels = case
+    placed = _place_levels(nu, levels)
+    anchors, values = _reference_rounds(placed.levels, nu)
+    assert np.array_equal(placed.anchors, anchors)
+    closed = np.full(placed.levels.size, -1, dtype=np.int64)
+    for _k, ids, w in placement._water_fill(*placement._level_groups(placed.levels, nu)):
+        closed[ids] = w
+    assert np.array_equal(closed, values)
+
+
+def _reference_node_major(placed):
+    """Every held id, grouped by node in row-major order and ascending
+    within a node, and the offsets of each node's ids: by one sort of
+    (node, file) keys for a compact placement, as the per-node view used to
+    be built, and from the sorted buffers otherwise."""
+    if placed.levels is None:
+        sizes = np.array([len(b) for b in placed.buffers], dtype=np.int64)
+        files = np.array([m for b in placed.buffers for m in sorted(b)], dtype=np.int64)
+    else:
+        side, count = placed.grid.side, placed.file_count
+        keys = []
+        for k in np.unique(placed.levels).tolist():
+            ids = np.flatnonzero(placed.levels == k)
+            steps = np.arange(0, side, 2 ** k, dtype=np.int64)
+            ax, ay = placed.anchors[ids, 0], placed.anchors[ids, 1]
+            cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
+            keys.append((cells * count + ids[:, None, None]).ravel())
+        nodes, files = np.divmod(np.sort(np.concatenate(keys)), count)
+        sizes = np.bincount(nodes, minlength=placed.grid.node_count)
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return files, bounds
+
+
+def _assert_node_table_matches_reference(placed):
+    files, bounds = _reference_node_major(placed)
+    sizes = np.diff(bounds)
+    table = placed._node_table
+    expect = np.full((sizes.size, sizes.max()), -1, dtype=np.int64)
+    expect[np.arange(expect.shape[1]) < sizes[:, None]] = files
+    assert table.dtype == np.int64 and np.array_equal(table, expect)
+    assert not table.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compact_cases())
+# tau = 0 ties, all at level nu, and random unsorted levels with level 0.
+@example((3, 2, 0.0, 100))
+@example((2, 3, 0.0, [2, 1, 0, 2, 2, 1, 1]))
+# Side-2 grids: a level-0 file with level-1 files, and a solved catalog.
+@example((1, 2, 0.8, [0, 1, 1, 1]))
+@example((1, 1, 2.0, 4))
+# Nodes left empty: one file on the 64-node grid.
+@example((3, 1, 0.8, [3]))
+def test_compact_node_table_matches_node_file_sort(case):
+    nu, cap, tau, catalog = case
+    grid = GridSpec(nu=nu)
+    if isinstance(catalog, int):
+        pop = zipf(catalog, tau)
+        canon = canonical_truncate(solve_cd(grid.node_count, float(cap), pop))
+    else:
+        pop = zipf(len(catalog), tau)
+        canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
+    _assert_node_table_matches_reference(canonical_place(grid, canon, pop, cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_buffer_placements())
+def test_buffer_node_table_matches_sorted_buffers(placed):
+    _assert_node_table_matches_reference(placed)
+
+
+def test_skewed_buffer_node_table():
+    # One node holds 300 files, far above the mean of under one per node;
+    # every other row is padding past its one or no id.
+    grid = GridSpec(nu=3)
+    buffers = [frozenset({m % 7}) if m % 3 else frozenset() for m in range(grid.node_count)]
+    buffers[37] = frozenset(range(300))
+    placed = CachePlacement(grid=grid, capacity=300, file_count=300, buffers=buffers)
+    _assert_node_table_matches_reference(placed)
+    assert placed._node_table.shape == (64, 300)
+    assert render_matrix(placed) == _reference_render_matrix(placed)
+    assert placed.to_json() == _reference_to_json(placed)
+    assert validate_capacity(placed)
+    assert not validate_capacity(
+        CachePlacement(grid=grid, capacity=299, file_count=300, buffers=buffers)
+    )
+
+
+@pytest.mark.parametrize("tau, m", [(0.8, 0.5), (2.0, 1.75), (0.0, 2.0)])
+def test_delivery_builds_no_node_table(tau, m):
+    grid = GridSpec(nu=4)
+    pop = zipf(max(1, int(m * grid.node_count) - (tau == 0.0)), tau)
+    placed = canonical_place(grid, canonical_truncate(solve_cd(grid.node_count, 2.0, pop)), pop, 2)
+    link_loads(grid, placed, pop)
+    total_hop_load(grid, placed, pop)
+    placed.measured_densities()
+    assert "_node_table" not in vars(placed) and "buffers" not in vars(placed)
 
 
 def test_simulate_builds_no_buffers(monkeypatch, capsys):
@@ -522,6 +669,7 @@ def test_simulate_builds_no_buffers(monkeypatch, capsys):
     assert "load_identity_residual" in capsys.readouterr().out
     assert len(placed) == 3
     assert all("buffers" not in vars(p) and p.levels is not None for p in placed)
+    assert all("_node_table" not in vars(p) for p in placed)
     assert all("_hops" not in vars(p) for p in placed)
 
 
