@@ -581,21 +581,27 @@ class SweepResult:
     fitted_exponent_corrected: float
 
 
-def _fit_slope(ms: np.ndarray, cs: np.ndarray, log_power: float) -> tuple[float, float]:
-    x = np.log(ms)
-    raw = float(np.polyfit(x, np.log(cs), 1)[0])
-    corrected = float(np.polyfit(x, np.log(cs) - log_power * np.log(np.log(ms)), 1)[0])
-    return raw, corrected
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of ys on xs, centred on both means.  Each mean
+    and each of the two sums is one math.fsum, which rounds the exact sum of
+    its terms once; tests/test_asymptotics.py states the error bound and
+    checks it against the exact rational slope of the same floats."""
+    n = len(xs)
+    x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [x - x_mean for x in xs]
+    return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
 
 
 def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     """Evaluate the exact capacity across grid sizes and fit its growth.
 
     ``m_of_n`` maps the node count N to the catalog size M.  The growth
-    exponent of C in M is fitted by least squares on the largest decade of
-    M (all points if fewer than three fall in it); a second fit removes the
-    predicted log-M factor first.  The fitted points need C > 0 and at
-    least two distinct M, else there is no slope to fit (InvalidInputError).
+    exponent of C in M is the exact centred least-squares slope of ln C on
+    ln M (see _slope) over the largest decade of M (the last three points
+    if fewer than three fall in it); the corrected exponent is the same
+    slope after the predicted b ln ln M term is taken off ln C.  The fitted
+    points need C > 0 and at least two distinct M (distinct ln M), else
+    there is no slope to fit (InvalidInputError).
     """
     nus = list(nus)
     if len(nus) < 3:
@@ -610,11 +616,12 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
         _check_instance(tau, capacity, m, n)
         _check_exact_indices(capacity, n, f"at nu = {nu}, ")
         sizes.append((nu, n, m))
-    points = []
-    # One set of power sums per exponent and one head-size scan serve every
-    # point of this call.
+    # One head-size scan and one set of power sums per exponent serve every
+    # point of this call.  The scan comes first: past the tau at which it
+    # fails, the power sums' direct terms alone would fill memory.
+    l_hat = _l_hat_scan(tau, capacity) if tau > 1.5 + _TAU_TOL else None
     q_sums, p_sums = _PowerSums(2.0 * tau / 3.0), _PowerSums(tau)
-    l_hat = None
+    points = []
     for nu, n, m in sizes:
         l, r = _zipf_split(n, capacity, m, tau, q_sums)
         c_value = _zipf_breakdown(n, capacity, m, tau, l, r, q_sums, p_sums).c_total
@@ -622,8 +629,6 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
             raise InternalInvariantError(
                 f"capacity {c_value} exceeds the O(sqrt(N)) guard at N={n}"
             )
-        if l_hat is None and tau > 1.5 + _TAU_TOL:
-            l_hat = _l_hat_scan(tau, capacity)
         regime = _regime(tau, capacity, m, n, l_hat)
         points.append(
             SweepPoint(
@@ -640,19 +645,23 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
         )
     _, _, law, expo, log_expo = regime  # the law of the last point
 
-    ms = np.array([pt.m_count for pt in points], dtype=float)
-    cs = np.array([pt.c_value for pt in points], dtype=float)
-    top = ms >= ms.max() / 10.0
-    if top.sum() < 3:
-        top = np.zeros_like(top)
-        top[-3:] = True
-    if np.any(cs[top] <= 0.0):
+    ms = [pt.m_count for pt in points]
+    cut = max(ms) / 10.0
+    top = [i for i, m in enumerate(ms) if m >= cut]
+    if len(top) < 3:
+        top = range(len(ms) - 3, len(ms))
+    cs = [points[i].c_value for i in top]
+    if any(c <= 0.0 for c in cs):
         raise InvalidInputError("cannot fit a growth exponent: C = 0 at a fitted point")
-    if np.unique(ms[top]).size < 2:
+    # The fit sees ln M: catalog sizes whose logarithms round alike count as one.
+    x = [math.log(ms[i]) for i in top]
+    if len(set(x)) < 2:
         raise InvalidInputError(
             "cannot fit a growth exponent: the fitted points need two distinct M"
         )
-    raw, corrected = _fit_slope(ms[top], cs[top], log_expo)
+    y = [math.log(c) for c in cs]
+    raw = _slope(x, y)
+    corrected = _slope(x, [v - log_expo * math.log(u) for u, v in zip(x, y)])
     return SweepResult(
         points=tuple(points),
         predicted_exponent=expo,

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from replicagrid import asymptotics
+from replicagrid import asymptotics, cli
 from replicagrid.asymptotics import (
     SMALL_SLACK,
     _l_hat_scan,
     _r_hat_small_slack,
     _regime,
+    _slope,
     _zeta,
     analytic_capacity,
     capacity_breakdown,
@@ -145,6 +152,112 @@ def test_sweep_theta1_law():
     res = sweep(2.0, 2.0, lambda n: int(n ** 0.6), range(5, 11))
     assert abs(res.fitted_exponent) <= 0.1
     assert res.predicted_exponent == 0.0
+
+
+@pytest.mark.parametrize("tau", [1.5e6, 1e308])
+def test_sweep_scans_the_head_before_any_power_sum(monkeypatch, tau):
+    """Past the tau at which the head-size scan fails, the power sums'
+    direct terms alone (about 2 tau / 3 of them) would be millions of
+    floats, and at 1e308, 2 tau / 3 is inf: the scan must refuse first."""
+
+    def refuse(s):
+        raise AssertionError(f"power sums built at s = {s}")
+
+    monkeypatch.setattr(asymptotics, "_PowerSums", refuse)
+    with pytest.raises(InvalidInputError, match="too large for the head-size scan"):
+        sweep(tau, 2.0, lambda n: n, [3, 4, 5])
+
+
+_U = Fraction(1, 2**53)
+
+
+def _exact_slope(xs, ys) -> Fraction:
+    """Least-squares slope of the floats xs, ys in rational arithmetic."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return sxy / sum((x - x_mean) ** 2 for x in xs)
+
+
+# Zero or at least 1e-100 in size, so no deviation, product or sum of
+# products that _slope forms underflows (the deviations are multiples of
+# 2^-441, their products of 2^-934 when non-zero), and nothing overflows.
+_moderate = st.one_of(st.just(0.0), st.floats(1e-100, 1e3), st.floats(-1e3, -1e-100))
+_ADJACENT = math.nextafter(math.log(2.0**53), math.inf)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_moderate, _moderate), min_size=3, max_size=12).filter(
+        lambda pts: len({x for x, _ in pts}) >= 2
+    )
+)
+@example([(math.log(2.0**53), 0.0), (_ADJACENT, 1.0), (math.log(2.0**53), 0.5)])
+@example([(math.log(64.0), 0.1), (math.log(256.0), 0.1), (math.log(1024.0), 0.1)])
+def test_slope_is_within_its_bound_of_the_exact_slope(points):
+    """_slope against the exact slope b of the same floats, u = 2^-53.
+
+    The computed means are within ex = 3u |x_mean| and ey = 3u |y_mean| of
+    the exact ones (fsum rounds once, the division once).  With a, c the
+    computed means and dx, dy the deviations from them, sum dx dy = Sxy + n (x_mean - a)
+    (y_mean - c) and sum dx^2 = Sxx + n (x_mean - a)^2 exactly, so the
+    means move the slope by at most m = n ex (ey + ex |b|) / Sxx.  Each
+    term dx dy is three roundings off, dx^2 also; each fsum adds one, the
+    final division one more.  So the numerator is within 4u A of its exact
+    value, A the sum of (|x - x_mean| + ex)(|y - y_mean| + ey), the
+    denominator within a relative 4u, and |result - b| <= 1.01 (m +
+    4u A / Sxx + 5u |b|), the 1.01 covering the second-order terms.  The
+    bound is relative (5u) where the deviations do not cancel, and grows
+    only with the inputs' own conditioning.
+    """
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    exact = _exact_slope(xs, ys)
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n = len(fx)
+    x_mean, y_mean = sum(fx) / n, sum(fy) / n
+    sxx = sum((x - x_mean) ** 2 for x in fx)
+    ex, ey = 3 * _U * abs(x_mean), 3 * _U * abs(y_mean)
+    a = sum((abs(x - x_mean) + ex) * (abs(y - y_mean) + ey) for x, y in zip(fx, fy))
+    m = n * ex * (ey + ex * abs(exact)) / sxx
+    bound = Fraction(101, 100) * (m + 4 * _U * a / sxx + 5 * _U * abs(exact))
+    assert abs(Fraction(_slope(xs, ys)) - exact) <= bound
+
+
+# The benchmark's 21 sweeps, then the two pinned sweeps past them whose
+# printed exponents moved when np.polyfit gave way to _slope (the third,
+# tau 1.5 with M = 0.5 N, is one of the 21).
+_FIT_CALLS = [
+    (tau, 2.0, m, range(3, 11))
+    for tau in (0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0)
+    for m in ("N^0.6", "0.5*N", "1.75*N")
+] + [(3.0, 2.0, "N^0.6", range(3, 12)), (4.0, 17.0, "1.75*N", range(3, 12))]
+
+
+def _digits(value: Fraction) -> str:
+    """value correctly rounded to 12 significant digits, as the CLI prints."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        decimal = Decimal(value.numerator) / Decimal(value.denominator)
+    return f"{float(f'{decimal:.12g}'):.12g}"
+
+
+@pytest.mark.parametrize("tau, k, m_expr, nus", _FIT_CALLS)
+def test_sweep_prints_the_exact_slope_to_12_digits(tau, k, m_expr, nus):
+    out = io.StringIO()
+    argv = ["sweep", "--K", f"{k:g}", "--M", m_expr, "--tau", f"{tau:g}",
+            "--nus", ",".join(map(str, nus))]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    printed = dict(line.split(" = ", 1) for line in out.getvalue().splitlines() if " = " in line)
+    res = sweep(tau, k, lambda n: cli.parse_m_expression(m_expr, n, k), nus)
+    ms = [pt.m_count for pt in res.points]
+    top = [pt for pt in res.points if pt.m_count >= max(ms) / 10.0]
+    top = top if len(top) >= 3 else res.points[-3:]
+    xs = [math.log(pt.m_count) for pt in top]
+    ys = [math.log(pt.c_value) for pt in top]
+    corrected = [y - res.predicted_log_exponent * math.log(x) for x, y in zip(xs, ys)]
+    assert printed["fitted_exponent"] == _digits(_exact_slope(xs, ys))
+    assert printed["fitted_exponent_corrected"] == _digits(_exact_slope(xs, corrected))
 
 
 def test_estimators_match_solver_in_omega1_slack():

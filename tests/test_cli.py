@@ -201,6 +201,16 @@ def test_sweep_bounds_are_checked_before_any_point(capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tau", ["1e308", "1.5e7"])
+def test_sweep_at_a_huge_tau_exits_2_before_any_power_sum(capsys, monkeypatch, tau):
+    """2 tau / 3 is inf at 1e308; at 1.5e7 the power sums' direct terms
+    alone would take gigabytes.  The head-size scan refuses both first."""
+    monkeypatch.setattr(asymptotics, "_PowerSums", lambda s: pytest.fail("power sums built"))
+    code, out, err = run(capsys, "sweep", "--K", "2", "--M", "N", "--nus", "3,4,5", "--tau", tau)
+    assert (code, out) == (2, "")
+    assert err == f"error: K = 2 is too large for the head-size scan at tau = {float(tau):g}\n"
+
+
 def test_sweep_reaches_k_n_of_2_to_the_53(capsys):
     code, out, _ = run(capsys, "sweep", "--K", "2", "--M", "N", "--tau", "1", "--nus", "3,4,26")
     assert code == 0
@@ -289,9 +299,11 @@ def _sweep_classify_grid():
 
 def test_sweep_and_classify_grid_is_pinned(capsys, tmp_path):
     """Exit code, stdout, stderr and --output file of 836 calls, in one
-    SHA-256 recorded before the split search filtered its probes with
-    estimates.  To find a call that differs, print the per-call digests
-    here and at an earlier commit and compare them."""
+    SHA-256, unchanged since the split search filtered its probes with
+    estimates but for three fitted exponents, each moved in its 12th digit
+    to the exact least-squares slope when np.polyfit gave way to fsum
+    sums.  To find a call that differs, print the per-call digests here
+    and at an earlier commit and compare them."""
     digest = hashlib.sha256()
     out_path = tmp_path / "sweep.csv"
     for argv in _sweep_classify_grid():
@@ -304,7 +316,7 @@ def test_sweep_and_classify_grid_is_pinned(capsys, tmp_path):
         for part in (" ".join(argv[:-2] if argv[0] == "sweep" else argv), str(code), out, err):
             digest.update(part.encode() + b"\0")
         digest.update(written + b"\n")
-    assert digest.hexdigest() == "d0db857f7f1e1a7d22e2fdee99349cc7f8197939b2d49b9e6c4b508cd8f2f7f7"
+    assert digest.hexdigest() == "f33d429dde21c11b8cb74d79570f37867930b4c6a18a0a72d665ddcd18703ab5"
 
 
 def test_oracle_commands(capsys, tmp_path):
@@ -369,6 +381,8 @@ def test_determinism(capsys):
         ("sweep --nus 1,2,3 --K 100 --M 5 --tau 1", None),  # C = 0 at every point
         ("sweep --nus 0,3,4 --K 2 --M N --tau 2", None),  # C = 0 at nu = 0
         ("sweep --nus 3,3,3 --K 2 --M N --tau 1", None),  # one M: no slope to fit
+        # Two M whose logarithms round to one float: no slope to fit either.
+        ("sweep --K 2 --M 2251799813680000*N^0.00000000000000006 --tau 0.5 --nus 25,26,26", None),
         ("classify --nu 4 --K 1e300 --M 3 --tau 5", None),
     ],
 )
