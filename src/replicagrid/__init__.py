@@ -3,14 +3,14 @@
 Solves the continuous replication-density problem exactly, truncates the
 densities to powers of 1/4, tiles the resulting replicas onto a square
 torus, simulates nearest-replica shortest-path delivery, and checks the
-closed-form scaling laws — with brute-force baselines for all of it.
+closed-form scaling laws — with brute-force baselines for the placement
+and density optima.
 """
 
 from .asymptotics import (
     CapacityBreakdown,
     RegimeReport,
     SweepResult,
-    analytic_capacity,
     classify_regime,
     estimate_l_hat,
     estimate_r_hat,
@@ -38,15 +38,7 @@ from .density import (
 )
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
 from .grid import GridSpec, hop_distance
-from .oracle import (
-    OracleResult,
-    RouteSet,
-    brute_force_an,
-    brute_force_cd,
-    enumerate_cluster,
-    serve_map,
-    shortest_routes,
-)
+from .oracle import OracleResult, brute_force_an, brute_force_cd
 from .placement import (
     CachePlacement,
     canonical_place,
@@ -60,7 +52,6 @@ __all__ = [
     "CapacityBreakdown",
     "RegimeReport",
     "SweepResult",
-    "analytic_capacity",
     "classify_regime",
     "estimate_l_hat",
     "estimate_r_hat",
@@ -71,7 +62,6 @@ __all__ = [
     "link_loads",
     "per_file_link_bound",
     "rhombus_lower_hop_sum",
-    "serve_map",
     "total_hop_load",
     "worst_link",
     "CanonicalProfile",
@@ -86,13 +76,10 @@ __all__ = [
     "InternalInvariantError",
     "InvalidInputError",
     "GridSpec",
-    "RouteSet",
     "hop_distance",
-    "shortest_routes",
     "OracleResult",
     "brute_force_an",
     "brute_force_cd",
-    "enumerate_cluster",
     "CachePlacement",
     "canonical_place",
     "diagonal_order",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityProfile, _interior_cap, _split_indices, solve_cd
+from .density import DensityProfile, _interior_cap, _split_indices
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
 from .popularity import Popularity, harmonic
 
@@ -120,11 +120,6 @@ def capacity_breakdown(profile: DensityProfile, pop: Popularity) -> CapacityBrea
     return CapacityBreakdown(
         c_total=c_total, c_mid=c_mid, c_down=c_down, k_mid=k_mid, tail=tail
     )
-
-
-def analytic_capacity(n_nodes: int, capacity: float, pop: Popularity) -> CapacityBreakdown:
-    """Exact capacity value (without the sqrt(2)/6 factor) and its split."""
-    return capacity_breakdown(solve_cd(n_nodes, capacity, pop), pop)
 
 
 class _PowerSums:
@@ -319,11 +314,16 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
         return (k_eff - cand + 1) * cand ** (-s) < _zeta(s, cand)
 
     lo, hi = 2, int(math.floor(k_eff + 1e-12)) + 1
-    if hi > 2**53 or hi ** -s < sys.float_info.min:
-        # Candidates past 2^53 are not exact floats; past the underflow both
-        # sides of the comparison lose their digits.
+    # Candidates past 2^53 are not exact floats; past the underflow both
+    # sides of the comparison lose their digits.
+    if hi > 2**53:
         raise InvalidInputError(
             f"K = {k_eff:g} is too large for the head-size scan at tau = {tau:g}"
+        )
+    if hi ** -s < sys.float_info.min:
+        raise InvalidInputError(
+            f"tau = {tau:g} is too large for the head-size scan at K = {k_eff:g}: "
+            f"the candidate power {hi}^(-2 tau / 3) underflows"
         )
     if hi < lo or not upper(hi):
         return 1

@@ -137,12 +137,10 @@ def _output_path(args, config) -> str | None:
     return path
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_output(path: str, write) -> None:
+    """Open the --output file for binary writing and pass it to write."""
+    with open(path, "wb") as fh:
+        write(fh)
 
 
 def cmd_solve(args, config) -> int:
@@ -174,7 +172,7 @@ def cmd_solve(args, config) -> int:
     upper = 2.0 * exact + math.sqrt(2.0) / 6.0
     print(f"sandwich_upper_margin = {_fmt(upper - canonical_cost)}")
     if out is not None:
-        _write_or_print(profile.to_json() + "\n", out)
+        _write_output(out, lambda fh: fh.writelines((profile.to_json().encode(), b"\n")))
     return 0
 
 
@@ -200,7 +198,7 @@ def cmd_place(args, config) -> int:
     print(placement.render_matrix(placed))
     print(f"valid = {str(placement.validate_capacity(placed)).lower()}")
     if out is not None:
-        _write_or_print(placed.to_json() + "\n", out)
+        _write_output(out, lambda fh: fh.writelines((placed.to_json(), b"\n")))
     return 0
 
 
@@ -224,7 +222,7 @@ def cmd_simulate(args, config) -> int:
     print(f"lemma3_margin = {_fmt(avg - lemma3)}")
     print(f"theorem9_margin = {_fmt(theorem9_cap - avg)}")
     if out is not None:
-        _write_or_print(delivery.to_csv(loads), out)
+        _write_output(out, lambda fh: delivery.to_csv(loads, fh))
     return 0
 
 
@@ -247,7 +245,10 @@ def cmd_sweep(args, config) -> int:
     print(f"fitted_exponent = {_fmt(result.fitted_exponent)}")
     print(f"fitted_exponent_corrected = {_fmt(result.fitted_exponent_corrected)}")
     csv_text = asymptotics.sweep_to_csv(result)
-    _write_or_print(csv_text, out)
+    if out is None:
+        print(csv_text, end="")
+    else:
+        _write_output(out, lambda fh: fh.write(csv_text.encode()))
     return 0
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -420,13 +421,15 @@ def per_file_link_bound(
     return True
 
 
-def to_csv(load_map: LinkLoadMap) -> str:
-    """CSV rendering: link_index, origin_x, origin_y, axis, load + summary.
+def to_csv(load_map: LinkLoadMap, fh: BinaryIO) -> None:
+    """Write the CSV rendering to the binary file fh: link_index, origin_x,
+    origin_y, axis, load, then the summary rows.
 
     Each link is one NUL-padded byte row, 'idx,x,y,axis,load' and a
     newline.  Blocks of rows hold whole origin rows x (2 * side links), so
     a block writes each x once and every ',y,axis,' from one (side, 2)
-    table.
+    table; each block is written as it is made, so the CSV is never held
+    whole.
     """
     grid = load_map.grid
     worst, avg = worst_link(load_map), avg_link(load_map)
@@ -465,8 +468,6 @@ def to_csv(load_map: LinkLoadMap) -> str:
         return block
 
     step = 2 * side * max(1, _TEXT_ROWS // (2 * side))
-    return b"".join((
-        b"link_index,origin_x,origin_y,axis,load\n",
-        *_text_blocks(loads.size, step, rows),
-        f"summary,,,worst,{worst:.12g}\nsummary,,,avg,{avg:.12g}\n".encode(),
-    )).decode("ascii")
+    fh.write(b"link_index,origin_x,origin_y,axis,load\n")
+    fh.writelines(_text_blocks(loads.size, step, rows))
+    fh.write(f"summary,,,worst,{worst:.12g}\nsummary,,,avg,{avg:.12g}\n".encode())

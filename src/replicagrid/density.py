@@ -185,8 +185,10 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
 
     if k_cap >= m_count:
         # Slack capacity: everything cached everywhere, constraint inactive.
+        densities = np.ones(m_count)
+        densities.setflags(write=False)
         return DensityProfile(
-            densities=np.ones(m_count),
+            densities=densities,
             l_index=m_count + 1,
             r_index=m_count + 1,
             mu=0.0,
@@ -217,9 +219,8 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
         lo_mu = 0.5 * p[r - 1] * n ** 1.5 if r <= m_count else 0.0
         hi_mu = 0.5 * p[l - 2] if l > 1 else math.inf
         mu = lo_mu if math.isinf(hi_mu) else 0.5 * (lo_mu + hi_mu)
-    # d stays writable, so DensityProfile copies it: freezing it here saves the
-    # copy but raised the benchmark sweep's peak RSS (glibc's mmap threshold).
-    del q, prefix  # free them before DensityProfile copies d
+    del q, prefix
+    d.setflags(write=False)  # read-only and owned, so DensityProfile keeps it
 
     total = float(d.sum())
     tol = 1e-9 * max(1.0, k_cap)  # the prefix sums and d.sum() round relative to K

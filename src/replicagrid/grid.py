@@ -51,10 +51,6 @@ class GridSpec:
             for y in range(side):
                 yield (x, y)
 
-    def node_index(self, node: Node) -> int:
-        x, y = node
-        return x * self.side + y
-
     def check_node(self, node: Node) -> None:
         x, y = node
         side = self.side

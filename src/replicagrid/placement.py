@@ -49,11 +49,11 @@ class CachePlacement:
     file m is held on the 2^levels[m]-periodic lattice through anchors[m],
     its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
     In the compact form buffers is built on first read; delivery,
-    measured_densities and the renderers never read it.  The node table
+    replica_nodes, measured_densities and the renderers never read it.  The node table
     (_node_table) is built on first read and kept; delivery of a compact
-    placement never reads it.  Delivery reads the replica table and lattice
-    levels (_replicas), built on first read and kept; of a compact
-    placement only the per-file calls read them.  Delivery also keeps each
+    placement never reads it.  Delivery and replica_nodes read the replica
+    table and lattice levels (_replicas), built on first read and kept; of
+    a compact placement only the per-file calls read them.  Delivery also keeps each
     off-lattice file's hop total in _hops, M int64 values made on first
     use; a compact placement never makes it.
     """
@@ -150,11 +150,12 @@ class CachePlacement:
         return np.bincount(table[table >= 0], minlength=self.file_count)
 
     def replica_nodes(self, m: int) -> list[Node]:
-        """Nodes holding file m, row-major order."""
+        """Nodes holding file m, row-major order: its rows of the replica
+        table."""
         if not (0 <= m < self.file_count):
             raise InvalidInputError(f"file id {m} outside 0..{self.file_count - 1}")
-        side = self.grid.side
-        return [divmod(i, side) for i, buf in enumerate(self.buffers) if m in buf]
+        coords, offsets, _ = self._replicas
+        return list(map(tuple, coords[offsets[m]:offsets[m + 1]].tolist()))
 
     def measured_densities(self) -> np.ndarray:
         """Fraction of caches holding each file."""
@@ -170,8 +171,9 @@ class CachePlacement:
             raise InvalidInputError(f"file id {high} outside 0..{self.file_count - 1}")
         return table
 
-    def to_json(self) -> str:
-        """The header, then '"x,y": [ids]' per node in row-major order.
+    def to_json(self) -> bytes:
+        """The header, then '"x,y": [ids]' per node in row-major order, as
+        ASCII bytes.
 
         Node i's text is row i of an NUL-padded byte table: its key, one
         fixed-width cell per slot of the node table (the id, after ', ' past
@@ -183,7 +185,7 @@ class CachePlacement:
             "capacity": self.capacity,
             "file_count": self.file_count,
             "buffers": {},
-        })
+        }).encode()
         table = self._checked_table()
         side, (n, width) = self.grid.side, table.shape
         ids = _decimal_digits(np.maximum(table, 0).ravel())
@@ -204,13 +206,13 @@ class CachePlacement:
         cells[table < 0] = 0
         text[..., -3:] = list(b"], ")
         # The last node's '], ' loses its ', ' to the closing '}}'.
-        return head[:-2] + text.tobytes().translate(None, b"\0")[:-2].decode("ascii") + "}}"
+        return head[:-2] + text.tobytes().translate(None, b"\0")[:-2] + b"}}"
 
 
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
-    each file's rows in row-major order (the order of replica_nodes), and the
-    M + 1 offsets of each file's rows, from the placement's node table.
+    each file's rows in row-major order, and the M + 1 offsets of each
+    file's rows, from the placement's node table.
 
     Raises on an id outside the catalog, as the renderers do.
     """

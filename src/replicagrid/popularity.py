@@ -70,8 +70,13 @@ def zipf(m_count: int, tau: float) -> Popularity:
         raise InvalidInputError(f"M = {m_count} files is too many to allocate") from exc
     probs **= -float(tau)  # in place; keeps numpy's fast paths (tau = 1: reciprocal)
     probs /= probs.sum()
-    # Left writable, so Popularity copies it: freezing it here saves the copy
-    # but raised the benchmark sweep's peak RSS (glibc's mmap threshold).
+    if probs[-1] == 0.0:
+        first = np.count_nonzero(probs) + 1
+        raise InvalidInputError(
+            f"tau = {tau:g} is too large for M = {m_count} files: "
+            f"the Zipf popularity of file {first} underflows to 0"
+        )
+    probs.setflags(write=False)  # read-only and owned, so Popularity keeps it
     return Popularity(probs=probs, tau=float(tau))
 
 

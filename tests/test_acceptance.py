@@ -19,10 +19,11 @@ from replicagrid.density import (
     solve_cd,
 )
 from replicagrid.grid import GridSpec
-from replicagrid.oracle import brute_force_an, brute_force_cd, enumerate_cluster
+from replicagrid.oracle import brute_force_an, brute_force_cd
 from replicagrid.placement import CachePlacement, canonical_place, validate_capacity
 from replicagrid.popularity import Popularity, zipf
 from replicagrid.asymptotics import estimate_l_hat, estimate_r_hat, sweep
+from route_walker import enumerate_cluster
 
 
 def _report(num: int, desc: str, ok: bool) -> None:

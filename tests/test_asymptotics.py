@@ -18,7 +18,6 @@ from replicagrid.asymptotics import (
     _regime,
     _slope,
     _zeta,
-    analytic_capacity,
     capacity_breakdown,
     classify_regime,
     estimate_l_hat,
@@ -32,16 +31,19 @@ from replicagrid.popularity import Popularity, harmonic, zipf
 
 
 def test_breakdown_reference_value():
-    bd = analytic_capacity(4, 1.0, Popularity(np.array([0.7, 0.2, 0.1])))
+    pop = Popularity(np.array([0.7, 0.2, 0.1]))
+    bd = capacity_breakdown(solve_cd(4, 1.0, pop), pop)
     expect = 0.7 * (math.sqrt(2) - 1) + 0.3 * 1.0
     assert math.isclose(bd.c_total, expect, rel_tol=1e-12)
 
 
 def test_breakdown_trivial_cases():
-    bd = analytic_capacity(4, 3.0, Popularity(np.array([0.5, 0.3, 0.2])))
+    pop = Popularity(np.array([0.5, 0.3, 0.2]))
+    bd = capacity_breakdown(solve_cd(4, 3.0, pop), pop)
     assert bd.c_total == 0.0 and bd.c_down == 0.0 and bd.tail == 0.0
     # Empty down-truncated set: c_down = 0.
-    bd = analytic_capacity(1024, 2.0, zipf(64, 1.0))
+    pop = zipf(64, 1.0)
+    bd = capacity_breakdown(solve_cd(1024, 2.0, pop), pop)
     assert bd.c_down == 0.0
 
 
@@ -164,7 +166,7 @@ def test_sweep_scans_the_head_before_any_power_sum(monkeypatch, tau):
         raise AssertionError(f"power sums built at s = {s}")
 
     monkeypatch.setattr(asymptotics, "_PowerSums", refuse)
-    with pytest.raises(InvalidInputError, match="too large for the head-size scan"):
+    with pytest.raises(InvalidInputError, match=r"^tau = .* underflows$"):
         sweep(tau, 2.0, lambda n: n, [3, 4, 5])
 
 

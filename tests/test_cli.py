@@ -208,7 +208,25 @@ def test_sweep_at_a_huge_tau_exits_2_before_any_power_sum(capsys, monkeypatch, t
     monkeypatch.setattr(asymptotics, "_PowerSums", lambda s: pytest.fail("power sums built"))
     code, out, err = run(capsys, "sweep", "--K", "2", "--M", "N", "--nus", "3,4,5", "--tau", tau)
     assert (code, out) == (2, "")
-    assert err == f"error: K = 2 is too large for the head-size scan at tau = {float(tau):g}\n"
+    assert err == (
+        f"error: tau = {float(tau):g} is too large for the head-size scan at K = 2: "
+        "the candidate power 3^(-2 tau / 3) underflows\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, tau, first",
+    [("solve", "1e308", 2), ("solve", "800", 3), ("place", "1e308", 2), ("simulate", "1e308", 2)],
+)
+def test_zipf_underflow_names_tau(capsys, command, tau, first):
+    """i^(-tau) underflows to 0 from file `first` on: the message blames
+    tau, not a catalog the user never gave."""
+    code, out, err = run(capsys, command, "--nu", "3", "--K", "2", "--M", "N", "--tau", tau)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: tau = {float(tau):g} is too large for M = 64 files: "
+        f"the Zipf popularity of file {first} underflows to 0\n"
+    )
 
 
 def test_sweep_reaches_k_n_of_2_to_the_53(capsys):

@@ -1,12 +1,15 @@
+import hashlib
+import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replicagrid import delivery, oracle, placement
+from replicagrid import delivery, placement
 from replicagrid.delivery import (
     avg_link,
     cluster_hop_sum,
@@ -21,9 +24,9 @@ from replicagrid.delivery import (
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import COLUMN, ROW, GridSpec, signed_axis_delta
-from replicagrid.oracle import route_walk_loads, serve_map
 from replicagrid.placement import CachePlacement, canonical_place, render_matrix
 from replicagrid.popularity import Popularity, zipf
+from route_walker import link_index, route_walk_loads, serve_map
 
 
 def _links(grid):
@@ -268,11 +271,18 @@ def test_nu0_grid_rejected():
         link_loads(grid, placed, Popularity(np.array([1.0])))
 
 
+def _csv(load_map):
+    """The CSV that to_csv writes, as text."""
+    fh = io.BytesIO()
+    to_csv(load_map, fh)
+    return fh.getvalue().decode("ascii")
+
+
 def test_csv_export():
     grid = GridSpec(nu=1)
     placed = _single_replica(grid)
     loads = link_loads(grid, placed, Popularity(np.array([1.0])))
-    text = to_csv(loads)
+    text = _csv(loads)
     lines = text.strip().splitlines()
     assert lines[0] == "link_index,origin_x,origin_y,axis,load"
     assert len(lines) == 1 + 8 + 2
@@ -512,10 +522,13 @@ def test_nearest_replica_matches_reference_half_side_offsets(nu, data):
 
 
 def _assert_table_matches_replica_nodes(placed):
+    # The reference scans every node's buffer for the file.
+    side = placed.grid.side
     for m in range(placed.file_count):
+        want = [divmod(i, side) for i, buf in enumerate(placed.buffers) if m in buf]
         reps = _replica_coords(placed, m)
-        assert reps.dtype == np.int64 and reps.shape == (len(placed.replica_nodes(m)), 2)
-        assert [tuple(r) for r in reps.tolist()] == placed.replica_nodes(m)
+        assert reps.dtype == np.int64 and reps.shape == (len(want), 2)
+        assert [tuple(r) for r in reps.tolist()] == want == placed.replica_nodes(m)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
@@ -690,11 +703,44 @@ def test_csv_rows_follow_link_index_rule(nu):
     grid = GridSpec(nu=nu)
     placed = _single_replica(grid, at=(1, 0))
     loads = link_loads(grid, placed, Popularity(np.array([1.0])))
-    rows = to_csv(loads).splitlines()[1:-2]
+    rows = _csv(loads).splitlines()[1:-2]
     assert rows == [
         f"{idx},{x},{y},{axis},{loads.loads[idx]:.12g}"
         for idx, (x, y, axis) in enumerate(_links(grid))
     ]
+
+
+class _HashingSink:
+    """A binary file that keeps only the size and SHA-256 of its bytes."""
+
+    def __init__(self):
+        self.size, self.sha256 = 0, hashlib.sha256()
+
+    def write(self, data):
+        self.size += len(data)
+        self.sha256.update(data)
+
+    def writelines(self, blocks):
+        for data in blocks:
+            self.write(data)
+
+
+def test_csv_is_written_block_by_block():
+    """The nu = 9 CSV of simulate --K 2 --M 1.75*N --tau 2 is 17.7 MB.
+    Joined before writing, it would be held at least once; written as each
+    block is made, only one block's tables (about 2.9 MB) are live."""
+    grid = GridSpec(nu=9)
+    pop = zipf(int(1.75 * grid.node_count), 2.0)
+    loads = link_loads(grid, _canonical(grid, 2, pop), pop)
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        to_csv(loads, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.sha256.hexdigest() == "8fcf17fd2d54cc1eaa12da8101e186a67fbab389eb333ca4367d4eac83f79757"
+    assert peak < sink.size / 2
 
 
 def _reference_to_csv(load_map):
@@ -717,14 +763,14 @@ def test_csv_matches_per_link_reference_canonical(nu, tau, share):
     grid = GridSpec(nu=nu)
     pop = zipf(max(1, int(share * grid.node_count)), tau)
     loads = link_loads(grid, _canonical(grid, 2, pop), pop)
-    assert to_csv(loads) == _reference_to_csv(loads)
+    assert _csv(loads) == _reference_to_csv(loads)
 
 
 def test_csv_matches_per_link_reference_off_lattice():
     grid = GridSpec(nu=4)
     placed = _random_placement(np.random.default_rng(11), grid, 12, 12)
     loads = link_loads(grid, placed, zipf(12, 0.8))
-    assert to_csv(loads) == _reference_to_csv(loads)
+    assert _csv(loads) == _reference_to_csv(loads)
 
 
 @pytest.mark.parametrize(
@@ -740,7 +786,7 @@ def test_csv_matches_per_link_reference_off_lattice():
 )
 def test_csv_matches_per_link_reference_any_loads(nu, loads):
     load_map = delivery.LinkLoadMap(grid=GridSpec(nu=nu), loads=np.array(loads))
-    assert to_csv(load_map) == _reference_to_csv(load_map)
+    assert _csv(load_map) == _reference_to_csv(load_map)
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])
@@ -754,7 +800,7 @@ def test_walker_and_load_map_follow_link_index_rule(nu):
     link_of = {}
     for idx, (x, y, axis) in enumerate(_links(grid)):
         b = (x, (y + 1) % side) if axis == ROW else ((x + 1) % side, y)
-        assert oracle.link_index(grid, (x, y), b) == idx
+        assert link_index(grid, (x, y), b) == idx
         link_of[(x, y), b] = link_of[b, (x, y)] = idx
     counted = np.zeros(2 * grid.node_count)
     for _node, (_server, routes) in serve_map(grid, placed, 0).items():

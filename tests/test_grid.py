@@ -12,7 +12,7 @@ from replicagrid.grid import (
     hop_distance,
     signed_axis_delta,
 )
-from replicagrid.oracle import link_index, shortest_routes
+from route_walker import link_index, shortest_routes
 
 
 def test_grid_spec_basics():

@@ -12,10 +12,10 @@ from replicagrid.oracle import (
     _milp_an,
     brute_force_an,
     brute_force_cd,
-    enumerate_cluster,
 )
 from replicagrid.placement import canonical_place
 from replicagrid.popularity import Popularity, zipf
+from route_walker import enumerate_cluster
 
 
 def test_an_single_file_everywhere():

@@ -273,6 +273,19 @@ def test_replica_nodes_row_major_for_arbitrary_placement():
     assert placed.replica_nodes(0) == []
 
 
+def test_replica_nodes_of_a_compact_placement_reads_its_lattice_without_buffers():
+    grid = GridSpec(nu=6)
+    pop = zipf(int(1.75 * grid.node_count), 2.0)
+    placed = cli._build_placement(grid, 2.0, pop)[1]
+    side = grid.side
+    for m in (0, 8, 1000, pop.m_count - 1):
+        step = 2 ** int(placed.levels[m])
+        ax, ay = placed.anchors[m].tolist()
+        lattice = [(x, y) for x in range(ax, side, step) for y in range(ay, side, step)]
+        assert placed.replica_nodes(m) == lattice
+    assert "buffers" not in vars(placed)
+
+
 def _reference_render_matrix(placement):
     """render_matrix as it was written with one buffer lookup per cell."""
     side = placement.grid.side
@@ -293,7 +306,8 @@ def _reference_render_matrix(placement):
 
 
 def _reference_to_json(placement):
-    """CachePlacement.to_json as it was written with one buffer lookup per cell."""
+    """CachePlacement.to_json's bytes as they were written with one buffer
+    lookup per cell."""
     side = placement.grid.side
     doc = {
         "nu": placement.grid.nu,
@@ -303,7 +317,7 @@ def _reference_to_json(placement):
             f"{x},{y}": sorted(placement.buffers[x * side + y]) for (x, y) in placement.grid.nodes()
         },
     }
-    return json.dumps(doc)
+    return json.dumps(doc).encode()
 
 
 def _renderer_cases():
@@ -386,7 +400,11 @@ def test_buffer_placement_renderers_match_per_cell_reference(placed):
         (40, "file id 40 outside 0..2"),
     ],
 )
-@pytest.mark.parametrize("render", [render_matrix, CachePlacement.to_json], ids=["matrix", "json"])
+@pytest.mark.parametrize(
+    "render",
+    [render_matrix, CachePlacement.to_json, lambda placed: placed.replica_nodes(0)],
+    ids=["matrix", "json", "replica_nodes"],
+)
 def test_renderers_reject_ids_outside_the_catalog(bad, message, render):
     placed = CachePlacement(
         grid=GridSpec(nu=1), capacity=2, file_count=3,

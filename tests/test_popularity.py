@@ -58,6 +58,29 @@ def test_harmonic_too_many_terms_is_invalid():
         harmonic(2.0, 10 ** 300)
 
 
+def test_zipf_hands_over_its_array_without_a_copy():
+    # 2^20 probabilities are 8 MiB; a copy in Popularity would make the
+    # peak about twice that.
+    tracemalloc.start()
+    try:
+        pop = zipf(2**20, 0.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2**20
+    assert not pop.probs.flags.writeable
+
+
+@pytest.mark.parametrize("m, tau, first", [(64, 1e308, 2), (64, 800.0, 3), (3, 1075.0, 2)])
+def test_zipf_names_tau_when_a_popularity_underflows(m, tau, first):
+    with pytest.raises(InvalidInputError) as info:
+        zipf(m, tau)
+    assert str(info.value) == (
+        f"tau = {tau:g} is too large for M = {m} files: "
+        f"the Zipf popularity of file {first} underflows to 0"
+    )
+
+
 def test_harmonic_large_n_memory_is_bounded():
     # Chunked sums: 10^7 terms in one array would take 80 MB.
     tracemalloc.start()
