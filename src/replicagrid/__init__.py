@@ -46,7 +46,7 @@ from .placement import (
     render_matrix,
     validate_capacity,
 )
-from .popularity import Popularity, harmonic, harmonic_bounds, load_popularity, zipf
+from .popularity import Popularity, load_popularity, zipf
 
 __all__ = [
     "CapacityBreakdown",
@@ -86,8 +86,6 @@ __all__ = [
     "render_matrix",
     "validate_capacity",
     "Popularity",
-    "harmonic",
-    "harmonic_bounds",
     "load_popularity",
     "zipf",
 ]

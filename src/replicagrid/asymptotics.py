@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import DensityProfile, _interior_cap, _split_indices
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .popularity import Popularity, harmonic
+from .popularity import Popularity
 
 # Finite-scale proxy for "spare capacity K*N - M stays O(1)".
 SMALL_SLACK = 100.0
@@ -448,9 +448,10 @@ def _r_hat_small_slack(tau: float, slack: float) -> float:
     condition is monotone: doubling brackets r and bisection finds it.
     """
     s = 2.0 * tau / 3.0
+    sums = _PowerSums(s)
 
     def holds(r: int) -> bool:
-        return slack + r <= r ** s * harmonic(s, r)
+        return slack + r <= r ** s * sums(1, r)
 
     lo, hi = 0, 1  # the condition fails at lo (or lo = 0) and holds at hi
     while not holds(hi):

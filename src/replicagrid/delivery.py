@@ -5,18 +5,19 @@ the nearest replica (ties to the north, then west).  I-shaped routes carry
 the full request stream, the two L-shaped routes half each.  Both traffic
 directions accumulate on the same undirected link.
 
-Files held on one 2^k-periodic lattice (every file of a canonical
-placement) are loaded per level in closed form.  Every other file is
-served by one batched kernel: consecutive files in blocks of
-_BLOCK_NODE_FILES node-file pairs, the nearest replica of every node by a
-row pass then a column pass over an integer selection key (_serving_keys),
-and the half-route counts of all files of a block, node-major like the
-loads, from one difference array of line length per axis (_run_counts).
-The grid side is 2^nu, so the kernel indexes by shifts and masks.  The
-replica table and lattice levels of a placement given by buffers are built
-once and kept on it (CachePlacement._replicas).
+The placement's form chooses the path.  A compact placement (every file
+on one 2^k-periodic lattice, as canonical_place makes it) is loaded per
+level in closed form, and its hop total read from one entry per level.
+A placement given by buffers is served file by file by one batched
+kernel: consecutive files in blocks of _BLOCK_NODE_FILES node-file pairs,
+the nearest replica of every node by a row pass then a column pass over
+an integer selection key (_serving_keys), and the half-route counts of
+all files of a block, node-major like the loads, from one difference
+array of line length per axis (_run_counts).  The grid side is 2^nu, so
+the kernel indexes by shifts and masks.  Its replica table is built once
+and kept on the placement (CachePlacement._replicas).
 
-Each file served by the kernel is served once per placement for its hop
+Each file of a placement given by buffers is served once for its hop
 total: link_loads and total_hop_load write the total, the key's hops
 summed over the nodes, into the placement's hop record
 (CachePlacement._hops, M int64 values, -1 until known), and
@@ -41,7 +42,7 @@ from .placement import CachePlacement, _level_groups
 from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
-_BLOCK_NODE_FILES = 2**13  # node-file pairs per block of off-lattice files
+_BLOCK_NODE_FILES = 2**13  # node-file pairs per block of kernel-served files
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,9 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> np.ndarray:
 def _lattice_loads(
     grid: GridSpec, level: np.ndarray, anchors: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column link loads, each (side, side) by owning node, of the
-    lattice files at levels >= 1 with the given anchors and request weights.
+    """Row and column link loads, each (side, side) by owning node, of a
+    compact placement's files with the given levels, anchors and request
+    weights (files at level 0 are held everywhere and load nothing).
 
     One replica at (0, 0) on a 2^k torus of side s loads row link (x, y)
     with (w/2) h[y] (1 + s [x == 0]), h[y] = |y - s/2|, and column links
@@ -241,24 +243,20 @@ def _check_grid(grid: GridSpec, placement: CachePlacement) -> None:
 
 
 def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
-    """Each file's lattice level (-1 off any lattice) and anchor, then the
-    replica table and its offsets, after checking the grid and the sizes.
-
-    A compact placement gives its own levels and anchors and no table: all
-    its files are lattice files.  Otherwise they come from the placement's
-    catalog, built on its first read (CachePlacement._replicas), and a file
-    cached nowhere is an error.
-    """
+    """After checking the grid and the sizes, a placement given by buffers'
+    replica table and its offsets (CachePlacement._replicas, built on first
+    read), where a file cached nowhere is an error; None for a compact
+    placement."""
     _check_grid(grid, placement)
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
     if placement.levels is not None:
-        return placement.levels, placement.anchors, None, None
-    coords, offsets, levels = placement._replicas
+        return None
+    coords, offsets = placement._replicas
     empty = np.flatnonzero(offsets[1:] == offsets[:-1])
     if empty.size:
         raise InvalidInputError(f"file {empty[0]} is cached nowhere")
-    return levels, coords[offsets[:-1]], coords, offsets
+    return coords, offsets
 
 
 def _record_hops(
@@ -272,29 +270,30 @@ def _record_hops(
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
     """Accumulate per-link traffic over all files.
 
-    Lattice files (every file of a canonical placement) are summed per level
-    in closed form; every other file is served in blocks of consecutive
-    files (_blocks, _serving_keys) and its half-route counts are added to
-    the loads file by file, in file order.  The hop totals of those files
-    go into the placement's hop record on the way (_record_hops), so a
-    later total_hop_load serves none of them again; the loads are not
-    kept.  Requires a nu >= 1 grid; the single-node grid has no links to
-    load.
+    A compact placement is summed per level in closed form
+    (_lattice_loads).  A placement given by buffers is served in blocks of
+    consecutive files (_blocks, _serving_keys), and each file's half-route
+    counts are added to the loads in file order.  The hop totals go into
+    the placement's hop record on the way (_record_hops), so a later
+    total_hop_load serves no file again; the loads are not kept.  Requires
+    a nu >= 1 grid; the single-node grid has no links to load.
     """
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
-    level, anchors, coords, offsets = _catalog(grid, placement, pop)
+    replicas = _catalog(grid, placement, pop)
     weights = REQUEST_RATE * pop.probs
-    rows, cols = _lattice_loads(grid, level, anchors, weights)
-    loads = np.empty(2 * grid.node_count)
-    loads[0::2] = rows.ravel()
-    loads[1::2] = cols.ravel()
-    for block in _blocks(grid, np.flatnonzero(level < 0)):
-        keys = _serving_keys(grid, coords, offsets, block)
-        _record_hops(grid, placement, block, keys)
-        counts = _run_counts(grid, keys)
-        for m, file_counts in zip(block.tolist(), counts):
-            _deposit(loads, file_counts, weights[m])
+    if placement.levels is not None:
+        rows, cols = _lattice_loads(grid, placement.levels, placement.anchors, weights)
+        loads = np.empty(2 * grid.node_count)
+        loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
+    else:
+        loads = np.zeros(2 * grid.node_count)
+        for block in _blocks(grid, np.arange(placement.file_count)):
+            keys = _serving_keys(grid, *replicas, block)
+            _record_hops(grid, placement, block, keys)
+            counts = _run_counts(grid, keys)
+            for m, file_counts in zip(block.tolist(), counts):
+                _deposit(loads, file_counts, weights[m])
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
@@ -302,24 +301,22 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
 def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> float:
     """Sum over nodes and files of hop-distance-to-nearest-replica times p_m.
 
-    A lattice file at level k has 4^(nu-k) clusters of cluster_hop_sum(k)
-    hops each; other files sum their nearest-replica distances.  Those are
-    read from the placement's hop record, and only files it does not hold
-    yet are served (_blocks, _serving_keys) and recorded, so the result is
-    the same whether or not link_loads ran first.  This equals the sum of
-    all link loads (total-load identity).
+    A compact placement's file at level k has 4^(nu-k) clusters of
+    cluster_hop_sum(k) hops each, one table entry per level.  A placement
+    given by buffers reads its hop record, and serves (_blocks,
+    _serving_keys) and records only files it does not hold yet, so the
+    result is the same whether or not link_loads ran first.  This equals
+    the sum of all link loads (total-load identity).
     """
-    level, _, coords, offsets = _catalog(grid, placement, pop)
-    order, bounds = _level_groups(level, grid.nu)
-    hops = np.zeros(placement.file_count)
-    for k in range(grid.nu + 1):
-        hops[order[bounds[k]:bounds[k + 1]]] = 4 ** (grid.nu - k) * cluster_hop_sum(k)
-    off = np.flatnonzero(level < 0)
-    if off.size:
-        record = placement._hops
-        for block in _blocks(grid, off[record[off] < 0]):
-            _record_hops(grid, placement, block, _serving_keys(grid, coords, offsets, block))
-        hops[off] = record[off]
+    replicas = _catalog(grid, placement, pop)
+    if placement.levels is not None:
+        nu = grid.nu
+        per_level = np.array([4 ** (nu - k) * cluster_hop_sum(k) for k in range(nu + 1)], dtype=float)
+        hops = per_level[placement.levels]
+    else:
+        hops = placement._hops
+        for block in _blocks(grid, np.flatnonzero(hops < 0)):
+            _record_hops(grid, placement, block, _serving_keys(grid, *replicas, block))
     # cumsum adds in file order, so the total is bit-identical to a running
     # per-file sum.
     return REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
@@ -358,7 +355,7 @@ def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.nd
     count = placement.file_count
     if not 0 <= m < count:
         raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-    coords, offsets, _ = placement._replicas
+    coords, offsets = placement._replicas
     if offsets[m + 1] == offsets[m]:
         raise InvalidInputError(f"file {m} is cached nowhere")
     return _serving_keys(grid, coords, offsets, np.array([m])), int(offsets[m + 1] - offsets[m])

@@ -48,14 +48,17 @@ class CachePlacement:
     row-major index i.  canonical_place builds the compact form instead:
     file m is held on the 2^levels[m]-periodic lattice through anchors[m],
     its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
-    In the compact form buffers is built on first read; delivery,
-    replica_nodes, measured_densities and the renderers never read it.  The node table
-    (_node_table) is built on first read and kept; delivery of a compact
-    placement never reads it.  Delivery and replica_nodes read the replica
-    table and lattice levels (_replicas), built on first read and kept; of
-    a compact placement only the per-file calls read them.  Delivery also keeps each
-    off-lattice file's hop total in _hops, M int64 values made on first
-    use; a compact placement never makes it.
+    The compact form is checked: levels has shape (file_count,) with values
+    in 0..nu, anchors shape (file_count, 2) with each coordinate in
+    [0, 2^level).  In the compact form buffers is built on first read;
+    delivery, replica_nodes, measured_densities and the renderers never
+    read it.  The node table (_node_table) is built on first read and kept;
+    delivery of a compact placement never reads it.  Delivery and
+    replica_nodes read the replica table (_replicas), built on first read
+    and kept; of a compact placement only the per-file calls read it.
+    Delivery of a placement given by buffers also keeps every file's hop
+    total in _hops, M int64 values made on first use; a compact placement
+    never makes it.
     """
 
     grid: GridSpec
@@ -69,6 +72,7 @@ class CachePlacement:
             raise InvalidInputError("a placement takes either buffers or levels and anchors")
         if buffers is None:
             levels, anchors = (_frozen(np.asarray(v, dtype=np.int64)) for v in (levels, anchors))
+            _check_lattices(grid, file_count, levels, anchors)
         elif len(buffers := tuple(buffers)) != grid.node_count:
             raise InvalidInputError(f"{len(buffers)} buffers for a grid of {grid.node_count} nodes")
         else:
@@ -126,21 +130,19 @@ class CachePlacement:
         return table
 
     @functools.cached_property
-    def _replicas(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The replica table and its offsets (_replica_table) and each
-        file's lattice level (_lattice_levels); read-only, built once."""
-        coords, offsets = _replica_table(self)
-        levels = _lattice_levels(self.grid, coords, offsets)
-        return tuple(map(_frozen, (coords, offsets, levels)))
+    def _replicas(self) -> tuple[np.ndarray, np.ndarray]:
+        """The replica table and its offsets (_replica_table); read-only,
+        built once."""
+        return tuple(map(_frozen, _replica_table(self)))
 
     @functools.cached_property
     def _hops(self) -> np.ndarray:
         """Each file's hop total, the hops from every node to its nearest
         replica summed over the nodes, or -1 while not yet known.
 
-        Written by delivery (link_loads and total_hop_load), for off-lattice
-        files only.  A total depends on the placement alone, not on
-        popularity, so writing it again gives the same value.
+        Written by delivery (link_loads and total_hop_load) of a placement
+        given by buffers, for every file.  A total depends on the placement
+        alone, not on popularity, so writing it again gives the same value.
         """
         return np.full(self.file_count, -1, dtype=np.int64)
 
@@ -154,7 +156,7 @@ class CachePlacement:
         table."""
         if not (0 <= m < self.file_count):
             raise InvalidInputError(f"file id {m} outside 0..{self.file_count - 1}")
-        coords, offsets, _ = self._replicas
+        coords, offsets = self._replicas
         return list(map(tuple, coords[offsets[m]:offsets[m + 1]].tolist()))
 
     def measured_densities(self) -> np.ndarray:
@@ -209,6 +211,28 @@ class CachePlacement:
         return head[:-2] + text.tobytes().translate(None, b"\0")[:-2] + b"}}"
 
 
+def _check_lattices(grid: GridSpec, file_count: int, levels: np.ndarray, anchors: np.ndarray) -> None:
+    """Raise unless levels is (file_count,) in 0..nu and anchors is
+    (file_count, 2) with each coordinate in [0, 2^level)."""
+    if levels.shape != (file_count,) or anchors.shape != (file_count, 2):
+        raise InvalidInputError(
+            f"levels and anchors of {file_count} files must have shapes ({file_count},) "
+            f"and ({file_count}, 2), got {levels.shape} and {anchors.shape}"
+        )
+    if levels.size and not (levels.min() >= 0 and levels.max() <= grid.nu):
+        m = int(np.flatnonzero((levels < 0) | (levels > grid.nu))[0])
+        raise InvalidInputError(f"file {m} has level {levels[m]}, outside 0..{grid.nu}")
+    # A coordinate in [0, 2^k) has no bit at k or above (a negative one has all).
+    outside = np.bitwise_or(anchors[:, 0], anchors[:, 1])
+    np.right_shift(outside, levels, out=outside)
+    if outside.any():
+        m = int(np.flatnonzero(outside)[0])
+        raise InvalidInputError(
+            f"file {m} at level {levels[m]} has anchor {tuple(anchors[m].tolist())}, "
+            f"outside [0, {2 ** int(levels[m])})^2"
+        )
+
+
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
     each file's rows in row-major order, and the M + 1 offsets of each
@@ -225,24 +249,6 @@ def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros(placement.file_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(files, minlength=placement.file_count), out=offsets[1:])
     return coords, offsets
-
-
-def _lattice_levels(grid: GridSpec, coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Level k of each lattice file, -1 for every other file.
-
-    File m is a lattice file at level k when it has 4^(nu-k) replicas, all
-    congruent mod 2^k to its first row-major replica (its anchor): distinct
-    nodes, so they are the whole 2^k-periodic lattice through the anchor.
-    A file held nowhere is no lattice file.
-    """
-    counts = np.diff(offsets)
-    powers = 4 ** np.arange(grid.nu + 1, dtype=np.int64)
-    j = np.searchsorted(powers, counts)  # counts <= N = 4^nu, so j <= nu
-    level = np.where(powers[j] == counts, grid.nu - j, -1)
-    owner = np.repeat(np.arange(counts.size), counts)
-    period = 2 ** np.maximum(level, 0)[owner, None]
-    off_lattice = np.any((coords - coords[offsets[owner]]) % period != 0, axis=1)
-    return np.where(np.bincount(owner, weights=off_lattice, minlength=counts.size) == 0, level, -1)
 
 
 def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Popularity models and generalized harmonic number utilities."""
+"""Popularity models: Zipf laws and probability vectors read from a file."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 _SUM_TOL = 1e-12
-_FSUM_CUTOFF = 200_000  # above this, numpy pairwise summation is accurate enough
-_CHUNK = 2**16  # terms per numpy sum above _FSUM_CUTOFF
-_MAX_TERMS = 2**30  # about 15 s of summing; one array of them would take 8 GB
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -78,48 +75,6 @@ def zipf(m_count: int, tau: float) -> Popularity:
         )
     probs.setflags(write=False)  # read-only and owned, so Popularity keeps it
     return Popularity(probs=probs, tau=float(tau))
-
-
-def harmonic(tau: float, n: int) -> float:
-    """Generalized harmonic number: sum of j^(-tau) for j = 1..n.
-
-    Computed by direct summation; compensated (fsum) for moderate n, and
-    for large n as pairwise numpy sums over fixed-size chunks combined by
-    fsum, so memory stays bounded.
-    """
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    if n <= _FSUM_CUTOFF:
-        return math.fsum(j ** (-tau) for j in range(1, n + 1))
-    if n > _MAX_TERMS:
-        raise InvalidInputError(f"n = {n:.3g} terms are too many to sum (limit 2^30)")
-    chunk = np.arange(1, _CHUNK + 1, dtype=float)
-    return math.fsum(
-        float(np.sum((chunk[:min(_CHUNK, n - start)] + start) ** (-tau)))
-        for start in range(0, n, _CHUNK)
-    )
-
-
-def harmonic_bounds(tau: float, m: int, n: int) -> tuple[float, float]:
-    """Integral bounds (lo, hi) for harmonic(tau, n) - harmonic(tau, m).
-
-    lo is the integral of (x+1)^(-tau) over [m, n]; hi adds 1 to the
-    integral of x^(-tau) over [m+1, n].
-    """
-    if m < 0 or m > n:
-        raise InvalidInputError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if n == m:
-        return (0.0, 0.0)
-    if abs(tau - 1.0) < 1e-15:
-        lo = math.log((n + 1) / (m + 1))
-        hi = 1.0 + math.log(n / (m + 1))
-    else:
-        e = 1.0 - tau
-        lo = ((n + 1) ** e - (m + 1) ** e) / e
-        hi = (n ** e - (m + 1) ** e) / e + 1.0
-    return (lo, max(hi, 0.0))
 
 
 def load_popularity(path: str) -> Popularity:

@@ -27,7 +27,7 @@ from replicagrid.asymptotics import (
 )
 from replicagrid.density import solve_cd
 from replicagrid.errors import InfeasibleError, InvalidInputError
-from replicagrid.popularity import Popularity, harmonic, zipf
+from replicagrid.popularity import Popularity, zipf
 
 
 def test_breakdown_reference_value():
@@ -400,7 +400,7 @@ def _r_hat_linear(tau: float, slack: float) -> float:
     """Reference: the tail-split scan over r = 1, 2, ... as it was written."""
     s = 2.0 * tau / 3.0
     r = 1
-    while not slack + r <= r ** s * harmonic(s, r):
+    while not slack + r <= r ** s * math.fsum(j ** -s for j in range(1, r + 1)):
         r += 1
     return float(r)
 

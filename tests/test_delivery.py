@@ -376,14 +376,14 @@ def test_kernel_matches_walker_half_side_offsets(nu, data):
 
 def _replica_coords(placed, m):
     """Replica coordinates of file m, row-major, from the replica table."""
-    coords, offsets, _ = placed._replicas
+    coords, offsets = placed._replicas
     return coords[offsets[m]:offsets[m + 1]]
 
 
 def _block_keys(grid, placed):
     """Serving keys of every file, block by block under the module's block
     rule, stacked in file order."""
-    coords, offsets, _ = placed._replicas
+    coords, offsets = placed._replicas
     blocks = delivery._blocks(grid, np.arange(placed.file_count))
     return np.concatenate([delivery._serving_keys(grid, coords, offsets, b) for b in blocks])
 
@@ -645,21 +645,22 @@ def test_hop_record_gives_the_same_results_in_every_call_order(nu):
     assert total_hop_load(grid, loads_first, pop) == hops
     assert total_hop_load(grid, hops_first, pop) == hops
     assert np.array_equal(link_loads(grid, hops_first, pop).loads, loads)
-    # Every order records the kernel's hop totals of the off-lattice files
-    # and nothing for the lattice files.
-    off = delivery._catalog(grid, alone, pop)[0] < 0
-    expect = np.where(off, (_block_keys(grid, alone) // (9 * n)).sum(axis=1), -1)
+    # Every order records the kernel's hop total of every file.
+    expect = (_block_keys(grid, alone) // (9 * n)).sum(axis=1)
     for placed in (alone, loads_first, hops_first):
         assert placed._hops.dtype == np.int64 and np.array_equal(placed._hops, expect)
 
 
 def test_link_loads_then_total_hop_load_serve_each_file_once(monkeypatch):
+    # A lattice file at every level among random ones: given by buffers,
+    # none is loaded in closed form, and each goes through the kernel once.
     grid = GridSpec(nu=3)
+    n = grid.node_count
     rng = np.random.default_rng(11)
-    placed = _random_placement(rng, grid, 9, capacity=9)
+    holders = [_lattice_holders(grid, k, (1, 0)) for k in range(grid.nu + 1)]
+    holders += [set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) for _ in range(5)]
+    placed = _placement_from_holders(grid, holders)
     pop = zipf(9, 0.8)
-    off = [f for f, k in enumerate(_reference_levels(grid, placed)) if k < 0]
-    assert len(off) >= 3
     served = []
     kernel = delivery._serving_keys
 
@@ -668,11 +669,13 @@ def test_link_loads_then_total_hop_load_serve_each_file_once(monkeypatch):
         return kernel(grid, coords, offsets, files)
 
     monkeypatch.setattr(delivery, "_serving_keys", counted)
-    monkeypatch.setattr(delivery, "_BLOCK_NODE_FILES", 2 * grid.node_count)
-    link_loads(grid, placed, pop)
-    total_hop_load(grid, placed, pop)
-    total_hop_load(grid, placed, pop)
-    assert served == [off[i:i + 2] for i in range(0, len(off), 2)]
+    monkeypatch.setattr(delivery, "_lattice_loads", lambda *args: pytest.fail("closed form used"))
+    monkeypatch.setattr(delivery, "_BLOCK_NODE_FILES", 2 * n)
+    loads = link_loads(grid, placed, pop).loads
+    hops = total_hop_load(grid, placed, pop)
+    assert total_hop_load(grid, placed, pop) == hops
+    assert served == [[f, f + 1] for f in range(0, 8, 2)] + [[8]]
+    assert math.isclose(float(loads.sum()), hops, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("nu", [2, 4])
@@ -822,20 +825,6 @@ def _lattice_holders(grid, level, anchor):
     }
 
 
-def _reference_levels(grid, placed):
-    """Lattice level of each file by a per-file loop, -1 off any lattice."""
-    levels = []
-    for m in range(placed.file_count):
-        reps = placed.replica_nodes(m)
-        level = grid.nu - round(math.log(len(reps), 4))
-        on = len(reps) == 4 ** (grid.nu - level) and all(
-            (x - reps[0][0]) % 2**level == 0 and (y - reps[0][1]) % 2**level == 0
-            for x, y in reps
-        )
-        levels.append(level if on else -1)
-    return levels
-
-
 def _assert_engine_matches(grid, placed, pop):
     """link_loads equals the per-file kernel summed over files (and the route
     walk at nu <= 3) to 1e-12 of the largest load, with the same unloaded
@@ -852,10 +841,6 @@ def _assert_engine_matches(grid, placed, pop):
     assert np.all(got >= 0.0)
 
 
-def _catalog_levels(placed, pop):
-    return delivery._catalog(placed.grid, placed, pop)[0].tolist()
-
-
 _FILE_CAPS = {5: 160, 6: 160}  # files per canonical case, to bound the per-file reference
 
 
@@ -867,25 +852,22 @@ def test_engine_matches_per_file_canonical(nu, cap, tau, data):
     m = data.draw(st.integers(1, min(cap * n, _FILE_CAPS.get(nu, 2 * n))))
     pop = zipf(m, tau)
     placed = _canonical(grid, cap, pop)
-    assert min(_catalog_levels(placed, pop)) >= 0
     _assert_engine_matches(grid, placed, pop)
 
 
 def _draw_mixed_holders(draw, grid):
-    """Holders and expected lattice levels (None off any lattice) of a mixed
-    catalog: lattice files at random anchors and at half-period offsets from
-    one base (side/2 for single replicas), single-replica and everywhere
-    files, and files held at random nodes."""
+    """Holders of a mixed catalog: lattice files at random anchors and at
+    half-period offsets from one base (side/2 for single replicas),
+    single-replica and everywhere files, and files held at random nodes."""
     nu, side, n = grid.nu, grid.side, grid.node_count
     node = st.integers(0, side - 1)
     base = (draw(node), draw(node))
-    holders, levels = [], []
+    holders = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["lattice", "half-period", "single", "everywhere", "random"]))
         if kind == "random":
             count = draw(st.integers(1, n))
             holders.append(set(draw(st.permutations(range(n)))[:count]))
-            levels.append(None)
             continue
         level = {"single": nu, "everywhere": 0}.get(kind) or draw(st.integers(1, nu))
         if kind == "half-period":
@@ -895,20 +877,16 @@ def _draw_mixed_holders(draw, grid):
         else:
             anchor = (draw(node), draw(node))
         holders.append(_lattice_holders(grid, level, anchor))
-        levels.append(level)
-    return holders, levels
+    return holders
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_engine_matches_per_file_mixed(nu, data):
     grid = GridSpec(nu=nu)
-    holders, levels = _draw_mixed_holders(data.draw, grid)
+    holders = _draw_mixed_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
-    detected = _catalog_levels(placed, pop)
-    assert detected == _reference_levels(grid, placed)
-    assert all(d == k for d, k in zip(detected, levels) if k is not None)
     _assert_engine_matches(grid, placed, pop)
 
 
@@ -934,7 +912,6 @@ def test_engine_every_file_at_one_anchor(nu, data):
     levels = data.draw(st.lists(st.integers(0, nu), min_size=1, max_size=8))
     placed = _placement_from_holders(grid, [_lattice_holders(grid, k, anchor) for k in levels])
     pop = _decreasing_popularity(data.draw, len(levels))
-    assert _catalog_levels(placed, pop) == levels
     _assert_engine_matches(grid, placed, pop)
     # With one level k >= 1, a row and a column of links per 2^k block idle.
     if len(set(levels) - {0}) == 1:
@@ -1013,8 +990,9 @@ def _counting_kernel_files(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_near_lattice_file_takes_per_file_path(nu, data):
-    # 4^j replicas on a lattice with one moved off it are not a lattice file
-    # (a single replica always is one, so j >= 1).
+    # 4^j replicas on a lattice with one moved off it, beside the whole
+    # lattice (a single replica always is one, so j >= 1): given by
+    # buffers, both go through the kernel.
     grid = GridSpec(nu=nu)
     side = grid.side
     level = data.draw(st.integers(1, nu - 1))
@@ -1025,26 +1003,30 @@ def test_near_lattice_file_takes_per_file_path(nu, data):
     holders = [(lattice - {moved}) | {target}, _lattice_holders(grid, level, anchor)]
     placed = _placement_from_holders(grid, holders)
     pop = Popularity(np.array([0.6, 0.4]))
-    assert _catalog_levels(placed, pop) == [-1, level]
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_kernel_files(mp)
         link_loads(grid, placed, pop)
-    assert calls == [len(lattice)]
+    assert calls == [len(lattice)] * 2
     _assert_engine_matches(grid, placed, pop)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 @pytest.mark.parametrize("cap, tau, share", [(1, 0.8, 0.5), (2, 2.0, 1.75), (3, 0.0, 2.0)])
 def test_canonical_link_loads_skip_per_file_kernel(monkeypatch, nu, cap, tau, share):
+    # Neither link_loads nor total_hop_load of a compact placement serves a
+    # file, builds the replica table or keeps a hop record.
     grid = GridSpec(nu=nu)
     pop = zipf(max(1, min(int(share * grid.node_count), cap * grid.node_count)), tau)
     placed = _canonical(grid, cap, pop)
     calls = _counting_kernel_files(monkeypatch)
     link_loads(grid, placed, pop)
+    total_hop_load(grid, placed, pop)
     assert calls == []
+    assert "_replicas" not in vars(placed) and "_hops" not in vars(placed)
 
 
 def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatch):
+    # Given by buffers, every file goes through the kernel, lattice files too.
     rng = np.random.default_rng(53)
     calls = _counting_kernel_files(monkeypatch)
     for _ in range(20):
@@ -1054,8 +1036,7 @@ def test_random_placement_link_loads_call_kernel_per_non_lattice_file(monkeypatc
         pop = zipf(m, 0.8)
         calls.clear()
         link_loads(grid, placed, pop)
-        off = [f for f, k in enumerate(_reference_levels(grid, placed)) if k < 0]
-        assert calls == [len(placed.replica_nodes(f)) for f in off]
+        assert calls == [len(placed.replica_nodes(f)) for f in range(m)]
 
 
 def _per_file_hop_sum(grid, placed, pop):
@@ -1079,7 +1060,7 @@ def test_closed_form_hop_total_is_exact_canonical(nu, cap, tau, share):
 @given(st.integers(1, 4), st.data())
 def test_hop_total_is_exact_mixed(nu, data):
     grid = GridSpec(nu=nu)
-    holders, _ = _draw_mixed_holders(data.draw, grid)
+    holders = _draw_mixed_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
     assert total_hop_load(grid, placed, pop) == _per_file_hop_sum(grid, placed, pop)
@@ -1207,20 +1188,16 @@ def _reference_file_loads(grid, reps, weight, loads):
 
 
 def _reference_loads_and_hops(grid, placed, pop):
-    """link_loads and total_hop_load by a loop over files: lattice files per
-    level as the engine loads them, every other file by the reference scan
-    and per-file run counts, added in file order; hops by the scan."""
-    level, anchors, coords, offsets = delivery._catalog(grid, placed, pop)
+    """link_loads and total_hop_load of a placement given by buffers, by a
+    loop over files: each file by the reference scan and per-file run
+    counts, added in file order; hops by the scan."""
     weights = delivery.REQUEST_RATE * pop.probs
-    rows, cols = delivery._lattice_loads(grid, level, anchors, weights)
-    loads = np.empty(2 * grid.node_count)
-    loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
+    loads = np.zeros(2 * grid.node_count)
     hops = np.zeros(placed.file_count)
     for m in range(placed.file_count):
-        reps = coords[offsets[m]:offsets[m + 1]]
+        reps = _replica_coords(placed, m)
         hops[m] = _reference_nearest_replica(grid, reps)[1].sum()
-        if level[m] < 0:
-            _reference_file_loads(grid, reps, float(weights[m]), loads)
+        _reference_file_loads(grid, reps, float(weights[m]), loads)
     return loads, delivery.REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])
 
 
@@ -1260,21 +1237,21 @@ def test_batched_kernel_bit_identical_to_per_file_reference(nu, data):
     # Mixed catalogs (lattice, single-replica, everywhere and random files)
     # plus files at nodes side/2 apart, under drawn block budgets.
     grid = GridSpec(nu=nu)
-    holders, _ = _draw_mixed_holders(data.draw, grid)
+    holders = _draw_mixed_holders(data.draw, grid)
     holders += _half_side_holders(data.draw, grid)
     placed = _placement_from_holders(grid, holders)
     pop = _decreasing_popularity(data.draw, len(holders))
-    off = int(np.count_nonzero(delivery._catalog(grid, placed, pop)[0] < 0))
-    _assert_bit_identical_to_reference(grid, placed, pop, _block_budget(data.draw, grid.node_count, off))
+    budget = _block_budget(data.draw, grid.node_count, len(holders))
+    _assert_bit_identical_to_reference(grid, placed, pop, budget)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
 @pytest.mark.parametrize("per_block", [1, 3, 5])
 def test_batched_kernel_bit_identical_forced_blocks(nu, per_block):
-    # Five off-lattice files (a pair side/2 apart on one row, a diagonal
-    # pair side/2 apart, three random sets) among a single-replica file and
-    # a file at every node: one file per block, three per block with a
-    # ragged last block of two, or all five in one block.
+    # A single-replica file, a file at every node, a pair side/2 apart on
+    # one row, a diagonal pair side/2 apart and three random sets: one file
+    # per block, three per block with a ragged last block of one, or five
+    # per block with a ragged last block of two.
     grid = GridSpec(nu=nu)
     n, side, half = grid.node_count, grid.side, grid.side // 2
     rng = np.random.default_rng(nu)
@@ -1282,6 +1259,4 @@ def test_batched_kernel_bit_identical_forced_blocks(nu, per_block):
     holders += [set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()) for _ in range(3)]
     placed = _placement_from_holders(grid, holders)
     pop = zipf(len(holders), 0.8)
-    levels = delivery._catalog(grid, placed, pop)[0]
-    assert levels[0] == nu and levels[1] == 0 and np.all(levels[2:] < 0)
     _assert_bit_identical_to_reference(grid, placed, pop, per_block * n)

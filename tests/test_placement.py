@@ -497,11 +497,15 @@ def test_compact_form_matches_buffers_form(case):
     assert placed.buffers == _reference_buffers(placed)
     assert text == _reference_render_matrix(placed)
     assert doc == _reference_to_json(placed)
-    # The same placement as buffers takes the lattice-detection path.
+    # The same placement as buffers goes through the batched kernel: the
+    # same loads within 1e-12 of the largest, the same unloaded links, and
+    # the same integer hop totals, so the same total.
     plain = CachePlacement(grid=grid, capacity=cap, file_count=canon.m_count, buffers=placed.buffers)
     assert text == render_matrix(plain) and doc == plain.to_json()
     if nu:
-        assert np.array_equal(loads, link_loads(grid, plain, pop).loads)
+        kernel = link_loads(grid, plain, pop).loads
+        assert np.abs(kernel - loads).max() <= 1e-12 * loads.max()
+        assert np.array_equal(kernel == 0.0, loads == 0.0)
     assert hops == total_hop_load(grid, plain, pop)
     assert np.array_equal(densities, plain.measured_densities())
     assert validate_capacity(placed) and validate_capacity(plain)
@@ -702,6 +706,28 @@ def test_placement_takes_one_form():
             grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4,
             levels=np.zeros(1, dtype=np.int64), anchors=np.zeros((1, 2), dtype=np.int64),
         )
+
+
+@pytest.mark.parametrize(
+    "levels, anchors, message",
+    [
+        # Each used to pass unchecked: a bare ValueError from a reshape, a
+        # file dropped from the loads and the hop total alike, or a
+        # TypeError.
+        ([0, 1], [[0, 0], [2, 0]], r"file 1 at level 1 has anchor \(2, 0\), outside \[0, 2\)\^2"),
+        ([1, 3], [[0, 0], [0, 0]], "file 1 has level 3, outside 0..2"),
+        ([1], [[0, 0], [0, 0]], r"must have shapes \(2,\) and \(2, 2\), got \(1,\) and \(2, 2\)"),
+        ([-1, 1], [[0, 0], [0, 0]], "file 0 has level -1, outside 0..2"),
+        ([1, 1], [[0, 0]], r"must have shapes \(2,\) and \(2, 2\), got \(2,\) and \(1, 2\)"),
+        ([1, 2], [[0, 0], [3, -1]], r"file 1 at level 2 has anchor \(3, -1\), outside \[0, 4\)\^2"),
+        ([0, 2], [[0, 1], [3, 3]], r"file 0 at level 0 has anchor \(0, 1\), outside \[0, 1\)\^2"),
+    ],
+    ids=["anchor-past-period", "level-above-nu", "levels-short", "negative-level",
+         "anchors-short", "negative-anchor", "level-0-off-origin"],
+)
+def test_compact_form_is_checked(levels, anchors, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CachePlacement(grid=GridSpec(nu=2), capacity=2, file_count=2, levels=levels, anchors=anchors)
 
 
 @pytest.mark.parametrize("count", [3, 5])

@@ -1,19 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from replicagrid.errors import InvalidInputError
-from replicagrid.popularity import (
-    Popularity,
-    harmonic,
-    harmonic_bounds,
-    load_popularity,
-    zipf,
-)
+from replicagrid.popularity import Popularity, load_popularity, zipf
 
 
 def test_zipf_examples():
@@ -47,17 +38,6 @@ def test_popularity_validation():
         Popularity(np.array([]))
 
 
-def test_harmonic_examples():
-    assert math.isclose(harmonic(1.0, 4), 25 / 12, rel_tol=1e-15)
-    assert harmonic(2.3, 0) == 0.0
-    assert harmonic(0.0, 7) == 7.0
-
-
-def test_harmonic_too_many_terms_is_invalid():
-    with pytest.raises(InvalidInputError, match="too many"):
-        harmonic(2.0, 10 ** 300)
-
-
 def test_zipf_hands_over_its_array_without_a_copy():
     # 2^20 probabilities are 8 MiB; a copy in Popularity would make the
     # peak about twice that.
@@ -79,60 +59,6 @@ def test_zipf_names_tau_when_a_popularity_underflows(m, tau, first):
         f"tau = {tau:g} is too large for M = {m} files: "
         f"the Zipf popularity of file {first} underflows to 0"
     )
-
-
-def test_harmonic_large_n_memory_is_bounded():
-    # Chunked sums: 10^7 terms in one array would take 80 MB.
-    tracemalloc.start()
-    try:
-        value = harmonic(2.0, 10**7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-    assert math.isclose(value, math.pi ** 2 / 6 - 1e-7, rel_tol=1e-14)
-
-
-def test_harmonic_chunks_cover_every_term():
-    # Just past the fsum cutoff, and across a chunk boundary with a short
-    # last chunk: against the fsum of every term.
-    for n in (200_001, 2**16 * 4 + 3):
-        exact = math.fsum(j ** -1.5 for j in range(1, n + 1))
-        assert math.isclose(harmonic(1.5, n), exact, rel_tol=1e-15)
-
-
-def test_harmonic_bounds_tau1_example():
-    lo, hi = harmonic_bounds(1.0, 0, 9)
-    assert math.isclose(lo, math.log(10), rel_tol=1e-15)
-    exact = harmonic(1.0, 9)
-    assert lo <= exact <= hi
-
-
-def test_harmonic_bounds_empty_range():
-    assert harmonic_bounds(2.0, 5, 5) == (0.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        harmonic_bounds(1.0, 6, 5)
-
-
-def test_harmonic_bounds_tau2():
-    lo, hi = harmonic_bounds(2.0, 0, 100)
-    exact = harmonic(2.0, 100)
-    assert math.isclose(exact, 1.6350, abs_tol=1e-4)
-    assert lo <= exact <= hi
-
-
-@settings(max_examples=1000, deadline=None)
-@given(
-    st.floats(0.0, 4.0, allow_nan=False),
-    st.integers(0, 500),
-    st.integers(0, 500),
-)
-def test_harmonic_bounds_bracket(tau, m, extra):
-    n = m + extra
-    lo, hi = harmonic_bounds(tau, m, n)
-    exact = harmonic(tau, n) - harmonic(tau, m)
-    assert lo <= exact + 1e-12
-    assert exact <= hi + 1e-12
 
 
 def test_load_popularity(tmp_path):
