@@ -38,7 +38,7 @@ import numpy as np
 from ._text import _TEXT_ROWS, _decimal_digits, _g12_digits, _text_blocks
 from .errors import InvalidInputError
 from .grid import COLUMN, ROW, GridSpec
-from .placement import CachePlacement, _level_groups
+from .placement import CachePlacement, _rounds
 from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
@@ -132,10 +132,10 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> np.ndarray:
 
 
 def _lattice_loads(
-    grid: GridSpec, level: np.ndarray, anchors: np.ndarray, weights: np.ndarray
+    grid: GridSpec, levels: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column link loads, each (side, side) by owning node, of a
-    compact placement's files with the given levels, anchors and request
+    """Row and column link loads, each (side, side) by owning node, of the
+    compact placement with the given levels under the given request
     weights (files at level 0 are held everywhere and load nothing).
 
     One replica at (0, 0) on a 2^k torus of side s loads row link (x, y)
@@ -146,23 +146,23 @@ def _lattice_loads(
     non-negative weight times a non-negative integer, so a link that
     carries nothing stays at exactly 0.
 
-    The files are grouped by level once (_level_groups), ascending within a
-    level as bincount needs them for a fixed order of additions.  The sums
-    are kept at the last level's period, tiled up to each next level's and
-    to the grid once at the end: each cell adds its levels' terms in level
-    order onto an exact 0, as sums over the whole grid would.
+    A is summed from the placement's rounds (_rounds), in file order within
+    a level.  A round's anchors are distinct, so one indexed add per round
+    adds each cell's files in ascending id order onto an exact 0, as one
+    bincount over the level's files would.  The sums are kept at the last
+    level's period, tiled up to each next level's and to the grid once at
+    the end: each cell adds its levels' terms in level order onto an exact
+    0, as sums over the whole grid would.
     """
+    masses = {}
+    for k, ids, _, ax, ay in _rounds(levels, grid.nu):
+        if k not in masses:
+            masses[k] = np.zeros(4 ** k)
+        masses[k][(ax << k) + ay] += weights[ids]
     rows = cols = np.zeros((1, 1))
-    order, bounds = _level_groups(level, grid.nu)
-    for k in range(1, grid.nu + 1):
-        ids = order[bounds[k]:bounds[k + 1]]
-        if ids.size == 0:
-            continue
+    for k in list(masses):
         s = 2 ** k
-        # The first row-major replica of a full lattice lies in [0, s)^2.
-        a = np.bincount(
-            anchors[ids, 0] * s + anchors[ids, 1], weights=weights[ids], minlength=s * s
-        ).reshape(s, s)
+        a = masses.pop(k).reshape(s, s)
         h = np.abs(np.arange(s) - s // 2).astype(float)
         circ = h[(np.arange(s)[None, :] - np.arange(s)[:, None]) % s]
         # The sums so far have the last level's period: tile them to s.
@@ -210,7 +210,7 @@ def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
         (1, ((nodes & mask) << nu, (server & mask) << nu), nodes >> nu, server >> nu),
     ):
         delta = (target - client) & mask
-        delta -= side * (2 * delta >= side)  # as signed_axis_delta
+        delta -= side * (2 * delta >= side)  # signed; a tie at side/2 goes negative
         start = (client + np.minimum(delta, 0)) & mask
         stop = start + np.abs(delta)
         line = np.empty((2, files, n), dtype=np.int64)
@@ -283,7 +283,7 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     replicas = _catalog(grid, placement, pop)
     weights = REQUEST_RATE * pop.probs
     if placement.levels is not None:
-        rows, cols = _lattice_loads(grid, placement.levels, placement.anchors, weights)
+        rows, cols = _lattice_loads(grid, placement.levels, weights)
         loads = np.empty(2 * grid.node_count)
         loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
     else:

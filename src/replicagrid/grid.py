@@ -58,16 +58,6 @@ class GridSpec:
             raise InvalidInputError(f"node {node} outside {side}x{side} grid")
 
 
-def signed_axis_delta(side: int, a, b):
-    """Shortest signed displacement from coordinate a to b on a cycle.
-
-    A tie (|delta| == side/2) resolves to the negative (north/west)
-    direction.  Works elementwise on int arrays as well as on ints.
-    """
-    d = (b - a) % side
-    return d - side * (2 * d >= side)
-
-
 def hop_distance(grid: GridSpec, a: Node, b: Node) -> int:
     """Torus L1 distance between two nodes."""
     grid.check_node(a)

@@ -7,21 +7,22 @@ order.  Level-0 files go into every cache at the end.
 
 Before level k the occupancy is 2^k-periodic and differs by at most 1
 between cells, so the level's water-filling rounds follow from the level
-counts alone (_water_fill): how many files each round takes, and the
+counts alone (_rounds): how many files each round takes, and the
 occupancy w each of them finds in its cell.  Only the first round of a
 level reads the 2^k x 2^k occupancy block, for which cells are the least
-occupied.  The placement keeps only each file's level and anchor.
+occupied.  The placement keeps only each file's level; the anchors are
+made by _rounds where they are read, a round at a time.
 
 The per-node view is one (N, W) int64 node table, W the largest
 occupancy: row i holds the ids cached at row-major node i, ascending,
 padded with -1 at the end.  A canonical placement writes file m into slot
-(number of level-0 files) + w of every row of its lattice, a level's
-rounds at a time through a view of the table with the coordinates mod
-2^k as axes; no (node, file) sort is needed unless the levels decrease
-somewhere along the ids.  A placement given by buffers builds its table
-from them.  Either way the table is built on first read and kept:
-buffers, validation, both renderers and delivery's replica table read it,
-and simulate never builds it.
+(number of level-0 files) + w of every row of its lattice, a round at a
+time through a view of the table with the coordinates mod 2^k as axes; no
+(node, file) sort is needed unless the levels decrease somewhere along the
+ids.  A placement given by buffers builds its table from them.  Either way
+the table is built on first read and kept: buffers, validation, both
+renderers and delivery's replica table read it, and simulate never builds
+it.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ class CachePlacement:
     """Per-node cache contents, in one of two forms.
 
     Built from buffers, buffers[i] holds 0-based file ids for the node with
-    row-major index i.  canonical_place builds the compact form instead:
-    file m is held on the 2^levels[m]-periodic lattice through anchors[m],
-    its first row-major replica (in [0, 2^level)^2; (0, 0) at level 0).
-    The compact form is checked: levels has shape (file_count,) with values
-    in 0..nu, anchors shape (file_count, 2) with each coordinate in
-    [0, 2^level).  In the compact form buffers is built on first read;
+    row-major index i.  canonical_place builds the compact form instead,
+    the levels alone: file m is held on a 2^levels[m]-periodic lattice,
+    the one canonical placement's water-filling gives it (_rounds).  The
+    compact form is checked: levels has shape (file_count,) with values in
+    0..nu.  In the compact form buffers is built on first read;
     delivery, replica_nodes, measured_densities and the renderers never
     read it.  The node table (_node_table) is built on first read and kept;
     delivery of a compact placement never reads it.  Delivery and
@@ -65,14 +65,13 @@ class CachePlacement:
     capacity: int
     file_count: int
     levels: np.ndarray | None
-    anchors: np.ndarray | None
 
-    def __init__(self, grid, capacity, file_count, buffers=None, *, levels=None, anchors=None):
-        if (buffers is None) == (levels is None or anchors is None):
-            raise InvalidInputError("a placement takes either buffers or levels and anchors")
+    def __init__(self, grid, capacity, file_count, buffers=None, *, levels=None):
+        if (buffers is None) == (levels is None):
+            raise InvalidInputError("a placement takes either buffers or levels")
         if buffers is None:
-            levels, anchors = (_frozen(np.asarray(v, dtype=np.int64)) for v in (levels, anchors))
-            _check_lattices(grid, file_count, levels, anchors)
+            levels = _frozen(np.asarray(levels, dtype=np.int64))
+            _check_levels(grid, file_count, levels)
         elif len(buffers := tuple(buffers)) != grid.node_count:
             raise InvalidInputError(f"{len(buffers)} buffers for a grid of {grid.node_count} nodes")
         else:
@@ -80,7 +79,7 @@ class CachePlacement:
             object.__setattr__(self, "buffers", buffers)
         for name, value in (
             ("grid", grid), ("capacity", capacity), ("file_count", file_count),
-            ("levels", levels), ("anchors", anchors),
+            ("levels", levels),
         ):
             object.__setattr__(self, name, value)
 
@@ -109,19 +108,14 @@ class CachePlacement:
             table.setflags(write=False)
             return table
         nu, side, n = self.grid.nu, self.grid.side, self.grid.node_count
-        order, bounds = _level_groups(self.levels, nu)
-        counts = np.diff(bounds).tolist()
-        # Occupancy is balanced over the grid, so its largest value is the
-        # level-0 files plus the ceiling of the mean over the other levels.
-        replicas = sum(c * 4 ** (nu - k) for k, c in enumerate(counts[1:], start=1))
-        table = np.full((n, counts[0] - (-replicas // n)), -1, dtype=np.int64)
-        table[:, :counts[0]] = order[:bounds[1]]
-        for k, ids, w in _water_fill(order, bounds):
+        level0 = np.flatnonzero(self.levels == 0)
+        table = np.full((n, _max_occupancy(self.levels, nu)), -1, dtype=np.int64)
+        table[:, :level0.size] = level0
+        for k, ids, w, ax, ay in _rounds(self.levels, nu):
             # Axes 1 and 3 of the lattice view are the coordinates mod 2^k,
             # so one write puts a file at every replica.
             lattice = table.reshape(side >> k, 2 ** k, side >> k, 2 ** k, -1)
-            ax, ay = self.anchors[ids, 0], self.anchors[ids, 1]
-            lattice[:, ax, :, ay, counts[0] + w] = ids[:, None, None]
+            lattice[:, ax, :, ay, level0.size + w] = ids[:, None, None]
         if np.any(self.levels[1:] < self.levels[:-1]):
             # Files arrived by level, not by id: sort each row.  As uint64
             # the -1 padding is the largest value, so it stays at the end.
@@ -211,26 +205,15 @@ class CachePlacement:
         return head[:-2] + text.tobytes().translate(None, b"\0")[:-2] + b"}}"
 
 
-def _check_lattices(grid: GridSpec, file_count: int, levels: np.ndarray, anchors: np.ndarray) -> None:
-    """Raise unless levels is (file_count,) in 0..nu and anchors is
-    (file_count, 2) with each coordinate in [0, 2^level)."""
-    if levels.shape != (file_count,) or anchors.shape != (file_count, 2):
+def _check_levels(grid: GridSpec, file_count: int, levels: np.ndarray) -> None:
+    """Raise unless levels is (file_count,) in 0..nu."""
+    if levels.shape != (file_count,):
         raise InvalidInputError(
-            f"levels and anchors of {file_count} files must have shapes ({file_count},) "
-            f"and ({file_count}, 2), got {levels.shape} and {anchors.shape}"
+            f"levels of {file_count} files must have shape ({file_count},), got {levels.shape}"
         )
     if levels.size and not (levels.min() >= 0 and levels.max() <= grid.nu):
         m = int(np.flatnonzero((levels < 0) | (levels > grid.nu))[0])
         raise InvalidInputError(f"file {m} has level {levels[m]}, outside 0..{grid.nu}")
-    # A coordinate in [0, 2^k) has no bit at k or above (a negative one has all).
-    outside = np.bitwise_or(anchors[:, 0], anchors[:, 1])
-    np.right_shift(outside, levels, out=outside)
-    if outside.any():
-        m = int(np.flatnonzero(outside)[0])
-        raise InvalidInputError(
-            f"file {m} at level {levels[m]} has anchor {tuple(anchors[m].tolist())}, "
-            f"outside [0, {2 ** int(levels[m])})^2"
-        )
 
 
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +234,14 @@ def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     return coords, offsets
 
 
-def _diagonal_cells(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column arrays of the 2^k x 2^k matrix in diagonal order."""
-    rank = np.arange(4 ** k, dtype=np.int64)
+def _diagonal_cells(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column arrays of the cells at the given diagonal ranks of
+    the 2^k x 2^k matrix."""
     t = rank & (2 ** k - 1)
-    return ((rank >> k) + t) & (2 ** k - 1), t
+    x = rank >> k
+    x += t
+    x &= 2 ** k - 1
+    return x, t
 
 
 def diagonal_order(k: int) -> list[Node]:
@@ -267,13 +253,13 @@ def diagonal_order(k: int) -> list[Node]:
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    xs, ys = _diagonal_cells(k)
+    xs, ys = _diagonal_cells(np.arange(4 ** k), k)
     return list(zip(xs.tolist(), ys.tolist()))
 
 
 def _level_groups(levels: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """File ids grouped by level: those at level k are order[bounds[k]:
-    bounds[k + 1]], ascending, for k = 0..nu (level -1 comes first).
+    bounds[k + 1]], ascending, for k = 0..nu.
 
     A stable sort keeps ids ascending within a level; on a canonical
     catalog's non-decreasing levels it is one linear pass.
@@ -282,28 +268,55 @@ def _level_groups(levels: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(levels, np.arange(nu + 2), sorter=order)
 
 
-def _water_fill(order: np.ndarray, bounds: np.ndarray):
-    """Canonical placement's water-filling rounds in order, from the level
-    groups (_level_groups) alone: (k, ids, w) for each round of each level
-    k >= 1, ids the round's files and w the occupancy each finds in its
-    cell.
+def _rounds(levels: np.ndarray, nu: int):
+    """Canonical placement's water-filling rounds in order, from the levels
+    alone: (k, ids, w, ax, ay) for each round of each level k >= 1, ids the
+    round's files, w the occupancy each finds in its cell and (ax, ay)
+    their anchors, the cells they take in [0, 2^k)^2, distinct within a
+    round.
 
     The 2^k x 2^k block before level k holds T = sum_{1 <= k' < k}
     n_k' 4^(k - k') replicas, with occupancy differing by at most 1 between
     cells: c = 4^k - (T mod 4^k) cells hold w0 = T // 4^k, the rest
     w0 + 1.  So round w0 gives the level's first c files (ascending id) the
     c cells at w0, in diagonal rank order, and each later round w gives the
-    next 4^k files every cell, all then at w, in rank order.
+    next 4^k files every cell, all then at w, in rank order.  The level's
+    files, most popular first (equal popularity to the lower id), take the
+    rounds' cells in turn.
     """
+    order, bounds = _level_groups(levels, nu)
     held = 0
-    for k in range(1, bounds.size - 1):
+    # The occupancy of the last level's block, in diagonal rank order.
+    occupancy = np.zeros((1, 1), dtype=np.int64)
+    for k in range(1, nu + 1):
         held, ids = 4 * held, order[bounds[k]:bounds[k + 1]]
         if ids.size:
+            # Occupancy so far has the last level's period q, so the cell at
+            # rank j s + t of this level's s = 2^k block, ((j + t) mod s, t),
+            # holds what rank (j mod q) q + (t mod q) does: the q x q block
+            # in rank order, tiled.
+            copies = 2 ** k // occupancy.shape[0]
+            occupancy = np.tile(occupancy, (copies, copies))
             w0, extra = divmod(held, 4 ** k)
             starts = [0, *range(4 ** k - extra, ids.size, 4 ** k)]
             for w, lo, hi in zip(itertools.count(w0), starts, starts[1:] + [ids.size]):
-                yield k, ids[lo:hi], w
+                # The round's files take its cells at w, the least occupied,
+                # in rank order.
+                ranks = np.flatnonzero(occupancy == w)[:hi - lo]
+                occupancy.ravel()[ranks] += 1
+                yield k, ids[lo:hi], w, *_diagonal_cells(ranks, k)
         held += ids.size
+
+
+def _max_occupancy(levels: np.ndarray, nu: int) -> int:
+    """The largest cache occupancy of the canonical placement of levels.
+
+    Occupancy is balanced over the grid (_rounds), so its largest value is
+    the level-0 files plus the ceiling of the mean over the other levels.
+    """
+    counts = np.bincount(levels, minlength=nu + 1).tolist()
+    replicas = sum(c * 4 ** (nu - k) for k, c in enumerate(counts[1:], start=1))
+    return counts[0] - (-replicas // 4 ** nu)
 
 
 def canonical_place(
@@ -317,10 +330,9 @@ def canonical_place(
     Each file at level k is anchored at the least-occupied cell of the
     2^k x 2^k occupancy block, ties to the lower diagonal rank, and is held
     at its anchor plus every multiple of 2^k on both axes.  File by file,
-    that choice is water-filling, so a level runs in rounds (_water_fill):
-    the first takes the least-occupied cells in rank order, each later one
-    every cell in rank order.  The level's files, most popular first (equal
-    popularity to the lower id), take the rounds' cells in turn.
+    that choice is water-filling, so a level runs in rounds (_rounds) that
+    follow from the level counts alone: the placement is its levels, and
+    the anchors are made where they are read.
 
     Requires sum of canonical densities <= capacity; under that premise the
     result never exceeds capacity at any node and covers every file.
@@ -335,32 +347,12 @@ def canonical_place(
         raise InvalidInputError("profile and popularity sizes differ")
     if float(canon.densities.sum()) > capacity + 1e-9:
         raise InvalidInputError("canonical densities exceed the cache capacity")
-
-    levels = canon.levels
-    anchors = np.zeros((levels.size, 2), dtype=np.int64)
-    # Popularity never increases with the id, so ascending ids put the most
-    # popular first and equal popularity to the lower id.
-    order, bounds = _level_groups(levels, grid.nu)
-    # The occupancy of the current level's block, in diagonal rank order.
-    occupancy, period = np.zeros(1, dtype=np.int64), 0
-    for k, ids, w in _water_fill(order, bounds):
-        if k > period:
-            # Occupancy so far is 2^period-periodic: cell (x, y) holds what
-            # (x, y) mod s does, at rank ((x - y) mod s) s + y mod s, s = 2^period.
-            xs, ys = _diagonal_cells(k)
-            mask = 2 ** period - 1
-            occupancy, period = occupancy[(((xs - ys) & mask) << period) | (ys & mask)], k
-        # The round's files take its cells at w, the least occupied, in rank order.
-        cells = np.flatnonzero(occupancy == w)[:ids.size]
-        anchors[ids, 0], anchors[ids, 1] = xs[cells], ys[cells]
-        occupancy[cells] += 1
-    # Occupancy only grows, so its final maximum is over capacity iff some add was.
-    if occupancy.max() + bounds[1] > capacity:
-        raise InternalInvariantError("cache capacity exceeded during placement")
-    anchors.setflags(write=False)
-    return CachePlacement(
-        grid=grid, capacity=capacity, file_count=canon.m_count, levels=levels, anchors=anchors
+    placed = CachePlacement(
+        grid=grid, capacity=capacity, file_count=canon.m_count, levels=canon.levels
     )
+    if _max_occupancy(placed.levels, grid.nu) > capacity:
+        raise InternalInvariantError("cache capacity exceeded during placement")
+    return placed
 
 
 def validate_capacity(placement: CachePlacement) -> bool:

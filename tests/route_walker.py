@@ -16,8 +16,18 @@ import numpy as np
 
 from replicagrid.delivery import REQUEST_RATE, _file_keys
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import GridSpec, Node, hop_distance, signed_axis_delta
+from replicagrid.grid import GridSpec, Node, hop_distance
 from replicagrid.placement import CachePlacement
+
+
+def signed_axis_delta(side: int, a, b):
+    """Shortest signed displacement from coordinate a to b on a cycle.
+
+    A tie (|delta| == side/2) resolves to the negative (north/west)
+    direction.  Works elementwise on int arrays as well as on ints.
+    """
+    d = (b - a) % side
+    return d - side * (2 * d >= side)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ from replicagrid.delivery import (
 )
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import COLUMN, ROW, GridSpec, signed_axis_delta
+from replicagrid.grid import COLUMN, ROW, GridSpec
 from replicagrid.placement import CachePlacement, canonical_place, render_matrix
 from replicagrid.popularity import Popularity, zipf
-from route_walker import link_index, route_walk_loads, serve_map
+from route_walker import link_index, route_walk_loads, serve_map, signed_axis_delta
+from test_placement import _reference_rounds
 
 
 def _links(grid):
@@ -939,8 +940,9 @@ def _reference_lattice_loads(grid, level, anchors, weights):
     return rows, cols
 
 
-def _assert_lattice_loads_match_reference(grid, level, anchors, weights):
-    got = delivery._lattice_loads(grid, level, anchors, weights)
+def _assert_lattice_loads_match_reference(grid, level, weights):
+    got = delivery._lattice_loads(grid, level, weights)
+    anchors, _ = _reference_rounds(level, grid.nu)
     expect = _reference_lattice_loads(grid, level, anchors, weights)
     assert all(np.array_equal(g, e) for g, e in zip(got, expect))
 
@@ -952,26 +954,25 @@ def test_lattice_loads_bit_identical_to_per_level_masks_canonical(nu, tau, share
     pop = zipf(int(share * grid.node_count) - (tau == 0.0), tau)
     placed = _canonical(grid, 2, pop)
     weights = delivery.REQUEST_RATE * pop.probs
-    _assert_lattice_loads_match_reference(grid, placed.levels, placed.anchors, weights)
+    _assert_lattice_loads_match_reference(grid, placed.levels, weights)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_lattice_loads_bit_identical_to_per_level_masks_random(nu, data):
-    # Random catalogs of lattice files, unsorted levels, off-lattice files
-    # (-1) among them, and any weights.  Anchors in a corner of each block
-    # put many files of a level on one anchor, where the order of the
-    # additions shows in the rounding.
+    # Random catalogs, levels sorted or not, and any weights.  Capping the
+    # levels low puts many files of a level on one anchor, where the order
+    # of the additions shows in the rounding.
     grid = GridSpec(nu=nu)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    level = rng.integers(-1, nu + 1, size=data.draw(st.integers(1, 400)))
-    corner = data.draw(st.sampled_from([1, 2, 2**nu]))
-    period = np.minimum(2 ** np.maximum(level, 0), corner)
-    anchors = rng.integers(0, period[:, None], size=(level.size, 2))
+    top = min(nu, data.draw(st.sampled_from([1, 2, nu])))
+    level = rng.integers(0, top + 1, size=data.draw(st.integers(1, 400)))
+    if data.draw(st.booleans()):
+        level.sort()
     weights = rng.random(level.size)
     if data.draw(st.booleans()):
         weights *= 10.0 ** rng.integers(-300, 3, size=level.size)
-    _assert_lattice_loads_match_reference(grid, level, anchors, weights)
+    _assert_lattice_loads_match_reference(grid, level, weights)
 
 
 def _counting_kernel_files(monkeypatch):

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replicagrid.errors import InvalidInputError
-from replicagrid.grid import (
-    GridSpec,
-    hop_distance,
-    signed_axis_delta,
-)
-from route_walker import link_index, shortest_routes
+from replicagrid.grid import GridSpec, hop_distance
+from route_walker import link_index, shortest_routes, signed_axis_delta
 
 
 def test_grid_spec_basics():

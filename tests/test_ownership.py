@@ -24,7 +24,7 @@ def test_pipeline_arrays_are_read_only():
     pop, profile, canon, placed, loads = _pipeline()
     held = (
         pop.probs, profile.densities, canon.levels, canon.densities,
-        placed.levels, placed.anchors, loads.loads,
+        placed.levels, loads.loads,
     )
     for array in held:
         assert not array.flags.writeable
@@ -63,14 +63,7 @@ _HOLDERS = [
     (
         "CachePlacement.levels",
         _LEVELS,
-        lambda a: CachePlacement(
-            GridSpec(nu=1), 2, 3, levels=a, anchors=np.zeros((3, 2), dtype=np.int64)
-        ).levels,
-    ),
-    (
-        "CachePlacement.anchors",
-        np.array([[0, 0], [0, 0], [1, 1]], dtype=np.int64),
-        lambda a: CachePlacement(GridSpec(nu=1), 2, 3, levels=_LEVELS, anchors=a).anchors,
+        lambda a: CachePlacement(GridSpec(nu=1), 2, 3, levels=a).levels,
     ),
 ]
 _IDS = [name for name, _, _ in _HOLDERS]

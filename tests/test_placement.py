@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,9 +279,10 @@ def test_replica_nodes_of_a_compact_placement_reads_its_lattice_without_buffers(
     pop = zipf(int(1.75 * grid.node_count), 2.0)
     placed = cli._build_placement(grid, 2.0, pop)[1]
     side = grid.side
+    anchors, _ = _reference_rounds(placed.levels, grid.nu)
     for m in (0, 8, 1000, pop.m_count - 1):
         step = 2 ** int(placed.levels[m])
-        ax, ay = placed.anchors[m].tolist()
+        ax, ay = anchors[m].tolist()
         lattice = [(x, y) for x in range(ax, side, step) for y in range(ay, side, step)]
         assert placed.replica_nodes(m) == lattice
     assert "buffers" not in vars(placed)
@@ -486,7 +488,8 @@ def test_compact_form_matches_buffers_form(case):
         canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
     placed = canonical_place(grid, canon, pop, cap)
     assert np.array_equal(placed.levels, canon.levels)
-    assert np.all((placed.anchors >= 0) & (placed.anchors < 2 ** placed.levels[:, None]))
+    for k, _, _, ax, ay in placement._rounds(placed.levels, nu):
+        assert np.all((ax >= 0) & (ax < 2**k) & (ay >= 0) & (ay < 2**k))
     # Renderers and loads first: none of them may need the buffers.
     text, doc = render_matrix(placed), placed.to_json()
     loads = link_loads(grid, placed, pop).loads if nu else None
@@ -576,11 +579,16 @@ def test_closed_form_rounds_match_reference_loop(case):
     nu, levels = case
     placed = _place_levels(nu, levels)
     anchors, values = _reference_rounds(placed.levels, nu)
-    assert np.array_equal(placed.anchors, anchors)
-    closed = np.full(placed.levels.size, -1, dtype=np.int64)
-    for _k, ids, w in placement._water_fill(*placement._level_groups(placed.levels, nu)):
-        closed[ids] = w
-    assert np.array_equal(closed, values)
+    closed = np.zeros_like(anchors)
+    closed_values = np.full(placed.levels.size, -1, dtype=np.int64)
+    for k, ids, w, ax, ay in placement._rounds(placed.levels, nu):
+        assert np.all(placed.levels[ids] == k)
+        # Distinct anchors within a round, as _lattice_loads' indexed add needs.
+        assert np.unique(ax * 2**k + ay).size == ids.size
+        closed[ids, 0], closed[ids, 1] = ax, ay
+        closed_values[ids] = w
+    assert np.array_equal(closed, anchors)
+    assert np.array_equal(closed_values, values)
 
 
 def _reference_node_major(placed):
@@ -593,11 +601,12 @@ def _reference_node_major(placed):
         files = np.array([m for b in placed.buffers for m in sorted(b)], dtype=np.int64)
     else:
         side, count = placed.grid.side, placed.file_count
+        anchors, _ = _reference_rounds(placed.levels, placed.grid.nu)
         keys = []
         for k in np.unique(placed.levels).tolist():
             ids = np.flatnonzero(placed.levels == k)
             steps = np.arange(0, side, 2 ** k, dtype=np.int64)
-            ax, ay = placed.anchors[ids, 0], placed.anchors[ids, 1]
+            ax, ay = anchors[ids, 0], anchors[ids, 1]
             cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
             keys.append((cells * count + ids[:, None, None]).ravel())
         nodes, files = np.divmod(np.sort(np.concatenate(keys)), count)
@@ -673,6 +682,22 @@ def test_delivery_builds_no_node_table(tau, m):
     assert "_node_table" not in vars(placed) and "buffers" not in vars(placed)
 
 
+def test_canonical_place_keeps_only_the_levels():
+    # The placement is the profile's levels: at nu = 9, tau 2 and M = 1.75 N
+    # (458,752 files) an (M, 2) int64 anchor array would keep 7.3 MB.
+    grid = GridSpec(nu=9)
+    pop = zipf(int(1.75 * grid.node_count), 2.0)
+    canon = canonical_truncate(solve_cd(grid.node_count, 2.0, pop))
+    tracemalloc.start()
+    try:
+        placed = canonical_place(grid, canon, pop, 2)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert placed.levels is canon.levels
+    assert kept < 2**20
+
+
 def test_simulate_builds_no_buffers(monkeypatch, capsys):
     placed = []
 
@@ -699,35 +724,29 @@ def test_placement_takes_one_form():
     grid = GridSpec(nu=1)
     with pytest.raises(InvalidInputError):
         CachePlacement(grid=grid, capacity=1, file_count=1)
-    with pytest.raises(InvalidInputError):
-        CachePlacement(grid=grid, capacity=1, file_count=1, levels=np.zeros(1, dtype=np.int64))
+    placed = CachePlacement(grid=grid, capacity=1, file_count=1, levels=np.zeros(1, dtype=np.int64))
+    assert placed.buffers == (frozenset({0}),) * 4
     with pytest.raises(InvalidInputError):
         CachePlacement(
             grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4,
-            levels=np.zeros(1, dtype=np.int64), anchors=np.zeros((1, 2), dtype=np.int64),
+            levels=np.zeros(1, dtype=np.int64),
         )
 
 
 @pytest.mark.parametrize(
-    "levels, anchors, message",
+    "levels, message",
     [
-        # Each used to pass unchecked: a bare ValueError from a reshape, a
-        # file dropped from the loads and the hop total alike, or a
-        # TypeError.
-        ([0, 1], [[0, 0], [2, 0]], r"file 1 at level 1 has anchor \(2, 0\), outside \[0, 2\)\^2"),
-        ([1, 3], [[0, 0], [0, 0]], "file 1 has level 3, outside 0..2"),
-        ([1], [[0, 0], [0, 0]], r"must have shapes \(2,\) and \(2, 2\), got \(1,\) and \(2, 2\)"),
-        ([-1, 1], [[0, 0], [0, 0]], "file 0 has level -1, outside 0..2"),
-        ([1, 1], [[0, 0]], r"must have shapes \(2,\) and \(2, 2\), got \(2,\) and \(1, 2\)"),
-        ([1, 2], [[0, 0], [3, -1]], r"file 1 at level 2 has anchor \(3, -1\), outside \[0, 4\)\^2"),
-        ([0, 2], [[0, 1], [3, 3]], r"file 0 at level 0 has anchor \(0, 1\), outside \[0, 1\)\^2"),
+        # Each used to pass unchecked: a bare ValueError from a reshape, or
+        # a file dropped from the loads and the hop total alike.
+        ([1, 3], "file 1 has level 3, outside 0..2"),
+        ([1], r"levels of 2 files must have shape \(2,\), got \(1,\)"),
+        ([-1, 1], "file 0 has level -1, outside 0..2"),
     ],
-    ids=["anchor-past-period", "level-above-nu", "levels-short", "negative-level",
-         "anchors-short", "negative-anchor", "level-0-off-origin"],
+    ids=["level-above-nu", "levels-short", "negative-level"],
 )
-def test_compact_form_is_checked(levels, anchors, message):
+def test_compact_form_is_checked(levels, message):
     with pytest.raises(InvalidInputError, match=message):
-        CachePlacement(grid=GridSpec(nu=2), capacity=2, file_count=2, levels=levels, anchors=anchors)
+        CachePlacement(grid=GridSpec(nu=2), capacity=2, file_count=2, levels=levels)
 
 
 @pytest.mark.parametrize("count", [3, 5])
