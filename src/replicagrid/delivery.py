@@ -162,6 +162,7 @@ def _lattice_loads(
     rows = cols = np.zeros((1, 1))
     for k in list(masses):
         s = 2 ** k
+        # Popped, so each level's matrix is freed once its products are in.
         a = masses.pop(k).reshape(s, s)
         h = np.abs(np.arange(s) - s // 2).astype(float)
         circ = h[(np.arange(s)[None, :] - np.arange(s)[:, None]) % s]
