@@ -9,12 +9,14 @@ The placement's form chooses the path.  A compact placement (every file
 on one 2^k-periodic lattice, as canonical_place makes it) is loaded per
 level in closed form, and its hop total read from one entry per level.
 A placement given by buffers is served file by file by one batched
-kernel: consecutive files in blocks of _BLOCK_NODE_FILES node-file pairs,
-the nearest replica of every node by a row pass then a column pass over
-an integer selection key (_serving_keys), and the half-route counts of
-all files of a block, node-major like the loads, from one difference
-array of line length per axis (_run_counts).  The grid side is 2^nu, so
-the kernel indexes by shifts and masks.  Its replica table is built once
+kernel: consecutive files in key blocks of _BLOCK_NODE_FILES node-file
+pairs, the nearest replica of every node by two scans over an integer
+selection key, each walking its cyclic axis one position per step across
+every file and line of the block (_serving_keys, _cyclic_minimum), and
+the half-route counts of the files of a cache-sized sub-block, node-major
+like the loads, from one difference array of line length per axis
+(_run_counts).  The grid side is 2^nu, so the kernel indexes by shifts
+and masks.  Its replica table is built once
 and kept on the placement (CachePlacement._replicas).
 
 Each file of a placement given by buffers is served once for its hop
@@ -42,7 +44,12 @@ from .placement import CachePlacement, _rounds
 from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
-_BLOCK_NODE_FILES = 2**13  # node-file pairs per block of kernel-served files
+# Node-file pairs per key block (_serving_keys), 1 MiB per int64 array of
+# the block: a scan step spans many files at low nu, and a block stays
+# small at high nu.  _run_counts peaks at about 17 arrays of its block's
+# size against about 4 for the keys, and ran fastest on a sixteenth of a
+# key block (8 files at nu = 5), so it runs in sub-blocks of that size.
+_BLOCK_NODE_FILES = 2**17
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,12 @@ def avg_link(load_map: LinkLoadMap) -> float:
     return float(load_map.loads.mean())
 
 
-def _blocks(grid: GridSpec, files: np.ndarray):
-    """Consecutive runs of files, _BLOCK_NODE_FILES node-file pairs each
+def _blocks(grid: GridSpec, count: int, pairs: int):
+    """Slices of `count` consecutive files, `pairs` node-file pairs each
     (one file when a file alone has more nodes)."""
-    step = max(1, _BLOCK_NODE_FILES // grid.node_count)
-    for lo in range(0, files.size, step):
-        yield files[lo:lo + step]
+    step = max(1, pairs // grid.node_count)
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
 
 
 def _serving_keys(
@@ -90,45 +97,69 @@ def _serving_keys(
     picks one exactly: key % n is the serving node and key // 9n the hops.
 
     The key is a row term in (x, rx) plus a column term in (y, ry), so it is
-    minimised in two passes of _cyclic_minimum: first along each row of the
-    file's replica grid (the least column term per replica row and client
-    column), then along each column over the replica rows.  Each pass costs
-    O(N) per file, and the temporaries are (len(files), 2N).
+    minimised in two scans of _cyclic_minimum, each along the leading axis
+    of a (side, files, side) array: first over ry, the least column term
+    per client column y, file and replica row rx; then over rx, per client
+    row x, file and client column y.  Each scan costs O(N) per file.  A
+    cell with no replica holds 18 n side, past every real key (below
+    n (9 side + 9)), so every intermediate stays below 36 n side + 8 n and
+    inside int64 up to nu = 19.
     """
     side, n = grid.side, grid.node_count
     counts = offsets[files + 1] - offsets[files]
     owner = np.repeat(np.arange(files.size), counts)
-    starts = np.cumsum(counts) - counts
-    reps = coords[offsets[files][owner] + np.arange(owner.size) - starts[owner]]
-    # A cell with no replica is past every real key: keys are below
-    # n (9 side + 9) <= 18 n side.
-    value = np.full((files.size, side, side), 18 * n * side, dtype=np.int64)
-    value[owner, reps[:, 0], reps[:, 1]] = reps[:, 1]
-    column = _cyclic_minimum(value, 9 * n, n)
-    column += np.arange(side)[:, None] * side
-    key = _cyclic_minimum(column.swapaxes(1, 2), 9 * n, 3 * n)
-    return key.swapaxes(1, 2).reshape(files.size, n)
+    rows = np.arange(owner.size) + np.repeat(offsets[files] - (np.cumsum(counts) - counts), counts)
+    rx, ry = coords[rows, 0], coords[rows, 1]
+    value = np.full((side, files.size, side), 18 * n * side, dtype=np.int64)
+    value[ry, owner, rx] = ry
+    _cyclic_minimum(value, 9 * n, n)
+    value += np.arange(0, n, side)
+    # Each scan overwrites its input and the input of the second replaces
+    # the first's, so the block holds about four arrays of its size at once.
+    key = value.transpose(2, 1, 0).copy()
+    del value
+    _cyclic_minimum(key, 9 * n, 3 * n)
+    return key.swapaxes(0, 1).reshape(files.size, n)
 
 
-def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> np.ndarray:
-    """For each position p of the last axis, a cycle of length side: the
-    least value[q] + step d + tie t over positions q at cyclic distance d,
-    with t = 0 for q before p (a decreasing step, as at d = side/2), 1 for
-    q = p and 2 for q after p.
+def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> None:
+    """Overwrite value, an int64 array (side, ...) with trailing axes, with
+    the cyclic minimum along its leading axis: for each position p on a
+    cycle of length side, the least value[q] + step d + tie t over
+    positions q at cyclic distance d, with t = 0 for q before p (a
+    decreasing step, as at d = side/2), 1 for q = p and 2 for q after p.
 
-    min over q before p of value[q] + step (p - q) is step p plus a running
-    minimum of value[q] - step q; likewise after p.  Over the doubled axis
-    both scans also see each q at its distance the other way round, and at
-    d >= side: those terms exceed the right one (step > 2 tie), so the
-    minimum is unchanged.
+    The least term from q before p is step p plus the least value[q] - step q
+    over q < p, and over the half lap before position 0 (q - side for q >=
+    side/2); likewise after p.  One scan per direction walks the leading
+    axis, one np.minimum over a whole slice of the other axes per position.
+    The half laps also reach some q at more than side/2 the other way
+    round, or at d = side: those terms exceed the right one (step > 2 tie),
+    so the minimum is unchanged.  For values, step and tie >= 0 every
+    intermediate lies in [-step side, max value + 2 step side + 2 tie].
     """
-    side = value.shape[-1]
-    ramp = step * np.arange(2 * side)
-    doubled = np.concatenate([value, value], axis=-1)
-    before = np.minimum.accumulate(doubled - ramp, axis=-1)[..., side - 1:-1] + ramp[side:]
-    after = np.minimum.accumulate((doubled + ramp)[..., ::-1], axis=-1)[..., ::-1]
-    after = after[..., 1:side + 1] + (2 * tie - ramp[:side])
-    return np.minimum(np.minimum(before, after, out=before), value + tie, out=before)
+    side = value.shape[0]
+    half = (side + 1) // 2  # side / 2, or 1 on the one-position cycle
+    ramp = step * np.arange(side).reshape((side,) + (1,) * (value.ndim - 1))
+    # before[p] becomes the least value[q] - step q over q < p, before[0]
+    # the half lap before position 0; after[p] the least value[q] + step q
+    # + 2 tie over q >= p, after[side] the half lap after side - 1.
+    before = np.empty((side + 1,) + value.shape[1:], dtype=np.int64)
+    after = np.empty_like(before)
+    np.subtract(value, ramp, out=before[1:])
+    np.add(value, ramp + 2 * tie, out=after[:-1])
+    np.add(before[side + 1 - half:].min(axis=0), step * side, out=before[0])
+    np.add(after[:half].min(axis=0), step * side, out=after[side])
+    for p in range(1, side):
+        np.minimum(before[p - 1], before[p], out=before[p])
+        np.minimum(after[side - p + 1], after[side - p], out=after[side - p])
+    value += tie
+    before = before[:-1]
+    before += ramp
+    np.minimum(value, before, out=value)
+    after = after[1:]
+    after -= ramp
+    np.minimum(value, after, out=value)
 
 
 def _lattice_loads(
@@ -272,9 +303,10 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     """Accumulate per-link traffic over all files.
 
     A compact placement is summed per level in closed form
-    (_lattice_loads).  A placement given by buffers is served in blocks of
-    consecutive files (_blocks, _serving_keys), and each file's half-route
-    counts are added to the loads in file order.  The hop totals go into
+    (_lattice_loads).  A placement given by buffers is served in key blocks
+    of consecutive files (_blocks, _serving_keys); each key block's
+    half-route counts are taken in sub-blocks (_run_counts), and each
+    file's are added to the loads in file order.  The hop totals go into
     the placement's hop record on the way (_record_hops), so a later
     total_hop_load serves no file again; the loads are not kept.  Requires
     a nu >= 1 grid; the single-node grid has no links to load.
@@ -289,12 +321,14 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
         loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
     else:
         loads = np.zeros(2 * grid.node_count)
-        for block in _blocks(grid, np.arange(placement.file_count)):
-            keys = _serving_keys(grid, *replicas, block)
-            _record_hops(grid, placement, block, keys)
-            counts = _run_counts(grid, keys)
-            for m, file_counts in zip(block.tolist(), counts):
-                _deposit(loads, file_counts, weights[m])
+        files = np.arange(placement.file_count)
+        for block in _blocks(grid, files.size, _BLOCK_NODE_FILES):
+            ids = files[block]
+            keys = _serving_keys(grid, *replicas, ids)
+            _record_hops(grid, placement, ids, keys)
+            for part in _blocks(grid, ids.size, _BLOCK_NODE_FILES // 16):
+                for m, file_counts in zip(ids[part].tolist(), _run_counts(grid, keys[part])):
+                    _deposit(loads, file_counts, weights[m])
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
@@ -316,8 +350,10 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
         hops = per_level[placement.levels]
     else:
         hops = placement._hops
-        for block in _blocks(grid, np.flatnonzero(hops < 0)):
-            _record_hops(grid, placement, block, _serving_keys(grid, *replicas, block))
+        files = np.flatnonzero(hops < 0)
+        for block in _blocks(grid, files.size, _BLOCK_NODE_FILES):
+            ids = files[block]
+            _record_hops(grid, placement, ids, _serving_keys(grid, *replicas, ids))
     # cumsum adds in file order, so the total is bit-identical to a running
     # per-file sum.
     return REQUEST_RATE * float(np.cumsum(pop.probs * hops)[-1])

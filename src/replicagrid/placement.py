@@ -301,9 +301,14 @@ def _rounds(levels: np.ndarray, nu: int):
             starts = [0, *range(4 ** k - extra, ids.size, 4 ** k)]
             for w, lo, hi in zip(itertools.count(w0), starts, starts[1:] + [ids.size]):
                 # The round's files take its cells at w, the least occupied,
-                # in rank order.
-                ranks = np.flatnonzero(occupancy == w)[:hi - lo]
-                occupancy.ravel()[ranks] += 1
+                # in rank order.  After the level's first round every cell
+                # is at w, so a later round takes the first ranks.
+                if w == w0:
+                    ranks = np.flatnonzero(occupancy == w)[:hi - lo]
+                    occupancy.ravel()[ranks] += 1
+                else:
+                    ranks = np.arange(hi - lo)
+                    occupancy.ravel()[:hi - lo] += 1
                 yield k, ids[lo:hi], w, *_diagonal_cells(ranks, k)
         held += ids.size
 

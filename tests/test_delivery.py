@@ -385,21 +385,26 @@ def _block_keys(grid, placed):
     """Serving keys of every file, block by block under the module's block
     rule, stacked in file order."""
     coords, offsets = placed._replicas
-    blocks = delivery._blocks(grid, np.arange(placed.file_count))
-    return np.concatenate([delivery._serving_keys(grid, coords, offsets, b) for b in blocks])
+    files = np.arange(placed.file_count)
+    blocks = delivery._blocks(grid, files.size, delivery._BLOCK_NODE_FILES)
+    return np.concatenate([delivery._serving_keys(grid, coords, offsets, files[b]) for b in blocks])
 
 
 @pytest.mark.parametrize(
     "nu, w_count, budget",
-    # A block is max(1, budget // N) consecutive files of the seven drawn.
-    # One file per block: every budget below 2N, among them a budget of one
-    # node-file pair (1, 1, 1), exactly N (3, 5, 64), and files at every
-    # node (5, 1024, 500).  Three files per block, the last block ragged:
-    # (4, 64, 1000) and (5, 100, 3199).  Two per block: (2, 16, 40).  All
-    # seven in one block: (2, 2, 112) exactly, (3, 5, 1000) with room left.
+    # A key block is max(1, budget // N) consecutive files of the seven
+    # drawn, and its run counts go in sub-blocks of max(1, budget // 16N)
+    # files.  One file per key block: every budget below 2N, among them a
+    # budget of one node-file pair (1, 1, 1), exactly N (3, 5, 64), and files
+    # at every node (5, 1024, 500).  Three files per key block, the last
+    # block ragged: (4, 64, 1000) and (5, 100, 3199).  Two per key block:
+    # (2, 16, 40).  All seven in one key block: (2, 2, 112) exactly, (3, 5,
+    # 1000) with room left.  Below 32N every sub-block is one file.  All
+    # seven in one key block split into sub-blocks of two (2, 16, 640) and
+    # three (3, 5, 3200), the last sub-block ragged.
     [(1, 1, 1), (2, 16, 4), (2, 2, 7), (3, 5, 64), (4, 3, 100), (4, 64, 1000),
      (3, 5, 39), (4, 3, 47), (5, 100, 3199), (5, 1024, 500), (3, 5, 40), (4, 3, 144),
-     (2, 16, 40), (2, 2, 112), (3, 5, 1000)],
+     (2, 16, 40), (2, 2, 112), (3, 5, 1000), (2, 16, 640), (3, 5, 3200)],
 )
 def test_nearest_replica_blocks_match_default(monkeypatch, nu, w_count, budget):
     grid = GridSpec(nu=nu)
@@ -449,17 +454,88 @@ def _reference_nearest_replica(grid, reps):
     return choice, dist
 
 
+def _reference_cyclic_minimum(value, step, tie):
+    """For each position p of the leading axis, the least value[q] + step d
+    + tie t over every q, by a loop in Python integers: d the cyclic
+    distance from p to q, t = 0 for q before p (at d = side/2 too), 1 for
+    q = p and 2 for q after p."""
+    side = value.shape[0]
+    rows = value.reshape(side, -1).tolist()
+    out = []
+    for p in range(side):
+        terms = []
+        for q in range(side):
+            ahead = (q - p) % side
+            d, t = (0, 1) if ahead == 0 else (ahead, 2) if 2 * ahead < side else (side - ahead, 0)
+            terms.append([v + step * d + tie * t for v in rows[q]])
+        out.append([min(column) for column in zip(*terms)])
+    return np.array(out, dtype=np.int64).reshape(value.shape)
+
+
+def _cyclic_minimum_bound(step, side, tie):
+    """The largest input value _cyclic_minimum is exact for: every
+    intermediate is at most max value + 2 (step side + tie), which must
+    stay inside int64."""
+    return np.iinfo(np.int64).max - 2 * (step * side + tie)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.sampled_from([(1,), (7,), (3, 5)]),
+    st.sampled_from(["small", "wide", "sentinel", "pairs"]),
+    st.data(),
+)
+def test_cyclic_minimum_matches_brute_force(side, width, cells, data):
+    # Values 0..2 make distance and tie decide; "wide" values reach the
+    # int64 bound; "sentinel" cells sit at the largest value, as cells
+    # without a replica do; "pairs" are mirror images about a drawn centre
+    # c, so positions c and c + side/2 see equal values at equal distances
+    # both ways, and the one cell side/2 away goes to the before side.
+    step = data.draw(st.integers(1, 10**9))
+    tie = data.draw(st.integers(0, (step - 1) // 2))  # step > 2 tie
+    top = 2 if cells == "small" else _cyclic_minimum_bound(step, side, tie)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    value = rng.integers(0, top, size=(side, *width), endpoint=True, dtype=np.int64)
+    if cells == "sentinel":
+        value[rng.random(value.shape) < 0.7] = top
+    if cells == "pairs":
+        c = int(rng.integers(side))
+        value = np.minimum(value, value[(2 * c - np.arange(side)) % side])
+    got = value.copy()
+    delivery._cyclic_minimum(got, step, tie)
+    assert np.array_equal(got, _reference_cyclic_minimum(value, step, tie))
+
+
+def test_serving_keys_stay_inside_the_scan_bound():
+    # A cell without a replica holds 18 n side; the first scan (step 9n,
+    # tie n) leaves at most that plus n, and the row term adds at most
+    # n - side before the second (step 9n, tie 3n).  Both fit up to nu = 19.
+    for nu in range(20):
+        n, side = 4**nu, 2**nu
+        assert 18 * n * side <= _cyclic_minimum_bound(9 * n, side, n)
+        assert 18 * n * side + 2 * n - side <= _cyclic_minimum_bound(9 * n, side, 3 * n)
+    n, side = 4**20, 2**20
+    assert 18 * n * side > _cyclic_minimum_bound(9 * n, side, n)
+
+
 def _block_budget(draw, n, files):
     """A _BLOCK_NODE_FILES value for `files` files on N = n nodes: the
-    default, one file per block (any budget below 2N), k files per block for
-    2 <= k < files (ragged when files % k), or all files in one block."""
-    shape = draw(st.sampled_from(["default", "one", "some", "all"]))
+    default, one file per key block (any budget below 2N), k files per key
+    block for 2 <= k < files (ragged when files % k), all files in one key
+    block, or all files in one key block whose run counts go in sub-blocks
+    of k files (a sixteenth of the budget; ragged when files % k).  Below
+    32N a sub-block is one file, so every key block of several files is
+    split."""
+    shape = draw(st.sampled_from(["default", "one", "some", "all", "split"]))
     if shape == "one":
         return draw(st.integers(1, 2 * n - 1))
     if shape == "some" and files > 2:
         return draw(st.integers(2, files - 1)) * n + draw(st.integers(0, n - 1))
     if shape == "all":
         return files * n + draw(st.integers(0, n))
+    if shape == "split" and files > 2:
+        return 16 * (draw(st.integers(2, files - 1)) * n + draw(st.integers(0, n - 1)))
     return delivery._BLOCK_NODE_FILES
 
 
