@@ -14,10 +14,12 @@ pairs, the nearest replica of every node by two scans over an integer
 selection key, each walking its cyclic axis one position per step across
 every file and line of the block (_serving_keys, _cyclic_minimum), and
 the half-route counts of the files of a cache-sized sub-block, node-major
-like the loads, from one difference array of line length per axis
-(_run_counts).  The grid side is 2^nu, so the kernel indexes by shifts
-and masks.  Its replica table is built once
-and kept on the placement (CachePlacement._replicas).
+like the loads (_run_counts): every run's start and stop from one take
+per axis from a table of (client, server) coordinate pairs (_pair_table,
+made once per call and never kept), counted by one bincount per axis and
+sign on doubled lines of 2 side positions.  The grid side is 2^nu, so the
+kernel indexes by shifts and masks.  Its replica table is built once and
+kept on the placement (CachePlacement._replicas).
 
 Each file of a placement given by buffers is served once for its hop
 total: link_loads and total_hop_load write the total, the key's hops
@@ -46,7 +48,7 @@ from .popularity import Popularity, _frozen
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
 # Node-file pairs per key block (_serving_keys), 1 MiB per int64 array of
 # the block: a scan step spans many files at low nu, and a block stays
-# small at high nu.  _run_counts peaks at about 17 arrays of its block's
+# small at high nu.  _run_counts peaks at about 16 arrays of its block's
 # size against about 4 for the keys, and ran fastest on a sixteenth of a
 # key block (8 files at nu = 5), so it runs in sub-blocks of that size.
 _BLOCK_NODE_FILES = 2**17
@@ -205,7 +207,23 @@ def _lattice_loads(
     return np.tile(rows, tiles), np.tile(cols, tiles)
 
 
-def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+def _pair_table(grid: GridSpec) -> np.ndarray:
+    """The (start, unmasked stop) of the run from client coordinate c to
+    server coordinate t along one axis (_run_counts), as an (N, 2) int32
+    table with row (c << nu) | t.  It takes 8 N bytes (128 MiB at
+    nu = 12), so each link_loads or per-file call makes it once and
+    nothing keeps it."""
+    side, mask = grid.side, grid.side - 1
+    coord = np.arange(side)
+    delta = (coord - coord[:, None]) & mask  # [c, t]: (t - c) mod side
+    delta -= side * (2 * delta >= side)  # signed; a tie at side/2 goes negative
+    table = np.empty((side, side, 2), dtype=np.int32)
+    table[..., 0] = (coord[:, None] + np.minimum(delta, 0)) & mask
+    table[..., 1] = table[..., 0] + np.abs(delta)
+    return table.reshape(-1, 2)
+
+
+def _run_counts(grid: GridSpec, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-link count of half-routes of each file served by keys, as a
     (files, side, side, 2) integer array by owning node (x, y): [..., 0]
     the row link, [..., 1] the column link, the interleaved order of loads.
@@ -214,47 +232,59 @@ def _run_counts(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     y_c to row x_s, then along row x_s) and half along the y-first one
     (along row x_c to column y_s, then along column y_s); an I-route is
     the case where the two coincide.  Each half-route is one cyclic run per
-    axis: |delta| links along its line from the client's coordinate c, and
-    a step toward a lower coordinate crosses the link owned by the node it
-    lands on, so the run covers the links owned by positions
-    start = (c + min(delta, 0)) & (side - 1) onward.
+    axis, from the client's coordinate c toward the server's t: |delta|
+    links, delta the signed offset with a tie at side/2 going negative.  A
+    step toward a lower coordinate crosses the link owned by the node it
+    lands on, so the run covers the links owned by positions start =
+    (c + min(delta, 0)) & (side - 1) up to the unmasked stop = start +
+    |delta|, in [0, 3 side / 2).  Both depend on (c, t) alone, so one take
+    from the pair table (_pair_table) per axis gives every run's.
 
-    Every run goes into one difference array of line length: +1 at start,
-    -1 at (start + |delta|) & (side - 1), and +1 at position 0 when
-    start + |delta| >= side, that is when the run wraps past the line end
-    (at exactly side the +1 and -1 at position 0 cancel).  One bincount per
-    sign, and one of the wrapped runs per line, serve all runs of all
-    files; a cumulative sum along each line gives the counts.
+    Runs are counted on doubled lines of 2 side positions: +1 at start and
+    -1 at stop, one bincount per sign over all runs of all files.  The
+    count at position p is then the cumulative sum at p plus that at
+    p + side.  So the second half is added onto the first, the first
+    half's sum (the runs that wrap past the line end) goes in at position
+    0, and a cumulative sum along each line gives the counts.
     """
     nu, side, n = grid.nu, grid.side, grid.node_count
     files, mask = keys.shape[0], side - 1
-    server = keys & (n - 1)
-    nodes = np.arange(n)
-    size = files * n
-    base = np.arange(0, size, n)[:, None]
+    size = 2 * files * n
+    base = np.arange(0, size, 2 * n)[:, None]
+    xs, ys = (keys >> nu) & mask, keys & mask  # key % n is the server
+    xc, yc = np.divmod(np.arange(n), side)
     counts = np.empty((files, side, side, 2), dtype=np.int64)
-    # Lines are numbered file by file, side positions each, a line's first
-    # position at line * side: rows x by column position y, then columns y
-    # by row position x.  A row run lies on row x_s or x_c from client
-    # column y_c, a column run on column y_c or y_s from client row x_c.
-    for axis, lines, client, target in (
-        (0, (server & -side, nodes & -side), nodes & mask, server & mask),
-        (1, ((nodes & mask) << nu, (server & mask) << nu), nodes >> nu, server >> nu),
-    ):
-        delta = (target - client) & mask
-        delta -= side * (2 * delta >= side)  # signed; a tie at side/2 goes negative
-        start = (client + np.minimum(delta, 0)) & mask
-        stop = start + np.abs(delta)
-        line = np.empty((2, files, n), dtype=np.int64)
-        for out, at in zip(line, lines):
-            np.add(base, at, out=out)
-        diff = np.bincount((line + start).ravel(), minlength=size)
-        diff -= np.bincount((line + (stop & mask)).ravel(), minlength=size)
-        runs = diff.reshape(files, side, side)
-        wrapped = line[:, stop >= side].ravel() >> nu
-        runs[..., 0] += np.bincount(wrapped, minlength=files * side).reshape(files, side)
-        np.cumsum(runs, axis=2, out=runs)
-        counts[..., axis] = runs if axis == 0 else runs.swapaxes(1, 2)
+    line = np.empty((2, files, n), dtype=np.int64)
+    at = np.empty_like(line)
+    # Each axis's counts are summed in every other slot of `at`, free once
+    # its bincounts are done: with numpy 2.4, a cumulative sum along a
+    # strided view ran three to four times as fast as along contiguous rows.
+    flat = at.reshape(-1, 2)[:, 0]
+    runs = flat.reshape(files * side, side)
+    # Lines are numbered file by file, a line's first position at 2 side
+    # line: rows x by column position y, then columns y by row position x.
+    # A row run lies on row x_s or x_c from client column y_c to y_s, a
+    # column run on column y_c or y_s from client row x_c to x_s.
+    for axis, lines, client, target in ((0, (xs, xc), yc, ys), (1, (yc, ys), xc, xs)):
+        for out, coord in zip(line, lines):
+            np.left_shift(coord, nu + 1, out=out)
+            out += base
+        ends = np.take(table, (client << nu) | target, axis=0).astype(np.int64)
+        np.add(line, ends[..., 0], out=at)
+        diff = np.bincount(at.ravel(), minlength=size)
+        np.add(line, ends[..., 1], out=at)
+        diff -= np.bincount(at.ravel(), minlength=size)
+        halves = diff.reshape(files * side, 2, side)
+        np.add(halves[:, 0], halves[:, 1], out=runs)
+        # A folded line sums to 0, so one cumulative sum over all lines
+        # starts each line at its wrapped runs once position 0 gains them
+        # and gives back the previous line's.
+        wrapped = halves[:, 0].sum(axis=1)
+        runs[:, 0] += wrapped
+        runs[1:, 0] -= wrapped[:-1]
+        np.cumsum(flat, out=flat)
+        by_line = runs.reshape(files, side, side)
+        counts[..., axis] = by_line if axis == 0 else by_line.swapaxes(1, 2)
     return counts
 
 
@@ -322,12 +352,13 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     else:
         loads = np.zeros(2 * grid.node_count)
         files = np.arange(placement.file_count)
+        table = _pair_table(grid)
         for block in _blocks(grid, files.size, _BLOCK_NODE_FILES):
             ids = files[block]
             keys = _serving_keys(grid, *replicas, ids)
             _record_hops(grid, placement, ids, keys)
             for part in _blocks(grid, ids.size, _BLOCK_NODE_FILES // 16):
-                for m, file_counts in zip(ids[part].tolist(), _run_counts(grid, keys[part])):
+                for m, file_counts in zip(ids[part].tolist(), _run_counts(grid, keys[part], table)):
                     _deposit(loads, file_counts, weights[m])
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
@@ -401,7 +432,7 @@ def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.nd
 def _file_loads(grid: GridSpec, keys: np.ndarray, p_m: float) -> np.ndarray:
     """Link loads of the one file served by keys, at popularity weight p_m."""
     loads = np.zeros(2 * grid.node_count)
-    _deposit(loads, _run_counts(grid, keys)[0], REQUEST_RATE * p_m)
+    _deposit(loads, _run_counts(grid, keys, _pair_table(grid))[0], REQUEST_RATE * p_m)
     return loads
 
 

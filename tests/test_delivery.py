@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import io
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -1235,7 +1237,7 @@ def test_run_counts_match_reference_on_every_run(nu):
     client, server = np.divmod(np.arange(n * n), n)
     keys = np.tile(np.arange(n), (n * n, 1))
     keys[np.arange(n * n), client] = server
-    counts = delivery._run_counts(grid, keys)
+    counts = delivery._run_counts(grid, keys, delivery._pair_table(grid))
     assert counts.shape == (n * n, side, side, 2)
     xc, yc = np.divmod(client, side)
     xs, ys = np.divmod(server, side)
@@ -1247,6 +1249,73 @@ def test_run_counts_match_reference_on_every_run(nu):
         assert np.array_equal(counts[f], np.stack([rows, cols.T], axis=-1))
     ends = (yc + np.minimum(dy, 0)) % side + np.abs(dy)
     assert -side // 2 in dy.tolist() and side in ends.tolist()
+    # Some run ends strictly inside the doubled line's second half, so the
+    # fold of the second half onto the first is exercised (no room on side 2).
+    assert side == 2 or np.any((side < ends) & (ends < 3 * side // 2))
+
+
+@pytest.mark.parametrize("nu", range(1, 11))
+def test_pair_table_holds_every_signed_offset_run(nu):
+    # Every (client c, server t) pair on sides 2 .. 2^10, row (c << nu) | t.
+    side, n = 2**nu, 4**nu
+    table = delivery._pair_table(GridSpec(nu=nu))
+    assert table.dtype == np.int32 and table.shape == (n, 2) and table.nbytes == 8 * n
+    c, t = np.divmod(np.arange(n), side)
+    d = (t - c) % side
+    delta = np.where(2 * d < side, d, d - side)  # a tie at side/2 goes negative
+    start = (c + np.minimum(delta, 0)) % side
+    assert np.array_equal(table[:, 0], start)
+    assert np.array_equal(table[:, 1], start + np.abs(delta))
+    tie = d == side // 2
+    assert np.array_equal(table[tie, 0], (c[tie] - side // 2) % side)
+    assert np.all(table[tie, 1] - table[tie, 0] == side // 2)
+    same = d == 0
+    assert np.array_equal(table[same, 0], c[same]) and np.array_equal(table[same, 1], c[same])
+    assert table.min() >= 0 and table[:, 1].max() < 3 * side // 2
+
+
+def _arrays_reachable_from(module):
+    """Every ndarray reachable from the module's globals, not looking into
+    other modules or into classes and functions defined elsewhere."""
+    seen, stack, found = set(), [module], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, types.ModuleType) and obj is not module:
+            continue
+        elif isinstance(obj, (type, types.FunctionType)) and obj.__module__ != module.__name__:
+            continue
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+# tracemalloc peak of the call below, numpy 2.4, when each axis computed
+# its signed offsets, starts and stops in full-size passes (no pair table)
+# and the line ids of both axes were built up front: 13,117,462 bytes (200
+# per node).  With the pair table it was 11,543,478 bytes (176 per node).
+_ONE_FILE_NU8_PEAK = 13_117_462
+
+
+def test_link_loads_memory_is_bounded_and_keeps_no_pair_table():
+    grid = GridSpec(nu=8)
+    n = grid.node_count
+    rng = np.random.default_rng(8)
+    placed = _placement_from_holders(grid, [set(rng.choice(n, n // 4, replace=False).tolist())])
+    pop = zipf(1, 0.8)
+    placed._replicas  # built before tracing, as a second call would find it
+    tracemalloc.start()
+    try:
+        link_loads(grid, placed, pop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _ONE_FILE_NU8_PEAK
+    assert not [a.shape for a in _arrays_reachable_from(delivery) if a.size >= n]
 
 
 def _reference_file_loads(grid, reps, weight, loads):
