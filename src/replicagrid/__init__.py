@@ -3,8 +3,8 @@
 Solves the continuous replication-density problem exactly, truncates the
 densities to powers of 1/4, tiles the resulting replicas onto a square
 torus, simulates nearest-replica shortest-path delivery, and checks the
-closed-form scaling laws — with brute-force baselines for the placement
-and density optima.
+closed-form scaling laws.  The brute-force baselines for the placement
+and density optima live in `replicagrid.oracle`, imported on its own.
 """
 
 from .asymptotics import (
@@ -38,7 +38,6 @@ from .density import (
 )
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
 from .grid import GridSpec, hop_distance
-from .oracle import OracleResult, brute_force_an, brute_force_cd
 from .placement import (
     CachePlacement,
     canonical_place,
@@ -77,9 +76,6 @@ __all__ = [
     "InvalidInputError",
     "GridSpec",
     "hop_distance",
-    "OracleResult",
-    "brute_force_an",
-    "brute_force_cd",
     "CachePlacement",
     "canonical_place",
     "diagonal_order",

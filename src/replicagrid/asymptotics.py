@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,15 +34,22 @@ STATE_ALMOST_EMPTY = "almost_empty"
 STATE_NONEMPTY = "nonempty"
 
 # Euler-Maclaurin for zeta(s, a): direct terms below _ZETA_N + ceil(s), then
-# the coefficients B_2k / (2k)! of the first 12 Bernoulli corrections.
+# the coefficients B_2k / (2k)! of the first 12 Bernoulli corrections, the
+# floats nearest 1/6 / 2!, -1/30 / 4!, 1/42 / 6!, ..., -236364091/2730 / 24!.
 _ZETA_N = 10
-_ZETA_COEFFS = tuple(
-    float(Fraction(b) / math.factorial(2 * k))
-    for k, b in enumerate(
-        ["1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
-         "43867/798", "-174611/330", "854513/138", "-236364091/2730"],
-        start=1,
-    )
+_ZETA_COEFFS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
 )
 
 
@@ -219,12 +225,78 @@ class _PowerSums:
         n = max(a, self.n_min)
         if b < n:
             return math.fsum(self._start(a, n)[: b - a + 1]), 0.0
+        (c1, e1), (c2, e2) = self.corrections[0], self.corrections[1]
+        est = self._head(a, n) + self._integral(n, b) + 0.5 * b ** -s - c1 * b ** e1
+        return est, 4.0 * abs(c2 * b ** e2) + 1e-9 * est + sys.float_info.min
+
+    def crossing(self, a: int, c: float) -> float:
+        """The x at which (c + x) x^(-s) falls to the sum over a..x, or nan
+        at s = 0, where neither side singles out an x.
+
+        From n = max(a, n_min) on, x is real and the sum is estimate(a, x):
+        the start's terms h, the integral from n, x^(-s) / 2 and the first
+        correction c_1 x^(-s-1).  Times x^s, the equation reads
+        phi(x) = z x^s + s x / (1 - s) + 1/2 - c_1 / x - c = 0 with
+        z = h - n^(1-s) / (1 - s), or x (z - 1 + ln x) + 1/2 - c_1 / x = c
+        with z = h - ln n at s = 1.  Newton steps in ln x solve it from the
+        root of its leading terms.  A step dt leaves x within about
+        dt^2 x of the root, so they stop once dt^2 x < 1/20; they also stop
+        where phi does not rise or x^s overflows, and after 16 steps, and
+        the last x is returned.  Where the root lies below n, the sums are
+        the start's direct terms, and the last integer x at which the sum
+        still lies below is returned (a - 1 if there is none).
+        """
+        s = self.s
+        if s == 0.0:
+            return math.nan
+        n = max(a, self.n_min)
+        head, c1 = self._head(a, n), self.corrections[0][0]
+        if s == 1.0:
+            z = head - math.log(n)
+            x = c / max(1.0, z - 1.0 + math.log(c)) if c > 1.0 else 0.0
+        else:
+            z = head - n ** (1.0 - s) / (1.0 - s)
+            if s < 1.0:
+                x = (c - 0.5) * (1.0 - s) / s
+            else:
+                x = ((c - 0.5) / z) ** (1.0 / s) if c > 0.5 and z > 0.0 else 0.0
+        x = x if n < x < math.inf else float(n)
+        try:
+            for _ in range(16):
+                if s == 1.0:
+                    ln_x = math.log(x)
+                    phi = x * (z - 1.0 + ln_x) + 0.5 - c1 / x - c
+                    rise = x * (z + ln_x) + c1 / x  # d phi / d ln x
+                else:
+                    zx, lin = z * x**s, s * x / (1.0 - s)
+                    phi = zx + lin + 0.5 - c1 / x - c
+                    rise = s * zx + lin + c1 / x
+                if not rise > 0.0:
+                    break
+                step = phi / rise
+                if not abs(step) < 64.0 or (x == n and step > 0.0):
+                    break
+                x = max(x * math.exp(-step), float(n))
+                if step * step * x < 0.05:
+                    break
+        except OverflowError:  # x^s past the float range: keep x
+            pass
+        if x > n:
+            return x
+        # The root lies below n, where the sums are direct.
+        total = 0.0
+        for j, term in zip(range(a, n), self._start(a, n)):
+            total += term
+            if not (c + j) * term > total:
+                return j - 1.0
+        return n - 1.0
+
+    def _head(self, a: int, n: int) -> float:
+        """The start's terms summed once per a."""
         head = self._heads.get(a)
         if head is None:
             head = self._heads[a] = math.fsum(self._start(a, n))
-        (c1, e1), (c2, e2) = self.corrections[0], self.corrections[1]
-        est = head + self._integral(n, b) + 0.5 * b ** -s - c1 * b ** e1
-        return est, 4.0 * abs(c2 * b ** e2) + 1e-9 * est + sys.float_info.min
+        return head
 
 
 def _power_sum(s: float, a: int, b: int | None = None) -> float:
@@ -238,6 +310,29 @@ def _zeta(s: float, a: int = 1) -> float:
     if s <= 1.0:
         return math.inf
     return _power_sum(s, a)
+
+
+def _zipf_start(n_nodes: int, capacity: float, m_count: int, sums: _PowerSums):
+    """start(l) for _split_indices on q_i = i^(-s), s = sums.s.
+
+    The floor condition at r compares (c + x) x^(-s) with the mass of l..x,
+    where x = r - 1 and c = (K - l + 1) N - M, so r is about one past where
+    they cross (sums.crossing); the start adds 1/2 more, as a start one past
+    r costs no more probes than r itself.  One more file moves the two
+    sides apart by about s / x of themselves.  Where that is not far above
+    their rounding (2^-50 of the mass, 2^-53 K N / (c + x) of the other
+    side), the condition may turn more than once, so start(l) is nan and
+    the bisection finds the turn it always found.
+    """
+    s = sums.s
+
+    def start(l: int) -> float:
+        k_n = (capacity - l + 1) * n_nodes
+        c = k_n - m_count
+        x = sums.crossing(l, c)
+        return x + 1.5 if s * (c + x) > 2.0**-44 * x * (c + x + k_n) else math.nan
+
+    return start
 
 
 def _zipf_split(
@@ -257,6 +352,7 @@ def _zipf_split(
         lambda i: i ** -s,
         lambda l, r: sums(l, r - 1),
         rough=lambda l, r: sums.estimate(l, r - 1),
+        start=_zipf_start(n_nodes, capacity, m_count, sums),
     )
 
 

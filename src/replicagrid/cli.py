@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, delivery, density, oracle, placement
+from . import asymptotics, delivery, density, placement
 from ._text import _TEXT_ROWS, _g12_digits, _text_blocks
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec
@@ -275,6 +275,9 @@ def cmd_classify(args, config) -> int:
 
 
 def cmd_oracle(args, config) -> int:
+    # oracle is imported here, on first use, so the other commands start without it.
+    from . import oracle
+
     grid, capacity, pop = _resolve_instance(args, config)
     which = _resolve(args, config, "problem", "an")
     if which == "an":

@@ -98,7 +98,7 @@ def _interior_cap(n: int, k_cap: float, m_count: int, l: int, r: int) -> float:
 
 
 def _split_indices(
-    n: int, k_cap: float, m_count: int, q_at, mass, rough=None
+    n: int, k_cap: float, m_count: int, q_at, mass, rough=None, start=None
 ) -> tuple[int, int]:
     """The optimal split (l, r) for K < M, from q_i = p_i^(2/3) alone.
 
@@ -106,11 +106,22 @@ def _split_indices(
     l..r-1.  The conditions are homogeneous in q, so q need not be
     normalised.  Raises InternalInvariantError when no pair satisfies them.
 
+    Head sizes l = 1, 2, ... are tried in turn.  For each, r is the largest
+    index in [l, M+1] whose interior l..r-1 stays above the 1/N floor, a
+    condition that holds up to some r and fails past it.  It is checked at
+    M+1 first.  Where it fails there, start(l), when given, is a guess of
+    r: its integer part is checked, then the next index up or down,
+    doubling the step until the condition turns, and r is bisected inside
+    that bracket.  A start that is not finite or not inside (l, M+1), and
+    no start at all, leave the whole bracket to bisection.  Each check is
+    exact, so a start only moves the probes, never (l, r).
+
     rough(l, r), when given, returns (est, err) with mass(l, r) within
     err / 2 of est.  A condition compares some lhs with the mass; where
     |lhs - est| > err, est lies on the same side of lhs as the mass, so it
     decides the comparison and mass is not called.  Every probe is made in
-    the same order either way, so (l, r) does not depend on rough.
+    the same order either way, so neither (l, r) nor the probes depend on
+    rough.
     """
 
     def cap(l: int, r: int) -> float:
@@ -148,18 +159,30 @@ def _split_indices(
     l_max = min(int(math.floor(k_cap + 1e-12)) + 1, m_count)
     for l in range(1, l_max + 1):
         # Largest r in [l, M+1] keeping the interior above the 1/N floor;
-        # the predicate is monotone (true, ..., true, false, ..., false).
+        # the predicate is monotone (true, ..., true, false, ..., false), so
+        # every bracket around its turn gives the same r.
         lo, hi = l, m_count + 1
-        if cond_interior_above_floor(l, m_count + 1):
-            r = m_count + 1
-        else:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if cond_interior_above_floor(l, mid):
-                    lo = mid
-                else:
-                    hi = mid
-            r = lo
+        if cond_interior_above_floor(l, hi):
+            lo = hi
+        elif start is not None and lo < (guess := start(l)) < hi:
+            mid, step = int(guess), 1
+            if cond_interior_above_floor(l, mid):
+                lo = mid
+                while lo + step < hi and cond_interior_above_floor(l, lo + step):
+                    lo, step = lo + step, 2 * step
+                hi = min(hi, lo + step)
+            else:
+                hi = mid
+                while hi - step > lo and not cond_interior_above_floor(l, hi - step):
+                    hi, step = hi - step, 2 * step
+                lo = max(lo, hi - step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if cond_interior_above_floor(l, mid):
+                lo = mid
+            else:
+                hi = mid
+        r = lo
         if cap(l, r) < -1e-12:
             continue
         if cond_head_below_one(l, r) and cond_prev_head_pinned(l, r):

@@ -485,8 +485,13 @@ def test_subcommands_run_without_scipy(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    proc = _python("import sys, replicagrid.cli; print('scipy' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+    # Only `oracle` needs replicagrid.oracle, and only `oracle --problem an`
+    # scipy; both are imported on first use.
+    proc = _python(
+        "import sys, replicagrid.cli; "
+        "print('scipy' in sys.modules, 'replicagrid.oracle' in sys.modules)"
+    )
+    assert proc.stdout.strip() == "False False"
 
 
 def test_oracle_an_imports_scipy_on_first_use():

@@ -4,13 +4,15 @@
 estimates that filter the split search against the exact sums; the split
 (l, r) and the capacity breakdown are checked against solve_cd and
 capacity_breakdown on a grid of taus and catalog sizes up to nu = 9, and
-the split against itself without the filter.
+the split against itself without the filter and without the start that
+`_PowerSums.crossing` gives its r search.
 """
 
 import contextlib
 import io
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from replicagrid.asymptotics import (
     _zeta,
     _zipf_breakdown,
     _zipf_split,
+    _zipf_start,
     capacity_breakdown,
     estimate_r_hat,
     sweep,
@@ -45,6 +48,14 @@ SEGMENTS = (
     (123_456, 123_500),  # short, far out
     (90_000, 600_000),
 )
+
+
+def test_zeta_coefficients_are_the_nearest_floats():
+    bernoulli = ["1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
+                 "43867/798", "-174611/330", "854513/138", "-236364091/2730"]
+    assert len(asymptotics._ZETA_COEFFS) == len(bernoulli)
+    for k, (b, coeff) in enumerate(zip(bernoulli, asymptotics._ZETA_COEFFS), start=1):
+        assert coeff == float(Fraction(b) / math.factorial(2 * k)), k
 
 
 def _fsum_reference(s, a, b):
@@ -197,7 +208,8 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
 def _split_both_ways(n, k, m, tau):
     """(l, r) and the probed files of the Zipf split search: with exact
     sums only, with the estimate filter, and with estimates that are off by
-    err / 2, the most split_indices allows, to alternating sides."""
+    err / 2, the most split_indices allows, to alternating sides.  The
+    three runs are made without a start and again with _zipf_split's."""
     s = 2.0 * tau / 3.0
     sums = _PowerSums(s)
 
@@ -205,17 +217,29 @@ def _split_both_ways(n, k, m, tau):
         mass = sums(l, r - 1)
         return mass * (1.0 + (-1) ** r * 1e-4), 2e-4 * mass
 
-    runs = []
-    for rough in (None, lambda l, r: sums.estimate(l, r - 1), skewed):
-        probes = []
+    plain, started = [], []
+    for start, runs in ((None, plain), (_zipf_start(n, k, m, sums), started)):
+        for rough in (None, lambda l, r: sums.estimate(l, r - 1), skewed):
+            probes = []
 
-        def q_at(i):
-            probes.append(i)
-            return i**-s
+            def q_at(i):
+                probes.append(i)
+                return i**-s
 
-        split = _split_indices(n, k, m, q_at, lambda l, r: sums(l, r - 1), rough=rough)
-        runs.append((split, probes))
-    return runs
+            split = _split_indices(
+                n, k, m, q_at, lambda l, r: sums(l, r - 1), rough=rough, start=start
+            )
+            runs.append((split, probes))
+    return plain, started
+
+
+def _check_split_both_ways(n, k, m, tau):
+    (exact, filtered, skewed), started = _split_both_ways(n, k, m, tau)
+    assert filtered == exact and skewed == exact, (tau, m)
+    # With the start the probes move, but no run may part from the others,
+    # and the split is the one the bisection finds.
+    assert all(run == started[0] for run in started), (tau, m)
+    assert started[0][0] == exact[0], (tau, m)
 
 
 @pytest.mark.parametrize("nu", range(0, 10))
@@ -224,8 +248,7 @@ def test_filter_leaves_split_and_probes_unchanged_on_the_catalog_grid(nu):
     for tau in EQUIVALENCE_TAUS:
         for m in _catalog_sizes(n, k):
             if k < m:
-                exact, filtered, skewed = _split_both_ways(n, k, m, tau)
-                assert filtered == exact and skewed == exact, (tau, m)
+                _check_split_both_ways(n, k, m, tau)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,8 +265,50 @@ def test_filter_leaves_split_unchanged_at_ties(nu, k, tau, data):
     # M = K*N (rounded down) half the time: at tau = 0 the conditions tie in floats.
     m = kn if data is None else data.draw(st.one_of(st.just(kn), st.integers(1, kn)))
     if k < m:
-        exact, filtered, skewed = _split_both_ways(n, k, m, tau)
-        assert filtered == exact and skewed == exact
+        _check_split_both_ways(n, k, m, tau)
+
+
+@st.composite
+def _split_instances(draw):
+    """(nu, K, tau, M) with K N <= 2^53: M = K N or just below it half the
+    time, and tau from the whole range, from classify's exact path
+    (tau < 0.05) and from the grid."""
+    nu = draw(st.integers(0, 26))
+    n = 4**nu
+    k = min(draw(st.one_of(st.sampled_from([1.0, 2.0, 3.5]), st.floats(1.0, 64.0))), 2.0**53 / n)
+    tau = draw(
+        st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 0.05), st.sampled_from(EQUIVALENCE_TAUS))
+    )
+    kn = int(k * n)
+    m = draw(st.one_of(st.integers(max(1, kn - 3), kn), st.integers(1, kn)))
+    return nu, k, tau, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_instances())
+@example((1, 55.25, 0.0, 221))  # tau 0, M = K N: every condition ties
+@example((9, 2.0, 0.0, 2 * 4**9))
+@example((2, 2.0, 1.5, 31))  # tau 1.5, K N - M = 1: 2 q_2 = q_1 decides r
+@example((3, 2.0, 1.5, 127))
+@example((2, 8.0, 0.8, 5))  # K >= M: no search
+@example((13, 2.0, 0.01, 4**13))  # classify's exact path
+@example((26, 2.0, 0.01, 2 * 4**26 - 10**12))
+@example((26, 2.0, 2.0, int(1.75 * 4**26)))
+@example((23, 2.0, 0.01892995761310582, 139151539006004))  # the condition turns more than once
+@example((24, 1.0000000000009095, 1.5331855919152903e-16, 281474976710912))  # c = 0, s ~ 1e-16
+def test_started_split_matches_plain_bisection(case):
+    nu, k, tau, m = case
+    n = 4**nu
+    s = 2.0 * tau / 3.0
+    sums = _PowerSums(s)
+    if k >= m:
+        plain = (m + 1, m + 1)
+    else:
+        plain = _split_indices(
+            n, k, m, lambda i: i**-s, lambda l, r: sums(l, r - 1),
+            rough=lambda l, r: sums.estimate(l, r - 1),
+        )
+    assert _zipf_split(n, k, m, tau) == plain
 
 
 # (argv, exact power sums before the estimates filtered the split search,
@@ -267,6 +332,29 @@ def test_sweep_makes_few_exact_power_sums(monkeypatch, argv, before, bound):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0
     # 16 and 27 when this test was written.
+    assert 0 < len(calls) <= bound < before
+
+
+# (argv, estimates before the split search had a start, counted as calls of
+# _PowerSums.estimate, and the bound now: a third of that).
+ESTIMATE_COUNTS = [
+    ("sweep --K 2 --M 1.75*N --tau 2 --nus 3,4,5,6,7,8,9,10", 128, 42),
+]
+
+
+@pytest.mark.parametrize("argv, before, bound", ESTIMATE_COUNTS)
+def test_sweep_makes_few_estimates(monkeypatch, argv, before, bound):
+    calls = []
+    estimate = _PowerSums.estimate
+
+    def counted(self, a, b):
+        calls.append((self.s, a, b))
+        return estimate(self, a, b)
+
+    monkeypatch.setattr(asymptotics._PowerSums, "estimate", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0
+    # 32 when this test was written.
     assert 0 < len(calls) <= bound < before
 
 
