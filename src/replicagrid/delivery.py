@@ -165,10 +165,10 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> None:
 
 
 def _lattice_loads(
-    grid: GridSpec, levels: np.ndarray, weights: np.ndarray
+    grid: GridSpec, counts: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column link loads, each (side, side) by owning node, of the
-    compact placement with the given levels under the given request
+    compact placement with the given level counts under the given request
     weights (files at level 0 are held everywhere and load nothing).
 
     One replica at (0, 0) on a 2^k torus of side s loads row link (x, y)
@@ -188,7 +188,7 @@ def _lattice_loads(
     0, as sums over the whole grid would.
     """
     masses = {}
-    for k, ids, _, ax, ay in _rounds(levels, grid.nu):
+    for k, ids, _, ax, ay in _rounds(counts, grid.nu):
         if k not in masses:
             masses[k] = np.zeros(4 ** k)
         masses[k][(ax << k) + ay] += weights[ids]
@@ -312,7 +312,7 @@ def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
     _check_grid(grid, placement)
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
-    if placement.levels is not None:
+    if placement.counts is not None:
         return None
     coords, offsets = placement._replicas
     empty = np.flatnonzero(offsets[1:] == offsets[:-1])
@@ -345,8 +345,8 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
     replicas = _catalog(grid, placement, pop)
     weights = REQUEST_RATE * pop.probs
-    if placement.levels is not None:
-        rows, cols = _lattice_loads(grid, placement.levels, weights)
+    if placement.counts is not None:
+        rows, cols = _lattice_loads(grid, placement.counts, weights)
         loads = np.empty(2 * grid.node_count)
         loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
     else:
@@ -375,10 +375,9 @@ def total_hop_load(grid: GridSpec, placement: CachePlacement, pop: Popularity) -
     the sum of all link loads (total-load identity).
     """
     replicas = _catalog(grid, placement, pop)
-    if placement.levels is not None:
-        nu = grid.nu
-        per_level = np.array([4 ** (nu - k) * cluster_hop_sum(k) for k in range(nu + 1)], dtype=float)
-        hops = per_level[placement.levels]
+    if placement.counts is not None:
+        per_level = [4.0 ** (grid.nu - k) * cluster_hop_sum(k) for k in range(grid.nu + 1)]
+        hops = np.repeat(per_level, placement.counts)
     else:
         hops = placement._hops
         files = np.flatnonzero(hops < 0)

@@ -6,7 +6,8 @@ densities d_m in [1/N, 1] with sum d_m <= K.  Its unique optimum splits the
 catalog into an up-truncated head (d = 1), an interior with d_m proportional
 to p_m^(2/3), and a down-truncated tail (d = 1/N).  The split indices
 (l, r) are located by an exact integer search; once fixed, the interior is
-normalized in closed form.
+normalized in closed form.  Densities never rise along the file ids, so
+their power-of-4 truncation is kept as its nu + 1 level counts alone.
 """
 
 from __future__ import annotations
@@ -73,23 +74,46 @@ class DensityProfile:
 
 @dataclass(frozen=True)
 class CanonicalProfile:
-    """Densities rounded down to powers of 1/4.
-
-    levels[m] is the level of file m (0-based): density 4^(-level).
+    """Densities rounded down to powers of 1/4, as level counts: the 0-based
+    ids in [C_{k-1}, C_k) sit at level k (density 4^-k), C the running sum
+    of counts.  Per-file levels and densities are made on each read.
     """
 
-    levels: np.ndarray
-    densities: np.ndarray
+    counts: np.ndarray
     nu: int
     capacity: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", _frozen(np.asarray(self.levels, dtype=np.int64)))
-        object.__setattr__(self, "densities", _frozen(np.asarray(self.densities, dtype=float)))
+        object.__setattr__(self, "counts", _level_counts(self.counts, self.nu))
 
     @property
     def m_count(self) -> int:
-        return int(self.levels.size)
+        return int(self.counts.sum())
+
+    @property
+    def levels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.nu + 1), self.counts)
+
+    @property
+    def densities(self) -> np.ndarray:
+        return np.repeat(4.0 ** -np.arange(self.nu + 1), self.counts)
+
+    @property
+    def mass(self) -> float:
+        """The sum of the densities, counts[k] 4^-k over k, rounded once."""
+        return math.fsum(c * 4.0 ** -k for k, c in enumerate(self.counts.tolist()))
+
+
+def _level_counts(counts, nu: int) -> np.ndarray:
+    """counts as a read-only int64 array, once known to be nu + 1 integers >= 0."""
+    given = np.asarray(counts)
+    if given.shape != (nu + 1,):
+        raise InvalidInputError(f"nu = {nu} needs {nu + 1} level counts, got shape {given.shape}")
+    if given.dtype.kind not in "iu":
+        raise InvalidInputError(f"level counts must be integers, got {given.dtype}")
+    if given.min() < 0:
+        raise InvalidInputError(f"level {given.argmin()} has a negative count, {given.min()}")
+    return _frozen(given.astype(np.int64, copy=False))
 
 
 def _interior_cap(n: int, k_cap: float, m_count: int, l: int, r: int) -> float:
@@ -279,7 +303,9 @@ def lower_bound(densities, pop: Popularity) -> float:
 
 
 def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
-    """Round each density down to the largest power of 1/4 not exceeding it."""
+    """Count the files at each level k, the least in 0..nu with 4^-k <= d
+    (nu below 4^-nu); the densities d must never rise along the ids, as
+    solved ones do."""
     n = profile.n_nodes
     nu = round(math.log(n, 4))
     if 4 ** nu != n:
@@ -289,17 +315,17 @@ def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
     if bad.size:
         m = int(bad[0])
         raise InvalidInputError(f"density {float(d[m])!r} of file {m} is not positive")
-    # The level is the least k with 4^-k <= d, capped at nu: nu + 1 minus the
-    # count of the powers 4^-nu..4^0 that are <= d.  Float comparisons are
-    # exact, so no rounding can lift a file above its density.
-    levels = np.searchsorted(4.0 ** np.arange(-nu, 1), d, side="right")
-    np.subtract(nu + 1, levels, out=levels)
-    np.minimum(levels, nu, out=levels)
-    densities = 4.0 ** -levels.astype(float)
-    levels.setflags(write=False)
-    densities.setflags(write=False)
-    canon = CanonicalProfile(levels=levels, densities=densities, nu=nu, capacity=profile.capacity)
-    if float(canon.densities.sum()) > profile.capacity + 1e-9:
+    rise = np.flatnonzero(d[1:] > d[:-1])
+    if rise.size:
+        m = int(rise[0]) + 1
+        raise InvalidInputError(f"density {d[m]} of file {m} rises above {d[m - 1]}")
+    # The files at levels <= k < nu, those with 4^-k <= d, are a prefix: all
+    # but the d < 4^-k, found by one binary search on the ascending view
+    # d[::-1] (not copied).  Exact float comparisons lift no file above its d.
+    ends = d.size - np.searchsorted(d[::-1], 4.0 ** -np.arange(nu))
+    counts = np.diff([0, *ends.tolist(), d.size])
+    canon = CanonicalProfile(counts=counts, nu=nu, capacity=profile.capacity)
+    if canon.mass > profile.capacity + 1e-9:
         raise InternalInvariantError("canonical truncation exceeded capacity")
     return canon
 

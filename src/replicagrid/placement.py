@@ -7,22 +7,21 @@ order.  Level-0 files go into every cache at the end.
 
 Before level k the occupancy is 2^k-periodic and differs by at most 1
 between cells, so the level's water-filling rounds follow from the level
-counts alone (_rounds): how many files each round takes, and the
-occupancy w each of them finds in its cell.  Only the first round of a
-level reads the 2^k x 2^k occupancy block, for which cells are the least
-occupied.  The placement keeps only each file's level; the anchors are
-made by _rounds where they are read, a round at a time.
+counts alone (_rounds): which ids each round takes, and the occupancy w
+each of them finds in its cell.  Only the first round of a level reads
+the 2^k x 2^k occupancy block, for which cells are the least occupied.
+The placement keeps only the level counts; the anchors are made by
+_rounds where they are read, a round at a time.
 
 The per-node view is one (N, W) int64 node table, W the largest
 occupancy: row i holds the ids cached at row-major node i, ascending,
 padded with -1 at the end.  A canonical placement writes file m into slot
 (number of level-0 files) + w of every row of its lattice, a round at a
-time through a view of the table with the coordinates mod 2^k as axes; no
-(node, file) sort is needed unless the levels decrease somewhere along the
-ids.  A placement given by buffers builds its table from them.  Either way
-the table is built on first read and kept: buffers, validation, both
-renderers and delivery's replica table read it, and simulate never builds
-it.
+time through a view of the table with the coordinates mod 2^k as axes,
+ids in ascending order.  A placement given by buffers builds its table
+from them.  Either way the table is built on first read and kept:
+buffers, validation, both renderers and delivery's replica table read
+it, and simulate never builds it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import _decimal_digits
-from .density import CanonicalProfile
+from .density import CanonicalProfile, _level_counts
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec, Node
 from .popularity import Popularity, _frozen
@@ -47,10 +46,10 @@ class CachePlacement:
 
     Built from buffers, buffers[i] holds 0-based file ids for the node with
     row-major index i.  canonical_place builds the compact form instead,
-    the levels alone: file m is held on a 2^levels[m]-periodic lattice,
-    the one canonical placement's water-filling gives it (_rounds).  The
-    compact form is checked: levels has shape (file_count,) with values in
-    0..nu.  In the compact form buffers is built on first read;
+    the level counts alone: the counts[k] ids after those of lower levels
+    are each held on a 2^k-periodic lattice, as canonical water-filling
+    places them (_rounds).  The compact form is checked: counts is nu + 1
+    integers >= 0 summing to file_count.  There buffers is built on first read;
     delivery, replica_nodes, measured_densities and the renderers never
     read it.  The node table (_node_table) is built on first read and kept;
     delivery of a compact placement never reads it.  Delivery and
@@ -64,14 +63,15 @@ class CachePlacement:
     grid: GridSpec
     capacity: int
     file_count: int
-    levels: np.ndarray | None
+    counts: np.ndarray | None
 
-    def __init__(self, grid, capacity, file_count, buffers=None, *, levels=None):
-        if (buffers is None) == (levels is None):
-            raise InvalidInputError("a placement takes either buffers or levels")
+    def __init__(self, grid, capacity, file_count, buffers=None, *, counts=None):
+        if (buffers is None) == (counts is None):
+            raise InvalidInputError("a placement takes either buffers or counts")
         if buffers is None:
-            levels = _frozen(np.asarray(levels, dtype=np.int64))
-            _check_levels(grid, file_count, levels)
+            counts = _level_counts(counts, grid.nu)
+            if (total := int(counts.sum())) != file_count:
+                raise InvalidInputError(f"level counts sum to {total}, not file_count {file_count}")
         elif len(buffers := tuple(buffers)) != grid.node_count:
             raise InvalidInputError(f"{len(buffers)} buffers for a grid of {grid.node_count} nodes")
         else:
@@ -79,7 +79,7 @@ class CachePlacement:
             object.__setattr__(self, "buffers", buffers)
         for name, value in (
             ("grid", grid), ("capacity", capacity), ("file_count", file_count),
-            ("levels", levels),
+            ("counts", counts),
         ):
             object.__setattr__(self, name, value)
 
@@ -95,7 +95,7 @@ class CachePlacement:
         Raises on a negative file id, which the padding could not tell
         apart.
         """
-        if self.levels is None:
+        if self.counts is None:
             sizes = np.fromiter(map(len, self.buffers), dtype=np.int64, count=len(self.buffers))
             files = np.fromiter(
                 itertools.chain.from_iterable(map(sorted, self.buffers)),
@@ -108,18 +108,14 @@ class CachePlacement:
             table.setflags(write=False)
             return table
         nu, side, n = self.grid.nu, self.grid.side, self.grid.node_count
-        level0 = np.flatnonzero(self.levels == 0)
-        table = np.full((n, _max_occupancy(self.levels, nu)), -1, dtype=np.int64)
-        table[:, :level0.size] = level0
-        for k, ids, w, ax, ay in _rounds(self.levels, nu):
+        level0 = int(self.counts[0])
+        table = np.full((n, _max_occupancy(self.counts, nu)), -1, dtype=np.int64)
+        table[:, :level0] = np.arange(level0)
+        for k, ids, w, ax, ay in _rounds(self.counts, nu):
             # Axes 1 and 3 of the lattice view are the coordinates mod 2^k,
             # so one write puts a file at every replica.
             lattice = table.reshape(side >> k, 2 ** k, side >> k, 2 ** k, -1)
-            lattice[:, ax, :, ay, level0.size + w] = ids[:, None, None]
-        if np.any(self.levels[1:] < self.levels[:-1]):
-            # Files arrived by level, not by id: sort each row.  As uint64
-            # the -1 padding is the largest value, so it stays at the end.
-            table.view(np.uint64).sort(axis=1)
+            lattice[:, ax, :, ay, level0 + w] = np.arange(ids.start, ids.stop)[:, None, None]
         table.setflags(write=False)
         return table
 
@@ -155,9 +151,9 @@ class CachePlacement:
 
     def measured_densities(self) -> np.ndarray:
         """Fraction of caches holding each file."""
-        if self.levels is not None:
+        if self.counts is not None:
             # 4^(nu - k) of 4^nu caches; powers of 2 divide exactly.
-            return 4.0 ** -self.levels
+            return np.repeat(4.0 ** -np.arange(self.grid.nu + 1), self.counts)
         return self._replica_counts() / self.grid.node_count
 
     def _checked_table(self) -> np.ndarray:
@@ -205,17 +201,6 @@ class CachePlacement:
         return head[:-2] + text.tobytes().translate(None, b"\0")[:-2] + b"}}"
 
 
-def _check_levels(grid: GridSpec, file_count: int, levels: np.ndarray) -> None:
-    """Raise unless levels is (file_count,) in 0..nu."""
-    if levels.shape != (file_count,):
-        raise InvalidInputError(
-            f"levels of {file_count} files must have shape ({file_count},), got {levels.shape}"
-        )
-    if levels.size and not (levels.min() >= 0 and levels.max() <= grid.nu):
-        m = int(np.flatnonzero((levels < 0) | (levels > grid.nu))[0])
-        raise InvalidInputError(f"file {m} has level {levels[m]}, outside 0..{grid.nu}")
-
-
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
     each file's rows in row-major order, and the M + 1 offsets of each
@@ -257,23 +242,12 @@ def diagonal_order(k: int) -> list[Node]:
     return list(zip(xs.tolist(), ys.tolist()))
 
 
-def _level_groups(levels: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """File ids grouped by level: those at level k are order[bounds[k]:
-    bounds[k + 1]], ascending, for k = 0..nu.
-
-    A stable sort keeps ids ascending within a level; on a canonical
-    catalog's non-decreasing levels it is one linear pass.
-    """
-    order = np.argsort(levels, kind="stable")
-    return order, np.searchsorted(levels, np.arange(nu + 2), sorter=order)
-
-
-def _rounds(levels: np.ndarray, nu: int):
-    """Canonical placement's water-filling rounds in order, from the levels
-    alone: (k, ids, w, ax, ay) for each round of each level k >= 1, ids the
-    round's files, w the occupancy each finds in its cell and (ax, ay)
-    their anchors, the cells they take in [0, 2^k)^2, distinct within a
-    round.
+def _rounds(counts: np.ndarray, nu: int):
+    """Canonical placement's water-filling rounds in order, from the level
+    counts alone: (k, ids, w, ax, ay) for each round of each level k >= 1,
+    ids the slice of the round's file ids (level k's follow the lower
+    levels'), w the occupancy each finds in its cell and (ax, ay) their
+    anchors, the cells they take in [0, 2^k)^2, distinct within a round.
 
     The 2^k x 2^k block before level k holds T = sum_{1 <= k' < k}
     n_k' 4^(k - k') replicas, with occupancy differing by at most 1 between
@@ -284,13 +258,13 @@ def _rounds(levels: np.ndarray, nu: int):
     files, most popular first (equal popularity to the lower id), take the
     rounds' cells in turn.
     """
-    order, bounds = _level_groups(levels, nu)
-    held = 0
+    counts = counts.tolist()
+    held, first = 0, counts[0]
     # The occupancy of the last level's block, in diagonal rank order.
     occupancy = np.zeros((1, 1), dtype=np.int64)
     for k in range(1, nu + 1):
-        held, ids = 4 * held, order[bounds[k]:bounds[k + 1]]
-        if ids.size:
+        held, size = 4 * held, counts[k]
+        if size:
             # Occupancy so far has the last level's period q, so the cell at
             # rank j s + t of this level's s = 2^k block, ((j + t) mod s, t),
             # holds what rank (j mod q) q + (t mod q) does: the q x q block
@@ -298,8 +272,8 @@ def _rounds(levels: np.ndarray, nu: int):
             copies = 2 ** k // occupancy.shape[0]
             occupancy = np.tile(occupancy, (copies, copies))
             w0, extra = divmod(held, 4 ** k)
-            starts = [0, *range(4 ** k - extra, ids.size, 4 ** k)]
-            for w, lo, hi in zip(itertools.count(w0), starts, starts[1:] + [ids.size]):
+            starts = [0, *range(4 ** k - extra, size, 4 ** k)]
+            for w, lo, hi in zip(itertools.count(w0), starts, starts[1:] + [size]):
                 # The round's files take its cells at w, the least occupied,
                 # in rank order.  After the level's first round every cell
                 # is at w, so a later round takes the first ranks.
@@ -309,17 +283,17 @@ def _rounds(levels: np.ndarray, nu: int):
                 else:
                     ranks = np.arange(hi - lo)
                     occupancy.ravel()[:hi - lo] += 1
-                yield k, ids[lo:hi], w, *_diagonal_cells(ranks, k)
-        held += ids.size
+                yield k, slice(first + lo, first + hi), w, *_diagonal_cells(ranks, k)
+        held, first = held + size, first + size
 
 
-def _max_occupancy(levels: np.ndarray, nu: int) -> int:
-    """The largest cache occupancy of the canonical placement of levels.
+def _max_occupancy(counts: np.ndarray, nu: int) -> int:
+    """The largest cache occupancy of the canonical placement of counts.
 
     Occupancy is balanced over the grid (_rounds), so its largest value is
     the level-0 files plus the ceiling of the mean over the other levels.
     """
-    counts = np.bincount(levels, minlength=nu + 1).tolist()
+    counts = counts.tolist()
     replicas = sum(c * 4 ** (nu - k) for k, c in enumerate(counts[1:], start=1))
     return counts[0] - (-replicas // 4 ** nu)
 
@@ -336,8 +310,8 @@ def canonical_place(
     2^k x 2^k occupancy block, ties to the lower diagonal rank, and is held
     at its anchor plus every multiple of 2^k on both axes.  File by file,
     that choice is water-filling, so a level runs in rounds (_rounds) that
-    follow from the level counts alone: the placement is its levels, and
-    the anchors are made where they are read.
+    follow from the level counts alone: the placement is its level counts,
+    and the anchors are made where they are read.
 
     Requires sum of canonical densities <= capacity; under that premise the
     result never exceeds capacity at any node and covers every file.
@@ -350,12 +324,12 @@ def canonical_place(
         )
     if canon.m_count != pop.m_count:
         raise InvalidInputError("profile and popularity sizes differ")
-    if float(canon.densities.sum()) > capacity + 1e-9:
+    if canon.mass > capacity + 1e-9:
         raise InvalidInputError("canonical densities exceed the cache capacity")
     placed = CachePlacement(
-        grid=grid, capacity=capacity, file_count=canon.m_count, levels=canon.levels
+        grid=grid, capacity=capacity, file_count=canon.m_count, counts=canon.counts
     )
-    if _max_occupancy(placed.levels, grid.nu) > capacity:
+    if _max_occupancy(placed.counts, grid.nu) > capacity:
         raise InternalInvariantError("cache capacity exceeded during placement")
     return placed
 

@@ -166,10 +166,8 @@ def test_criterion_5_placement_validity():
             levels.append(k)
             budget -= 4.0 ** -k
         levels = levels or [nu]
-        lv = np.array(levels, dtype=np.int64)
-        canon = CanonicalProfile(
-            levels=lv, densities=4.0 ** -lv.astype(float), nu=nu, capacity=float(cap)
-        )
+        counts = np.bincount(levels, minlength=nu + 1)
+        canon = CanonicalProfile(counts=counts, nu=nu, capacity=float(cap))
         pop = zipf(len(levels), float(rng.uniform(0.0, 2.0)))
         placed = canonical_place(GridSpec(nu=nu), canon, pop, cap)
         ok &= validate_capacity(placed)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replicagrid.density import (
@@ -104,14 +104,13 @@ def test_lower_bound_matches_cd_cost_and_raw_vectors():
 
 def test_canonical_truncate_examples():
     prof = DensityProfile(
-        densities=np.array([0.3, 0.25, 1.0]), l_index=1, r_index=4, mu=1.0,
+        densities=np.array([1.0, 0.3, 0.25]), l_index=1, r_index=4, mu=1.0,
         n_nodes=16, capacity=2.0,
     )
     canon = canonical_truncate(prof)
-    assert canon.levels.tolist() == [1, 1, 0]
-    assert np.allclose(canon.densities, [0.25, 0.25, 1.0])
-    assert np.flatnonzero(canon.levels == 0).tolist() == [2]
-    assert np.flatnonzero(canon.levels == 1).tolist() == [0, 1]
+    assert canon.counts.tolist() == [1, 2, 0]
+    assert canon.levels.tolist() == [0, 1, 1]
+    assert np.allclose(canon.densities, [1.0, 0.25, 0.25])
 
     prof4 = solve_cd(4, 1.0, _pop([0.7, 0.2, 0.1]))
     canon4 = canonical_truncate(prof4)
@@ -231,13 +230,60 @@ def test_canonical_truncate_is_exact():
     for v in powers:
         values += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
     values += [5e-324, 1.0, 1.5, 2.0, math.inf]
-    d = np.array(values, dtype=float)
+    d = np.sort(np.array(values, dtype=float))[::-1]
     prof = DensityProfile(
         densities=d, l_index=1, r_index=d.size + 1, mu=1.0, n_nodes=4**nu, capacity=float(d.size),
     )
     canon = canonical_truncate(prof)
     assert canon.levels.tolist() == [_level_reference(float(v), nu) for v in d]
     assert np.array_equal(canon.densities, 4.0 ** -canon.levels.astype(float))
+
+
+def _counts_reference(d, nu):
+    """Level counts from the per-file levels: nu + 1 minus the count of the
+    powers 4^-nu..4^0 that are <= d, capped at nu."""
+    levels = np.searchsorted(4.0 ** np.arange(-nu, 1), d, side="right")
+    return np.bincount(np.minimum(nu + 1 - levels, nu), minlength=nu + 1)
+
+
+@st.composite
+def _solved_catalogs(draw):
+    """(n_nodes, K, Popularity): a Zipf catalog, or a random nonincreasing
+    one with many ties, that K N caches can hold."""
+    nu = draw(st.integers(0, 8))
+    cap = draw(st.floats(1.0, 7.25))
+    m_count = draw(st.integers(1, min(int(cap * 4**nu), 5000)))
+    if draw(st.booleans()):
+        return 4**nu, cap, zipf(m_count, draw(st.floats(0.0, 4.0)))
+    # A few distinct values, each repeated, in nonincreasing order.
+    values = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+    raw = np.sort(np.array(values)[draw(st.lists(
+        st.integers(0, len(values) - 1), min_size=m_count, max_size=m_count
+    ))])[::-1]
+    return 4**nu, cap, Popularity(raw / raw.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_solved_catalogs())
+@example((4**8, 7.25, zipf(7 * 4**8, 4.0)))
+@example((4**5, 2.0, zipf(2 * 4**5 - 1, 0.0)))
+@example((1, 1.0, zipf(1, 0.8)))
+def test_counts_match_the_per_file_levels(case):
+    n, cap, pop = case
+    prof = solve_cd(n, cap, pop)
+    canon = canonical_truncate(prof)
+    nu = canon.nu
+    assert canon.counts.tolist() == _counts_reference(prof.densities, nu).tolist()
+    assert canon.m_count == pop.m_count
+
+
+def test_canonical_truncate_refuses_rising_densities():
+    prof = DensityProfile(
+        densities=np.array([1.0, 0.25, 0.25, 0.3, 0.5]), l_index=1, r_index=6, mu=1.0,
+        n_nodes=16, capacity=3.0,
+    )
+    with pytest.raises(InvalidInputError, match="density 0.3 of file 3 rises above 0.25"):
+        canonical_truncate(prof)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -0.25, math.nan, -math.inf])

@@ -22,10 +22,7 @@ def _pipeline():
 
 def test_pipeline_arrays_are_read_only():
     pop, profile, canon, placed, loads = _pipeline()
-    held = (
-        pop.probs, profile.densities, canon.levels, canon.densities,
-        placed.levels, loads.loads,
-    )
+    held = (pop.probs, profile.densities, canon.counts, placed.counts, loads.loads)
     for array in held:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -34,10 +31,8 @@ def test_pipeline_arrays_are_read_only():
 
 def test_placement_shares_the_canonical_levels():
     _, _, canon, placed, _ = _pipeline()
-    assert placed.levels is canon.levels
+    assert placed.counts is canon.counts
 
-
-_LEVELS = np.array([0, 1, 1], dtype=np.int64)
 
 # (name, array handed over, the array the value type built from it holds)
 _HOLDERS = [
@@ -50,20 +45,15 @@ _HOLDERS = [
         ).densities,
     ),
     (
-        "CanonicalProfile.levels",
-        _LEVELS,
-        lambda a: CanonicalProfile(levels=a, densities=[1.0, 0.25, 0.25], nu=1, capacity=2.0).levels,
-    ),
-    (
-        "CanonicalProfile.densities",
-        np.array([1.0, 0.25, 0.25]),
-        lambda a: CanonicalProfile(levels=_LEVELS, densities=a, nu=1, capacity=2.0).densities,
+        "CanonicalProfile.counts",
+        np.array([1, 2], dtype=np.int64),
+        lambda a: CanonicalProfile(counts=a, nu=1, capacity=2.0).counts,
     ),
     ("LinkLoadMap.loads", np.arange(8.0), lambda a: LinkLoadMap(grid=GridSpec(nu=1), loads=a).loads),
     (
-        "CachePlacement.levels",
-        _LEVELS,
-        lambda a: CachePlacement(GridSpec(nu=1), 2, 3, levels=a).levels,
+        "CachePlacement.counts",
+        np.array([1, 2], dtype=np.int64),
+        lambda a: CachePlacement(GridSpec(nu=1), 2, 3, counts=a).counts,
     ),
 ]
 _IDS = [name for name, _, _ in _HOLDERS]

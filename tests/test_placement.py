@@ -23,14 +23,20 @@ from replicagrid.popularity import Popularity, zipf
 
 
 def _levels_profile(levels, nu, capacity):
-    levels = np.array(levels, dtype=np.int64)
-    return CanonicalProfile(
-        levels=levels, densities=4.0 ** -levels.astype(float), nu=nu, capacity=capacity
-    )
+    """The profile of per-file levels, which never decrease along the ids."""
+    assert list(levels) == sorted(levels)
+    counts = np.bincount(np.array(levels, dtype=np.int64), minlength=nu + 1)
+    return CanonicalProfile(counts=counts, nu=nu, capacity=capacity)
+
+
+def _levels_of(counts):
+    """The per-file levels of level counts."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 def _random_levels(rng, nu, capacity, m_max=40):
-    """Random level assignment with sum of densities <= capacity."""
+    """Random levels, non-decreasing along the ids, with sum of densities
+    <= capacity."""
     levels = []
     budget = float(capacity)
     for _ in range(int(rng.integers(1, m_max + 1))):
@@ -41,7 +47,7 @@ def _random_levels(rng, nu, capacity, m_max=40):
                 break
         levels.append(k)
         budget -= 4.0 ** -k
-    return levels or [nu]
+    return sorted(levels) or [nu]
 
 
 def test_diagonal_order_k1():
@@ -277,11 +283,11 @@ def test_replica_nodes_row_major_for_arbitrary_placement():
 def test_replica_nodes_of_a_compact_placement_reads_its_lattice_without_buffers():
     grid = GridSpec(nu=6)
     pop = zipf(int(1.75 * grid.node_count), 2.0)
-    placed = cli._build_placement(grid, 2.0, pop)[1]
-    side = grid.side
-    anchors, _ = _reference_rounds(placed.levels, grid.nu)
+    canon, placed = cli._build_placement(grid, 2.0, pop)
+    side, levels = grid.side, canon.levels
+    anchors, _ = _reference_rounds(levels, grid.nu)
     for m in (0, 8, 1000, pop.m_count - 1):
-        step = 2 ** int(placed.levels[m])
+        step = 2 ** int(levels[m])
         ax, ay = anchors[m].tolist()
         lattice = [(x, y) for x in range(ax, side, step) for y in range(ay, side, step)]
         assert placed.replica_nodes(m) == lattice
@@ -487,8 +493,8 @@ def test_compact_form_matches_buffers_form(case):
         pop = zipf(len(catalog), tau)
         canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
     placed = canonical_place(grid, canon, pop, cap)
-    assert np.array_equal(placed.levels, canon.levels)
-    for k, _, _, ax, ay in placement._rounds(placed.levels, nu):
+    assert placed.counts is canon.counts
+    for k, _, _, ax, ay in placement._rounds(placed.counts, nu):
         assert np.all((ax >= 0) & (ax < 2**k) & (ay >= 0) & (ay < 2**k))
     # Renderers and loads first: none of them may need the buffers.
     text, doc = render_matrix(placed), placed.to_json()
@@ -550,12 +556,9 @@ def _reference_rounds(levels, nu):
 
 @st.composite
 def _level_sets(draw):
-    """(nu, levels): random levels for 1..300 files, sorted or not."""
+    """(nu, levels): random non-decreasing levels for 1..300 files."""
     nu = draw(st.integers(1, 5))
-    levels = draw(st.lists(st.integers(0, nu), min_size=1, max_size=300))
-    if draw(st.booleans()):
-        levels.sort()
-    return nu, levels
+    return nu, sorted(draw(st.lists(st.integers(0, nu), min_size=1, max_size=300)))
 
 
 def _place_levels(nu, levels, tau=0.8):
@@ -573,18 +576,23 @@ def _place_levels(nu, levels, tau=0.8):
 # Several rounds at level 1 after a partly filled level, and one file per level.
 @example((2, [1] * 9 + [2] * 7))
 @example((3, [1, 2, 3]))
-# Unsorted: a level-0 file last, level 1 after level 2.
-@example((2, [2, 2, 1, 2, 1, 0]))
+# Level 2 empty between levels 1 and 3; every file at level 0; the 1-node
+# grid; the side-2 grid with a level-0 file.
+@example((3, [0, 1, 1, 3, 3, 3]))
+@example((3, [0, 0, 0]))
+@example((0, [0, 0]))
+@example((1, [0, 1, 1, 1, 1, 1]))
 def test_closed_form_rounds_match_reference_loop(case):
     nu, levels = case
     placed = _place_levels(nu, levels)
-    anchors, values = _reference_rounds(placed.levels, nu)
+    levels = _levels_of(placed.counts)
+    anchors, values = _reference_rounds(levels, nu)
     closed = np.zeros_like(anchors)
-    closed_values = np.full(placed.levels.size, -1, dtype=np.int64)
-    for k, ids, w, ax, ay in placement._rounds(placed.levels, nu):
-        assert np.all(placed.levels[ids] == k)
+    closed_values = np.full(levels.size, -1, dtype=np.int64)
+    for k, ids, w, ax, ay in placement._rounds(placed.counts, nu):
+        assert np.all(levels[ids] == k)
         # Distinct anchors within a round, as _lattice_loads' indexed add needs.
-        assert np.unique(ax * 2**k + ay).size == ids.size
+        assert np.unique(ax * 2**k + ay).size == ids.stop - ids.start
         closed[ids, 0], closed[ids, 1] = ax, ay
         closed_values[ids] = w
     assert np.array_equal(closed, anchors)
@@ -596,15 +604,15 @@ def _reference_node_major(placed):
     within a node, and the offsets of each node's ids: by one sort of
     (node, file) keys for a compact placement, as the per-node view used to
     be built, and from the sorted buffers otherwise."""
-    if placed.levels is None:
+    if placed.counts is None:
         sizes = np.array([len(b) for b in placed.buffers], dtype=np.int64)
         files = np.array([m for b in placed.buffers for m in sorted(b)], dtype=np.int64)
     else:
-        side, count = placed.grid.side, placed.file_count
-        anchors, _ = _reference_rounds(placed.levels, placed.grid.nu)
+        side, count, levels = placed.grid.side, placed.file_count, _levels_of(placed.counts)
+        anchors, _ = _reference_rounds(levels, placed.grid.nu)
         keys = []
-        for k in np.unique(placed.levels).tolist():
-            ids = np.flatnonzero(placed.levels == k)
+        for k in np.unique(levels).tolist():
+            ids = np.flatnonzero(levels == k)
             steps = np.arange(0, side, 2 ** k, dtype=np.int64)
             ax, ay = anchors[ids, 0], anchors[ids, 1]
             cells = (ax[:, None, None] + steps[:, None]) * side + ay[:, None, None] + steps
@@ -628,9 +636,13 @@ def _assert_node_table_matches_reference(placed):
 
 @settings(max_examples=100, deadline=None)
 @given(_compact_cases())
-# tau = 0 ties, all at level nu, and random unsorted levels with level 0.
+# tau = 0 ties, all at level nu.
 @example((3, 2, 0.0, 100))
-@example((2, 3, 0.0, [2, 1, 0, 2, 2, 1, 1]))
+# Level 2 empty between levels 1 and 3, with level-0 files; every file at
+# level 0; the 1-node grid.
+@example((3, 3, 0.0, [0, 0, 1, 1, 3, 3, 3]))
+@example((3, 3, 0.8, [0, 0, 0]))
+@example((0, 2, 0.8, [0, 0]))
 # Side-2 grids: a level-0 file with level-1 files, and a solved catalog.
 @example((1, 2, 0.8, [0, 1, 1, 1]))
 @example((1, 1, 2.0, 4))
@@ -683,8 +695,9 @@ def test_delivery_builds_no_node_table(tau, m):
 
 
 def test_canonical_place_keeps_only_the_levels():
-    # The placement is the profile's levels: at nu = 9, tau 2 and M = 1.75 N
-    # (458,752 files) an (M, 2) int64 anchor array would keep 7.3 MB.
+    # The placement is the profile's level counts: at nu = 9, tau 2 and
+    # M = 1.75 N (458,752 files) an (M, 2) int64 anchor array would keep
+    # 7.3 MB.
     grid = GridSpec(nu=9)
     pop = zipf(int(1.75 * grid.node_count), 2.0)
     canon = canonical_truncate(solve_cd(grid.node_count, 2.0, pop))
@@ -694,8 +707,43 @@ def test_canonical_place_keeps_only_the_levels():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert placed.levels is canon.levels
+    assert placed.counts is canon.counts
     assert kept < 2**20
+
+
+def _reachable_arrays(*roots):
+    """Every ndarray reachable from the roots through instance attributes
+    (vars()), tuples, lists and dicts."""
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("tau, m", [(0.8, 0.5), (2.0, 1.75), (0.0, 2.0)])
+def test_canonical_path_keeps_nothing_catalog_sized(tau, m):
+    # The profile and the compact placement hold nu + 1 level counts, and
+    # what simulate reads of them is made afresh, not kept.
+    grid = GridSpec(nu=5)
+    pop = zipf(int(m * grid.node_count) - (tau == 0.0), tau)
+    canon = canonical_truncate(solve_cd(grid.node_count, 2.0, pop))
+    placed = canonical_place(grid, canon, pop, 2)
+    assert [a.shape for a in _reachable_arrays(canon, placed)] == [(6,)]
+    link_loads(grid, placed, pop)
+    total_hop_load(grid, placed, pop)
+    assert placed.measured_densities().size == canon.densities.size == pop.m_count
+    assert not [a.shape for a in _reachable_arrays(canon, placed) if a.size >= pop.m_count]
 
 
 def test_simulate_builds_no_buffers(monkeypatch, capsys):
@@ -715,7 +763,7 @@ def test_simulate_builds_no_buffers(monkeypatch, capsys):
         assert cli.main(["simulate", "--nu", "4", "--K", "2", "--M", m, "--tau", tau]) == 0
     assert "load_identity_residual" in capsys.readouterr().out
     assert len(placed) == 3
-    assert all("buffers" not in vars(p) and p.levels is not None for p in placed)
+    assert all("buffers" not in vars(p) and p.counts is not None for p in placed)
     assert all("_node_table" not in vars(p) for p in placed)
     assert all("_hops" not in vars(p) for p in placed)
 
@@ -724,29 +772,37 @@ def test_placement_takes_one_form():
     grid = GridSpec(nu=1)
     with pytest.raises(InvalidInputError):
         CachePlacement(grid=grid, capacity=1, file_count=1)
-    placed = CachePlacement(grid=grid, capacity=1, file_count=1, levels=np.zeros(1, dtype=np.int64))
+    placed = CachePlacement(grid=grid, capacity=1, file_count=1, counts=[1, 0])
     assert placed.buffers == (frozenset({0}),) * 4
     with pytest.raises(InvalidInputError):
         CachePlacement(
-            grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4,
-            levels=np.zeros(1, dtype=np.int64),
+            grid=grid, capacity=1, file_count=1, buffers=(frozenset({0}),) * 4, counts=[1, 0]
         )
 
 
-@pytest.mark.parametrize(
-    "levels, message",
-    [
-        # Each used to pass unchecked: a bare ValueError from a reshape, or
-        # a file dropped from the loads and the hop total alike.
-        ([1, 3], "file 1 has level 3, outside 0..2"),
-        ([1], r"levels of 2 files must have shape \(2,\), got \(1,\)"),
-        ([-1, 1], "file 0 has level -1, outside 0..2"),
-    ],
-    ids=["level-above-nu", "levels-short", "negative-level"],
-)
-def test_compact_form_is_checked(levels, message):
+_COUNT_CHECKS = [
+    # A count past level nu would hold files at a level above nu.
+    ([0, 1, 0, 1], r"nu = 2 needs 3 level counts, got shape \(4,\)"),
+    ([1, 1], r"nu = 2 needs 3 level counts, got shape \(2,\)"),
+    ([3, -1, 0], "level 1 has a negative count, -1"),
+    ([0.5, 1.5, 0.0], "level counts must be integers, got float64"),
+    ([1, 0, 0], "level counts sum to 1, not file_count 2"),
+]
+_COUNT_IDS = [
+    "level-above-nu", "levels-short", "negative-level", "non-integer", "sum-not-file-count",
+]
+
+
+@pytest.mark.parametrize("counts, message", _COUNT_CHECKS, ids=_COUNT_IDS)
+def test_compact_form_is_checked(counts, message):
     with pytest.raises(InvalidInputError, match=message):
-        CachePlacement(grid=GridSpec(nu=2), capacity=2, file_count=2, levels=levels)
+        CachePlacement(grid=GridSpec(nu=2), capacity=2, file_count=2, counts=counts)
+
+
+@pytest.mark.parametrize("counts, message", _COUNT_CHECKS[:4], ids=_COUNT_IDS[:4])
+def test_canonical_profile_counts_are_checked(counts, message):
+    with pytest.raises(InvalidInputError, match=message):
+        CanonicalProfile(counts=counts, nu=2, capacity=2.0)
 
 
 @pytest.mark.parametrize("count", [3, 5])
