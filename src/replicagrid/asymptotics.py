@@ -398,7 +398,8 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
       (K - l + 2) (l-1)^(-s)  >=  zeta(s) - H_s(l - 2)
     with s = 2 tau / 3.  Returns the solution > 1, or 1 if none exists.
     The right-hand sides are the tails _zeta(s, l) and _zeta(s, l - 1),
-    summed directly so they keep their relative precision at large l.
+    summed directly so they keep their relative precision at large l, all
+    from one _PowerSums(s).
 
     The first condition is monotone in l for l <= K + 1 (false, then true),
     and the second is the first's negation at l - 1, so only the first l
@@ -407,7 +408,7 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
     s = 2.0 * tau / 3.0
 
     def upper(cand: int) -> bool:
-        return (k_eff - cand + 1) * cand ** (-s) < _zeta(s, cand)
+        return (k_eff - cand + 1) * cand ** (-s) < sums(cand)
 
     lo, hi = 2, int(math.floor(k_eff + 1e-12)) + 1
     # Candidates past 2^53 are not exact floats; past the underflow both
@@ -421,6 +422,9 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
             f"tau = {tau:g} is too large for the head-size scan at K = {k_eff:g}: "
             f"the candidate power {hi}^(-2 tau / 3) underflows"
         )
+    # One set of power sums serves every candidate's tail, built only once
+    # the candidates are known to be usable.
+    sums = _PowerSums(s)
     if hi < lo or not upper(hi):
         return 1
     while lo < hi:
@@ -429,7 +433,7 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
             hi = mid
         else:
             lo = mid + 1
-    lower = (k_eff - lo + 2) * (lo - 1) ** (-s) >= _zeta(s, lo - 1)
+    lower = (k_eff - lo + 2) * (lo - 1) ** (-s) >= sums(lo - 1)
     return lo if lower else 1
 
 

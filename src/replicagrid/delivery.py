@@ -15,11 +15,14 @@ selection key, each walking its cyclic axis one position per step across
 every file and line of the block (_serving_keys, _cyclic_minimum), and
 the half-route counts of the files of a cache-sized sub-block, node-major
 like the loads (_run_counts): every run's start and stop from one take
-per axis from a table of (client, server) coordinate pairs (_pair_table,
-made once per call and never kept), counted by one bincount per axis and
-sign on doubled lines of 2 side positions.  The grid side is 2^nu, so the
-kernel indexes by shifts and masks.  Its replica table is built once and
-kept on the placement (CachePlacement._replicas).
+per axis from a table of (client, server) coordinate pairs (_pair_table),
+counted by one bincount per axis and sign on doubled lines of 2 side
+positions.  The keys are int32 up to nu = 8 and int64 from nu = 9, the
+narrowest type that holds the scans' bound of 36 n side + 8 n
+(_key_dtype).  The pair table and the clients' side of every take and
+line id (_run_tables) are made once per call and never kept.  The grid
+side is 2^nu, so the kernel indexes by shifts and masks.  Its replica
+table is built once and kept on the placement (CachePlacement._replicas).
 
 Each file of a placement given by buffers is served once for its hop
 total: link_loads and total_hop_load write the total, the key's hops
@@ -47,10 +50,13 @@ from .popularity import Popularity, _frozen
 
 REQUEST_RATE = 1.0  # per-node request rate; other rates follow by scaling
 # Node-file pairs per key block (_serving_keys), 1 MiB per int64 array of
-# the block: a scan step spans many files at low nu, and a block stays
-# small at high nu.  _run_counts peaks at about 16 arrays of its block's
-# size against about 4 for the keys, and ran fastest on a sixteenth of a
-# key block (8 files at nu = 5), so it runs in sub-blocks of that size.
+# the block and 512 KiB per int32 one (_key_dtype): a scan step spans many
+# files at low nu, and a block stays small at high nu.  _run_counts peaks
+# at about 16 int64 arrays of its block's size against about 4 key arrays,
+# and ran fastest on a sixteenth of a key block (8 files at nu = 5), so it
+# runs in sub-blocks of that size.  With int32 keys, key blocks of 2^18
+# pairs (the same bytes), with sub-blocks of a sixteenth or of 2^13 pairs,
+# were no faster at nu = 5 or 7.
 _BLOCK_NODE_FILES = 2**17
 
 
@@ -78,10 +84,16 @@ def avg_link(load_map: LinkLoadMap) -> float:
     return float(load_map.loads.mean())
 
 
+def _block_files(grid: GridSpec, pairs: int) -> int:
+    """Files per block of `pairs` node-file pairs (one file when a file
+    alone has more nodes)."""
+    return max(1, pairs // grid.node_count)
+
+
 def _blocks(grid: GridSpec, count: int, pairs: int):
     """Slices of `count` consecutive files, `pairs` node-file pairs each
-    (one file when a file alone has more nodes)."""
-    step = max(1, pairs // grid.node_count)
+    (_block_files)."""
+    step = _block_files(grid, pairs)
     for lo in range(0, count, step):
         yield slice(lo, lo + step)
 
@@ -104,18 +116,21 @@ def _serving_keys(
     per client column y, file and replica row rx; then over rx, per client
     row x, file and client column y.  Each scan costs O(N) per file.  A
     cell with no replica holds 18 n side, past every real key (below
-    n (9 side + 9)), so every intermediate stays below 36 n side + 8 n and
-    inside int64 up to nu = 19.
+    n (9 side + 9)), so every intermediate stays below 36 n side + 8 n:
+    inside int32 up to nu = 8 and int64 up to nu = 19.  The keys are made
+    in the narrower type that fits (_key_dtype), so up to nu = 8 the scans
+    move half the bytes.
     """
     side, n = grid.side, grid.node_count
     counts = offsets[files + 1] - offsets[files]
     owner = np.repeat(np.arange(files.size), counts)
     rows = np.arange(owner.size) + np.repeat(offsets[files] - (np.cumsum(counts) - counts), counts)
     rx, ry = coords[rows, 0], coords[rows, 1]
-    value = np.full((side, files.size, side), 18 * n * side, dtype=np.int64)
+    dtype = _key_dtype(grid)
+    value = np.full((side, files.size, side), 18 * n * side, dtype=dtype)
     value[ry, owner, rx] = ry
     _cyclic_minimum(value, 9 * n, n)
-    value += np.arange(0, n, side)
+    value += np.arange(0, n, side, dtype=dtype)
     # Each scan overwrites its input and the input of the second replaces
     # the first's, so the block holds about four arrays of its size at once.
     key = value.transpose(2, 1, 0).copy()
@@ -124,12 +139,21 @@ def _serving_keys(
     return key.swapaxes(0, 1).reshape(files.size, n)
 
 
+def _key_dtype(grid: GridSpec) -> type:
+    """The narrowest signed integer type that holds every intermediate of
+    the key scans (_serving_keys), 36 n side + 8 n: int32 up to nu = 8,
+    int64 from nu = 9."""
+    n = grid.node_count
+    return np.int32 if 36 * n * grid.side + 8 * n <= np.iinfo(np.int32).max else np.int64
+
+
 def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> None:
-    """Overwrite value, an int64 array (side, ...) with trailing axes, with
-    the cyclic minimum along its leading axis: for each position p on a
-    cycle of length side, the least value[q] + step d + tie t over
-    positions q at cyclic distance d, with t = 0 for q before p (a
-    decreasing step, as at d = side/2), 1 for q = p and 2 for q after p.
+    """Overwrite value, a signed integer array (side, ...) with trailing
+    axes, with the cyclic minimum along its leading axis, worked out in
+    value's own dtype: for each position p on a cycle of length side, the
+    least value[q] + step d + tie t over positions q at cyclic distance d,
+    with t = 0 for q before p (a decreasing step, as at d = side/2), 1 for
+    q = p and 2 for q after p.
 
     The least term from q before p is step p plus the least value[q] - step q
     over q < p, and over the half lap before position 0 (q - side for q >=
@@ -138,15 +162,16 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> None:
     The half laps also reach some q at more than side/2 the other way
     round, or at d = side: those terms exceed the right one (step > 2 tie),
     so the minimum is unchanged.  For values, step and tie >= 0 every
-    intermediate lies in [-step side, max value + 2 step side + 2 tie].
+    intermediate lies in [-step side, max value + 2 step side + 2 tie],
+    which must fit the dtype.
     """
     side = value.shape[0]
     half = (side + 1) // 2  # side / 2, or 1 on the one-position cycle
-    ramp = step * np.arange(side).reshape((side,) + (1,) * (value.ndim - 1))
+    ramp = step * np.arange(side, dtype=value.dtype).reshape((side,) + (1,) * (value.ndim - 1))
     # before[p] becomes the least value[q] - step q over q < p, before[0]
     # the half lap before position 0; after[p] the least value[q] + step q
     # + 2 tie over q >= p, after[side] the half lap after side - 1.
-    before = np.empty((side + 1,) + value.shape[1:], dtype=np.int64)
+    before = np.empty((side + 1,) + value.shape[1:], dtype=value.dtype)
     after = np.empty_like(before)
     np.subtract(value, ramp, out=before[1:])
     np.add(value, ramp + 2 * tie, out=after[:-1])
@@ -165,11 +190,12 @@ def _cyclic_minimum(value: np.ndarray, step: int, tie: int) -> None:
 
 
 def _lattice_loads(
-    grid: GridSpec, counts: np.ndarray, weights: np.ndarray
+    grid: GridSpec, counts: np.ndarray, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column link loads, each (side, side) by owning node, of the
-    compact placement with the given level counts under the given request
-    weights (files at level 0 are held everywhere and load nothing).
+    compact placement with the given level counts under request weights
+    REQUEST_RATE probs (files at level 0 are held everywhere and load
+    nothing).  Each round scales only its own files' slice of probs.
 
     One replica at (0, 0) on a 2^k torus of side s loads row link (x, y)
     with (w/2) h[y] (1 + s [x == 0]), h[y] = |y - s/2|, and column links
@@ -191,7 +217,7 @@ def _lattice_loads(
     for k, ids, _, ax, ay in _rounds(counts, grid.nu):
         if k not in masses:
             masses[k] = np.zeros(4 ** k)
-        masses[k][(ax << k) + ay] += weights[ids]
+        masses[k][(ax << k) + ay] += REQUEST_RATE * probs[ids]
     rows = cols = np.zeros((1, 1))
     for k in list(masses):
         s = 2 ** k
@@ -211,8 +237,8 @@ def _pair_table(grid: GridSpec) -> np.ndarray:
     """The (start, unmasked stop) of the run from client coordinate c to
     server coordinate t along one axis (_run_counts), as an (N, 2) int32
     table with row (c << nu) | t.  It takes 8 N bytes (128 MiB at
-    nu = 12), so each link_loads or per-file call makes it once and
-    nothing keeps it."""
+    nu = 12), so each link_loads or per-file call makes it once
+    (_run_tables) and nothing keeps it."""
     side, mask = grid.side, grid.side - 1
     coord = np.arange(side)
     delta = (coord - coord[:, None]) & mask  # [c, t]: (t - c) mod side
@@ -223,7 +249,22 @@ def _pair_table(grid: GridSpec) -> np.ndarray:
     return table.reshape(-1, 2)
 
 
-def _run_counts(grid: GridSpec, keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _run_tables(grid: GridSpec, files: int) -> tuple:
+    """What _run_counts reads in every sub-block of up to `files` files,
+    made once per link_loads or per-file call and never kept: the pair
+    table (_pair_table), each file's first line id 2 N f as a (files, 1)
+    column, and per axis the client's pair-table row offset c << nu, (N,),
+    and its line ids by file, (files, N).  A row run's client coordinate
+    is y_c and its client line row x_c; a column run's are x_c and column
+    y_c."""
+    nu, n = grid.nu, grid.node_count
+    xc, yc = np.divmod(np.arange(n), grid.side)
+    base = np.arange(0, 2 * files * n, 2 * n)[:, None]
+    clients = ((yc << nu, (xc << nu + 1) + base), (xc << nu, (yc << nu + 1) + base))
+    return _pair_table(grid), base, clients
+
+
+def _run_counts(grid: GridSpec, keys: np.ndarray, tables: tuple) -> np.ndarray:
     """Per-link count of half-routes of each file served by keys, as a
     (files, side, side, 2) integer array by owning node (x, y): [..., 0]
     the row link, [..., 1] the column link, the interleaved order of loads.
@@ -238,7 +279,9 @@ def _run_counts(grid: GridSpec, keys: np.ndarray, table: np.ndarray) -> np.ndarr
     lands on, so the run covers the links owned by positions start =
     (c + min(delta, 0)) & (side - 1) up to the unmasked stop = start +
     |delta|, in [0, 3 side / 2).  Both depend on (c, t) alone, so one take
-    from the pair table (_pair_table) per axis gives every run's.
+    from the pair table per axis gives every run's; the client's side of
+    the take and of the line ids comes from the call's tables
+    (_run_tables).  Keys may be int32 or int64 (_key_dtype).
 
     Runs are counted on doubled lines of 2 side positions: +1 at start and
     -1 at stop, one bincount per sign over all runs of all files.  The
@@ -248,14 +291,13 @@ def _run_counts(grid: GridSpec, keys: np.ndarray, table: np.ndarray) -> np.ndarr
     0, and a cumulative sum along each line gives the counts.
     """
     nu, side, n = grid.nu, grid.side, grid.node_count
+    table, base, clients = tables
     files, mask = keys.shape[0], side - 1
     size = 2 * files * n
-    base = np.arange(0, size, 2 * n)[:, None]
     xs, ys = (keys >> nu) & mask, keys & mask  # key % n is the server
-    xc, yc = np.divmod(np.arange(n), side)
     counts = np.empty((files, side, side, 2), dtype=np.int64)
-    line = np.empty((2, files, n), dtype=np.int64)
-    at = np.empty_like(line)
+    server = np.empty((files, n), dtype=np.int64)
+    at = np.empty((2, files, n), dtype=np.int64)
     # Each axis's counts are summed in every other slot of `at`, free once
     # its bincounts are done: with numpy 2.4, a cumulative sum along a
     # strided view ran three to four times as fast as along contiguous rows.
@@ -265,14 +307,16 @@ def _run_counts(grid: GridSpec, keys: np.ndarray, table: np.ndarray) -> np.ndarr
     # line: rows x by column position y, then columns y by row position x.
     # A row run lies on row x_s or x_c from client column y_c to y_s, a
     # column run on column y_c or y_s from client row x_c to x_s.
-    for axis, lines, client, target in ((0, (xs, xc), yc, ys), (1, (yc, ys), xc, xs)):
-        for out, coord in zip(line, lines):
-            np.left_shift(coord, nu + 1, out=out)
-            out += base
-        ends = np.take(table, (client << nu) | target, axis=0).astype(np.int64)
-        np.add(line, ends[..., 0], out=at)
+    for axis, line, (client, client_line), target in ((0, xs, clients[0], ys), (1, ys, clients[1], xs)):
+        np.left_shift(line, nu + 1, out=server)
+        server += base[:files]
+        client_line = client_line[:files]
+        ends = np.take(table, client | target, axis=0).astype(np.int64)
+        np.add(server, ends[..., 0], out=at[0])
+        np.add(client_line, ends[..., 0], out=at[1])
         diff = np.bincount(at.ravel(), minlength=size)
-        np.add(line, ends[..., 1], out=at)
+        np.add(server, ends[..., 1], out=at[0])
+        np.add(client_line, ends[..., 1], out=at[1])
         diff -= np.bincount(at.ravel(), minlength=size)
         halves = diff.reshape(files * side, 2, side)
         np.add(halves[:, 0], halves[:, 1], out=runs)
@@ -326,7 +370,7 @@ def _record_hops(
 ) -> None:
     """Write the hop totals of the block's files, served by keys
     (_serving_keys), into the placement's hop record."""
-    placement._hops[block] = (keys // (9 * grid.node_count)).sum(axis=1)
+    placement._hops[block] = (keys // (9 * grid.node_count)).sum(axis=1, dtype=np.int64)
 
 
 def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> LinkLoadMap:
@@ -335,8 +379,9 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     A compact placement is summed per level in closed form
     (_lattice_loads).  A placement given by buffers is served in key blocks
     of consecutive files (_blocks, _serving_keys); each key block's
-    half-route counts are taken in sub-blocks (_run_counts), and each
-    file's are added to the loads in file order.  The hop totals go into
+    half-route counts are taken in sub-blocks (_run_counts) from tables
+    made once for the call (_run_tables), and each file's are added to the
+    loads in file order at weight REQUEST_RATE p_m.  The hop totals go into
     the placement's hop record on the way (_record_hops), so a later
     total_hop_load serves no file again; the loads are not kept.  Requires
     a nu >= 1 grid; the single-node grid has no links to load.
@@ -344,22 +389,22 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
     if grid.nu == 0:
         raise InvalidInputError("simulation requires nu >= 1 (the 1-node grid has no links)")
     replicas = _catalog(grid, placement, pop)
-    weights = REQUEST_RATE * pop.probs
     if placement.counts is not None:
-        rows, cols = _lattice_loads(grid, placement.counts, weights)
+        rows, cols = _lattice_loads(grid, placement.counts, pop.probs)
         loads = np.empty(2 * grid.node_count)
         loads[0::2], loads[1::2] = rows.ravel(), cols.ravel()
     else:
         loads = np.zeros(2 * grid.node_count)
         files = np.arange(placement.file_count)
-        table = _pair_table(grid)
+        part = _BLOCK_NODE_FILES // 16
+        tables = _run_tables(grid, min(files.size, _block_files(grid, part)))
         for block in _blocks(grid, files.size, _BLOCK_NODE_FILES):
             ids = files[block]
             keys = _serving_keys(grid, *replicas, ids)
             _record_hops(grid, placement, ids, keys)
-            for part in _blocks(grid, ids.size, _BLOCK_NODE_FILES // 16):
-                for m, file_counts in zip(ids[part].tolist(), _run_counts(grid, keys[part], table)):
-                    _deposit(loads, file_counts, weights[m])
+            for sub in _blocks(grid, ids.size, part):
+                for m, file_counts in zip(ids[sub].tolist(), _run_counts(grid, keys[sub], tables)):
+                    _deposit(loads, file_counts, REQUEST_RATE * pop.probs[m])
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
@@ -431,7 +476,7 @@ def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.nd
 def _file_loads(grid: GridSpec, keys: np.ndarray, p_m: float) -> np.ndarray:
     """Link loads of the one file served by keys, at popularity weight p_m."""
     loads = np.zeros(2 * grid.node_count)
-    _deposit(loads, _run_counts(grid, keys, _pair_table(grid))[0], REQUEST_RATE * p_m)
+    _deposit(loads, _run_counts(grid, keys, _run_tables(grid, 1))[0], REQUEST_RATE * p_m)
     return loads
 
 

@@ -375,6 +375,23 @@ def test_l_hat_scan_rejects_k_past_float_range(tau, k):
         _l_hat_scan(tau, k)
 
 
+@pytest.mark.parametrize("tau, k", [(2.0, 1.0), (2.0, 200.0), (3.7, 57.5), (5.0, 1e6)])
+def test_l_hat_scan_builds_one_power_sums(monkeypatch, tau, k):
+    # Every candidate's tail comes from one _PowerSums(2 tau / 3); its
+    # caches are per call, so the answer is the one fresh sums give.
+    expect = _l_hat_scan(tau, k)
+    built = []
+    real = asymptotics._PowerSums
+
+    def counted(s):
+        built.append(s)
+        return real(s)
+
+    monkeypatch.setattr(asymptotics, "_PowerSums", counted)
+    assert _l_hat_scan(tau, k) == expect
+    assert built == [2.0 * tau / 3.0]
+
+
 def _l_hat_linear(tau: float, k_eff: float) -> int:
     """Reference: try every candidate head size in turn, with scipy's
     Hurwitz zeta for the tails."""
@@ -436,12 +453,17 @@ def test_classify_same_with_scipy_zeta(monkeypatch):
     ours = [classify_regime(*case) for case in grid]
     calls = []
 
-    def scipy_tail(s, a=1):
-        calls.append((s, a))
-        return float(scipy_zeta(s, a)) if s > 1 else math.inf
+    class ScipyTails(asymptotics._PowerSums):
+        # Tails (no end b) from scipy's Hurwitz zeta; finite sums as before.
+        def __call__(self, a, b=None):
+            if b is not None:
+                return super().__call__(a, b)
+            calls.append((self.s, a))
+            return float(scipy_zeta(self.s, a))
 
-    monkeypatch.setattr(asymptotics, "_zeta", scipy_tail)
+    monkeypatch.setattr(asymptotics, "_PowerSums", ScipyTails)
     assert [classify_regime(*case) for case in grid] == ours
-    # The head-size scan reads its tails through _zeta, so scipy's were used.
+    # The head-size scan reads its tails from its power sums, so scipy's
+    # were used.
     assert len(calls) > 0
 

@@ -523,6 +523,22 @@ def test_simulate_solves_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_takes_one_lower_bound(capsys, monkeypatch):
+    # The canonical placement's measured densities are the canonical ones,
+    # so Lemma 3 and Theorem 9 share one bound.
+    calls = []
+    real = density.lower_bound
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "lower_bound", counting)
+    code, _, _ = run(capsys, "simulate", "--nu", "2", "--K", "1", "--M", "4", "--tau", "0.8")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # The option keys each subcommand reads, and the flags that set each key.
 _INSTANCE_KEYS = {"config", "nu", "capacity", "m_count", "tau", "pop_file"}
 OPTIONS_READ = {

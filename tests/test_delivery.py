@@ -474,11 +474,11 @@ def _reference_cyclic_minimum(value, step, tie):
     return np.array(out, dtype=np.int64).reshape(value.shape)
 
 
-def _cyclic_minimum_bound(step, side, tie):
-    """The largest input value _cyclic_minimum is exact for: every
+def _cyclic_minimum_bound(step, side, tie, dtype=np.int64):
+    """The largest input value _cyclic_minimum is exact for in dtype: every
     intermediate is at most max value + 2 (step side + tie), which must
-    stay inside int64."""
-    return np.iinfo(np.int64).max - 2 * (step * side + tie)
+    stay inside dtype."""
+    return int(np.iinfo(dtype).max) - 2 * (step * side + tie)
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,19 +486,21 @@ def _cyclic_minimum_bound(step, side, tie):
     st.sampled_from([1, 2, 4, 8, 16]),
     st.sampled_from([(1,), (7,), (3, 5)]),
     st.sampled_from(["small", "wide", "sentinel", "pairs"]),
+    st.sampled_from([np.int32, np.int64]),
     st.data(),
 )
-def test_cyclic_minimum_matches_brute_force(side, width, cells, data):
+def test_cyclic_minimum_matches_brute_force(side, width, cells, dtype, data):
     # Values 0..2 make distance and tie decide; "wide" values reach the
-    # int64 bound; "sentinel" cells sit at the largest value, as cells
-    # without a replica do; "pairs" are mirror images about a drawn centre
-    # c, so positions c and c + side/2 see equal values at equal distances
-    # both ways, and the one cell side/2 away goes to the before side.
-    step = data.draw(st.integers(1, 10**9))
+    # bound of the drawn dtype; "sentinel" cells sit at the largest value,
+    # as cells without a replica do; "pairs" are mirror images about a
+    # drawn centre c, so positions c and c + side/2 see equal values at
+    # equal distances both ways, and the one cell side/2 away goes to the
+    # before side.  An int32 step leaves the bound at least half of int32.
+    step = data.draw(st.integers(1, 10**9 if dtype is np.int64 else 2**29 // side))
     tie = data.draw(st.integers(0, (step - 1) // 2))  # step > 2 tie
-    top = 2 if cells == "small" else _cyclic_minimum_bound(step, side, tie)
+    top = 2 if cells == "small" else _cyclic_minimum_bound(step, side, tie, dtype)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    value = rng.integers(0, top, size=(side, *width), endpoint=True, dtype=np.int64)
+    value = rng.integers(0, top, size=(side, *width), endpoint=True, dtype=dtype)
     if cells == "sentinel":
         value[rng.random(value.shape) < 0.7] = top
     if cells == "pairs":
@@ -519,6 +521,43 @@ def test_serving_keys_stay_inside_the_scan_bound():
         assert 18 * n * side + 2 * n - side <= _cyclic_minimum_bound(9 * n, side, 3 * n)
     n, side = 4**20, 2**20
     assert 18 * n * side > _cyclic_minimum_bound(9 * n, side, n)
+
+
+def test_narrow_serving_keys_stay_inside_the_scan_bound():
+    # The same two scans in int32 fit up to nu = 8 and not at nu = 9, the
+    # grids on which _key_dtype picks int32 and int64.
+    for nu in range(20):
+        n, side = 4**nu, 2**nu
+        fits = (
+            18 * n * side <= _cyclic_minimum_bound(9 * n, side, n, np.int32)
+            and 18 * n * side + 2 * n - side <= _cyclic_minimum_bound(9 * n, side, 3 * n, np.int32)
+        )
+        assert fits == (nu <= 8)
+        assert delivery._key_dtype(GridSpec(nu=nu)) == (np.int32 if fits else np.int64)
+
+
+def test_narrow_keys_match_wide_keys_at_nu_8(monkeypatch):
+    # nu = 8 is the last grid with int32 keys: keys, loads, per-file loads
+    # and hop totals equal those of the same kernel run in int64.
+    grid = GridSpec(nu=8)
+    n = grid.node_count
+    rng = np.random.default_rng(8)
+    holders = [{n - 1}, set(rng.choice(n, size=n // 4, replace=False).tolist())]
+    pop = zipf(2, 0.8)
+
+    def run():
+        placed = _placement_from_holders(grid, holders)
+        loads = link_loads(grid, placed, pop).loads
+        per_file = [per_file_link_loads(grid, placed, m, float(pop.probs[m])) for m in range(2)]
+        return _block_keys(grid, placed), loads, per_file, placed._hops.copy()
+
+    narrow = run()
+    monkeypatch.setattr(delivery, "_key_dtype", lambda grid: np.int64)
+    wide = run()
+    assert narrow[0].dtype == np.int32 and wide[0].dtype == np.int64
+    assert np.array_equal(narrow[0], wide[0]) and np.array_equal(narrow[1], wide[1])
+    assert all(np.array_equal(a, b) for a, b in zip(narrow[2], wide[2]))
+    assert np.array_equal(narrow[3], wide[3]) and narrow[3].dtype == np.int64
 
 
 def _block_budget(draw, n, files):
@@ -549,7 +588,7 @@ def _assert_nearest_matches_reference(grid, placed, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "_BLOCK_NODE_FILES", budget)
         keys = _block_keys(grid, placed)
-    assert keys.dtype == np.int64 and keys.shape == (placed.file_count, n)
+    assert keys.dtype == delivery._key_dtype(grid) and keys.shape == (placed.file_count, n)
     nodes = np.arange(n)
     for m, key in enumerate(keys):
         reps = _replica_coords(placed, m)
@@ -1236,7 +1275,7 @@ def test_run_counts_match_reference_on_every_run(nu):
     client, server = np.divmod(np.arange(n * n), n)
     keys = np.tile(np.arange(n), (n * n, 1))
     keys[np.arange(n * n), client] = server
-    counts = delivery._run_counts(grid, keys, delivery._pair_table(grid))
+    counts = delivery._run_counts(grid, keys, delivery._run_tables(grid, n * n))
     assert counts.shape == (n * n, side, side, 2)
     xc, yc = np.divmod(client, side)
     xs, ys = np.divmod(server, side)
@@ -1296,7 +1335,8 @@ def _arrays_reachable_from(module):
 # tracemalloc peak of the call below, numpy 2.4, when each axis computed
 # its signed offsets, starts and stops in full-size passes (no pair table)
 # and the line ids of both axes were built up front: 13,117,462 bytes (200
-# per node).  With the pair table it was 11,543,478 bytes (176 per node).
+# per node).  With the pair table it was 11,543,478 bytes (176 per node),
+# and 11,282,762 (172 per node) with int32 keys and per-call client tables.
 _ONE_FILE_NU8_PEAK = 13_117_462
 
 
@@ -1315,6 +1355,41 @@ def test_link_loads_memory_is_bounded_and_keeps_no_pair_table():
         tracemalloc.stop()
     assert peak <= _ONE_FILE_NU8_PEAK
     assert not [a.shape for a in _arrays_reachable_from(delivery) if a.size >= n]
+
+
+def test_delivery_keeps_nothing_new_on_the_placement_or_the_grid():
+    # The pair and client tables are made per call: the placement gains
+    # only its replica table (built from its node table) and hop record.
+    grid = GridSpec(nu=4)
+    rng = np.random.default_rng(4)
+    placed = _placement_from_holders(
+        grid, [set(rng.choice(grid.node_count, size=k, replace=False).tolist()) for k in (1, 5, 64)]
+    )
+    pop = zipf(3, 0.8)
+    before, grid_before = set(vars(placed)), dict(vars(grid))
+    link_loads(grid, placed, pop)
+    assert set(vars(placed)) - before == {"_node_table", "_replicas", "_hops"}
+    total_hop_load(grid, placed, pop)
+    per_file_link_loads(grid, placed, 2)
+    per_file_link_bound(grid, placed, 2)
+    assert set(vars(placed)) - before == {"_node_table", "_replicas", "_hops"}
+    assert vars(grid) == grid_before
+
+
+def test_compact_link_loads_scale_each_round_not_the_catalog():
+    # M = 4,000 files on 64 nodes, nearly all at the last level: the
+    # request weights are scaled per round, never as one M-float copy.
+    grid = GridSpec(nu=3)
+    pop = zipf(4000, 0.8)
+    placed = _canonical(grid, 64, pop)
+    link_loads(grid, placed, pop)  # what a first call sets up is not counted
+    tracemalloc.start()
+    try:
+        link_loads(grid, placed, pop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * pop.m_count
 
 
 def _reference_file_loads(grid, reps, weight, loads):
