@@ -299,19 +299,6 @@ class _PowerSums:
         return head
 
 
-def _power_sum(s: float, a: int, b: int | None = None) -> float:
-    """Sum of j^(-s) over j = a..b, or over j >= a when b is None (s > 1)."""
-    return _PowerSums(s)(a, b)
-
-
-def _zeta(s: float, a: int = 1) -> float:
-    """The zeta tail sum of j^(-s) over j >= a (Riemann zeta at a = 1) for
-    real s > 1 (inf for s <= 1)."""
-    if s <= 1.0:
-        return math.inf
-    return _power_sum(s, a)
-
-
 def _zipf_start(n_nodes: int, capacity: float, m_count: int, sums: _PowerSums):
     """start(l) for _split_indices on q_i = i^(-s), s = sums.s.
 
@@ -397,7 +384,7 @@ def _l_hat_scan(tau: float, k_eff: float) -> int:
       (K - l + 1) l^(-s)       <  zeta(s) - H_s(l - 1)
       (K - l + 2) (l-1)^(-s)  >=  zeta(s) - H_s(l - 2)
     with s = 2 tau / 3.  Returns the solution > 1, or 1 if none exists.
-    The right-hand sides are the tails _zeta(s, l) and _zeta(s, l - 1),
+    The right-hand sides are the zeta tails from l and from l - 1,
     summed directly so they keep their relative precision at large l, all
     from one _PowerSums(s).
 

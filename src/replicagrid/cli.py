@@ -22,7 +22,8 @@ from . import asymptotics, delivery, density, placement
 from ._text import _TEXT_ROWS, _g12_digits, _text_blocks
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec
-from .popularity import Popularity, load_popularity, zipf
+from .popularity import load_popularity, zipf
+
 
 def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
@@ -177,7 +178,7 @@ def cmd_solve(args, config) -> int:
 
 
 def _build_placement(grid, capacity, pop):
-    """The canonical profile and the placement built from it.
+    """The canonical placement of the instance.
 
     Past 2^53 nodes or capacity slots the placement could neither index
     its files exactly nor be held in memory, so such a grid is refused
@@ -188,13 +189,13 @@ def _build_placement(grid, capacity, pop):
     cap_int = int(math.floor(capacity + 1e-12))
     if cap_int < 1:
         raise InvalidInputError(f"placement needs integer capacity >= 1, got {capacity}")
-    return canon, placement.canonical_place(grid, canon, pop, cap_int)
+    return placement.canonical_place(grid, canon, pop, cap_int)
 
 
 def cmd_place(args, config) -> int:
     out = _output_path(args, config)
     grid, capacity, pop = _resolve_instance(args, config)
-    _, placed = _build_placement(grid, capacity, pop)
+    placed = _build_placement(grid, capacity, pop)
     print(placement.render_matrix(placed))
     print(f"valid = {str(placement.validate_capacity(placed)).lower()}")
     if out is not None:
@@ -205,7 +206,7 @@ def cmd_place(args, config) -> int:
 def cmd_simulate(args, config) -> int:
     out = _output_path(args, config)
     grid, capacity, pop = _resolve_instance(args, config)
-    _, placed = _build_placement(grid, capacity, pop)
+    placed = _build_placement(grid, capacity, pop)
     loads = delivery.link_loads(grid, placed, pop)
     total = float(loads.loads.sum())
     hop_total = delivery.total_hop_load(grid, placed, pop)
@@ -260,18 +261,7 @@ def cmd_classify(args, config) -> int:
     n = GridSpec(nu=nu).node_count
     m = parse_m_expression(_require(args, config, "m_count", str), n, capacity)
     report = asymptotics.classify_regime(tau, capacity, m, n)
-    doc = {
-        "tau": report.tau,
-        "capacity": report.capacity,
-        "m_count": report.m_count,
-        "n_nodes": report.n_nodes,
-        "regime_label": report.regime_label,
-        "predicted_l_hat": report.predicted_l_hat,
-        "predicted_r_hat": report.predicted_r_hat,
-        "predicted_law": report.predicted_law,
-        "truncation_state": report.truncation_state,
-    }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(vars(report), indent=2))
     return 0
 
 

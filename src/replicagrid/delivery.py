@@ -63,24 +63,27 @@ _BLOCK_NODE_FILES = 2**17
 @dataclass(frozen=True)
 class LinkLoadMap:
     """Loads for the 2N links, by the link index of the grid module:
-    link 2i is the row link of row-major node i, 2i + 1 its column link."""
+    link 2i is the row link of row-major node i, 2i + 1 its column link.
+    Checked when built: the grid has links (nu >= 1) and there are 2N
+    loads, so no reader checks them again."""
 
     grid: GridSpec
     loads: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "loads", _frozen(np.asarray(self.loads, dtype=float)))
+        if self.grid.nu == 0:
+            raise InvalidInputError("the 1-node grid has no links")
+        loads = _frozen(np.asarray(self.loads, dtype=float))
+        if loads.shape != (links := 2 * self.grid.node_count,):
+            raise InvalidInputError(f"{links} links need {links} loads, got shape {loads.shape}")
+        object.__setattr__(self, "loads", loads)
 
 
 def worst_link(load_map: LinkLoadMap) -> float:
-    if load_map.loads.size == 0:
-        raise InvalidInputError("grid has no links")
     return float(load_map.loads.max())
 
 
 def avg_link(load_map: LinkLoadMap) -> float:
-    if load_map.loads.size == 0:
-        raise InvalidInputError("grid has no links")
     return float(load_map.loads.mean())
 
 
@@ -540,30 +543,26 @@ def to_csv(load_map: LinkLoadMap, fh: BinaryIO) -> None:
     table; each block is written as it is made, so the CSV is never held
     whole.
     """
-    grid = load_map.grid
+    loads, side = load_map.loads, load_map.grid.side
     worst, avg = worst_link(load_map), avg_link(load_map)
-    # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN;
-    # the 1-node grid has no links (the grid module's link index rule).
-    loads = load_map.loads if grid.nu else load_map.loads[:0]
-    side = grid.side
-    x_count = -(-loads.size // (2 * side))
-    # ',x' per origin row x and ',y,axis,' per link of a row, from one
-    # digit table of the coordinates.
-    coords = _decimal_digits(np.arange(max(x_count, side)))
+    # Link idx is owned by node idx // 2 (row-major), ROW before COLUMN
+    # (the grid module's link index rule).  ',x' per origin row x and
+    # ',y,axis,' per link of a row, from one digit table of the coordinates.
+    coords = _decimal_digits(np.arange(side))
     wc = coords.shape[1]
-    x_text = np.zeros((x_count, wc + 1), dtype=np.uint8)
+    x_text = np.zeros((side, wc + 1), dtype=np.uint8)
     x_text[:, 0] = ord(",")
-    x_text[:, 1:] = coords[:x_count]
+    x_text[:, 1:] = coords
     axes = [f",{ROW},".encode(), f",{COLUMN},".encode()]
     y_axis_text = np.zeros((side, 2, wc + 1 + max(map(len, axes))), dtype=np.uint8)
     y_axis_text[:, :, 0] = ord(",")
-    y_axis_text[:, :, 1:wc + 1] = coords[:side, None]
+    y_axis_text[:, :, 1:wc + 1] = coords[:, None]
     for j, axis in enumerate(axes):
         y_axis_text[:, j, wc + 1:wc + 1 + len(axis)] = list(axis)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         index = _decimal_digits(np.arange(lo, hi))
-        x_rows = x_text[lo // (2 * side):-(-hi // (2 * side))]
+        x_rows = x_text[lo // (2 * side):hi // (2 * side)]
         load = _g12_digits(loads[lo:hi])
         widths = [index.shape[1], x_text.shape[1], y_axis_text.shape[2], load.shape[1], 1]
         ends = list(itertools.accumulate(widths))
@@ -571,7 +570,7 @@ def to_csv(load_map: LinkLoadMap, fh: BinaryIO) -> None:
         table[..., ends[0]:ends[1]] = x_rows[:, None, None]
         table[..., ends[1]:ends[2]] = y_axis_text
         table[..., -1] = ord("\n")
-        block = table.reshape(-1, ends[-1])[:hi - lo]
+        block = table.reshape(-1, ends[-1])
         block[:, :ends[0]] = index
         block[:, ends[2]:ends[3]] = load
         return block

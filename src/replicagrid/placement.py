@@ -45,13 +45,14 @@ class CachePlacement:
     """Per-node cache contents, in one of two forms.
 
     Built from buffers, buffers[i] holds 0-based file ids for the node with
-    row-major index i.  canonical_place builds the compact form instead,
-    the level counts alone: the counts[k] ids after those of lower levels
-    are each held on a 2^k-periodic lattice, as canonical water-filling
-    places them (_rounds).  The compact form is checked: counts is nu + 1
-    integers >= 0 summing to file_count.  There buffers is built on first read;
-    delivery, replica_nodes, measured_densities and the renderers never
-    read it.  The node table (_node_table) is built on first read and kept;
+    row-major index i, each checked to lie in 0..file_count - 1, so no
+    reader checks them again.  canonical_place builds the compact form
+    instead, the level counts alone: the counts[k] ids after those of
+    lower levels are each held on a 2^k-periodic lattice, as canonical
+    water-filling places them (_rounds).  The compact form is checked:
+    counts is nu + 1 integers >= 0 summing to file_count.  There buffers
+    is built on first read; delivery, replica_nodes, measured_densities
+    and the renderers never read it.  The node table (_node_table) is built on first read and kept;
     delivery of a compact placement never reads it.  Delivery and
     replica_nodes read the replica table (_replicas), built on first read
     and kept; of a compact placement only the per-file calls read it.
@@ -75,6 +76,11 @@ class CachePlacement:
         elif len(buffers := tuple(buffers)) != grid.node_count:
             raise InvalidInputError(f"{len(buffers)} buffers for a grid of {grid.node_count} nodes")
         else:
+            held = np.fromiter(itertools.chain.from_iterable(buffers), dtype=np.int64)
+            if held.size and (least := int(held.min())) < 0:
+                raise InvalidInputError(f"file id {least} is negative")
+            if held.size and (largest := int(held.max())) >= file_count:
+                raise InvalidInputError(f"file id {largest} outside 0..{file_count - 1}")
             # An instance attribute hides the cached property below.
             object.__setattr__(self, "buffers", buffers)
         for name, value in (
@@ -90,19 +96,13 @@ class CachePlacement:
     @functools.cached_property
     def _node_table(self) -> np.ndarray:
         """The held ids of row-major node i in row i, ascending and padded
-        with -1 to the largest occupancy; read-only.
-
-        Raises on a negative file id, which the padding could not tell
-        apart.
-        """
+        with -1 to the largest occupancy; read-only."""
         if self.counts is None:
             sizes = np.fromiter(map(len, self.buffers), dtype=np.int64, count=len(self.buffers))
             files = np.fromiter(
                 itertools.chain.from_iterable(map(sorted, self.buffers)),
                 dtype=np.int64, count=int(sizes.sum()),
             )
-            if files.size and (low := int(files.min())) < 0:
-                raise InvalidInputError(f"file id {low} is negative")
             table = np.full((sizes.size, int(sizes.max())), -1, dtype=np.int64)
             table[np.arange(table.shape[1]) < sizes[:, None]] = files
             table.setflags(write=False)
@@ -137,7 +137,7 @@ class CachePlacement:
         return np.full(self.file_count, -1, dtype=np.int64)
 
     def _replica_counts(self) -> np.ndarray:
-        """Replicas of each file id, 0 to at least file_count - 1."""
+        """Replicas of each file id, 0 to file_count - 1."""
         table = self._node_table
         return np.bincount(table[table >= 0], minlength=self.file_count)
 
@@ -156,13 +156,6 @@ class CachePlacement:
             return np.repeat(4.0 ** -np.arange(self.grid.nu + 1), self.counts)
         return self._replica_counts() / self.grid.node_count
 
-    def _checked_table(self) -> np.ndarray:
-        """_node_table, once every id is known to be in 0..file_count - 1."""
-        table = self._node_table
-        if table.size and (high := int(table.max())) >= self.file_count:
-            raise InvalidInputError(f"file id {high} outside 0..{self.file_count - 1}")
-        return table
-
     def to_json(self) -> bytes:
         """The header, then '"x,y": [ids]' per node in row-major order, as
         ASCII bytes.
@@ -178,7 +171,7 @@ class CachePlacement:
             "file_count": self.file_count,
             "buffers": {},
         }).encode()
-        table = self._checked_table()
+        table = self._node_table
         side, (n, width) = self.grid.side, table.shape
         ids = _decimal_digits(np.maximum(table, 0).ravel())
         coords = _decimal_digits(np.arange(side))
@@ -204,11 +197,8 @@ class CachePlacement:
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
     """Every replica as one (R, 2) int64 coordinate array sorted by file id,
     each file's rows in row-major order, and the M + 1 offsets of each
-    file's rows, from the placement's node table.
-
-    Raises on an id outside the catalog, as the renderers do.
-    """
-    table = placement._checked_table()
+    file's rows, from the placement's node table."""
+    table = placement._node_table
     holder, slot = np.nonzero(table >= 0)
     files = table[holder, slot]
     # A stable sort by file keeps each file's holders in row-major order.
@@ -336,18 +326,11 @@ def canonical_place(
 
 def validate_capacity(placement: CachePlacement) -> bool:
     """True iff no buffer exceeds capacity and every file is cached somewhere."""
-    try:
-        table = placement._node_table
-    except InvalidInputError:  # a negative file id
-        return False
     # Rows are padded at the end, so a node holds more than capacity ids iff
     # its slot at index capacity is held.
-    if np.any(table[:, placement.capacity:] >= 0):
+    if np.any(placement._node_table[:, placement.capacity:] >= 0):
         return False
-    files, count = table[table >= 0], placement.file_count
-    if files.size and files.max() >= count:
-        return False
-    return bool(np.all(np.bincount(files, minlength=count) > 0))
+    return bool(np.all(placement._replica_counts() > 0))
 
 
 _DIGITS = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", dtype=np.uint8)
@@ -363,7 +346,7 @@ def render_matrix(placement: CachePlacement) -> str:
     start of its row ('.' when empty).
     """
     side = placement.grid.side
-    table = placement._checked_table()
+    table = placement._node_table
     # Ids per node, by a loop over the few columns: a sum along the short
     # last axis is several times slower.
     sizes = np.zeros(table.shape[0], dtype=np.int64)

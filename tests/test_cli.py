@@ -419,6 +419,26 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
 
 
 @pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        ("solve", [2, 1.0], "config.json: config must be a JSON object"),
+        ("place --nu 1 --K 0.5 --M 1 --tau 1", None, "placement needs integer capacity >= 1, got 0.5"),
+        # argparse's choices see the flag, not the config file.
+        ("oracle --nu 1 --K 1 --M 3 --tau 1", {"problem": "xx"},
+         "unknown oracle problem 'xx'; use 'an' or 'cd'"),
+    ],
+)
+def test_bad_config_and_capacity_exit_2_with_their_message(capsys, tmp_path, monkeypatch, argv,
+                                                           config, message):
+    monkeypatch.chdir(tmp_path)
+    argv = argv.split()
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", "config.json"]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "solve --jobs 2",

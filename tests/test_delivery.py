@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import tracemalloc
 import types
 
@@ -26,7 +27,7 @@ from replicagrid.delivery import (
 from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import COLUMN, ROW, GridSpec
-from replicagrid.placement import CachePlacement, canonical_place, render_matrix
+from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
 from route_walker import link_index, route_walk_loads, serve_map, signed_axis_delta
 from test_placement import _reference_rounds
@@ -694,32 +695,33 @@ def test_uncached_file_is_named(uncached):
         )
 
 
+@pytest.mark.parametrize("serve", [link_loads, total_hop_load], ids=["loads", "hops"])
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "buffers"])
+def test_placement_and_popularity_sizes_must_match(serve, compact):
+    grid = GridSpec(nu=2)
+    placed = _canonical(grid, 2, zipf(8, 0.8)) if compact else _with_uncached_file(grid, 0)
+    with pytest.raises(InvalidInputError, match="placement and popularity sizes differ"):
+        serve(grid, placed, zipf(placed.file_count + 1, 0.8))
+
+
 @pytest.mark.parametrize("m", [-1, 3])
 def test_file_outside_catalog_rejected(m):
     grid = GridSpec(nu=2)
     placed = _with_uncached_file(grid, 0)
     with pytest.raises(InvalidInputError, match=f"file id {m} outside 0..2"):
         per_file_link_loads(grid, placed, m)
+    with pytest.raises(InvalidInputError, match=f"file id {m} outside 0..2"):
+        placed.replica_nodes(m)
 
 
 @pytest.mark.parametrize("bad, message", [(5, "file id 5 outside 0..1"), (-1, "file id -1 is negative")])
 def test_held_id_outside_catalog_rejected(bad, message):
-    # The message render_matrix gives for the same placement.
-    grid = GridSpec(nu=1)
-    placed = CachePlacement(
-        grid=grid, capacity=2, file_count=2,
-        buffers=(frozenset({0, bad}), frozenset({1}), frozenset(), frozenset({0})),
-    )
-    pop = zipf(2, 0.8)
+    # Refused when built, so delivery never serves a file outside the catalog.
     with pytest.raises(InvalidInputError, match=message):
-        render_matrix(placed)
-    with pytest.raises(InvalidInputError, match=message):
-        link_loads(grid, placed, pop)
-    with pytest.raises(InvalidInputError, match=message):
-        total_hop_load(grid, placed, pop)
-    for m in (0, 1):
-        with pytest.raises(InvalidInputError, match=message):
-            per_file_link_loads(grid, placed, m)
+        CachePlacement(
+            grid=GridSpec(nu=1), capacity=2, file_count=2,
+            buffers=(frozenset({0, bad}), frozenset({1}), frozenset(), frozenset({0})),
+        )
 
 
 def test_catalog_is_built_once_and_read_only(monkeypatch):
@@ -868,8 +870,7 @@ def _reference_to_csv(load_map):
     """to_csv as one f-string per link."""
     lines = ["link_index,origin_x,origin_y,axis,load"]
     grid = load_map.grid
-    loads = load_map.loads.tolist() if grid.nu else []
-    for idx, load in enumerate(loads):
+    for idx, load in enumerate(load_map.loads.tolist()):
         x, y = divmod(idx >> 1, grid.side)
         lines.append(f"{idx},{x},{y},{COLUMN if idx & 1 else ROW},{load:.12g}")
     lines.append(f"summary,,,worst,{worst_link(load_map):.12g}")
@@ -900,14 +901,27 @@ def test_csv_matches_per_link_reference_off_lattice():
         (2, [0.0, -0.0, -1.5, float("nan"), 1e-300, -2.5e17, float("inf"), 1234567890.125] * 4),
         (1, [0.0] * 8),
         (3, list(np.random.default_rng(5).normal(size=128))),
-        # Other sizes than 2N: the rows the map has, x past the grid.
-        (1, np.arange(11.0)),
-        (0, [1.0, 2.0]),
     ],
 )
 def test_csv_matches_per_link_reference_any_loads(nu, loads):
     load_map = delivery.LinkLoadMap(grid=GridSpec(nu=nu), loads=np.array(loads))
     assert _csv(load_map) == _reference_to_csv(load_map)
+
+
+@pytest.mark.parametrize(
+    "nu, loads, message",
+    [
+        (1, np.arange(11.0), "8 links need 8 loads, got shape (11,)"),
+        (2, np.zeros((16, 2)), "32 links need 32 loads, got shape (16, 2)"),
+        (1, [], "8 links need 8 loads, got shape (0,)"),
+        (0, [1.0, 2.0], "the 1-node grid has no links"),
+    ],
+    ids=["odd-length", "two-axes", "empty", "no-links"],
+)
+def test_load_map_refuses_a_grid_without_links_or_other_sizes(nu, loads, message):
+    # So worst_link, avg_link and to_csv read 2N loads of a grid with links.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        delivery.LinkLoadMap(grid=GridSpec(nu=nu), loads=loads)
 
 
 @pytest.mark.parametrize("nu", [2, 3, 4])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from replicagrid.density import (
     COST_FACTOR,
     DensityProfile,
+    _split_indices,
     a_coeff,
     canonical_truncate,
     cd_cost,
@@ -200,6 +201,18 @@ def test_real_valued_capacity():
     pop = zipf(6, 1.0)
     prof = solve_cd(16, 1.5, pop)
     assert abs(float(prof.densities.sum()) - 1.5) <= 1e-9
+
+
+@pytest.mark.parametrize("offset", [-300, -40, -2, 2, 40, 300])
+def test_split_search_widens_from_a_wrong_start(offset):
+    # r = 386 lies inside (l, M + 1), so the search checks the start, then
+    # doubles its step up or down until the floor condition turns.
+    n, pop = 4**5, zipf(4**5, 1.2)
+    q = pop.probs ** (2.0 / 3.0)
+    prefix = np.concatenate(([0.0], np.cumsum(q)))
+    args = (n, 2.0, pop.m_count, lambda i: q[i - 1], lambda l, r: prefix[r - 1] - prefix[l - 1])
+    assert _split_indices(*args) == (1, 386)
+    assert _split_indices(*args, start=lambda l: 386.5 + offset) == (1, 386)
 
 
 def test_json_roundtrip():

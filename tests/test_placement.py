@@ -176,6 +176,8 @@ def test_canonical_place_input_validation():
     over = _levels_profile([0, 0], nu=1, capacity=1.0)
     with pytest.raises(InvalidInputError):
         canonical_place(grid, over, pop, 1)
+    with pytest.raises(InvalidInputError, match="profile and popularity sizes differ"):
+        canonical_place(grid, canon, zipf(3, 1.0), 1)
 
 
 def test_render_matrix_smoke():
@@ -283,8 +285,8 @@ def test_replica_nodes_row_major_for_arbitrary_placement():
 def test_replica_nodes_of_a_compact_placement_reads_its_lattice_without_buffers():
     grid = GridSpec(nu=6)
     pop = zipf(int(1.75 * grid.node_count), 2.0)
-    canon, placed = cli._build_placement(grid, 2.0, pop)
-    side, levels = grid.side, canon.levels
+    placed = cli._build_placement(grid, 2.0, pop)
+    side, levels = grid.side, np.repeat(np.arange(grid.nu + 1), placed.counts)
     anchors, _ = _reference_rounds(levels, grid.nu)
     for m in (0, 8, 1000, pop.m_count - 1):
         step = 2 ** int(levels[m])
@@ -414,12 +416,12 @@ def test_buffer_placement_renderers_match_per_cell_reference(placed):
     ids=["matrix", "json", "replica_nodes"],
 )
 def test_renderers_reject_ids_outside_the_catalog(bad, message, render):
-    placed = CachePlacement(
-        grid=GridSpec(nu=1), capacity=2, file_count=3,
-        buffers=(frozenset({0, bad}), frozenset({1}), frozenset({2}), frozenset()),
-    )
+    # The constructor refuses the buffers, so no renderer ever reads the id.
     with pytest.raises(InvalidInputError, match=message):
-        render(placed)
+        render(CachePlacement(
+            grid=GridSpec(nu=1), capacity=2, file_count=3,
+            buffers=(frozenset({0, bad}), frozenset({1}), frozenset({2}), frozenset()),
+        ))
 
 
 @pytest.mark.parametrize(
@@ -814,17 +816,10 @@ def test_buffer_count_must_match_the_grid(count):
 
 
 def test_negative_file_id_is_named():
-    grid = GridSpec(nu=1)
-    placed = CachePlacement(
-        grid=grid, capacity=2, file_count=2,
-        buffers=(frozenset({0, -3}), frozenset({1}), frozenset(), frozenset()),
-    )
-    pop = zipf(2, 1.0)
-    for call in (
-        lambda: link_loads(grid, placed, pop),
-        lambda: total_hop_load(grid, placed, pop),
-        placed.measured_densities,
-    ):
-        with pytest.raises(InvalidInputError, match="file id -3 is negative"):
-            call()
-    assert not validate_capacity(placed)
+    # Named before an id past the catalog, and when built: the node table's
+    # -1 padding could not tell it apart.
+    with pytest.raises(InvalidInputError, match="file id -3 is negative"):
+        CachePlacement(
+            grid=GridSpec(nu=1), capacity=2, file_count=2,
+            buffers=(frozenset({0, -3}), frozenset({1, 7}), frozenset(), frozenset()),
+        )

@@ -1,6 +1,6 @@
 """The catalog-free Zipf path of `asymptotics` against the array reference.
 
-`_power_sum` is checked against math.fsum and the zeta tail, and the
+`_PowerSums` is checked against math.fsum and the zeta tail, and the
 estimates that filter the split search against the exact sums; the split
 (l, r) and the capacity breakdown are checked against solve_cd and
 capacity_breakdown on a grid of taus and catalog sizes up to nu = 9, and
@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 from replicagrid import asymptotics
 from replicagrid.asymptotics import (
     _PowerSums,
-    _power_sum,
-    _zeta,
     _zipf_breakdown,
     _zipf_split,
     _zipf_start,
@@ -68,14 +66,14 @@ def _fsum_reference(s, a, b):
 def test_power_sum_matches_fsum(s):
     for a, b in SEGMENTS:
         want = _fsum_reference(s, a, b)
-        got = _power_sum(s, a, b)
+        got = _PowerSums(s)(a, b)
         # A few ulp: the integral's pow, expm1 and division each round.
         assert got == want if want == 0.0 else abs(got - want) <= 1e-15 * want, (a, b)
 
 
 def test_power_sum_counts_at_s_zero():
-    assert _power_sum(0.0, 1, 2**53) == 2.0**53
-    assert _power_sum(0.0, 10, 9) == 0.0
+    assert _PowerSums(0.0)(1, 2**53) == 2.0**53
+    assert _PowerSums(0.0)(10, 9) == 0.0
 
 
 @pytest.mark.parametrize("s", [1 + 1e-9, 4 / 3, 2.0, 3.5])
@@ -83,12 +81,12 @@ def test_power_sum_counts_at_s_zero():
 def test_power_sum_approaches_zeta_tail(s, a):
     # The segment plus the tail past it is the whole tail, and the segment
     # grows towards it.
-    total = _zeta(s, a)
+    total = _PowerSums(s)(a)
     last = 0.0
     for b in [a, a + 5, a + 50] + [int(v) for v in np.geomspace(a + 100, 1e15, 12)]:
-        seg = _power_sum(s, a, b)
+        seg = _PowerSums(s)(a, b)
         assert last <= seg <= total
-        assert math.isclose(seg + _zeta(s, b + 1), total, rel_tol=2e-15), b
+        assert math.isclose(seg + _PowerSums(s)(b + 1), total, rel_tol=2e-15), b
         last = seg
 
 
@@ -182,7 +180,7 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
                     n, k, m, prof.l_index, prof.r_index,
                 )
                 free_side = _certificate(
-                    lambda i: i**-s, lambda a, b: _power_sum(s, a, b - 1),
+                    lambda i: i**-s, lambda a, b: _PowerSums(s)(a, b - 1),
                     n, k, m, prof.l_index, prof.r_index,
                 )
                 flipped = [a for a, f in zip(array_side, free_side) if a[2] != f[2]]
