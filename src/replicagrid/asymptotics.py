@@ -337,8 +337,8 @@ def _zipf_split(
         capacity,
         m_count,
         lambda i: i ** -s,
-        lambda l, r: sums(l, r - 1),
-        rough=lambda l, r: sums.estimate(l, r - 1),
+        sums,
+        rough=sums.estimate,
         start=_zipf_start(n_nodes, capacity, m_count, sums),
     )
 

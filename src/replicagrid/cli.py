@@ -4,6 +4,14 @@ Subcommands: solve, place, simulate, sweep, classify, oracle.  Options come
 from flags, optionally backed by a JSON config file (flags win).  Exit
 codes: 0 success, 2 infeasible or invalid configuration, 3 internal
 invariant violation.
+
+The parser is built once per process (build_parser is cached).  When
+argv[0] names a subcommand, that subcommand's parser reads the rest of
+argv in one argparse pass, and the top-level parser reports what it does
+not take, as a parse through the top-level parser would; any other argv
+(none, an unknown command, a top-level -h) goes through the top-level
+parser.  --M is matched once per command into a function of N, which
+sweep evaluates at each grid size.
 """
 
 from __future__ import annotations
@@ -31,28 +39,44 @@ def _fmt(value: float) -> str:
 
 def parse_m_expression(text: str, n_nodes: int, capacity: float) -> int:
     """Catalog-size expression: an integer, 'c*N', 'c*N^a' or 'K*N - c'."""
+    return _catalog_size(text, capacity)(n_nodes)
+
+
+def _catalog_size(text: str, capacity: float):
+    """The catalog-size expression as a function of N, its text matched
+    once.  Text it cannot read, a size past the float range and a size
+    below 1 raise InvalidInputError when the function is called."""
     s = text.strip().replace(" ", "")
+    size = None
     try:
         if re.fullmatch(r"\d+", s):
-            value = int(s)
+            count = int(s)
+            size = lambda n: count
         elif m := re.fullmatch(r"(?:([0-9.]+)\*)?N(?:\^([0-9.]+))?", s):
             coeff = float(m.group(1)) if m.group(1) else 1.0
             power = float(m.group(2)) if m.group(2) else 1.0
-            value = int(coeff * n_nodes ** power)
+            size = lambda n: int(coeff * n ** power)
         elif m := re.fullmatch(r"K\*N-([0-9.]+)", s):
-            value = int(capacity * n_nodes - float(m.group(1)))
-        else:
+            c = float(m.group(1))
+            size = lambda n: int(capacity * n - c)
+    except ValueError:  # e.g. "1.2.3"
+        pass
+
+    def m_of_n(n_nodes: int) -> int:
+        try:
+            value = None if size is None else size(n_nodes)
+        except (ValueError, OverflowError):  # a NaN/inf K, a size past the float range
             value = None
-    except (ValueError, OverflowError):  # e.g. "1.2.3", or a NaN/inf K
-        value = None
-    if value is None:
-        raise InvalidInputError(
-            f"cannot parse catalog size {text!r}; use an integer, "
-            "'c*N', 'c*N^a' or 'K*N - c'"
-        )
-    if value < 1:
-        raise InvalidInputError(f"catalog size {text!r} resolves to {value} < 1")
-    return value
+        if value is None:
+            raise InvalidInputError(
+                f"cannot parse catalog size {text!r}; use an integer, "
+                "'c*N', 'c*N^a' or 'K*N - c'"
+            )
+        if value < 1:
+            raise InvalidInputError(f"catalog size {text!r} resolves to {value} < 1")
+        return value
+
+    return m_of_n
 
 
 def _load_config(path: str | None) -> dict:
@@ -239,9 +263,7 @@ def cmd_sweep(args, config) -> int:
     elif not isinstance(nus_raw, list):
         raise InvalidInputError(f"--nus: not a list of grid exponents: {nus_raw!r}")
     nus = [_convert("nus", v, int) for v in nus_raw]
-    result = asymptotics.sweep(
-        tau, capacity, lambda n: parse_m_expression(m_expr, n, capacity), nus
-    )
+    result = asymptotics.sweep(tau, capacity, _catalog_size(m_expr, capacity), nus)
     print(f"predicted_law = {result.predicted_law}")
     print(f"predicted_exponent = {_fmt(result.predicted_exponent)}")
     print(f"fitted_exponent = {_fmt(result.fitted_exponent)}")
@@ -340,8 +362,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with one argparse pass when argv[0]
+    names a command: the top-level pass would only hand the rest of argv on
+    to that command's parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or a top-level option
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    args.command = argv[0]
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         config = _load_config(args.config)
         return args.handler(args, config)

@@ -126,8 +126,8 @@ def _split_indices(
 ) -> tuple[int, int]:
     """The optimal split (l, r) for K < M, from q_i = p_i^(2/3) alone.
 
-    q_at(i) is q of 1-based file i and mass(l, r) the sum of q over files
-    l..r-1.  The conditions are homogeneous in q, so q need not be
+    q_at(i) is q of 1-based file i and mass(a, b) the sum of q over files
+    a..b.  The conditions are homogeneous in q, so q need not be
     normalised.  Raises InternalInvariantError when no pair satisfies them.
 
     Head sizes l = 1, 2, ... are tried in turn.  For each, r is the largest
@@ -140,7 +140,7 @@ def _split_indices(
     no start at all, leave the whole bracket to bisection.  Each check is
     exact, so a start only moves the probes, never (l, r).
 
-    rough(l, r), when given, returns (est, err) with mass(l, r) within
+    rough(a, b), when given, returns (est, err) with mass(a, b) within
     err / 2 of est.  A condition compares some lhs with the mass; where
     |lhs - est| > err, est lies on the same side of lhs as the mass, so it
     decides the comparison and mass is not called.  Every probe is made in
@@ -148,37 +148,26 @@ def _split_indices(
     rough.
     """
 
-    def cap(l: int, r: int) -> float:
-        return _interior_cap(n, k_cap, m_count, l, r)
-
-    def mass_against(lhs: float, l: int, r: int) -> float:
-        # mass(l, r), or an estimate on the same side of lhs.
+    def above_floor(l: int, r: int) -> bool:
+        # d_{r-1} > 1/N when files l..r-1 form the interior; vacuous at r == l.
+        # Every probe of the r search comes here, so the interior's budget
+        # and the estimate's test are written out, not called.
+        if r == l:
+            return True
+        lhs = (k_cap - (l - 1) - (m_count - r + 1) / n) * n * q_at(r - 1)
         if rough is not None:
-            est, err = rough(l, r)
+            est, err = rough(l, r - 1)
+            if abs(lhs - est) > err:
+                return lhs > est
+        return lhs > mass(l, r - 1)
+
+    def mass_against(lhs: float, a: int, b: int) -> float:
+        # mass(a, b), or an estimate on the same side of lhs.
+        if rough is not None:
+            est, err = rough(a, b)
             if abs(lhs - est) > err:
                 return est
-        return mass(l, r)
-
-    def cond_interior_above_floor(l: int, r: int) -> bool:
-        # d_{r-1} > 1/N when files l..r-1 form the interior; vacuous at r == l.
-        if r == l:
-            return True
-        lhs = cap(l, r) * n * q_at(r - 1)
-        return lhs > mass_against(lhs, l, r)
-
-    def cond_head_below_one(l: int, r: int) -> bool:
-        # d_l < 1; vacuous when the interior is empty.
-        if r == l:
-            return True
-        lhs = cap(l, r) * q_at(l)
-        return lhs < mass_against(lhs, l, r)
-
-    def cond_prev_head_pinned(l: int, r: int) -> bool:
-        # Un-truncating file l-1 would push its density to >= 1.
-        if l == 1:
-            return True
-        lhs = cap(l - 1, r) * q_at(l - 1)
-        return lhs >= mass_against(lhs, l - 1, r)
+        return mass(a, b)
 
     l_max = min(int(math.floor(k_cap + 1e-12)) + 1, m_count)
     for l in range(1, l_max + 1):
@@ -186,31 +175,41 @@ def _split_indices(
         # the predicate is monotone (true, ..., true, false, ..., false), so
         # every bracket around its turn gives the same r.
         lo, hi = l, m_count + 1
-        if cond_interior_above_floor(l, hi):
+        if above_floor(l, hi):
             lo = hi
         elif start is not None and lo < (guess := start(l)) < hi:
             mid, step = int(guess), 1
-            if cond_interior_above_floor(l, mid):
+            if above_floor(l, mid):
                 lo = mid
-                while lo + step < hi and cond_interior_above_floor(l, lo + step):
+                while lo + step < hi and above_floor(l, lo + step):
                     lo, step = lo + step, 2 * step
                 hi = min(hi, lo + step)
             else:
                 hi = mid
-                while hi - step > lo and not cond_interior_above_floor(l, hi - step):
+                while hi - step > lo and not above_floor(l, hi - step):
                     hi, step = hi - step, 2 * step
                 lo = max(lo, hi - step)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if cond_interior_above_floor(l, mid):
+            if above_floor(l, mid):
                 lo = mid
             else:
                 hi = mid
         r = lo
-        if cap(l, r) < -1e-12:
+        cap = _interior_cap(n, k_cap, m_count, l, r)
+        if cap < -1e-12:
             continue
-        if cond_head_below_one(l, r) and cond_prev_head_pinned(l, r):
-            return l, r
+        if r > l:
+            # d_l < 1; vacuous when the interior is empty.
+            lhs = cap * q_at(l)
+            if not lhs < mass_against(lhs, l, r - 1):
+                continue
+        if l > 1:
+            # Un-truncating file l-1 would push its density to >= 1.
+            lhs = _interior_cap(n, k_cap, m_count, l - 1, r) * q_at(l - 1)
+            if not lhs >= mass_against(lhs, l - 1, r - 1):
+                continue
+        return l, r
     raise InternalInvariantError("no (l, r) pair satisfied the optimality conditions")
 
 
@@ -249,16 +248,16 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     prefix[0] = 0.0
     np.cumsum(q, out=prefix[1:])
 
-    def interior_mass(l: int, r: int) -> float:
-        return float(prefix[r - 1] - prefix[l - 1])
+    def mass(a: int, b: int) -> float:
+        return float(prefix[b] - prefix[a - 1])
 
-    l, r = _split_indices(n, k_cap, m_count, lambda i: q[i - 1], interior_mass)
+    l, r = _split_indices(n, k_cap, m_count, lambda i: q[i - 1], mass)
 
     d = np.empty(m_count)
     d[: l - 1] = 1.0
     d[r - 1 :] = 1.0 / n
     if l < r:
-        scale = _interior_cap(n, k_cap, m_count, l, r) / interior_mass(l, r)
+        scale = _interior_cap(n, k_cap, m_count, l, r) / mass(l, r - 1)
         np.multiply(scale, q[l - 1 : r - 1], out=d[l - 1 : r - 1])
         mu = 0.5 * p[l - 1] * d[l - 1] ** (-1.5)
     else:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -34,6 +35,108 @@ def test_parse_m_expression_forms():
         parse_m_expression("M+1", 64, 2.0)
     with pytest.raises(InvalidInputError):
         parse_m_expression("K*N - 200", 64, 2.0)
+
+
+def _parse_m_reference(text, n_nodes, capacity):
+    """The catalog-size parse as a text matched again at each call: the
+    reference the per-command function must agree with."""
+    s = text.strip().replace(" ", "")
+    try:
+        if re.fullmatch(r"\d+", s):
+            value = int(s)
+        elif m := re.fullmatch(r"(?:([0-9.]+)\*)?N(?:\^([0-9.]+))?", s):
+            coeff = float(m.group(1)) if m.group(1) else 1.0
+            power = float(m.group(2)) if m.group(2) else 1.0
+            value = int(coeff * n_nodes ** power)
+        elif m := re.fullmatch(r"K\*N-([0-9.]+)", s):
+            value = int(capacity * n_nodes - float(m.group(1)))
+        else:
+            value = None
+    except (ValueError, OverflowError):
+        value = None
+    if value is None:
+        raise InvalidInputError(
+            f"cannot parse catalog size {text!r}; use an integer, "
+            "'c*N', 'c*N^a' or 'K*N - c'"
+        )
+    if value < 1:
+        raise InvalidInputError(f"catalog size {text!r} resolves to {value} < 1")
+    return value
+
+
+def _size_or_message(size, *args):
+    try:
+        return size(*args)
+    except InvalidInputError as exc:
+        return f"error: {exc}"
+
+
+M_ACCEPTED = [
+    "12", "00012", " 7 ", "N", "0.5*N", "1.75*N", "3*N", "N^0.6", "2*N^0.5", "0.3*N^1.2",
+    "K*N - 3", "K*N-0.5", "K * N - 1",
+]
+# Some resolve below 1 at some N; the others never parse.  The last two
+# overflow (the size passes the float range) and the one before passes
+# int's digit limit.
+M_REJECTED = [
+    "0", "K*N - 200", "M+1", "", "-3", "N*2", "1.2.3*N", "N^1.2.3", "K*N-1.2.3", "K*N-x",
+    "K*N-1e3", "9" * 5000, "9" * 400 + "*N", "N^" + "9" * 400,
+]
+
+
+@pytest.mark.parametrize("capacity", [1.0, 2.0, 1e6])
+@pytest.mark.parametrize("text", M_ACCEPTED + M_REJECTED)
+def test_catalog_size_function_agrees_with_a_parse_per_call(text, capacity):
+    # One function per command, evaluated at every grid size of a sweep.
+    size = cli._catalog_size(text, capacity)
+    for nu in range(28):
+        n = 4**nu
+        want = _size_or_message(_parse_m_reference, text, n, capacity)
+        assert _size_or_message(size, n) == want, (nu, want)
+        assert _size_or_message(parse_m_expression, text, n, capacity) == want, (nu, want)
+        if text in M_ACCEPTED and n >= 16:
+            assert isinstance(want, int)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The point count is checked before the catalog size is read.
+        ("sweep --nus 3,4 --K 2 --M M+1 --tau 1", "sweep needs at least 3 points, got 2"),
+        # The size is read at the first point, before that point's tau check.
+        ("sweep --nus 3,4,5 --K 2 --M M+1 --tau -1", "cannot parse catalog size 'M+1'"),
+        ("sweep --nus 3,4,5 --K 2 --M 1.2.3*N --tau 1", "cannot parse catalog size '1.2.3*N'"),
+        ("sweep --nus 0,1,2 --K 2 --M K*N-7 --tau 1", "catalog size 'K*N-7' resolves to -5 < 1"),
+        # At the first point where it fails, not at the first point.
+        ("sweep --nus 5,0,1 --K 2 --M K*N-7 --tau 1", "catalog size 'K*N-7' resolves to -5 < 1"),
+        ("sweep --nus 3,4,40 --K 2 --M K*N-7 --tau 1", "at nu = 40, N exceeds 2^53"),
+        ("sweep --nus 3,4,5 --K 2 --M N^" + "9" * 400 + " --tau 1", "cannot parse catalog size 'N^999"),
+        ("classify --nu 40 --K 2 --M M+1 --tau 1", "cannot parse catalog size 'M+1'"),
+        ("classify --nu 3 --K 2 --M M+1 --tau -1", "cannot parse catalog size 'M+1'"),
+        ("classify --nu 3 --K nan --M M+1 --tau 1", "--capacity: expected a finite float, got nan"),
+        ("solve --nu 2 --K 2 --M K*N-100 --tau 1", "catalog size 'K*N-100' resolves to -68 < 1"),
+    ],
+)
+def test_catalog_size_errors_keep_their_message_and_place(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_sweep_matches_the_catalog_size_once(capsys, monkeypatch):
+    calls = []
+    fullmatch = re.fullmatch
+
+    def counted(pattern, string, flags=0):
+        calls.append(string)
+        return fullmatch(pattern, string, flags)
+
+    monkeypatch.setattr(cli.re, "fullmatch", counted)
+    code, out, _ = run(capsys, "sweep", "--nus", "3,4,5,6,7,8,9,10", "--K", "2", "--M", "N^0.6",
+                       "--tau", "1")
+    assert code == 0 and out.count("\n") == 13
+    # The integer form is tried first, then c*N^a matches: once for 8 points.
+    assert calls == ["N^0.6", "N^0.6"]
 
 
 def test_solve_uniform_two_files(capsys):
@@ -649,13 +752,8 @@ VALID = {
 BAD = ["0", "-1", "nan", "inf", "x", ""]
 
 
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(st.data())
-def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
+def _work_dir(tmp_path, monkeypatch):
+    """A fresh directory, made current, with the files VALID names."""
     work = tmp_path / str(len(list(tmp_path.iterdir())))
     work.mkdir()
     monkeypatch.chdir(work)
@@ -663,6 +761,9 @@ def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
     (work / "config.json").write_text(
         json.dumps({"nu": 1, "capacity": 1, "m_count": "3", "tau": 0.8})
     )
+
+
+def _draw_argv(data) -> list[str]:
     command = data.draw(st.sampled_from(sorted(OPTIONS_READ)))
     # Mostly options the subcommand reads, sometimes any option or --help.
     keys = data.draw(st.lists(st.sampled_from(sorted(OPTIONS_READ[command])), max_size=7))
@@ -675,9 +776,106 @@ def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
         valid = "1" if (key, command) == ("nu", "oracle") else VALID[key]
         argv.append(data.draw(st.sampled_from(FLAGS[key])))
         argv.append(data.draw(st.one_of(st.just(valid), st.sampled_from(BAD))))
+    return argv
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr, bytes of out.txt or None) of main(argv),
+    a usage exit included; out.txt is removed after."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    capsys.readouterr()
-    assert code in (0, 2, 3), argv
+    captured = capsys.readouterr()
+    written = None
+    if os.path.exists("out.txt"):
+        with open("out.txt", "rb") as fh:
+            written = fh.read()
+        os.remove("out.txt")
+    return code, captured.out, captured.err, written
+
+
+def _both_parses(capsys, monkeypatch, argv):
+    """main's outcome as it is, and with argv parsed by the top-level parser."""
+    direct = _outcome(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        through_top = _outcome(capsys, argv)
+    return direct, through_top
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
+    _work_dir(tmp_path, monkeypatch)
+    argv = _draw_argv(data)
+    assert _outcome(capsys, argv)[0] in (0, 2, 3), argv
+
+
+_SWEEP = "sweep --nus 3,4,5 --K 2 --M N --tau 1"
+PARSE_CASES = [
+    "",  # no command
+    "bogus",
+    "-h",
+    "--help",
+    "-h sweep",
+    "--nu 3 sweep",
+    *(f"{command} --help" for command in sorted(OPTIONS_READ)),
+    "sweep --nu 5",
+    "simulate --nus 3",
+    "classify --nu x",  # a bad int
+    "classify --nu 3 --K x",  # a bad float
+    "classify --nu 3 --K 2 --M N --tau",  # a missing value
+    "classify --nu 3 --nu 4 --K 2 --M N --tau 1",  # a repeated option
+    "classify --nu 4 --K 2 --M N --tau 1 --K 3",
+    "classify -- --nu 3",
+    f"{_SWEEP} -- x",
+    f"{_SWEEP} extra more",
+    f"{_SWEEP} -h",
+    "oracle --nu 1 --K 1 --M 3 --tau 1 --problem zz",
+    _SWEEP,
+    "classify --nu 10 --K 2 --M 0.5*N --tau 0.8",
+    "sweep --nus=3,4,5 --K=2 --M=N --tau=1",
+    "sweep --nus 3,4,5 --K 2 --M N --ta 1",  # no abbreviations
+]
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_main_parses_as_the_top_level_parser_does(capsys, tmp_path, monkeypatch, argv,
+                                                  via_sys_argv):
+    monkeypatch.chdir(tmp_path)
+    argv = argv.split()
+    if via_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["replicagrid", *argv])
+    direct, through_top = _both_parses(capsys, monkeypatch, None if via_sys_argv else argv)
+    assert direct == through_top
+    assert direct[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    _SWEEP,
+    "classify --nu 4 --K 2 --M N --tau 1 --K 3",
+    "solve --config c.json --output o.json",
+    "oracle --nu 1 --problem cd --resolution 0.05",
+])
+def test_one_pass_gives_the_top_level_namespace(argv):
+    argv = argv.split()
+    assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_any_argv_parses_as_through_the_top_level_parser(capsys, tmp_path, monkeypatch, data):
+    _work_dir(tmp_path, monkeypatch)
+    argv = _draw_argv(data)
+    direct, through_top = _both_parses(capsys, monkeypatch, argv)
+    assert direct == through_top, argv

@@ -714,16 +714,6 @@ def test_file_outside_catalog_rejected(m):
         placed.replica_nodes(m)
 
 
-@pytest.mark.parametrize("bad, message", [(5, "file id 5 outside 0..1"), (-1, "file id -1 is negative")])
-def test_held_id_outside_catalog_rejected(bad, message):
-    # Refused when built, so delivery never serves a file outside the catalog.
-    with pytest.raises(InvalidInputError, match=message):
-        CachePlacement(
-            grid=GridSpec(nu=1), capacity=2, file_count=2,
-            buffers=(frozenset({0, bad}), frozenset({1}), frozenset(), frozenset({0})),
-        )
-
-
 def test_catalog_is_built_once_and_read_only(monkeypatch):
     grid = GridSpec(nu=3)
     rng = np.random.default_rng(3)

@@ -210,7 +210,7 @@ def test_split_search_widens_from_a_wrong_start(offset):
     n, pop = 4**5, zipf(4**5, 1.2)
     q = pop.probs ** (2.0 / 3.0)
     prefix = np.concatenate(([0.0], np.cumsum(q)))
-    args = (n, 2.0, pop.m_count, lambda i: q[i - 1], lambda l, r: prefix[r - 1] - prefix[l - 1])
+    args = (n, 2.0, pop.m_count, lambda i: q[i - 1], lambda a, b: prefix[b] - prefix[a - 1])
     assert _split_indices(*args) == (1, 386)
     assert _split_indices(*args, start=lambda l: 386.5 + offset) == (1, 386)
 

@@ -403,28 +403,6 @@ def test_buffer_placement_renderers_match_per_cell_reference(placed):
 
 
 @pytest.mark.parametrize(
-    "bad, message",
-    [
-        (-3, "file id -3 is negative"),
-        (-2, "file id -2 is negative"),
-        (40, "file id 40 outside 0..2"),
-    ],
-)
-@pytest.mark.parametrize(
-    "render",
-    [render_matrix, CachePlacement.to_json, lambda placed: placed.replica_nodes(0)],
-    ids=["matrix", "json", "replica_nodes"],
-)
-def test_renderers_reject_ids_outside_the_catalog(bad, message, render):
-    # The constructor refuses the buffers, so no renderer ever reads the id.
-    with pytest.raises(InvalidInputError, match=message):
-        render(CachePlacement(
-            grid=GridSpec(nu=1), capacity=2, file_count=3,
-            buffers=(frozenset({0, bad}), frozenset({1}), frozenset({2}), frozenset()),
-        ))
-
-
-@pytest.mark.parametrize(
     "tau, m, stdout_sha256, output_sha256",
     [
         (
@@ -815,11 +793,25 @@ def test_buffer_count_must_match_the_grid(count):
         )
 
 
-def test_negative_file_id_is_named():
-    # Named before an id past the catalog, and when built: the node table's
-    # -1 padding could not tell it apart.
-    with pytest.raises(InvalidInputError, match="file id -3 is negative"):
+@pytest.mark.parametrize(
+    "file_count, buffers, message",
+    [
+        (3, ({0, -3}, {1}, {2}, set()), "file id -3 is negative"),
+        (3, ({0, -2}, {1}, {2}, set()), "file id -2 is negative"),
+        (3, ({0, 40}, {1}, {2}, set()), "file id 40 outside 0..2"),
+        # A negative id is named before an id past the catalog: the node
+        # table's -1 padding could not tell it apart.
+        (2, ({0, -3}, {1, 7}, set(), set()), "file id -3 is negative"),
+        (2, ({0, 5}, {1}, set(), {0}), "file id 5 outside 0..1"),
+        (2, ({0, -1}, {1}, set(), {0}), "file id -1 is negative"),
+    ],
+    ids=["negative-3", "negative-2", "past-40", "negative-before-past", "past-5", "negative-1"],
+)
+def test_constructor_refuses_ids_outside_the_catalog(file_count, buffers, message):
+    # Refused when built, so no renderer, replica_nodes or delivery kernel
+    # ever reads the id.
+    with pytest.raises(InvalidInputError, match=message):
         CachePlacement(
-            grid=GridSpec(nu=1), capacity=2, file_count=2,
-            buffers=(frozenset({0, -3}), frozenset({1, 7}), frozenset(), frozenset()),
+            grid=GridSpec(nu=1), capacity=2, file_count=file_count,
+            buffers=tuple(map(frozenset, buffers)),
         )

@@ -9,6 +9,7 @@ the split against itself without the filter and without the start that
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import tracemalloc
@@ -211,22 +212,20 @@ def _split_both_ways(n, k, m, tau):
     s = 2.0 * tau / 3.0
     sums = _PowerSums(s)
 
-    def skewed(l, r):
-        mass = sums(l, r - 1)
-        return mass * (1.0 + (-1) ** r * 1e-4), 2e-4 * mass
+    def skewed(a, b):
+        mass = sums(a, b)
+        return mass * (1.0 + (-1) ** (b + 1) * 1e-4), 2e-4 * mass
 
     plain, started = [], []
     for start, runs in ((None, plain), (_zipf_start(n, k, m, sums), started)):
-        for rough in (None, lambda l, r: sums.estimate(l, r - 1), skewed):
+        for rough in (None, sums.estimate, skewed):
             probes = []
 
             def q_at(i):
                 probes.append(i)
                 return i**-s
 
-            split = _split_indices(
-                n, k, m, q_at, lambda l, r: sums(l, r - 1), rough=rough, start=start
-            )
+            split = _split_indices(n, k, m, q_at, sums, rough=rough, start=start)
             runs.append((split, probes))
     return plain, started
 
@@ -302,10 +301,7 @@ def test_started_split_matches_plain_bisection(case):
     if k >= m:
         plain = (m + 1, m + 1)
     else:
-        plain = _split_indices(
-            n, k, m, lambda i: i**-s, lambda l, r: sums(l, r - 1),
-            rough=lambda l, r: sums.estimate(l, r - 1),
-        )
+        plain = _split_indices(n, k, m, lambda i: i**-s, sums, rough=sums.estimate)
     assert _zipf_split(n, k, m, tau) == plain
 
 
@@ -378,3 +374,41 @@ def test_classify_at_small_tau_builds_no_catalog():
         tracemalloc.stop()
     assert 1.0 <= r_hat <= n + 1
     assert peak < 1_000_000
+
+
+def test_sweep_points_make_the_same_power_sum_calls(monkeypatch):
+    """Every point of the benchmark's 21 sweeps makes the estimate, exact
+    sum and crossing calls, with the same arguments in the same order, that
+    it made when each probe went through per-point lambdas and nested
+    condition functions (pinned by count and digest)."""
+    log = []
+
+    def counted(name):
+        method = getattr(_PowerSums, name)
+
+        def call(self, *args):
+            log.append((name, self.s, *args))
+            return method(self, *args)
+
+        monkeypatch.setattr(_PowerSums, name, call)
+
+    for name in ("estimate", "__call__", "crossing"):
+        counted(name)
+    split = asymptotics._zipf_split
+
+    def point(n, capacity, m, tau, q_sums=None):
+        log.append(("point", n, m))
+        return split(n, capacity, m, tau, q_sums)
+
+    monkeypatch.setattr(asymptotics, "_zipf_split", point)
+    for tau in ("0.5", "0.8", "1", "1.2", "1.5", "2", "3"):
+        for m in ("N^0.6", "0.5*N", "1.75*N"):
+            argv = ["sweep", "--nus", "3,4,5,6,7,8,9,10", "--K", "2", "--M", m, "--tau", tau]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+    counts = {name: sum(1 for call in log if call[0] == name)
+              for name in ("point", "estimate", "__call__", "crossing")}
+    assert counts == {"point": 168, "estimate": 570, "__call__": 456, "crossing": 102}
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == (
+        "bb97c429fed8eb2a8cbb940012db3d36d47501f24590f58aa844128fd1b6b10e"
+    )
