@@ -41,7 +41,6 @@ from .grid import GridSpec, hop_distance
 from .placement import (
     CachePlacement,
     canonical_place,
-    diagonal_order,
     render_matrix,
     validate_capacity,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "hop_distance",
     "CachePlacement",
     "canonical_place",
-    "diagonal_order",
     "render_matrix",
     "validate_capacity",
     "Popularity",

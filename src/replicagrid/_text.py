@@ -2,7 +2,11 @@
 
 Each value becomes one uint8 row; a caller lays the rows out with its own
 separators and drops the NULs (``tobytes().translate(None, b"\\0")``), so
-no Python string is built per value.
+no Python string is built per value.  A caller whose text rows are short
+and many (the placement renderers) lays them out column-planar instead:
+one table row per byte position, one column per text row, so each field
+is written as whole contiguous rows.  _planar_text transposes it back a
+block of columns at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ def _decimal_digits(values: np.ndarray) -> np.ndarray:
     """ASCII decimal digits of non-negative ints, one right-aligned uint8 row
     per value, NUL-padded on the left to the width of the largest.
 
-    Four digits at a time: one divmod by 10^4 and one lookup per chunk.  A
+    Four digits at a time: one lookup per chunk, and one division by 10^4
+    per chunk below the leading one, which is below 10^4 when reached.  A
     chunk below the leading one keeps its leading zeros as '0' (OR 0x30).
     """
     table = _chunk_table()
@@ -38,9 +43,13 @@ def _decimal_digits(values: np.ndarray) -> np.ndarray:
     width = len(str(int(rest.max(initial=0))))
     chunks = -(-width // 4)
     words = np.empty((rest.size, chunks), dtype=np.uint32)
-    for j in range(chunks - 1, -1, -1):
-        rest, low = np.divmod(rest, 10_000)
-        words[:, j] = table[low] | (rest > 0) * np.uint32(0x30303030)
+    for j in range(chunks - 1, 0, -1):
+        # Floor division by a constant and a multiply-subtract take less
+        # than half the time of np.divmod.
+        high = rest // 10_000
+        words[:, j] = table[rest - 10_000 * high] | (high > 0) * np.uint32(0x30303030)
+        rest = high
+    words[:, 0] = table[rest]
     digits = words.view(np.uint8)
     # The last digit is NUL only for 0.
     digits[:, -1] |= ord("0")
@@ -57,6 +66,25 @@ def _text_blocks(count: int, step: int, rows: Callable[[int, int], np.ndarray]) 
     lo..hi - 1, for blocks of step rows over 0..count - 1, NULs dropped."""
     for lo in range(0, count, step):
         yield rows(lo, min(lo + step, count)).tobytes().translate(None, b"\0")
+
+
+def _planar_table(depth: int, count: int) -> np.ndarray:
+    """An uninitialised column-planar uint8 table for count text rows of
+    depth bytes each: byte j of row i at [j, i].
+
+    Its rows are a cache line longer than count: at a power-of-two stride
+    a column's bytes share one cache set, and the transposing copy of
+    _planar_text runs at half the speed or less.
+    """
+    return np.empty((depth, count + 64), dtype=np.uint8)[:, :count]
+
+
+def _planar_text(table: np.ndarray) -> list[bytes]:
+    """The ASCII bytes of a column-planar NUL-padded table's text rows, in
+    order, NULs dropped: blocks of _TEXT_ROWS columns, each transposed to
+    row-major bytes (_text_blocks), so no row-major copy of the whole table
+    is held."""
+    return list(_text_blocks(table.shape[1], _TEXT_ROWS, lambda lo, hi: table[:, lo:hi].T))
 
 
 # The fast path of _g12_digits takes the decimal exponent X of |v| in

@@ -21,7 +21,9 @@ time through a view of the table with the coordinates mod 2^k as axes,
 ids in ascending order.  A placement given by buffers builds its table
 from them.  Either way the table is built on first read and kept:
 buffers, validation, both renderers and delivery's replica table read
-it, and simulate never builds it.
+it, and simulate never builds it.  The renderers' text is
+column-planar, one byte column per node in row-major order
+(_text._planar_table), so each slot of the table fills whole rows of it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import _decimal_digits
+from ._text import _decimal_digits, _planar_table, _planar_text
 from .density import CanonicalProfile, _level_counts
 from .errors import InternalInvariantError, InvalidInputError
 from .grid import GridSpec, Node
@@ -138,8 +140,8 @@ class CachePlacement:
 
     def _replica_counts(self) -> np.ndarray:
         """Replicas of each file id, 0 to file_count - 1."""
-        table = self._node_table
-        return np.bincount(table[table >= 0], minlength=self.file_count)
+        # Shifted by one, the -1 padding counts at 0 and is dropped.
+        return np.bincount(self._node_table.ravel() + 1, minlength=self.file_count + 1)[1:]
 
     def replica_nodes(self, m: int) -> list[Node]:
         """Nodes holding file m, row-major order: its rows of the replica
@@ -160,10 +162,13 @@ class CachePlacement:
         """The header, then '"x,y": [ids]' per node in row-major order, as
         ASCII bytes.
 
-        Node i's text is row i of an NUL-padded byte table: its key, one
-        fixed-width cell per slot of the node table (the id, after ', ' past
-        the first slot; all NUL for padding) and its closing '], '; dropping
-        the NULs leaves the text.
+        The text is a column-planar NUL-padded byte table: one row per byte
+        position of a node's text, one column per node.  A node's text is
+        its key, one fixed-width cell per slot of the node table (the id,
+        after ', ' past the first slot; all NUL for padding) and its
+        closing '], ', so each field is written as whole rows.  Blocks of
+        columns are transposed to node-major bytes and their NULs dropped
+        (_planar_text), so no node-major copy of the whole table is held.
         """
         head = json.dumps({
             "nu": self.grid.nu,
@@ -174,24 +179,40 @@ class CachePlacement:
         table = self._node_table
         side, (n, width) = self.grid.side, table.shape
         ids = _decimal_digits(np.maximum(table, 0).ravel())
-        coords = _decimal_digits(np.arange(side))
-        wx, wd = coords.shape[1], ids.shape[1]
+        coords = _decimal_digits(np.arange(side)).T
+        wx, wd = coords.shape[0], ids.shape[1]
         key = 2 * wx + 6
-        text = np.zeros((side, side, key + width * (wd + 2) + 3), dtype=np.uint8)
-        # Keys '"x,y": [', broadcast from the x and the y table.
-        text[..., 0] = ord('"')
-        text[..., 1:wx + 1] = coords[:, None]
-        text[..., wx + 1] = ord(",")
-        text[..., wx + 2:2 * wx + 2] = coords
-        text[..., 2 * wx + 2:key] = list(b'": [')
-        # Splitting the last axis of a row slice keeps a view.
-        cells = text.reshape(n, -1)[:, key:-3].reshape(n, width, wd + 2)
-        cells[:, 1:, :2] = list(b", ")
-        cells[..., 2:] = ids.reshape(n, width, wd)
-        cells[table < 0] = 0
-        text[..., -3:] = list(b"], ")
+        text = _planar_table(key + width * (wd + 2) + 3, n)
+        # Keys '"x,y": [' of nodes x * side + y.
+        text[0] = ord('"')
+        text[1:wx + 1] = np.repeat(coords, side, axis=1)
+        text[wx + 1] = ord(",")
+        text[wx + 2:2 * wx + 2] = np.tile(coords, side)
+        text[2 * wx + 2:key] = _column(b'": [')
+        # Splitting the first axis of a row slice keeps a view.
+        cells = text[key:-3].reshape(width, wd + 2, n)
+        cells[:1, :2] = 0
+        cells[1:, :2] = _column(b", ")
+        cells[:, 2:] = ids.reshape(n, width, wd).transpose(1, 2, 0)
+        cells *= _held_slots(table)[:, None]
+        text[-3:] = _column(b"], ")
+        blocks = _planar_text(text)
         # The last node's '], ' loses its ', ' to the closing '}}'.
-        return head[:-2] + text.tobytes().translate(None, b"\0")[:-2] + b"}}"
+        blocks[-1] = blocks[-1][:-2]
+        return b"".join((head[:-2], *blocks, b"}}"))
+
+
+def _held_slots(table: np.ndarray) -> np.ndarray:
+    """The node table's held slots as a C-contiguous (W, N) bool mask, one
+    row per slot: in the table's own layout every reduction or broadcast
+    over it runs along the short slot axis, several times slower."""
+    return np.ascontiguousarray((table >= 0).T)
+
+
+def _column(chars: bytes) -> np.ndarray:
+    """chars as a (len(chars), 1) uint8 column, one byte per row of a
+    column-planar table."""
+    return np.frombuffer(chars, dtype=np.uint8)[:, None]
 
 
 def _replica_table(placement: CachePlacement) -> tuple[np.ndarray, np.ndarray]:
@@ -217,19 +238,6 @@ def _diagonal_cells(rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     x += t
     x &= 2 ** k - 1
     return x, t
-
-
-def diagonal_order(k: int) -> list[Node]:
-    """Coordinates of the 2^k x 2^k matrix in precedence order.
-
-    The main diagonal is scanned top-left to bottom-right first, then the
-    diagonal starting one row below (with wrap-around), and so on; the
-    coordinate at rank j*s + t + 1 is ((j + t) mod s, t) for side s = 2^k.
-    """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    xs, ys = _diagonal_cells(np.arange(4 ** k), k)
-    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def _rounds(counts: np.ndarray, nu: int):
@@ -341,38 +349,48 @@ def render_matrix(placement: CachePlacement) -> str:
 
     File ids are printed 1-based; single base-36 characters when the catalog
     is small enough, comma-separated numbers otherwise.  Every cell is
-    padded to the widest, so the text is an (N, width + 1) byte matrix of
-    spaces, a newline ending each grid row, each cell's text written at the
-    start of its row ('.' when empty).
+    padded to the widest, with a space between cells and a newline ending
+    each grid row ('.' when empty).
+
+    The text is a column-planar NUL-padded byte table, one column per node
+    in row-major order: a '.' row (NUL unless the node is empty), one cell
+    per slot of the node table (the label's characters, then a comma
+    before the next held slot; all NUL for padding), rows of padding (a
+    space in the first d, d the bytes the node's text falls short of the
+    widest; NUL after) and the separator.  Blocks of columns are
+    transposed to node-major bytes and their NULs dropped (_planar_text),
+    as in CachePlacement.to_json.
     """
     side = placement.grid.side
     table = placement._node_table
-    # Ids per node, by a loop over the few columns: a sum along the short
-    # last axis is several times slower.
-    sizes = np.zeros(table.shape[0], dtype=np.int64)
-    for column in table.T:
-        sizes += column >= 0
-    labels = table[table >= 0] + 1
+    (n, slots), held = table.shape, _held_slots(table)
     if placement.file_count < _DIGITS.size:
-        chars, lengths = _DIGITS[labels], sizes
+        chars, comma = _DIGITS[table.T + 1][:, None], 0
     else:
-        # Each label's digits and a comma, less the comma after a node's last.
-        ends = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ends[1:])
-        digits = _decimal_digits(labels)
-        cells = np.zeros((labels.size, digits.shape[1] + 1), dtype=np.uint8)
-        cells[:, :-1] = digits
-        cells[:, -1] = ord(",")
-        cells[ends[1:][sizes > 0] - 1, -1] = 0
-        # A label has one digit more than the powers 10, 100, ... it reaches.
-        offsets = np.zeros(labels.size + 1, dtype=np.int64)
-        widths = np.searchsorted(10 ** np.arange(1, 19), labels, side="right") + 2
-        np.cumsum(widths, out=offsets[1:])
-        chars, lengths = cells[cells != 0], np.diff(offsets[ends]) - (sizes > 0)
-    width = max(int(lengths.max()), 1)
-    text = np.full((sizes.size, width + 1), ord(" "), dtype=np.uint8)
-    # The cells' characters, in order, fill the first lengths[i] of row i.
-    text[np.arange(width + 1) < lengths[:, None]] = chars
-    text[sizes == 0, 0] = ord(".")
-    text[side - 1::side, -1] = ord("\n")
-    return text.ravel()[:-1].tobytes().decode("ascii")
+        digits = _decimal_digits((table + 1).ravel())
+        chars, comma = digits.reshape(n, slots, digits.shape[1]).transpose(1, 2, 0), 1
+    wd = chars.shape[1]
+    body = 1 + slots * (wd + comma)
+    # A node's text is at most body bytes, so at most body rows of padding
+    # and the separator follow.
+    text = _planar_table(2 * body + 1, n)
+    text[0] = ~held.any(axis=0) * np.uint8(ord("."))
+    cells = text[1:body].reshape(slots, wd + comma, n)
+    np.multiply(chars, held[:, None], out=cells[:, :wd])
+    if comma:
+        cells[:-1, wd] = held[1:] * np.uint8(ord(","))
+        cells[-1:, wd] = 0
+    # int32 counts take half the time of intp ones, and no column comes
+    # near 2^31 bytes.
+    lengths = (text[:body] != 0).sum(axis=0, dtype=np.int32)
+    # Only as many rows of padding as the largest shortfall.
+    short = lengths.max() - lengths
+    pads = int(short.max())
+    text[body:body + pads] = (np.arange(pads)[:, None] < short) * np.uint8(ord(" "))
+    rows = text[:body + pads + 1]
+    rows[-1] = ord(" ")
+    rows[-1, side - 1::side] = ord("\n")
+    blocks = _planar_text(rows)
+    # The last row's newline is not printed.
+    blocks[-1] = blocks[-1][:-1]
+    return b"".join(blocks).decode("ascii")

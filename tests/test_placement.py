@@ -15,7 +15,6 @@ from replicagrid.grid import GridSpec
 from replicagrid.placement import (
     CachePlacement,
     canonical_place,
-    diagonal_order,
     render_matrix,
     validate_capacity,
 )
@@ -48,6 +47,20 @@ def _random_levels(rng, nu, capacity, m_max=40):
         levels.append(k)
         budget -= 4.0 ** -k
     return sorted(levels) or [nu]
+
+
+def diagonal_order(k):
+    """Coordinates of the 2^k x 2^k matrix in precedence order: the test
+    reference for the diagonal ranks of placement._rounds.
+
+    The main diagonal is scanned top-left to bottom-right first, then the
+    diagonal starting one row below (with wrap-around), and so on; the
+    coordinate at rank j*s + t + 1 is ((j + t) mod s, t) for side s = 2^k.
+    """
+    if k < 1:
+        raise InvalidInputError(f"k must be >= 1, got {k}")
+    s = 2 ** k
+    return [((j + t) % s, t) for j in range(s) for t in range(s)]
 
 
 def test_diagonal_order_k1():
@@ -403,30 +416,100 @@ def test_buffer_placement_renderers_match_per_cell_reference(placed):
 
 
 @pytest.mark.parametrize(
-    "tau, m, stdout_sha256, output_sha256",
+    "nu, tau, m, stdout_sha256, output_sha256",
     [
         (
-            "0.8", "0.5*N",
+            6, "0.8", "0.5*N",
+            "bffafe840a013d951262b2540e899263e3a0886f851a7edec52f98e834853591",
+            "a8a877a81bc725ef9a3a7eb445aa4cf6676f251399d0eaa0eafaa74dab8f4b06",
+        ),
+        (
+            6, "2", "1.75*N",
+            "66a90e21a8368d0759b4e37c80ae4974f0b485c20c5ea6a6367df60b46bad0b0",
+            "1a0e8235609ec3a5f829a9ea3aa627b7ae1846d04b33004d727e52075d6fddfa",
+        ),
+        (
+            7, "0.8", "0.5*N",
             "0a0a9dedcd6c0446d7c9b0df063098a3c1b2bcff186524747a2a36e2934203ec",
             "206d470a77036cd9f3b85ed5f23428cf0c29be4d0cc67305bb034110ecdf1dfa",
         ),
         (
-            "2", "1.75*N",
+            7, "2", "1.75*N",
             "e72233f6c599809a07e3a51ff52f08dfddf59b3d27b8bb4a9f6bf5b3df5c362b",
             "a1c960f0e97065956e829108451d7b09c16ef881f7a709ea483c6ac15ecc8319",
         ),
     ],
-    ids=["tau-0.8", "tau-2"],
+    ids=["nu-6-tau-0.8", "nu-6-tau-2", "nu-7-tau-0.8", "nu-7-tau-2"],
 )
-def test_place_nu_7_output_is_pinned(capsys, tmp_path, tau, m, stdout_sha256, output_sha256):
-    """The stdout and --output bytes of `place --nu 7 --K 2`, pinned.  At
-    tau 2 the catalog (28,672 files) has 5-digit ids, across the first
-    4-digit chunk edge."""
+def test_place_output_is_pinned(capsys, tmp_path, nu, tau, m, stdout_sha256, output_sha256):
+    """The stdout and --output bytes of `place --K 2`, pinned.  At nu = 6
+    these are the benchmark's two place instances.  At nu = 7, tau 2 the
+    catalog (28,672 files) has 5-digit ids, across the first 4-digit chunk
+    edge."""
     out = tmp_path / "placement.json"
-    argv = ["place", "--nu", "7", "--K", "2", "--M", m, "--tau", tau, "--output", str(out)]
+    argv = ["place", "--nu", str(nu), "--K", "2", "--M", m, "--tau", tau, "--output", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == output_sha256
+
+
+def test_renderers_match_per_cell_reference_over_several_blocks():
+    # 65,536 nodes: four blocks of columns for the planar tables.
+    grid = GridSpec(nu=8)
+    pop = zipf(int(0.5 * grid.node_count), 0.8)
+    placed = cli._build_placement(grid, 2.0, pop)
+    assert grid.node_count > _text._TEXT_ROWS
+    assert render_matrix(placed) == _reference_render_matrix(placed)
+    assert placed.to_json() == _reference_to_json(placed)
+
+
+def test_to_json_memory_stays_below_the_node_major_table():
+    # to_json at nu = 8, tau 2, M = 1.75 N (65,536 nodes, 1.6 MB of text),
+    # the node table built beforehand.  Writing one node-major table and
+    # copying it whole to bytes peaked at 7,186,733 bytes; the planar table,
+    # transposed a block at a time, must not peak higher.
+    grid = GridSpec(nu=8)
+    pop = zipf(int(1.75 * grid.node_count), 2.0)
+    placed = cli._build_placement(grid, 2.0, pop)
+    placed._node_table
+    tracemalloc.start()
+    try:
+        doc = placed.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc) == 1_634_570
+    assert peak <= 7_186_733
+
+
+@st.composite
+def _counted_placements(draw):
+    """Buffer placements with catalogs up to 10^4 files (the counts are
+    file_count long), ids at both ends of the catalog, empty nodes, and
+    nodes over capacity."""
+    nu = draw(st.integers(0, 3))
+    cap = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 10**4))
+    ids = st.one_of(st.integers(0, count - 1), st.sampled_from([0, count - 1]))
+    buffers = draw(st.lists(st.frozensets(ids, max_size=cap + 1), min_size=4**nu, max_size=4**nu))
+    return CachePlacement(grid=GridSpec(nu=nu), capacity=cap, file_count=count, buffers=buffers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_counted_placements())
+# Every node empty, so the node table has width 0.
+@example(CachePlacement(grid=GridSpec(nu=1), capacity=1, file_count=3, buffers=(frozenset(),) * 4))
+# The 1-node grid, holding the first and the last id.
+@example(CachePlacement(grid=GridSpec(nu=0), capacity=2, file_count=10**4, buffers=[{0, 10**4 - 1}]))
+@example(CachePlacement(grid=GridSpec(nu=0), capacity=1, file_count=1, buffers=[{0}]))
+def test_replica_counts_match_masked_bincount(placed):
+    table = placed._node_table
+    counts = np.bincount(table[table >= 0], minlength=placed.file_count)
+    got = placed._replica_counts()
+    assert got.shape == (placed.file_count,) and np.array_equal(got, counts)
+    assert np.array_equal(placed.measured_densities(), counts / placed.grid.node_count)
+    fits = max(map(len, placed.buffers)) <= placed.capacity
+    assert validate_capacity(placed) == (fits and bool(np.all(counts > 0)))
 
 
 def _reference_buffers(placed):

@@ -1,10 +1,11 @@
 """The byte-table formatter of floats against f"{v:.12g}", value by value."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replicagrid._text import _g12_digits, _text_blocks
+from replicagrid._text import _TEXT_ROWS, _g12_digits, _planar_table, _planar_text, _text_blocks
 
 
 def _texts(values):
@@ -85,3 +86,17 @@ def test_text_blocks_join_to_the_whole(count, step):
 
     got = b"".join(_text_blocks(count, step, rows)).decode("ascii")
     assert got == "".join(f"{v:.12g}" for v in values.tolist())
+
+
+@pytest.mark.parametrize("count", [1, _TEXT_ROWS, 2 * _TEXT_ROWS + 5])
+def test_planar_text_is_the_rows_in_order(count):
+    """A column-planar table's text, over one block, exactly one, and
+    several with a short last one: each column's bytes in order, NULs
+    dropped."""
+    rng = np.random.default_rng(count)
+    rows = rng.integers(0, 128, (count, 7), dtype=np.uint8)
+    rows[rng.random(rows.shape) < 0.3] = 0
+    table = _planar_table(7, count)
+    table[...] = rows.T
+    assert table.shape == (7, count)
+    assert b"".join(_planar_text(table)) == rows.tobytes().replace(b"\0", b"")
