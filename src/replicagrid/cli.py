@@ -5,13 +5,15 @@ from flags, optionally backed by a JSON config file (flags win).  Exit
 codes: 0 success, 2 infeasible or invalid configuration, 3 internal
 invariant violation.
 
-The parser is built once per process (build_parser is cached).  When
-argv[0] names a subcommand, that subcommand's parser reads the rest of
-argv in one argparse pass, and the top-level parser reports what it does
-not take, as a parse through the top-level parser would; any other argv
-(none, an unknown command, a top-level -h) goes through the top-level
-parser.  --M is matched once per command into a function of N, which
-sweep evaluates at each grid size.
+The parser is built once per process (build_parser is cached), and
+argparse defines every option, help text, usage line and error message.
+A plain command line is a subcommand followed by "--option value" pairs
+of its options, each value non-empty, not starting with "-" and valid for
+the option's type and choices.  It is read from an option table made once
+per parser (_option_tables) into the namespace argparse would build.
+Every other command line (none, help, --option=value, an error, ...) goes
+through the top-level parser.  --M is matched once per command into a
+function of N, which sweep evaluates at each grid size.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import re
 import sys
+import weakref
 
 import numpy as np
 
@@ -362,21 +365,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The option tables of each parser, made on its first call (_option_tables).
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _option_tables(parser) -> dict:
+    """Per subcommand name: the namespace a parse of the name alone gives
+    (the name, its actions' defaults and set_defaults' handler), and each
+    option string of its store actions mapped to the action's dest, type
+    and choices."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, sub in commands.choices.items():
+        stored = [
+            a for a in sub._actions
+            if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
+        ]
+        defaults = {commands.dest: name, **sub._defaults, **{a.dest: a.default for a in stored}}
+        options = {
+            flag: (a.dest, a.type, a.choices)
+            for a in stored if type(a) is argparse._StoreAction and a.nargs is None
+            for flag in a.option_strings
+        }
+        tables[name] = (defaults, options)
+    return tables
+
+
+def _plain_args(parser, argv: list) -> argparse.Namespace | None:
+    """parser.parse_args(argv) when argv is a subcommand and pairs of one
+    of its option strings and a value that does not start with '-',
+    converts by the option's type and is among its choices; else None.
+    As argparse's store does, a later value for a dest wins."""
+    tables = _TABLES.get(parser)
+    if tables is None:
+        tables = _TABLES[parser] = _option_tables(parser)
+    table = tables.get(argv[0]) if len(argv) % 2 else None
+    if table is None:
+        return None
+    defaults, options = table
+    values = dict(defaults)
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or not text or text[0] == "-":
+            return None
+        dest, kind, choices = option
+        try:
+            value = text if kind is None else kind(text)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with one argparse pass when argv[0]
-    names a command: the top-level pass would only hand the rest of argv on
-    to that command's parser."""
+    """build_parser().parse_args(argv), read from the option tables when
+    argv is plain."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices.get(argv[0]) if argv else None
-    if command is None:  # no command, an unknown one, or a top-level option
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    args.command = argv[0]
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _plain_args(parser, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -334,6 +334,10 @@ def canonical_place(
 
 def validate_capacity(placement: CachePlacement) -> bool:
     """True iff no buffer exceeds capacity and every file is cached somewhere."""
+    if placement.counts is not None:
+        # Every file of a compact placement has 4^(nu - k) >= 1 replicas,
+        # and some node holds the largest occupancy.
+        return _max_occupancy(placement.counts, placement.grid.nu) <= placement.capacity
     # Rows are padded at the end, so a node holds more than capacity ids iff
     # its slot at index capacity is held.
     if np.any(placement._node_table[:, placement.capacity:] >= 0):

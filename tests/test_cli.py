@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -866,6 +867,96 @@ def test_main_parses_as_the_top_level_parser_does(capsys, tmp_path, monkeypatch,
 def test_one_pass_gives_the_top_level_namespace(argv):
     argv = argv.split()
     assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr)
+    of parse(argv)."""
+    try:
+        got, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        got, code = None, exc.code
+    captured = capsys.readouterr()
+    return got, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, plain", [
+    ("classify --nu 3 --tau=2", False),
+    ("classify --nu 3 --tau -1", False),  # argparse takes -1 as a value
+    ("classify --nu 4.0", False),
+    ("oracle --nu 1 --problem xx", False),
+    ("oracle --nu 1 --problem cd", True),
+    ("classify --K 2 --capacity 3", True),
+    ("classify --capacity 3 --K 2", True),
+    ("classify --M '' --nu 3", False),  # argparse takes '' as a value
+    ("classify --nu 3 -- --tau 2", False),
+    ("classify --nu 3 --", False),
+    ("sweep -h --nus 3", False),
+    ("classify -h", False),
+    ("sweep --nus 3 --ta 2", False),
+    ("simulate --nus 3", False),
+    ("classify --nu 3 --tau", False),  # no value
+    ("classify --nu --tau 2", False),  # an option as the value
+    ("classify --nu --tau", False),
+    ("sweep", True),
+    ("bogus --nu 3", False),
+])
+def test_argv_reads_plain_or_falls_back(capsys, argv, plain):
+    """Each argv either reads plain or goes through the top-level parser;
+    both give that parser's namespace, or its exit code and messages."""
+    argv = shlex.split(argv)
+    parser = build_parser()
+    assert (cli._plain_args(parser, argv) is not None) == plain
+    got = _parse_outcome(capsys, cli._parse, argv)
+    assert got == _parse_outcome(capsys, parser.parse_args, argv)
+    if plain:
+        assert got[1] is None
+
+
+def _benchmark_argv(tmp_path):
+    """The benchmark's argv at its default seed: 42 sweep and classify, and
+    simulate and place in two regimes each."""
+    calls = _sweep_classify_grid()[:42]
+    for command, nu in (("simulate", "4"), ("place", "6")):
+        for m, tau in (("0.5*N", "0.8"), ("1.75*N", "2")):
+            out = str(tmp_path / f"{command}-{tau}.out")
+            calls.append([command, "--nu", nu, "--K", "2", "--M", m, "--tau", tau, "--output", out])
+    return calls
+
+
+def test_benchmark_argv_make_no_argparse_parse(tmp_path, monkeypatch):
+    """Every argv the benchmark runs is plain: no argparse parse reads it."""
+    calls = _benchmark_argv(tmp_path)
+    assert len(calls) == 46
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        got = [vars(cli._parse(argv)) for argv in calls]
+    assert parses == []
+    assert got == [vars(build_parser().parse_args(argv)) for argv in calls]
+
+
+def test_option_tables_hold_every_store_option():
+    """Every store option _add_options registers is in its command's table
+    with its dest, type and choices; the defaults are a bare parse's."""
+    parser = build_parser()
+    tables = cli._option_tables(parser)
+    assert sorted(tables) == sorted(OPTIONS_READ)
+    for command, (defaults, options) in tables.items():
+        sub = argparse.ArgumentParser()
+        cli._add_options(sub, command)
+        stores = [a for a in sub._actions if isinstance(a, argparse._StoreAction)]
+        assert options == {
+            flag: (a.dest, a.type, a.choices) for a in stores for flag in a.option_strings
+        }
+        assert {a.dest for a in stores} == OPTIONS_READ[command]
+        assert defaults == vars(parser.parse_args([command]))
 
 
 @settings(

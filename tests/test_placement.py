@@ -583,6 +583,34 @@ def test_compact_form_matches_buffers_form(case):
     assert validate_capacity(placed) and validate_capacity(plain)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(lambda nu: st.lists(st.integers(0, 9), min_size=nu + 1, max_size=nu + 1)),
+    st.integers(-3, 2),
+)
+# The 1-node grid: empty, and one file short of its two.
+@example([0], 0)
+@example([2], -1)
+# Side-2 and side-4 grids one slot short, full and one slot spare.
+@example([1, 5], -1)
+@example([0, 4, 9], 0)
+@example([3, 0, 1], 1)
+def test_compact_capacity_check_matches_node_table(counts, offset):
+    """validate_capacity of a compact placement, read from its counts,
+    against the same placement given by buffers, read from its node table;
+    capacity is offset from the largest occupancy."""
+    nu = len(counts) - 1
+    grid = GridSpec(nu=nu)
+    capacity = max(placement._max_occupancy(np.array(counts), nu) + offset, 0)
+    placed = CachePlacement(grid=grid, capacity=capacity, file_count=sum(counts), counts=counts)
+    got = validate_capacity(placed)
+    assert "_node_table" not in vars(placed)
+    plain = CachePlacement(
+        grid=grid, capacity=capacity, file_count=sum(counts), buffers=placed.buffers
+    )
+    assert got == validate_capacity(plain) == (max(map(len, plain.buffers)) <= capacity)
+
+
 def _reference_rounds(levels, nu):
     """Anchors and round values by the round loop canonical_place used to
     run: per level, with o the block read in diagonal order, round w lists
