@@ -21,18 +21,14 @@ from .delivery import (
     avg_link,
     cluster_hop_sum,
     link_loads,
-    per_file_link_bound,
-    rhombus_lower_hop_sum,
     total_hop_load,
     worst_link,
 )
 from .density import (
     CanonicalProfile,
     DensityProfile,
-    a_coeff,
     canonical_truncate,
     cd_cost,
-    kkt_residuals,
     lower_bound,
     solve_cd,
 )
@@ -58,16 +54,12 @@ __all__ = [
     "avg_link",
     "cluster_hop_sum",
     "link_loads",
-    "per_file_link_bound",
-    "rhombus_lower_hop_sum",
     "total_hop_load",
     "worst_link",
     "CanonicalProfile",
     "DensityProfile",
-    "a_coeff",
     "canonical_truncate",
     "cd_cost",
-    "kkt_residuals",
     "lower_bound",
     "solve_cd",
     "InfeasibleError",

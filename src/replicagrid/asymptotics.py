@@ -16,11 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .density import DensityProfile, _interior_cap, _split_indices
+from .density import _interior_cap, _split_indices
 from .errors import InfeasibleError, InternalInvariantError, InvalidInputError
-from .popularity import Popularity
 
 # Finite-scale proxy for "spare capacity K*N - M stays O(1)".
 SMALL_SLACK = 100.0
@@ -84,48 +81,6 @@ class RegimeReport:
     predicted_r_hat: float
     predicted_law: str
     truncation_state: str
-
-
-def capacity_breakdown(profile: DensityProfile, pop: Popularity) -> CapacityBreakdown:
-    """Decompose sum (d^(-1/2) - 1) p at an already-solved profile.
-
-    The profile must agree with its certificate: d = 1 before file l and
-    d = 1/N from file r on (InvalidInputError otherwise).  Only the
-    interior's densities are raised to a power; the head's terms are 0.
-    """
-    d = profile.densities
-    p = pop.probs
-    l, r = profile.l_index, profile.r_index
-    n = profile.n_nodes
-    m = pop.m_count
-    if not (
-        d.size == m
-        and n >= 1
-        and 1 <= l <= r <= m + 1
-        and np.all(d[: l - 1] == 1.0)
-        and np.all(d[r - 1 :] == 1.0 / n)
-    ):
-        raise InvalidInputError(
-            f"densities contradict their certificate (M={m}, N={n}, l={l}, r={r})"
-        )
-    terms = np.empty(m)
-    mid = terms[l - 1 : r - 1]
-    np.divide(p[l - 1 : r - 1], np.sqrt(d[l - 1 : r - 1], out=mid), out=mid)
-    c_mid = float(np.sum(mid))
-    terms[: l - 1] = 0.0
-    np.power(d[l - 1 : r - 1], -0.5, out=mid)
-    # The tail's power comes from the same ufunc on a one-element slice: a
-    # scalar ** may round differently from numpy's vectorised power.
-    terms[r - 1 :] = np.power(d[r - 1 : r], -0.5)
-    terms[l - 1 :] -= 1.0
-    terms[l - 1 :] *= p[l - 1 :]
-    c_total = float(np.sum(terms))
-    c_down = math.sqrt(n) * float(np.sum(p[r - 1 :]))
-    tail = float(np.sum(p[l - 1 :]))
-    k_mid = ((profile.capacity - l + 1) * n - (m - r + 1)) / n
-    return CapacityBreakdown(
-        c_total=c_total, c_mid=c_mid, c_down=c_down, k_mid=k_mid, tail=tail
-    )
 
 
 class _PowerSums:
@@ -353,7 +308,8 @@ def _zipf_breakdown(
     q_sums: _PowerSums | None = None,
     p_sums: _PowerSums | None = None,
 ) -> CapacityBreakdown:
-    """capacity_breakdown at the split (l, r) for Zipf(tau), in closed form.
+    """The breakdown of sum (d^(-1/2) - 1) p at the split (l, r) for
+    Zipf(tau), in closed form.
 
     With U the interior's q-mass and cap its budget, every interior file
     has p / sqrt(d) = i^(-2 tau / 3) sqrt(U / cap) / H, so c_mid is

@@ -36,7 +36,6 @@ same value.  Every call checks that the grid is the placement's.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -240,8 +239,8 @@ def _pair_table(grid: GridSpec) -> np.ndarray:
     """The (start, unmasked stop) of the run from client coordinate c to
     server coordinate t along one axis (_run_counts), as an (N, 2) int32
     table with row (c << nu) | t.  It takes 8 N bytes (128 MiB at
-    nu = 12), so each link_loads or per-file call makes it once
-    (_run_tables) and nothing keeps it."""
+    nu = 12), so each link_loads call makes it once (_run_tables) and
+    nothing keeps it."""
     side, mask = grid.side, grid.side - 1
     coord = np.arange(side)
     delta = (coord - coord[:, None]) & mask  # [c, t]: (t - c) mod side
@@ -254,7 +253,7 @@ def _pair_table(grid: GridSpec) -> np.ndarray:
 
 def _run_tables(grid: GridSpec, files: int) -> tuple:
     """What _run_counts reads in every sub-block of up to `files` files,
-    made once per link_loads or per-file call and never kept: the pair
+    made once per link_loads call and never kept: the pair
     table (_pair_table), each file's first line id 2 N f as a (files, 1)
     column, and per axis the client's pair-table row offset c << nu, (N,),
     and its line ids by file, (files, N).  A row run's client coordinate
@@ -335,28 +334,15 @@ def _run_counts(grid: GridSpec, keys: np.ndarray, tables: tuple) -> np.ndarray:
     return counts
 
 
-def _deposit(loads: np.ndarray, counts: np.ndarray, weight: float) -> None:
-    """Add one file's half-route counts (_run_counts), at request weight
-    `weight`, to loads: one multiply and add per link, in link order.
-    Counts are integers, so a link that carries nothing stays at exactly
-    0."""
-    loads += (weight / 2) * counts.ravel()
-
-
-def _check_grid(grid: GridSpec, placement: CachePlacement) -> None:
-    """Raise unless the placement lies on this grid."""
-    if grid.nu != placement.grid.nu:
-        raise InvalidInputError(
-            f"grid nu={grid.nu} does not match the placement's grid nu={placement.grid.nu}"
-        )
-
-
 def _catalog(grid: GridSpec, placement: CachePlacement, pop: Popularity):
     """After checking the grid and the sizes, a placement given by buffers'
     replica table and its offsets (CachePlacement._replicas, built on first
     read), where a file cached nowhere is an error; None for a compact
     placement."""
-    _check_grid(grid, placement)
+    if grid.nu != placement.grid.nu:
+        raise InvalidInputError(
+            f"grid nu={grid.nu} does not match the placement's grid nu={placement.grid.nu}"
+        )
     if placement.file_count != pop.m_count:
         raise InvalidInputError("placement and popularity sizes differ")
     if placement.counts is not None:
@@ -407,7 +393,9 @@ def link_loads(grid: GridSpec, placement: CachePlacement, pop: Popularity) -> Li
             _record_hops(grid, placement, ids, keys)
             for sub in _blocks(grid, ids.size, part):
                 for m, file_counts in zip(ids[sub].tolist(), _run_counts(grid, keys[sub], tables)):
-                    _deposit(loads, file_counts, REQUEST_RATE * pop.probs[m])
+                    # Counts are integers, so a link that carries nothing
+                    # stays at exactly 0.
+                    loads += (REQUEST_RATE * pop.probs[m] / 2) * file_counts.ravel()
     loads.setflags(write=False)
     return LinkLoadMap(grid=grid, loads=loads)
 
@@ -444,93 +432,6 @@ def cluster_hop_sum(level: int) -> int:
     if level == 0:
         return 0
     return 2 ** (3 * level - 1)
-
-
-def rhombus_lower_hop_sum(cluster_size: float) -> float:
-    """Hop-sum lower bound for a cluster of Q nodes around one replica.
-
-    Uses the rhombus radius rho = (-1 + sqrt(2Q - 1)) / 2 and the exact
-    ring-sum 2 rho (rho + 1) (2 rho + 1) / 3.
-    """
-    q = float(cluster_size)
-    if q < 1:
-        raise InvalidInputError(f"cluster size must be >= 1, got {cluster_size}")
-    rho = 0.5 * (-1.0 + math.sqrt(2.0 * q - 1.0))
-    return 2.0 * rho * (rho + 1.0) * (2.0 * rho + 1.0) / 3.0
-
-
-def _file_keys(grid: GridSpec, placement: CachePlacement, m: int) -> tuple[np.ndarray, int]:
-    """Serving keys of file m as a (1, N) block (_serving_keys) and its
-    replica count.
-
-    Raises when the grid is not the placement's, or m is outside the
-    catalog or cached nowhere.
-    """
-    _check_grid(grid, placement)
-    count = placement.file_count
-    if not 0 <= m < count:
-        raise InvalidInputError(f"file id {m} outside 0..{count - 1}")
-    coords, offsets = placement._replicas
-    if offsets[m + 1] == offsets[m]:
-        raise InvalidInputError(f"file {m} is cached nowhere")
-    return _serving_keys(grid, coords, offsets, np.array([m])), int(offsets[m + 1] - offsets[m])
-
-
-def _file_loads(grid: GridSpec, keys: np.ndarray, p_m: float) -> np.ndarray:
-    """Link loads of the one file served by keys, at popularity weight p_m."""
-    loads = np.zeros(2 * grid.node_count)
-    _deposit(loads, _run_counts(grid, keys, _run_tables(grid, 1))[0], REQUEST_RATE * p_m)
-    return loads
-
-
-def per_file_link_loads(
-    grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
-) -> np.ndarray:
-    """Link loads generated by file m alone, at popularity weight p_m."""
-    keys, _ = _file_keys(grid, placement, m)
-    return _file_loads(grid, keys, p_m)
-
-
-def per_file_link_bound(
-    grid: GridSpec, placement: CachePlacement, m: int, p_m: float = 1.0
-) -> bool:
-    """Check the per-file link-load bounds for a canonically placed file.
-
-    Verifies that cross-cluster links carry nothing, links sharing a row or
-    column with the serving replica carry at most
-    2^(k-1) (2^(k-1) + 1/2) p_m, and all other links at most 2^(k-2) p_m,
-    where 4^-k is the file's replication density.
-    """
-    keys, w_count = _file_keys(grid, placement, m)
-    ratio = grid.node_count / w_count
-    level = round(math.log(ratio, 4))
-    if 4 ** level != ratio:
-        raise InvalidInputError(f"file {m} does not have a power-of-4 replica count")
-
-    loads = _file_loads(grid, keys, p_m)
-    if level == 0:
-        return bool(np.all(loads <= 1e-12))
-
-    side = grid.side
-    server = (keys[0] & (grid.node_count - 1)).reshape(side, side)
-    axis = np.arange(side)
-    aligned_cap = 2.0 ** (level - 1) * (2.0 ** (level - 1) + 0.5) * p_m
-    off_cap = 2.0 ** (level - 2) * p_m
-    tol = 1e-12
-    # Row link (x, y) joins (x, y) to its east neighbour and is aligned with
-    # a serving replica in row x; column links likewise, south and column y.
-    rows, cols = loads[0::2].reshape(side, side), loads[1::2].reshape(side, side)
-    for load, other, aligned in (
-        (rows, np.roll(server, -1, axis=1), axis[:, None] == server >> grid.nu),
-        (cols, np.roll(server, -1, axis=0), axis[None, :] == server & (side - 1)),
-    ):
-        carried = load > tol
-        if np.any(carried & (server != other)):
-            return False  # cross-cluster links must carry no traffic of m
-        cap = np.where(aligned, aligned_cap, off_cap)
-        if np.any(carried & (load > cap + tol)):
-            return False
-    return True
 
 
 def to_csv(load_map: LinkLoadMap, fh: BinaryIO) -> None:

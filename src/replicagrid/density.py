@@ -59,18 +59,6 @@ class DensityProfile:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "DensityProfile":
-        doc = json.loads(text)
-        return cls(
-            densities=np.array(doc["densities"], dtype=float),
-            l_index=int(doc["l"]),
-            r_index=int(doc["r"]),
-            mu=float(doc["mu"]),
-            n_nodes=int(doc["n_nodes"]),
-            capacity=float(doc["capacity"]),
-        )
-
 
 @dataclass(frozen=True)
 class CanonicalProfile:
@@ -89,10 +77,6 @@ class CanonicalProfile:
     @property
     def m_count(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.repeat(np.arange(self.nu + 1), self.counts)
 
     @property
     def densities(self) -> np.ndarray:
@@ -249,7 +233,17 @@ def solve_cd(n_nodes: int, capacity: float, pop: Popularity) -> DensityProfile:
     np.cumsum(q, out=prefix[1:])
 
     def mass(a: int, b: int) -> float:
-        return float(prefix[b] - prefix[a - 1])
+        # Over n files the cumulative sum rounds by up to n half-ulps of
+        # prefix[b], typically by about sqrt(n).  Where 2^32 sqrt(n) ulps
+        # exceed the difference, that typical error passes 2^-33 of it, too
+        # close to solve_cd's 1e-9 capacity check: the slice is summed
+        # directly, as is a one-file slice.
+        if a == b:
+            return float(q[a - 1])
+        diff = float(prefix[b] - prefix[a - 1])
+        if diff < 2.0**32 * math.sqrt(b - a + 1) * math.ulp(prefix[b]):
+            return float(q[a - 1 : b].sum())
+        return diff
 
     l, r = _split_indices(n, k_cap, m_count, lambda i: q[i - 1], mass)
 
@@ -327,42 +321,3 @@ def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
     if canon.mass > profile.capacity + 1e-9:
         raise InternalInvariantError("canonical truncation exceeded capacity")
     return canon
-
-
-def kkt_residuals(profile: DensityProfile, pop: Popularity) -> tuple[float, float, float]:
-    """Stationarity and dual-feasibility residuals of a profile.
-
-    Returns (max relative interior residual, min slack of the up-truncated
-    marginals over mu, min slack of mu over the down-truncated marginals).
-    Slacks are >= 0 (up to rounding) at an optimum.
-    """
-    d = profile.densities
-    p = pop.probs
-    mu = profile.mu
-    l, r = profile.l_index, profile.r_index
-    marginal = 0.5 * p * d ** -1.5
-    interior = marginal[l - 1 : r - 1]
-    interior_res = (
-        float(np.max(np.abs(interior - mu)) / max(mu, 1e-300)) if interior.size else 0.0
-    )
-    up_slack = float(np.min(marginal[: l - 1] - mu)) if l > 1 else 0.0
-    down_slack = float(np.min(mu - marginal[r - 1 :])) if r <= p.size else 0.0
-    return interior_res, up_slack, down_slack
-
-
-def a_coeff(i: int, j: int, capacity: float, n_nodes: int, pop: Popularity) -> float:
-    """Popularity-mass coefficient of the worst-link additive bound.
-
-    Equals (sum of p_k^(2/3) for k = i+1..M-j) / (K - i - j/N), and 1 when
-    the denominator is exactly zero.
-    """
-    m_count = pop.m_count
-    if not (0 <= i <= m_count and 0 <= j <= m_count):
-        raise InvalidInputError("i, j must lie in 0..M")
-    denom = capacity - i - j / n_nodes
-    if denom < -1e-12:
-        raise InvalidInputError(f"negative denominator K - i - j/N = {denom}")
-    if abs(denom) <= 1e-12:
-        return 1.0
-    q = pop.probs[i : m_count - j] ** (2.0 / 3.0)
-    return float(q.sum()) / denom

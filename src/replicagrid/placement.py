@@ -57,7 +57,7 @@ class CachePlacement:
     and the renderers never read it.  The node table (_node_table) is built on first read and kept;
     delivery of a compact placement never reads it.  Delivery and
     replica_nodes read the replica table (_replicas), built on first read
-    and kept; of a compact placement only the per-file calls read it.
+    and kept; of a compact placement only replica_nodes reads it.
     Delivery of a placement given by buffers also keeps every file's hop
     total in _hops, M int64 values made on first use; a compact placement
     never makes it.

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from replicagrid.delivery import REQUEST_RATE, _file_keys
+from replicagrid.delivery import REQUEST_RATE, _serving_keys
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import GridSpec, Node, hop_distance
 from replicagrid.placement import CachePlacement
@@ -114,7 +114,9 @@ def serve_map(
     grid: GridSpec, placement: CachePlacement, m: int
 ) -> dict[Node, tuple[Node, RouteSet]]:
     """Map every node to its serving replica of m and the routes used."""
-    keys, _ = _file_keys(grid, placement, m)
+    if not placement.replica_nodes(m):
+        raise InvalidInputError(f"file {m} is cached nowhere")
+    keys = _serving_keys(grid, *placement._replicas, np.array([m]))
     servers = (keys[0] % grid.node_count).tolist()
     out: dict[Node, tuple[Node, RouteSet]] = {}
     for node, server in zip(grid.nodes(), servers):

@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from replicagrid.delivery import avg_link, link_loads, per_file_link_bound, total_hop_load
+from replicagrid.delivery import avg_link, link_loads, total_hop_load
 from replicagrid.density import (
     CanonicalProfile,
     canonical_truncate,
     cd_cost,
-    kkt_residuals,
     lower_bound,
     solve_cd,
 )
@@ -23,7 +22,9 @@ from replicagrid.oracle import brute_force_an, brute_force_cd
 from replicagrid.placement import CachePlacement, canonical_place, validate_capacity
 from replicagrid.popularity import Popularity, zipf
 from replicagrid.asymptotics import estimate_l_hat, estimate_r_hat, sweep
+from references import kkt_residuals
 from route_walker import enumerate_cluster
+from test_delivery import _reference_link_bound
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -186,7 +187,7 @@ def test_criterion_6_cluster_geometry():
             frozenset([0]) if node == (0, 0) else frozenset() for node in grid.nodes()
         )
         placed = CachePlacement(grid=grid, capacity=1, file_count=1, buffers=buffers)
-        holds = per_file_link_bound(grid, placed, 0, 1.0)
+        holds = _reference_link_bound(grid, placed, 0, 1.0)
         if level == 1:
             nu1_note = f"; level-1 bound holds: {holds}"
         else:

@@ -18,7 +18,6 @@ from replicagrid.asymptotics import (
     _r_hat_small_slack,
     _regime,
     _slope,
-    capacity_breakdown,
     classify_regime,
     estimate_l_hat,
     estimate_r_hat,
@@ -28,22 +27,29 @@ from replicagrid.asymptotics import (
 from replicagrid.density import solve_cd
 from replicagrid.errors import InfeasibleError, InvalidInputError
 from replicagrid.popularity import Popularity, zipf
+from test_bit_identity import _breakdown_reference
+
+
+def _breakdown(n, k, pop):
+    """The capacity breakdown at the solved profile, by the array reference."""
+    prof = solve_cd(n, k, pop)
+    return _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n, k)
 
 
 def test_breakdown_reference_value():
     pop = Popularity(np.array([0.7, 0.2, 0.1]))
-    bd = capacity_breakdown(solve_cd(4, 1.0, pop), pop)
+    bd = _breakdown(4, 1.0, pop)
     expect = 0.7 * (math.sqrt(2) - 1) + 0.3 * 1.0
     assert math.isclose(bd.c_total, expect, rel_tol=1e-12)
 
 
 def test_breakdown_trivial_cases():
     pop = Popularity(np.array([0.5, 0.3, 0.2]))
-    bd = capacity_breakdown(solve_cd(4, 3.0, pop), pop)
+    bd = _breakdown(4, 3.0, pop)
     assert bd.c_total == 0.0 and bd.c_down == 0.0 and bd.tail == 0.0
     # Empty down-truncated set: c_down = 0.
     pop = zipf(64, 1.0)
-    bd = capacity_breakdown(solve_cd(1024, 2.0, pop), pop)
+    bd = _breakdown(1024, 2.0, pop)
     assert bd.c_down == 0.0
 
 
@@ -56,7 +62,7 @@ def test_breakdown_identity_random():
         m = int(rng.integers(1, int(k * n) + 1))
         tau = float(rng.uniform(0.0, 3.0))
         pop = zipf(m, tau)
-        bd = capacity_breakdown(solve_cd(n, k, pop), pop)
+        bd = _breakdown(n, k, pop)
         assert abs(bd.c_total - (bd.c_mid + bd.c_down - bd.tail)) <= 1e-9
 
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -160,6 +161,30 @@ def test_solve_infeasible_exit_code(capsys):
     code, _, err = run(capsys, "solve", "--nu", "1", "--K", "1", "--M", "20", "--tau", "1")
     assert code == 2
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The one valid split is (l, r) = (M, M + 1): a one-file interior
+        # whose budget K - (M - 1) is a few ulps below 1.
+        "solve --nu 1 --K 3.9999999999999996 --M 4 --tau 2",
+        "place --nu 1 --K 3.9999999999999996 --M 4 --tau 1.5",
+        # The interior is the last 13,678 of 40,456 files, 1e-8 of the q
+        # prefix sums, so their difference keeps few correct digits.
+        "solve --nu 1 --K 34768 --M 40456 --tau 4",
+    ],
+)
+def test_masses_lost_in_prefix_sums_still_solve(capsys, tmp_path, argv):
+    argv = argv.split()
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--output", str(out_path))
+    assert (code, err) == (0, "")
+    if argv[0] == "place":
+        assert out.endswith("valid = true\n")
+    else:
+        densities = json.loads(out_path.read_text())["densities"]
+        assert math.fsum(densities) <= float(argv[argv.index("--K") + 1])
 
 
 def test_place_full_replication(capsys):

@@ -17,18 +17,16 @@ from replicagrid.delivery import (
     avg_link,
     cluster_hop_sum,
     link_loads,
-    per_file_link_bound,
-    per_file_link_loads,
-    rhombus_lower_hop_sum,
     to_csv,
     total_hop_load,
     worst_link,
 )
-from replicagrid.density import a_coeff, canonical_truncate, lower_bound, solve_cd
+from replicagrid.density import canonical_truncate, lower_bound, solve_cd
 from replicagrid.errors import InvalidInputError
 from replicagrid.grid import COLUMN, ROW, GridSpec
 from replicagrid.placement import CachePlacement, canonical_place
 from replicagrid.popularity import Popularity, zipf
+from references import a_coeff, file_loads, rhombus_lower_hop_sum
 from route_walker import link_index, route_walk_loads, serve_map, signed_axis_delta
 from test_placement import _reference_rounds
 
@@ -195,8 +193,20 @@ def test_per_file_loads_sum_to_total():
     total = link_loads(grid, placed, pop).loads
     acc = np.zeros_like(total)
     for m in range(5):
-        acc += per_file_link_loads(grid, placed, m, float(pop.probs[m]))
+        acc += file_loads(grid, placed, m, float(pop.probs[m]))
     assert np.allclose(acc, total, atol=1e-12)
+
+
+def test_file_loads_summed_in_file_order_are_link_loads():
+    # Bit for bit where every file goes through the batched kernel: on a
+    # placement given by buffers, each file at 1..N random nodes.
+    grid = GridSpec(nu=5)
+    placed = _random_placement(np.random.default_rng(7), grid, 16, capacity=16)
+    pop = zipf(16, 0.8)
+    summed = np.zeros(2 * grid.node_count)
+    for m in range(16):
+        summed += file_loads(grid, placed, m, float(pop.probs[m]))
+    assert np.array_equal(summed, link_loads(grid, placed, pop).loads)
 
 
 def test_per_file_pattern_is_periodic():
@@ -206,7 +216,7 @@ def test_per_file_pattern_is_periodic():
     for m in range(3):
         reps = placed.replica_nodes(m)
         period = round(math.sqrt(grid.node_count / len(reps)))
-        loads = per_file_link_loads(grid, placed, m, 1.0)
+        loads = file_loads(grid, placed, m, 1.0)
         side = grid.side
         by_link = {link: loads[idx] for idx, link in enumerate(_links(grid))}
         for (x, y, axis), v in by_link.items():
@@ -226,7 +236,7 @@ def test_per_file_link_bounds_canonical():
         pop = zipf(m, float(rng.uniform(0.3, 1.5)))
         placed = _canonical(grid, cap, pop)
         for f in range(m):
-            assert per_file_link_bound(grid, placed, f, float(pop.probs[f]))
+            assert _reference_link_bound(grid, placed, f, float(pop.probs[f]))
 
 
 def test_level0_files_generate_no_load():
@@ -234,8 +244,8 @@ def test_level0_files_generate_no_load():
     pop = zipf(2, 1.0)
     placed = _canonical(grid, 2, pop)  # K=2, M=2: everything everywhere
     for f in range(2):
-        assert np.all(per_file_link_loads(grid, placed, f, 1.0) == 0.0)
-        assert per_file_link_bound(grid, placed, f, 1.0)
+        assert np.all(file_loads(grid, placed, f, 1.0) == 0.0)
+        assert _reference_link_bound(grid, placed, f, 1.0)
 
 
 def test_cluster_hop_sum_values():
@@ -314,7 +324,7 @@ def _assert_matches_walker(grid, placed, pop):
     for m in range(placed.file_count):
         p_m = float(pop.probs[m])
         expect = route_walk_loads(grid, placed, m, p_m)
-        assert np.abs(per_file_link_loads(grid, placed, m, p_m) - expect).max() <= 1e-12
+        assert np.abs(file_loads(grid, placed, m, p_m) - expect).max() <= 1e-12
         total += expect
     assert np.abs(link_loads(grid, placed, pop).loads - total).max() <= 1e-12
 
@@ -549,7 +559,7 @@ def test_narrow_keys_match_wide_keys_at_nu_8(monkeypatch):
     def run():
         placed = _placement_from_holders(grid, holders)
         loads = link_loads(grid, placed, pop).loads
-        per_file = [per_file_link_loads(grid, placed, m, float(pop.probs[m])) for m in range(2)]
+        per_file = [file_loads(grid, placed, m, float(pop.probs[m])) for m in range(2)]
         return _block_keys(grid, placed), loads, per_file, placed._hops.copy()
 
     narrow = run()
@@ -687,12 +697,8 @@ def test_uncached_file_is_named(uncached):
         link_loads(grid, placed, pop)
     with pytest.raises(InvalidInputError, match=message):
         total_hop_load(grid, placed, pop)
-    with pytest.raises(InvalidInputError, match=message):
-        per_file_link_loads(grid, placed, uncached)
     for m in {0, 1, 2} - {uncached}:
-        assert np.array_equal(
-            per_file_link_loads(grid, placed, m), route_walk_loads(grid, placed, m)
-        )
+        assert np.array_equal(file_loads(grid, placed, m), route_walk_loads(grid, placed, m))
 
 
 @pytest.mark.parametrize("serve", [link_loads, total_hop_load], ids=["loads", "hops"])
@@ -708,8 +714,6 @@ def test_placement_and_popularity_sizes_must_match(serve, compact):
 def test_file_outside_catalog_rejected(m):
     grid = GridSpec(nu=2)
     placed = _with_uncached_file(grid, 0)
-    with pytest.raises(InvalidInputError, match=f"file id {m} outside 0..2"):
-        per_file_link_loads(grid, placed, m)
     with pytest.raises(InvalidInputError, match=f"file id {m} outside 0..2"):
         placed.replica_nodes(m)
 
@@ -731,7 +735,7 @@ def test_catalog_is_built_once_and_read_only(monkeypatch):
     loads = link_loads(grid, placed, pop).loads
     total_hop_load(grid, placed, pop)
     for m in range(placed.file_count):
-        per_file_link_loads(grid, placed, m, float(pop.probs[m]))
+        placed.replica_nodes(m)
     assert calls == [placed]
     for array in placed._replicas:
         assert not array.flags.writeable
@@ -803,9 +807,6 @@ def test_grid_must_be_the_placements(nu, form):
     for call in (link_loads, total_hop_load):
         with pytest.raises(InvalidInputError, match=message):
             call(other, placed, pop)
-    for call in (per_file_link_loads, per_file_link_bound):
-        with pytest.raises(InvalidInputError, match=message):
-            call(other, placed, 0)
     assert "_hops" not in vars(placed)
     loads = link_loads(grid, placed, pop).loads
     assert math.isclose(float(loads.sum()), total_hop_load(grid, placed, pop), rel_tol=1e-12)
@@ -952,8 +953,7 @@ def _assert_engine_matches(grid, placed, pop):
     walk at nu <= 3) to 1e-12 of the largest load, with the same unloaded
     links and no negative load."""
     got = link_loads(grid, placed, pop).loads
-    refs = [sum(per_file_link_loads(grid, placed, m, float(pop.probs[m]))
-                for m in range(placed.file_count))]
+    refs = [sum(file_loads(grid, placed, m, float(pop.probs[m])) for m in range(placed.file_count))]
     if grid.nu <= 3:
         refs.append(sum(route_walk_loads(grid, placed, m, float(pop.probs[m]))
                         for m in range(placed.file_count)))
@@ -1188,7 +1188,12 @@ def test_hop_total_is_exact_mixed(nu, data):
 
 
 def _reference_link_bound(grid, placement, m, p_m=1.0):
-    """The per-link loop per_file_link_bound used to run, kept as a reference."""
+    """Whether file m's loads at weight p_m keep the per-file link bounds of
+    a canonically placed file (acceptance criterion 6), by a loop over the
+    links: links between two nodes served by different replicas carry
+    nothing, links sharing a row or column with the serving replica carry at
+    most 2^(k-1) (2^(k-1) + 1/2) p_m, and all other links at most
+    2^(k-2) p_m, where 4^-k is the file's replication density."""
     reps = _replica_coords(placement, m)
     w_count = reps.shape[0]
     ratio = grid.node_count / w_count
@@ -1196,7 +1201,7 @@ def _reference_link_bound(grid, placement, m, p_m=1.0):
     if 4 ** level != ratio:
         raise InvalidInputError(f"file {m} does not have a power-of-4 replica count")
 
-    loads = per_file_link_loads(grid, placement, m, p_m)
+    loads = file_loads(grid, placement, m, p_m)
     if level == 0:
         return bool(np.all(loads <= 1e-12))
 
@@ -1225,37 +1230,15 @@ def _reference_link_bound(grid, placement, m, p_m=1.0):
     return True
 
 
-def _assert_same_bound_verdicts(grid, placed, p_values):
-    for m in range(placed.file_count):
-        for p_m in p_values:
-            try:
-                expect = _reference_link_bound(grid, placed, m, p_m)
-            except InvalidInputError:
-                with pytest.raises(InvalidInputError, match="power-of-4"):
-                    per_file_link_bound(grid, placed, m, p_m)
-                continue
-            assert per_file_link_bound(grid, placed, m, p_m) is expect
-
-
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 @pytest.mark.parametrize("cap, tau", [(1, 0.8), (2, 2.0), (3, 0.0)])
-def test_link_bound_matches_reference_loop_canonical(nu, cap, tau):
+def test_link_bounds_hold_canonical(nu, cap, tau):
     grid = GridSpec(nu=nu)
     pop = zipf(min(2 * grid.node_count, cap * grid.node_count, 24), tau)
-    _assert_same_bound_verdicts(grid, _canonical(grid, cap, pop), [1.0, 1e-13])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_link_bound_matches_reference_loop_random(nu, data):
-    # Power-of-4 replica counts at random nodes: verdicts of both kinds,
-    # plus counts that are not a power of 4 and must raise.
-    grid = GridSpec(nu=nu)
-    n = grid.node_count
-    counts = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 16, 64, n]), min_size=1, max_size=4))
-    holders = [set(data.draw(st.permutations(range(n)))[:min(c, n)]) for c in counts]
-    p_values = [data.draw(st.sampled_from([1.0, 0.3, 1e-13]))]
-    _assert_same_bound_verdicts(grid, _placement_from_holders(grid, holders), p_values)
+    placed = _canonical(grid, cap, pop)
+    for m in range(placed.file_count):
+        assert _reference_link_bound(grid, placed, m, 1.0)
+        assert _reference_link_bound(grid, placed, m, 1e-13)
 
 
 def _reference_run_counts(side, line, start, delta):
@@ -1374,8 +1357,6 @@ def test_delivery_keeps_nothing_new_on_the_placement_or_the_grid():
     link_loads(grid, placed, pop)
     assert set(vars(placed)) - before == {"_node_table", "_replicas", "_hops"}
     total_hop_load(grid, placed, pop)
-    per_file_link_loads(grid, placed, 2)
-    per_file_link_bound(grid, placed, 2)
     assert set(vars(placed)) - before == {"_node_table", "_replicas", "_hops"}
     assert vars(grid) == grid_before
 
@@ -1435,8 +1416,8 @@ def _fresh(placed):
 
 def _assert_bit_identical_to_reference(grid, placed, pop, budget):
     """Under the given block budget, link_loads, total_hop_load and every
-    per_file_link_loads equal the per-file reference exactly, whichever of
-    the first two runs first on a fresh placement."""
+    file's loads alone (file_loads) equal the per-file reference exactly,
+    whichever of the first two runs first on a fresh placement."""
     expect_loads, expect_hops = _reference_loads_and_hops(grid, placed, pop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delivery, "_BLOCK_NODE_FILES", budget)
@@ -1452,7 +1433,7 @@ def _assert_bit_identical_to_reference(grid, placed, pop, budget):
         p_m = float(pop.probs[m])
         expect = np.zeros(2 * grid.node_count)
         _reference_file_loads(grid, _replica_coords(placed, m), delivery.REQUEST_RATE * p_m, expect)
-        assert np.array_equal(per_file_link_loads(grid, placed, m, p_m), expect)
+        assert np.array_equal(file_loads(grid, placed, m, p_m), expect)
 
 
 @settings(max_examples=100, deadline=None)

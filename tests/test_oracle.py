@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from replicagrid.delivery import avg_link, link_loads, per_file_link_bound
+from replicagrid.delivery import avg_link, link_loads
 from replicagrid.density import canonical_truncate, cd_cost, lower_bound, solve_cd
 from replicagrid.errors import InfeasibleError, InvalidInputError
 from replicagrid.grid import GridSpec
@@ -16,6 +16,7 @@ from replicagrid.oracle import (
 from replicagrid.placement import canonical_place
 from replicagrid.popularity import Popularity, zipf
 from route_walker import enumerate_cluster
+from test_delivery import _reference_link_bound
 
 
 def test_an_single_file_everywhere():
@@ -120,4 +121,4 @@ def test_enumerate_cluster_satisfies_link_bounds():
             for node in grid.nodes()
         )
         placed = CachePlacement(grid=grid, capacity=1, file_count=1, buffers=buffers)
-        assert per_file_link_bound(grid, placed, 0, 1.0)
+        assert _reference_link_bound(grid, placed, 0, 1.0)

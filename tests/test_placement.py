@@ -208,7 +208,7 @@ def _reference_place(grid, canon, pop, capacity):
     buffers = [set() for _ in range(grid.node_count)]
 
     for k in range(1, grid.nu + 1):
-        members = np.flatnonzero(canon.levels == k).tolist()
+        members = np.flatnonzero(_levels_of(canon.counts) == k).tolist()
         if not members:
             continue
         order = diagonal_order(k)
@@ -232,7 +232,7 @@ def _reference_place(grid, canon, pop, capacity):
                             "cache capacity exceeded during placement"
                         )
 
-    for m in np.flatnonzero(canon.levels == 0).tolist():
+    for m in np.flatnonzero(_levels_of(canon.counts) == 0).tolist():
         for buf in buffers:
             buf.add(m)
             if len(buf) > capacity:

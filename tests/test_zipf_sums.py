@@ -2,8 +2,8 @@
 
 `_PowerSums` is checked against math.fsum and the zeta tail, and the
 estimates that filter the split search against the exact sums; the split
-(l, r) and the capacity breakdown are checked against solve_cd and
-capacity_breakdown on a grid of taus and catalog sizes up to nu = 9, and
+(l, r) and the capacity breakdown are checked against solve_cd and the
+array breakdown on a grid of taus and catalog sizes up to nu = 9, and
 the split against itself without the filter and without the start that
 `_PowerSums.crossing` gives its r search.
 """
@@ -26,13 +26,13 @@ from replicagrid.asymptotics import (
     _zipf_breakdown,
     _zipf_split,
     _zipf_start,
-    capacity_breakdown,
     estimate_r_hat,
     sweep,
 )
 from replicagrid.cli import main
 from replicagrid.density import _interior_cap, _split_indices, solve_cd
 from replicagrid.popularity import zipf
+from test_bit_identity import _breakdown_reference
 
 POWERS = (0.0, 1 / 3, 2 / 3, 1 - 1e-9, 1.0, 1 + 1e-9, 4 / 3, 2.0)
 SEGMENTS = (
@@ -165,7 +165,7 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
         for m in _catalog_sizes(n, k):
             pop = zipf(m, tau)
             prof = solve_cd(n, k, pop)
-            want = capacity_breakdown(prof, pop)
+            want = _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n, k)
             l, r = _zipf_split(n, k, m, tau)
             got = _zipf_breakdown(n, k, m, tau, l, r)
             case = (tau, m, (prof.l_index, prof.r_index), (l, r))
