@@ -287,7 +287,7 @@ def lower_bound(densities, pop: Popularity) -> float:
     d = np.asarray(getattr(densities, "densities", densities), dtype=float)
     if d.size != pop.m_count:
         raise InvalidInputError("densities and popularity sizes differ")
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):  # NaN compares false
         raise InvalidInputError("densities must be positive")
     terms = d ** -0.5
     terms -= 1.0
@@ -300,7 +300,7 @@ def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
     (nu below 4^-nu); the densities d must never rise along the ids, as
     solved ones do."""
     n = profile.n_nodes
-    nu = round(math.log(n, 4))
+    nu = round(math.log(n, 4)) if n >= 1 else 0
     if 4 ** nu != n:
         raise InvalidInputError(f"n_nodes={n} is not a power of 4")
     d = profile.densities

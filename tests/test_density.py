@@ -102,6 +102,33 @@ def test_lower_bound_matches_cd_cost_and_raw_vectors():
         lower_bound(np.array([0.5, 0.0]), pop)
 
 
+def test_lower_bound_rejects_sizes_that_differ():
+    with pytest.raises(InvalidInputError, match="densities and popularity sizes differ"):
+        lower_bound(np.array([0.5, 0.25, 0.25]), _pop([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, math.nan, -math.inf])
+def test_lower_bound_rejects_a_density_that_is_not_positive(bad):
+    with pytest.raises(InvalidInputError, match="densities must be positive"):
+        lower_bound(np.array([0.5, bad]), _pop([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("capacity", [-1.0, math.nan, math.inf, -math.inf])
+def test_solve_cd_rejects_capacity_that_is_not_finite_and_positive(capacity):
+    with pytest.raises(InvalidInputError, match="capacity must be a finite positive number"):
+        solve_cd(4, capacity, zipf(2, 1.0))
+
+
+@pytest.mark.parametrize("n_nodes", [0, -16, 2, 8, 15, 17])
+def test_canonical_truncate_rejects_node_counts_not_powers_of_4(n_nodes):
+    prof = DensityProfile(
+        densities=np.array([1.0, 0.25]), l_index=1, r_index=3, mu=1.0, n_nodes=n_nodes,
+        capacity=2.0,
+    )
+    with pytest.raises(InvalidInputError, match=f"n_nodes={n_nodes} is not a power of 4"):
+        canonical_truncate(prof)
+
+
 def test_canonical_truncate_examples():
     prof = DensityProfile(
         densities=np.array([1.0, 0.3, 0.25]), l_index=1, r_index=4, mu=1.0,
