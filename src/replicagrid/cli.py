@@ -5,15 +5,15 @@ from flags, optionally backed by a JSON config file (flags win).  Exit
 codes: 0 success, 2 infeasible or invalid configuration, 3 internal
 invariant violation.
 
-The parser is built once per process (build_parser is cached), and
-argparse defines every option, help text, usage line and error message.
-A plain command line is a subcommand followed by "--option value" pairs
-of its options, each value non-empty, not starting with "-" and valid for
-the option's type and choices.  It is read from an option table made once
-per parser (_option_tables) into the namespace argparse would build.
-Every other command line (none, help, --option=value, an error, ...) goes
-through the top-level parser.  --M is matched once per command into a
-function of N, which sweep evaluates at each grid size.
+Argparse and the plain-argv reader read one option table (_COMMANDS and
+_OPTIONS).  The parser is built from it once per process (build_parser is
+cached) and gives every help text, usage line and error message.  A plain
+command line is a subcommand followed by "--option value" pairs of its
+options, each value non-empty, not starting with "-" and valid for the
+option's type and choices.  It is read into the namespace argparse would
+build.  Every other command line (none, help, --option=value, an error,
+...) goes through the top-level parser.  --M is matched once per command
+into a function of N, which sweep evaluates at each grid size.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-import weakref
 
 import numpy as np
 
@@ -135,10 +134,20 @@ def _require(args, config, key, kind=None):
     return value if kind is None else _convert(key, value, kind)
 
 
+def _grid(args, config) -> GridSpec:
+    """The --nu grid.  A grid whose N = 4^nu is past the float range is
+    refused before 4^nu is formed."""
+    nu = _require(args, config, "nu", int)
+    if 2 * nu >= sys.float_info.max_exp:
+        raise InvalidInputError(
+            f"--nu: N = 4^{nu} is past the float range; use nu < {sys.float_info.max_exp // 2}"
+        )
+    return GridSpec(nu=nu)
+
+
 def _resolve_instance(args, config):
     """Common (grid, capacity, popularity) resolution for most commands."""
-    nu = _require(args, config, "nu", int)
-    grid = GridSpec(nu=nu)
+    grid = _grid(args, config)
     capacity = _require(args, config, "capacity", float)
     pop_file = _optional(args, config, "pop_file", str)
     if pop_file is not None:
@@ -213,10 +222,16 @@ def _build_placement(grid, capacity, pop):
     asymptotics._check_exact_indices(capacity, grid.node_count)
     profile = density.solve_cd(grid.node_count, capacity, pop)
     canon = density.canonical_truncate(profile)
-    cap_int = int(math.floor(capacity + 1e-12))
-    if cap_int < 1:
+    return placement.canonical_place(grid, canon, pop, _cache_slots(capacity))
+
+
+def _cache_slots(capacity: float) -> int:
+    """The integer cache size of a placement: capacity rounded down, a value
+    within 1e-12 below an integer counting as that integer."""
+    slots = int(math.floor(capacity + 1e-12))
+    if slots < 1:
         raise InvalidInputError(f"placement needs integer capacity >= 1, got {capacity}")
-    return placement.canonical_place(grid, canon, pop, cap_int)
+    return slots
 
 
 def cmd_place(args, config) -> int:
@@ -282,8 +297,7 @@ def cmd_sweep(args, config) -> int:
 def cmd_classify(args, config) -> int:
     tau = _require(args, config, "tau", float)
     capacity = _require(args, config, "capacity", float)
-    nu = _require(args, config, "nu", int)
-    n = GridSpec(nu=nu).node_count
+    n = _grid(args, config).node_count
     m = parse_m_expression(_require(args, config, "m_count", str), n, capacity)
     report = asymptotics.classify_regime(tau, capacity, m, n)
     print(json.dumps(vars(report), indent=2))
@@ -297,7 +311,7 @@ def cmd_oracle(args, config) -> int:
     grid, capacity, pop = _resolve_instance(args, config)
     which = _resolve(args, config, "problem", "an")
     if which == "an":
-        result = oracle.brute_force_an(grid, int(capacity), pop)
+        result = oracle.brute_force_an(grid, _cache_slots(capacity), pop)
         print(f"best_avg_load = {_fmt(result.best_avg_load)}")
         print(f"instances_examined = {result.instances_examined}")
         print(placement.render_matrix(result.best_placement))
@@ -310,28 +324,32 @@ def cmd_oracle(args, config) -> int:
     return 0
 
 
-def _add_options(sub, command: str) -> None:
-    """Register --config and the options the command's handler reads."""
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    if command != "sweep":
-        sub.add_argument("--nu", type=int, help="grid exponent: side 2^nu, N = 4^nu")
-    sub.add_argument("--capacity", "--K", dest="capacity", type=float, help="per-node cache size K")
-    sub.add_argument(
-        "--m-count",
-        "--M",
-        dest="m_count",
-        help="catalog size: integer, 'c*N', 'c*N^a' or 'K*N - c'",
-    )
-    sub.add_argument("--tau", type=float, help="Zipf exponent")
-    if command not in ("sweep", "classify"):
-        sub.add_argument("--pop-file", dest="pop_file", help="popularity file (one p per line)")
-    if command not in ("classify", "oracle"):
-        sub.add_argument("--output", help="write the machine-readable result here")
-    if command == "sweep":
-        sub.add_argument("--nus", help="comma-separated grid exponents, e.g. 5,6,7")
-    if command == "oracle":
-        sub.add_argument("--problem", choices=["an", "cd"], help="which baseline")
-        sub.add_argument("--resolution", type=float, help="cd grid resolution")
+_COMMANDS = {  # subcommand: its handler and help line
+    "solve": (cmd_solve, "solve the continuous density problem and its truncation"),
+    "place": (cmd_place, "compute the canonical cache placement"),
+    "simulate": (cmd_simulate, "simulate delivery and report per-link loads"),
+    "sweep": (cmd_sweep, "sweep grid sizes and fit the capacity growth exponent"),
+    "classify": (cmd_classify, "report the predicted scaling regime"),
+    "oracle": (cmd_oracle, "brute-force baseline on a tiny instance"),
+}
+_ALL = tuple(_COMMANDS)
+_INSTANCE = ("solve", "place", "simulate", "oracle")
+# Each option, in registration order: its flags, dest, type, choices, help
+# and the subcommands that take it (each takes only the options it reads).
+_OPTIONS = (
+    (("--config",), "config", None, None, "JSON config file; flags override its values", _ALL),
+    (("--nu",), "nu", int, None, "grid exponent: side 2^nu, N = 4^nu", (*_INSTANCE, "classify")),
+    (("--capacity", "--K"), "capacity", float, None, "per-node cache size K", _ALL),
+    (("--m-count", "--M"), "m_count", None, None,
+     "catalog size: integer, 'c*N', 'c*N^a' or 'K*N - c'", _ALL),
+    (("--tau",), "tau", float, None, "Zipf exponent", _ALL),
+    (("--pop-file",), "pop_file", None, None, "popularity file (one p per line)", _INSTANCE),
+    (("--output",), "output", None, None, "write the machine-readable result here",
+     ("solve", "place", "simulate", "sweep")),
+    (("--nus",), "nus", None, None, "comma-separated grid exponents, e.g. 5,6,7", ("sweep",)),
+    (("--problem",), "problem", None, ("an", "cd"), "which baseline", ("oracle",)),
+    (("--resolution",), "resolution", float, None, "cd grid resolution", ("oracle",)),
+)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -341,65 +359,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal content replication and delivery on a toroidal grid",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "solve": cmd_solve,
-        "place": cmd_place,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "classify": cmd_classify,
-        "oracle": cmd_oracle,
-    }
-    helps = {
-        "solve": "solve the continuous density problem and its truncation",
-        "place": "compute the canonical cache placement",
-        "simulate": "simulate delivery and report per-link loads",
-        "sweep": "sweep grid sizes and fit the capacity growth exponent",
-        "classify": "report the predicted scaling regime",
-        "oracle": "brute-force baseline on a tiny instance",
-    }
-    for name, handler in handlers.items():
+    for name, (handler, help_line) in _COMMANDS.items():
         # No abbreviations: sweep must not read --nu as --nus.
-        sub = subs.add_parser(name, help=helps[name], allow_abbrev=False)
-        _add_options(sub, name)
+        sub = subs.add_parser(name, help=help_line, allow_abbrev=False)
+        for flags, dest, kind, choices, help_text, commands in _OPTIONS:
+            if name in commands:
+                sub.add_argument(*flags, dest=dest, type=kind, choices=choices, help=help_text)
         sub.set_defaults(handler=handler)
     return parser
 
 
-# The option tables of each parser, made on its first call (_option_tables).
-_TABLES = weakref.WeakKeyDictionary()
+# Per subcommand: the namespace a parse of its name alone gives, and each of
+# its flags mapped to the option's dest, type and choices.
+_PLAIN = {
+    name: (
+        {"command": name, "handler": handler,
+         **{option[1]: None for option in _OPTIONS if name in option[5]}},
+        {flag: (dest, kind, choices)
+         for flags, dest, kind, choices, _, commands in _OPTIONS if name in commands
+         for flag in flags},
+    )
+    for name, (handler, _) in _COMMANDS.items()
+}
 
 
-def _option_tables(parser) -> dict:
-    """Per subcommand name: the namespace a parse of the name alone gives
-    (the name, its actions' defaults and set_defaults' handler), and each
-    option string of its store actions mapped to the action's dest, type
-    and choices."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    tables = {}
-    for name, sub in commands.choices.items():
-        stored = [
-            a for a in sub._actions
-            if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS
-        ]
-        defaults = {commands.dest: name, **sub._defaults, **{a.dest: a.default for a in stored}}
-        options = {
-            flag: (a.dest, a.type, a.choices)
-            for a in stored if type(a) is argparse._StoreAction and a.nargs is None
-            for flag in a.option_strings
-        }
-        tables[name] = (defaults, options)
-    return tables
-
-
-def _plain_args(parser, argv: list) -> argparse.Namespace | None:
-    """parser.parse_args(argv) when argv is a subcommand and pairs of one
-    of its option strings and a value that does not start with '-',
-    converts by the option's type and is among its choices; else None.
-    As argparse's store does, a later value for a dest wins."""
-    tables = _TABLES.get(parser)
-    if tables is None:
-        tables = _TABLES[parser] = _option_tables(parser)
-    table = tables.get(argv[0]) if len(argv) % 2 else None
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) when argv is a subcommand and pairs
+    of one of its flags and a value that does not start with '-', converts
+    by the option's type and is among its choices; else None.  As
+    argparse's store does, a later value for a dest wins."""
+    table = _PLAIN.get(argv[0]) if len(argv) % 2 else None
     if table is None:
         return None
     defaults, options = table
@@ -420,12 +409,11 @@ def _plain_args(parser, argv: list) -> argparse.Namespace | None:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read from the option tables when
+    """build_parser().parse_args(argv), read from the option table when
     argv is plain."""
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(parser, argv)
-    return parser.parse_args(argv) if args is None else args
+    args = _plain_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -401,6 +401,29 @@ def test_placement_bounds_exit_2_with_one_line(capsys, command, nu):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nu", ["512", "1000000"])
+@pytest.mark.parametrize("argv", [
+    *(f"{command} --K 2 --M 4 --tau 1" for command in ("solve", "place", "simulate", "classify")),
+    "oracle --K 2 --M 4 --tau 1 --problem an",
+    "oracle --K 2 --M 4 --tau 1 --problem cd",
+    "simulate --K 2 --M 0.5*N --tau 1",
+    "classify --K 2 --M 0.5*N --tau 1",
+])
+def test_a_grid_past_the_float_range_exits_2_naming_nu(capsys, argv, nu):
+    # 4^512 is past the float range; the grid is refused before 4^nu is formed.
+    code, out, err = run(capsys, *argv.split(), "--nu", nu)
+    assert (code, out) == (2, "")
+    assert err == f"error: --nu: N = 4^{nu} is past the float range; use nu < 512\n"
+
+
+@pytest.mark.parametrize("capacity, integer", [("1.9999999999999", "2"), ("0.9999999999999", "1")])
+@pytest.mark.parametrize("command", ["oracle --problem an", "place"])
+def test_oracle_and_place_round_capacity_alike(capsys, command, capacity, integer):
+    argv = [*command.split(), "--nu", "1", "--M", "3", "--tau", "1", "--K"]
+    assert run(capsys, *argv, capacity) == run(capsys, *argv, integer)
+    assert run(capsys, *argv, capacity)[0] == 0
+
+
 def test_classify_reaches_k_n_of_2_to_the_53(capsys):
     code, out, _ = run(capsys, "classify", "--nu", "26", "--K", "2", "--M", "N", "--tau", "1")
     assert code == 0 and json.loads(out)["m_count"] == 4**26
@@ -552,6 +575,8 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     [
         ("solve", [2, 1.0], "config.json: config must be a JSON object"),
         ("place --nu 1 --K 0.5 --M 1 --tau 1", None, "placement needs integer capacity >= 1, got 0.5"),
+        ("oracle --nu 1 --K 0.5 --M 1 --tau 1 --problem an", None,
+         "placement needs integer capacity >= 1, got 0.5"),
         # argparse's choices see the flag, not the config file.
         ("oracle --nu 1 --K 1 --M 3 --tau 1", {"problem": "xx"},
          "unknown oracle problem 'xx'; use 'an' or 'cd'"),
@@ -931,7 +956,7 @@ def test_argv_reads_plain_or_falls_back(capsys, argv, plain):
     both give that parser's namespace, or its exit code and messages."""
     argv = shlex.split(argv)
     parser = build_parser()
-    assert (cli._plain_args(parser, argv) is not None) == plain
+    assert (cli._plain_args(argv) is not None) == plain
     got = _parse_outcome(capsys, cli._parse, argv)
     assert got == _parse_outcome(capsys, parser.parse_args, argv)
     if plain:
@@ -967,21 +992,25 @@ def test_benchmark_argv_make_no_argparse_parse(tmp_path, monkeypatch):
     assert got == [vars(build_parser().parse_args(argv)) for argv in calls]
 
 
-def test_option_tables_hold_every_store_option():
-    """Every store option _add_options registers is in its command's table
-    with its dest, type and choices; the defaults are a bare parse's."""
-    parser = build_parser()
-    tables = cli._option_tables(parser)
-    assert sorted(tables) == sorted(OPTIONS_READ)
-    for command, (defaults, options) in tables.items():
-        sub = argparse.ArgumentParser()
-        cli._add_options(sub, command)
-        stores = [a for a in sub._actions if isinstance(a, argparse._StoreAction)]
-        assert options == {
-            flag: (a.dest, a.type, a.choices) for a in stores for flag in a.option_strings
-        }
-        assert {a.dest for a in stores} == OPTIONS_READ[command]
-        assert defaults == vars(parser.parse_args([command]))
+def _no_parse(self, *args, **kwargs):
+    raise AssertionError(f"argparse parse of {args}")
+
+
+def test_each_flag_reads_plain_as_the_parser_parses_it(monkeypatch):
+    """Each bare subcommand, and each with one of its flags and a valid
+    value, reads plain into the namespace build_parser().parse_args gives."""
+    calls = [[command] for command in sorted(OPTIONS_READ)]
+    calls += [
+        [command, flag, VALID[key]]
+        for command in sorted(OPTIONS_READ)
+        for key in sorted(OPTIONS_READ[command])
+        for flag in FLAGS[key]
+    ]
+    assert len(calls) == 6 + 40 + 12  # --K/--capacity and --M/--m-count in each
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", _no_parse)
+        got = [vars(cli._parse(argv)) for argv in calls]
+    assert got == [vars(build_parser().parse_args(argv)) for argv in calls]
 
 
 @settings(
