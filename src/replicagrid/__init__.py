@@ -8,7 +8,6 @@ and density optima live in `replicagrid.oracle`, imported on its own.
 """
 
 from .asymptotics import (
-    CapacityBreakdown,
     RegimeReport,
     SweepResult,
     classify_regime,
@@ -43,7 +42,6 @@ from .placement import (
 from .popularity import Popularity, load_popularity, zipf
 
 __all__ = [
-    "CapacityBreakdown",
     "RegimeReport",
     "SweepResult",
     "classify_regime",

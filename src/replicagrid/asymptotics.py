@@ -51,24 +51,6 @@ _ZETA_COEFFS = (
 
 
 @dataclass(frozen=True)
-class CapacityBreakdown:
-    """The capacity value and its three-part decomposition.
-
-    c_total = c_mid + c_down - tail exactly: the interior files contribute
-    p/sqrt(d) (c_mid), the down-truncated files sqrt(N)*p (c_down), and
-    every file from the first non-fully-replicated one onward contributes
-    the -p correction (tail).  k_mid is the cache budget left for the
-    interior after the head takes one unit per file and the tail 1/N each.
-    """
-
-    c_total: float
-    c_mid: float
-    c_down: float
-    k_mid: float
-    tail: float
-
-
-@dataclass(frozen=True)
 class RegimeReport:
     """Predicted scaling regime of one (tau, K, M, N) instance."""
 
@@ -307,14 +289,17 @@ def _zipf_breakdown(
     r: int,
     q_sums: _PowerSums | None = None,
     p_sums: _PowerSums | None = None,
-) -> CapacityBreakdown:
-    """The breakdown of sum (d^(-1/2) - 1) p at the split (l, r) for
-    Zipf(tau), in closed form.
+) -> float:
+    """The capacity C = sum (d^(-1/2) - 1) p at the split (l, r) for
+    Zipf(tau), in closed form: c_mid + c_down - tail.
 
-    With U the interior's q-mass and cap its budget, every interior file
-    has p / sqrt(d) = i^(-2 tau / 3) sqrt(U / cap) / H, so c_mid is
-    U sqrt(U / cap) / H; c_down and the tail are Zipf tail masses.  H,
-    c_down and the tail share the end b = M; at l = 1 the tail is H.
+    The interior files contribute p / sqrt(d) (c_mid), the down-truncated
+    files sqrt(N) p (c_down), and every file from l on the -p correction
+    (tail).  With U the interior's q-mass and cap its budget, every
+    interior file has p / sqrt(d) = i^(-2 tau / 3) sqrt(U / cap) / H, so
+    c_mid is U sqrt(U / cap) / H; c_down and the tail are Zipf tail
+    masses.  H, c_down and the tail share the end b = M; at l = 1 the tail
+    is H.
     q_sums and p_sums, the sums at s = 2 tau / 3 and s = tau, may be shared
     with the caller's other points.
     """
@@ -327,10 +312,7 @@ def _zipf_breakdown(
         c_mid = u * math.sqrt(u / _interior_cap(n, capacity, m, l, r)) / h
     c_down = math.sqrt(n) * p_sums(r, m) / h if r <= m else 0.0
     tail = (h if l == 1 else p_sums(l, m)) / h
-    k_mid = ((capacity - l + 1) * n - (m - r + 1)) / n
-    return CapacityBreakdown(
-        c_total=c_mid + c_down - tail, c_mid=c_mid, c_down=c_down, k_mid=k_mid, tail=tail
-    )
+    return c_mid + c_down - tail
 
 
 def _l_hat_scan(tau: float, k_eff: float) -> int:
@@ -619,7 +601,6 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
     predicted_exponent: float
-    predicted_log_exponent: float
     predicted_law: str
     fitted_exponent: float
     fitted_exponent_corrected: float
@@ -668,7 +649,7 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     points = []
     for nu, n, m in sizes:
         l, r = _zipf_split(n, capacity, m, tau, q_sums)
-        c_value = _zipf_breakdown(n, capacity, m, tau, l, r, q_sums, p_sums).c_total
+        c_value = _zipf_breakdown(n, capacity, m, tau, l, r, q_sums, p_sums)
         if c_value > 3.0 * math.sqrt(n):
             raise InternalInvariantError(
                 f"capacity {c_value} exceeds the O(sqrt(N)) guard at N={n}"
@@ -709,7 +690,6 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
     return SweepResult(
         points=tuple(points),
         predicted_exponent=expo,
-        predicted_log_exponent=log_expo,
         predicted_law=law,
         fitted_exponent=raw,
         fitted_exponent_corrected=corrected,

@@ -43,10 +43,6 @@ class DensityProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "densities", _frozen(np.asarray(self.densities, dtype=float)))
 
-    @property
-    def m_count(self) -> int:
-        return int(self.densities.size)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -69,7 +65,6 @@ class CanonicalProfile:
 
     counts: np.ndarray
     nu: int
-    capacity: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", _level_counts(self.counts, self.nu))
@@ -278,13 +273,13 @@ def cd_cost(profile: DensityProfile, pop: Popularity) -> float:
     return lower_bound(profile.densities, pop)
 
 
-def lower_bound(densities, pop: Popularity) -> float:
+def lower_bound(densities: np.ndarray, pop: Popularity) -> float:
     """Average-link capacity lower bound for arbitrary measured densities.
 
     Same formula as cd_cost but applicable to any density vector, e.g. one
     measured from an actual placement.
     """
-    d = np.asarray(getattr(densities, "densities", densities), dtype=float)
+    d = np.asarray(densities, dtype=float)
     if d.size != pop.m_count:
         raise InvalidInputError("densities and popularity sizes differ")
     if not np.all(d > 0.0):  # NaN compares false
@@ -317,7 +312,7 @@ def canonical_truncate(profile: DensityProfile) -> CanonicalProfile:
     # d[::-1] (not copied).  Exact float comparisons lift no file above its d.
     ends = d.size - np.searchsorted(d[::-1], 4.0 ** -np.arange(nu))
     counts = np.diff([0, *ends.tolist(), d.size])
-    canon = CanonicalProfile(counts=counts, nu=nu, capacity=profile.capacity)
+    canon = CanonicalProfile(counts=counts, nu=nu)
     if canon.mass > profile.capacity + 1e-9:
         raise InternalInvariantError("canonical truncation exceeded capacity")
     return canon

@@ -21,7 +21,7 @@ from .grid import GridSpec, hop_distance
 from .placement import CachePlacement
 from .popularity import Popularity
 
-MAX_ORACLE_NODES = 16
+MAX_ORACLE_NU = 2  # N <= 16 nodes
 MAX_ORACLE_FILES = 4
 _MAX_ENUM_STATES = 300_000
 _MAX_GRID_POINTS = 40_000_000
@@ -51,10 +51,8 @@ def _distance_matrix(grid: GridSpec) -> np.ndarray:
 
 
 def _check_an_instance(grid: GridSpec, capacity: int, pop: Popularity) -> None:
-    if grid.node_count > MAX_ORACLE_NODES:
-        raise InvalidInputError(
-            f"oracle limited to N <= {MAX_ORACLE_NODES}, got N = {grid.node_count}"
-        )
+    if grid.nu > MAX_ORACLE_NU:
+        raise InvalidInputError(f"oracle limited to nu <= {MAX_ORACLE_NU}, got nu = {grid.nu}")
     if pop.m_count > MAX_ORACLE_FILES:
         raise InvalidInputError(
             f"oracle limited to M <= {MAX_ORACLE_FILES}, got M = {pop.m_count}"

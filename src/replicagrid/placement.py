@@ -54,10 +54,13 @@ class CachePlacement:
     water-filling places them (_rounds).  The compact form is checked:
     counts is nu + 1 integers >= 0 summing to file_count.  There buffers
     is built on first read; delivery, replica_nodes, measured_densities
-    and the renderers never read it.  The node table (_node_table) is built on first read and kept;
-    delivery of a compact placement never reads it.  Delivery and
-    replica_nodes read the replica table (_replicas), built on first read
-    and kept; of a compact placement only replica_nodes reads it.
+    and the renderers never read it.  The node table (_node_table) is
+    built on first read and kept; delivery of a compact placement never
+    reads it.  The replica table (_replicas) is built on first read and
+    kept, and its offsets count each file's replicas.  Delivery and
+    replica_nodes read it, as do measured_densities and validate_capacity
+    of a placement given by buffers; of a compact placement only
+    replica_nodes reads it.
     Delivery of a placement given by buffers also keeps every file's hop
     total in _hops, M int64 values made on first use; a compact placement
     never makes it.
@@ -138,11 +141,6 @@ class CachePlacement:
         """
         return np.full(self.file_count, -1, dtype=np.int64)
 
-    def _replica_counts(self) -> np.ndarray:
-        """Replicas of each file id, 0 to file_count - 1."""
-        # Shifted by one, the -1 padding counts at 0 and is dropped.
-        return np.bincount(self._node_table.ravel() + 1, minlength=self.file_count + 1)[1:]
-
     def replica_nodes(self, m: int) -> list[Node]:
         """Nodes holding file m, row-major order: its rows of the replica
         table."""
@@ -156,7 +154,7 @@ class CachePlacement:
         if self.counts is not None:
             # 4^(nu - k) of 4^nu caches; powers of 2 divide exactly.
             return np.repeat(4.0 ** -np.arange(self.grid.nu + 1), self.counts)
-        return self._replica_counts() / self.grid.node_count
+        return np.diff(self._replicas[1]) / self.grid.node_count
 
     def to_json(self) -> bytes:
         """The header, then '"x,y": [ids]' per node in row-major order, as
@@ -342,7 +340,7 @@ def validate_capacity(placement: CachePlacement) -> bool:
     # its slot at index capacity is held.
     if np.any(placement._node_table[:, placement.capacity:] >= 0):
         return False
-    return bool(np.all(placement._replica_counts() > 0))
+    return bool(np.all(np.diff(placement._replicas[1]) > 0))
 
 
 _DIGITS = np.frombuffer(b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ", dtype=np.uint8)

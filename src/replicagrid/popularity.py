@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Popularity:
-    """A nonincreasing, strictly positive probability vector over M files.
-
-    ``tau`` is recorded when the vector was generated from a Zipf law and is
-    None for custom vectors.
-    """
+    """A nonincreasing, strictly positive probability vector over M files."""
 
     probs: np.ndarray
-    tau: float | None = field(default=None)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -74,7 +69,7 @@ def zipf(m_count: int, tau: float) -> Popularity:
             f"the Zipf popularity of file {first} underflows to 0"
         )
     probs.setflags(write=False)  # read-only and owned, so Popularity keeps it
-    return Popularity(probs=probs, tau=float(tau))
+    return Popularity(probs=probs)
 
 
 def load_popularity(path: str) -> Popularity:

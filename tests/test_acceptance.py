@@ -168,7 +168,7 @@ def test_criterion_5_placement_validity():
             budget -= 4.0 ** -k
         levels = levels or [nu]
         counts = np.bincount(levels, minlength=nu + 1)
-        canon = CanonicalProfile(counts=counts, nu=nu, capacity=float(cap))
+        canon = CanonicalProfile(counts=counts, nu=nu)
         pop = zipf(len(levels), float(rng.uniform(0.0, 2.0)))
         placed = canonical_place(GridSpec(nu=nu), canon, pop, cap)
         ok &= validate_capacity(placed)

@@ -33,7 +33,7 @@ from test_bit_identity import _breakdown_reference
 def _breakdown(n, k, pop):
     """The capacity breakdown at the solved profile, by the array reference."""
     prof = solve_cd(n, k, pop)
-    return _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n, k)
+    return _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n)
 
 
 def test_breakdown_reference_value():
@@ -263,7 +263,10 @@ def test_sweep_prints_the_exact_slope_to_12_digits(tau, k, m_expr, nus):
     top = top if len(top) >= 3 else res.points[-3:]
     xs = [math.log(pt.m_count) for pt in top]
     ys = [math.log(pt.c_value) for pt in top]
-    corrected = [y - res.predicted_log_exponent * math.log(x) for x, y in zip(xs, ys)]
+    # The sweep fits the log-M exponent of its last point's law.
+    last = res.points[-1]
+    log_expo = _regime(tau, k, last.m_count, last.n_nodes)[4]
+    corrected = [y - log_expo * math.log(x) for x, y in zip(xs, ys)]
     assert printed["fitted_exponent"] == _digits(_exact_slope(xs, ys))
     assert printed["fitted_exponent_corrected"] == _digits(_exact_slope(xs, corrected))
 

@@ -8,13 +8,13 @@ give the same bits, not merely close values.
 import math
 import tracemalloc
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replicagrid.asymptotics import CapacityBreakdown
 from replicagrid.density import (
     COST_FACTOR,
     canonical_truncate,
@@ -88,13 +88,17 @@ def _solve_cd_reference(n, k_cap, p):
     return d, l, r, mu
 
 
-def _breakdown_reference(d, p, l, r, n, capacity):
-    m = p.size
-    return CapacityBreakdown(
+# The capacity C = sum (d^(-1/2) - 1) p and its three parts, C = c_mid +
+# c_down - tail: the interior files contribute p / sqrt(d) (c_mid), the
+# down-truncated files sqrt(N) p (c_down), and every file from l on -p (tail).
+_Breakdown = namedtuple("_Breakdown", "c_total c_mid c_down tail")
+
+
+def _breakdown_reference(d, p, l, r, n):
+    return _Breakdown(
         c_total=float(np.sum((d ** -0.5 - 1.0) * p)),
         c_mid=float(np.sum(p[l - 1 : r - 1] / np.sqrt(d[l - 1 : r - 1]))),
         c_down=math.sqrt(n) * float(np.sum(p[r - 1 :])),
-        k_mid=((capacity - l + 1) * n - (m - r + 1)) / n,
         tail=float(np.sum(p[l - 1 :])),
     )
 
@@ -111,7 +115,7 @@ def _check_pipeline(tau, m_count, n, capacity):
     assert (prof.l_index, prof.r_index, prof.mu) == (l, r, mu)
     assert np.array_equal(prof.densities, d)
     p = pop.probs
-    assert lower_bound(prof, pop) == _lower_bound_reference(d, p)
+    assert lower_bound(prof.densities, pop) == _lower_bound_reference(d, p)
     if n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0:  # a power of 4
         canon = canonical_truncate(prof)
         assert lower_bound(canon.densities, pop) == _lower_bound_reference(canon.densities, p)

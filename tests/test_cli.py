@@ -580,6 +580,10 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
         # argparse's choices see the flag, not the config file.
         ("oracle --nu 1 --K 1 --M 3 --tau 1", {"problem": "xx"},
          "unknown oracle problem 'xx'; use 'an' or 'cd'"),
+        # The grid is named by nu, not by its 4^nu nodes.
+        ("oracle --nu 3 --K 2 --M 4 --tau 1 --problem an", None, "oracle limited to nu <= 2, got nu = 3"),
+        ("oracle --nu 511 --K 2 --M 4 --tau 1 --problem an", None,
+         "oracle limited to nu <= 2, got nu = 511"),
     ],
 )
 def test_bad_config_and_capacity_exit_2_with_their_message(capsys, tmp_path, monkeypatch, argv,

@@ -97,7 +97,7 @@ def test_lower_bound_matches_cd_cost_and_raw_vectors():
         lower_bound(np.array([0.25, 0.25]), pop), COST_FACTOR * 1.0, rel_tol=1e-12
     )
     prof = solve_cd(16, 1.0, pop)
-    assert lower_bound(prof, pop) == cd_cost(prof, pop)
+    assert lower_bound(prof.densities, pop) == cd_cost(prof, pop)
     with pytest.raises(InvalidInputError):
         lower_bound(np.array([0.5, 0.0]), pop)
 

@@ -47,7 +47,7 @@ _HOLDERS = [
     (
         "CanonicalProfile.counts",
         np.array([1, 2], dtype=np.int64),
-        lambda a: CanonicalProfile(counts=a, nu=1, capacity=2.0).counts,
+        lambda a: CanonicalProfile(counts=a, nu=1).counts,
     ),
     ("LinkLoadMap.loads", np.arange(8.0), lambda a: LinkLoadMap(grid=GridSpec(nu=1), loads=a).loads),
     (

@@ -21,11 +21,11 @@ from replicagrid.placement import (
 from replicagrid.popularity import Popularity, zipf
 
 
-def _levels_profile(levels, nu, capacity):
+def _levels_profile(levels, nu):
     """The profile of per-file levels, which never decrease along the ids."""
     assert list(levels) == sorted(levels)
     counts = np.bincount(np.array(levels, dtype=np.int64), minlength=nu + 1)
-    return CanonicalProfile(counts=counts, nu=nu, capacity=capacity)
+    return CanonicalProfile(counts=counts, nu=nu)
 
 
 def _levels_of(counts):
@@ -85,7 +85,7 @@ def test_diagonal_order_is_permutation():
 def test_reference_layout_64_nodes():
     # 3 files at level 1, 19 at level 2, 3 at level 3 on the 8x8 grid, K=2.
     levels = [1] * 3 + [2] * 19 + [3] * 3
-    canon = _levels_profile(levels, nu=3, capacity=2.0)
+    canon = _levels_profile(levels, nu=3)
     pop = zipf(25, 1.0)
     grid = GridSpec(nu=3)
     placed = canonical_place(grid, canon, pop, 2)
@@ -99,14 +99,14 @@ def test_reference_layout_64_nodes():
 
 def test_full_replication_when_everything_level0():
     grid = GridSpec(nu=2)
-    canon = _levels_profile([0, 0, 0], nu=2, capacity=3.0)
+    canon = _levels_profile([0, 0, 0], nu=2)
     placed = canonical_place(grid, canon, zipf(3, 1.0), 3)
     assert placed.buffers == (frozenset({0, 1, 2}),) * grid.node_count
 
 
 def test_single_file_at_top_level():
     grid = GridSpec(nu=2)
-    canon = _levels_profile([2], nu=2, capacity=1.0)
+    canon = _levels_profile([2], nu=2)
     placed = canonical_place(grid, canon, Popularity(np.array([1.0])), 1)
     assert len(placed.replica_nodes(0)) == 1
 
@@ -117,7 +117,7 @@ def test_measured_densities_match_canonical():
         nu = int(rng.integers(1, 4))
         cap = int(rng.integers(1, 4))
         levels = _random_levels(rng, nu, cap)
-        canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+        canon = _levels_profile(levels, nu=nu)
         pop = zipf(len(levels), 1.0)
         placed = canonical_place(GridSpec(nu=nu), canon, pop, cap)
         assert np.array_equal(placed.measured_densities(), canon.densities)
@@ -127,7 +127,7 @@ def test_measured_densities_match_canonical():
 def test_tiling_has_single_base():
     grid = GridSpec(nu=3)
     levels = [1, 1, 2, 2, 2, 3]
-    canon = _levels_profile(levels, nu=3, capacity=1.0)
+    canon = _levels_profile(levels, nu=3)
     placed = canonical_place(grid, canon, zipf(6, 0.8), 1)
     for m, k in enumerate(levels):
         period = 2 ** k
@@ -148,7 +148,7 @@ def test_occupancy_balance_within_submatrix():
         nu = int(rng.integers(1, 4))
         cap = int(rng.integers(1, 4))
         levels = _random_levels(rng, nu, cap)
-        canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+        canon = _levels_profile(levels, nu=nu)
         placed = canonical_place(GridSpec(nu=nu), canon, zipf(len(levels), 1.2), cap)
         side = 2 ** nu
         occ = np.array([[len(placed.buffers[x * side + y]) for y in range(side)] for x in range(side)])
@@ -157,7 +157,7 @@ def test_occupancy_balance_within_submatrix():
 
 def test_determinism():
     grid = GridSpec(nu=2)
-    canon = _levels_profile([1, 1, 2, 2, 2], nu=2, capacity=1.0)
+    canon = _levels_profile([1, 1, 2, 2, 2], nu=2)
     pop = zipf(5, 1.0)
     a = canonical_place(grid, canon, pop, 1)
     b = canonical_place(grid, canon, pop, 1)
@@ -180,13 +180,13 @@ def test_validate_capacity_violations():
 
 def test_canonical_place_input_validation():
     grid = GridSpec(nu=1)
-    canon = _levels_profile([1, 1], nu=1, capacity=1.0)
+    canon = _levels_profile([1, 1], nu=1)
     pop = zipf(2, 1.0)
     with pytest.raises(InvalidInputError):
         canonical_place(grid, canon, pop, 0)
     with pytest.raises(InvalidInputError):
         canonical_place(GridSpec(nu=2), canon, pop, 1)
-    over = _levels_profile([0, 0], nu=1, capacity=1.0)
+    over = _levels_profile([0, 0], nu=1)
     with pytest.raises(InvalidInputError):
         canonical_place(grid, over, pop, 1)
     with pytest.raises(InvalidInputError, match="profile and popularity sizes differ"):
@@ -195,7 +195,7 @@ def test_canonical_place_input_validation():
 
 def test_render_matrix_smoke():
     grid = GridSpec(nu=1)
-    canon = _levels_profile([1, 1, 1], nu=1, capacity=1.0)
+    canon = _levels_profile([1, 1, 1], nu=1)
     placed = canonical_place(grid, canon, Popularity(np.array([0.7, 0.2, 0.1])), 1)
     text = render_matrix(placed)
     assert text.splitlines() == ["1 .", "3 2"]
@@ -268,7 +268,7 @@ def _placement_cases(draw):
 @example((3, 2, 0.8, [3] * 127))
 def test_canonical_place_matches_reference_scan(case):
     nu, cap, tau, levels = case
-    canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+    canon = _levels_profile(levels, nu=nu)
     pop = zipf(len(levels), tau)
     grid = GridSpec(nu=nu)
     placed = canonical_place(grid, canon, pop, cap)
@@ -349,7 +349,7 @@ def _renderer_cases():
         for cap in (1, 2, 3):
             # m_max 40 crosses the base-36 limit of 35 files.
             levels = _random_levels(rng, nu, cap, m_max=40)
-            canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+            canon = _levels_profile(levels, nu=nu)
             yield canonical_place(GridSpec(nu=nu), canon, zipf(len(levels), 0.8), cap)
     # Catalogs just under and at the base-36 limit, some buffers empty.
     for m_count in (35, 36, 37):
@@ -502,12 +502,17 @@ def _counted_placements(draw):
 # The 1-node grid, holding the first and the last id.
 @example(CachePlacement(grid=GridSpec(nu=0), capacity=2, file_count=10**4, buffers=[{0, 10**4 - 1}]))
 @example(CachePlacement(grid=GridSpec(nu=0), capacity=1, file_count=1, buffers=[{0}]))
+# File 1 of 3 cached nowhere, every node within capacity.
+@example(CachePlacement(grid=GridSpec(nu=1), capacity=2, file_count=3,
+                        buffers=({0, 2}, {0}, {2}, set())))
 def test_replica_counts_match_masked_bincount(placed):
+    """measured_densities and validate_capacity count replicas from the
+    replica table's offsets, as the node table's masked bincount does."""
     table = placed._node_table
     counts = np.bincount(table[table >= 0], minlength=placed.file_count)
-    got = placed._replica_counts()
-    assert got.shape == (placed.file_count,) and np.array_equal(got, counts)
-    assert np.array_equal(placed.measured_densities(), counts / placed.grid.node_count)
+    densities = placed.measured_densities()
+    assert densities.shape == (placed.file_count,)
+    assert np.array_equal(densities, counts / placed.grid.node_count)
     fits = max(map(len, placed.buffers)) <= placed.capacity
     assert validate_capacity(placed) == (fits and bool(np.all(counts > 0)))
 
@@ -554,7 +559,7 @@ def test_compact_form_matches_buffers_form(case):
         canon = canonical_truncate(solve_cd(grid.node_count, float(cap), pop))
     else:
         pop = zipf(len(catalog), tau)
-        canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
+        canon = _levels_profile(catalog, nu=nu)
     placed = canonical_place(grid, canon, pop, cap)
     assert placed.counts is canon.counts
     for k, _, _, ax, ay in placement._rounds(placed.counts, nu):
@@ -658,7 +663,7 @@ def _place_levels(nu, levels, tau=0.8):
     counts = np.bincount(levels, minlength=nu + 1)
     replicas = sum(int(c) * 4 ** (nu - k) for k, c in enumerate(counts) if k)
     cap = int(counts[0]) - (-replicas // 4**nu) or 1
-    canon = _levels_profile(levels, nu=nu, capacity=float(cap))
+    canon = _levels_profile(levels, nu=nu)
     return canonical_place(GridSpec(nu=nu), canon, zipf(levels.size, tau), cap)
 
 
@@ -747,7 +752,7 @@ def test_compact_node_table_matches_node_file_sort(case):
         canon = canonical_truncate(solve_cd(grid.node_count, float(cap), pop))
     else:
         pop = zipf(len(catalog), tau)
-        canon = _levels_profile(catalog, nu=nu, capacity=float(cap))
+        canon = _levels_profile(catalog, nu=nu)
     _assert_node_table_matches_reference(canonical_place(grid, canon, pop, cap))
 
 
@@ -893,7 +898,7 @@ def test_compact_form_is_checked(counts, message):
 @pytest.mark.parametrize("counts, message", _COUNT_CHECKS[:4], ids=_COUNT_IDS[:4])
 def test_canonical_profile_counts_are_checked(counts, message):
     with pytest.raises(InvalidInputError, match=message):
-        CanonicalProfile(counts=counts, nu=2, capacity=2.0)
+        CanonicalProfile(counts=counts, nu=2)
 
 
 @pytest.mark.parametrize("count", [3, 5])

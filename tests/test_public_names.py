@@ -1,13 +1,28 @@
-"""Every public name of the package has a reader in the package: each name
-in replicagrid.__all__ is a public module-level definition, and each public
-module-level function or class and each public method is read in src
-outside its own definition.  A name that only tests read belongs with the
-tests (tests/references.py)."""
+"""Every public name and field of the package has a reader in the package.
+
+Each name in replicagrid.__all__ is a public module-level definition, and
+each public module-level function or class and each public method is read
+in src outside its own definition.  A name that only tests read belongs
+with the tests (tests/references.py).
+
+Each public field and property of the package's value classes (its public
+dataclasses) is read by some subcommand: the six run on small grids, in
+every output form, and a field that none of them reads outside __init__
+and __post_init__ fails the guard.  So does a getattr(x, "name", default)
+in src, which takes two forms of its argument, where the commands pass
+only one of them.
+"""
 
 import ast
-from collections import Counter
+import dataclasses
+import functools
+import importlib
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import replicagrid
+from replicagrid import cli
 from test_private_names import SRC, _names_read
 
 # Read from outside the package: the console script's entry point, and the
@@ -42,3 +57,96 @@ def test_every_public_definition_is_used_in_src():
         and read[node.name] == Counter(_names_read(node))[node.name]
     ]
     assert unused == []
+
+
+def _commands(tmp_path):
+    """Each subcommand on grids of at most 16 nodes (a sweep to 64), in both
+    regimes, with a popularity file, with --output and with each oracle
+    path: enumeration, the integer program and the density grid."""
+    pop_file = tmp_path / "pop.txt"
+    pop_file.write_text("0.5\n0.3\n0.2\n")
+    out = str(tmp_path / "out")
+    low, high = ["--K", "2", "--M", "0.5*N", "--tau", "0.8"], ["--K", "2", "--M", "1.75*N", "--tau", "2"]
+    return [
+        ["solve", "--nu", "2", *low, "--output", out],
+        ["solve", "--nu", "1", "--K", "2", "--pop-file", str(pop_file)],
+        ["place", "--nu", "2", *high, "--output", out],
+        ["place", "--nu", "2", *low],
+        ["simulate", "--nu", "2", *low, "--output", out],
+        ["simulate", "--nu", "2", *high],
+        ["sweep", "--nus", "1,2,3", *high, "--output", out],
+        ["sweep", "--nus", "1,2,3", *high],
+        ["classify", "--nu", "2", *low],
+        ["oracle", "--nu", "1", "--K", "1", "--M", "3", "--tau", "0.8"],
+        ["oracle", "--nu", "2", "--K", "2", "--M", "3", "--tau", "1"],
+        ["oracle", "--problem", "cd", "--nu", "1", "--K", "1", "--M", "2", "--tau", "0.8",
+         "--resolution", "0.05"],
+    ]
+
+
+def test_every_public_field_is_read_by_a_command(tmp_path, monkeypatch, capsys):
+    modules = [
+        importlib.import_module(f"replicagrid.{path.stem}")
+        for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+    ]
+    classes = [
+        cls for module in modules for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        and cls.__module__ == module.__name__ and not cls.__name__.startswith("_")
+    ]
+    fields = {
+        cls: [f.name for f in dataclasses.fields(cls)] + [
+            name for name, member in vars(cls).items()
+            if isinstance(member, (property, functools.cached_property)) and not name.startswith("_")
+        ]
+        for cls in classes
+    }
+    # Reads made while an object is built, and cached_property's lookup of
+    # the instance dict, are not reads of its fields.
+    building = {
+        getattr(cls, hook).__code__ for cls in classes for hook in ("__init__", "__post_init__")
+        if hook in vars(cls)
+    }
+    cache_lookup = functools.cached_property.__get__.__code__
+    reads = set()
+
+    def read(self, name):
+        caller = sys._getframe(1).f_code
+        if caller not in building:
+            if name != "__dict__":
+                reads.add((type(self), name))
+            elif caller is not cache_lookup:  # vars(): every field is read
+                reads.update((type(self), field) for field in fields[type(self)])
+        return object.__getattribute__(self, name)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", read)
+
+    # Each getattr(x, "name", default) in src, and whether x had the name there.
+    sites = {
+        (module.__file__, node.lineno): module.__name__.rsplit(".", 1)[1]
+        for module in modules for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+        and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+    }
+    forms = defaultdict(set)
+
+    def recording_getattr(obj, name, *default):
+        caller = sys._getframe(1)
+        module = sites.get((caller.f_code.co_filename, caller.f_lineno))
+        if module is not None:
+            forms[f"{module}.{caller.f_code.co_name}: getattr(..., {name!r}, ...)"].add(hasattr(obj, name))
+        return getattr(obj, name, *default)
+
+    for module in modules:
+        monkeypatch.setattr(module, "getattr", recording_getattr, raising=False)
+
+    codes = [cli.main(argv) for argv in _commands(tmp_path)]
+    capsys.readouterr()
+    assert codes == [0] * len(codes)
+    unread = [
+        f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}.{name}"
+        for cls in classes for name in fields[cls] if (cls, name) not in reads
+    ]
+    one_form = [label for label, found in forms.items() if len(found) == 1]
+    assert sorted(unread) + sorted(one_form) == []

@@ -2,8 +2,8 @@
 
 `_PowerSums` is checked against math.fsum and the zeta tail, and the
 estimates that filter the split search against the exact sums; the split
-(l, r) and the capacity breakdown are checked against solve_cd and the
-array breakdown on a grid of taus and catalog sizes up to nu = 9, and
+(l, r) and the capacity C are checked against solve_cd and the array
+breakdown on a grid of taus and catalog sizes up to nu = 9, and
 the split against itself without the filter and without the start that
 `_PowerSums.crossing` gives its r search.
 """
@@ -134,8 +134,9 @@ def _near_tie(lhs, rhs):
     return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def _fsum_breakdown(n, k, m, tau, l, r):
-    """Breakdown fields at (l, r) from per-file terms summed by math.fsum."""
+def _fsum_capacity(n, k, m, tau, l, r):
+    """C = c_mid + c_down - tail at (l, r), each part's per-file terms
+    summed by math.fsum."""
     ranks = np.arange(1, m + 1, dtype=float)
     h = math.fsum(ranks ** -tau)
     p = ranks ** -tau / h
@@ -144,7 +145,7 @@ def _fsum_breakdown(n, k, m, tau, l, r):
     c_mid = math.fsum(p[l - 1 : r - 1] / np.sqrt(d))
     c_down = math.sqrt(n) * math.fsum(p[r - 1 :])
     tail = math.fsum(p[l - 1 :])
-    return {"c_mid": c_mid, "c_down": c_down, "tail": tail, "c_total": c_mid + c_down - tail}
+    return c_mid + c_down - tail
 
 
 def _catalog_sizes(n, k):
@@ -154,7 +155,6 @@ def _catalog_sizes(n, k):
 
 
 EQUIVALENCE_TAUS = (0.0, 0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 3.0)
-FIELDS = ("c_total", "c_mid", "c_down", "tail", "k_mid")
 
 
 @pytest.mark.parametrize("nu", range(0, 10))
@@ -165,11 +165,10 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
         for m in _catalog_sizes(n, k):
             pop = zipf(m, tau)
             prof = solve_cd(n, k, pop)
-            want = _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n, k)
+            want = _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n)
             l, r = _zipf_split(n, k, m, tau)
             got = _zipf_breakdown(n, k, m, tau, l, r)
             case = (tau, m, (prof.l_index, prof.r_index), (l, r))
-            fields = FIELDS
             if (l, r) != (prof.l_index, prof.r_index):
                 # Only a condition whose two sides tie to 1e-12 in the array
                 # path's own arithmetic may decide differently here.
@@ -187,17 +186,15 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
                 flipped = [a for a, f in zip(array_side, free_side) if a[2] != f[2]]
                 assert flipped and all(_near_tie(lhs, rhs) for lhs, rhs, _ in flipped), case
                 ties += 1
-                fields = ("c_total",)  # the parts split differently at a tie
-            for name in fields:
-                a, b = getattr(want, name), getattr(got, name)
-                if math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0):
-                    continue
-                # The array path sums its q prefix sequentially; where that
-                # is off by more than 1e-12 (tau = 0, equal terms), the
-                # power sums must be the ones that agree with math.fsum.
-                ref = _fsum_breakdown(n, k, m, tau, l, r)[name]
-                assert math.isclose(b, ref, rel_tol=1e-14), (name, case, a, b, ref)
-                assert not math.isclose(a, ref, rel_tol=1e-12), (name, case, a, b, ref)
+            a = want.c_total
+            if math.isclose(a, got, rel_tol=1e-12, abs_tol=0.0):
+                continue
+            # The array path sums its q prefix sequentially; where that is
+            # off by more than 1e-12 (tau = 0, equal terms), the power sums
+            # must be the ones that agree with math.fsum.
+            ref = _fsum_capacity(n, k, m, tau, l, r)
+            assert math.isclose(got, ref, rel_tol=1e-14), (case, a, got, ref)
+            assert not math.isclose(a, ref, rel_tol=1e-12), (case, a, got, ref)
     # The two tie families: every density exactly 1/N (tau = 0, M = KN), and
     # 2 q_2 = q_1 deciding r at tau = 1.5, KN - M = 1.
     if nu in (1, 2, 3, 4):
