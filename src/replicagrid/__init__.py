@@ -11,8 +11,6 @@ from .asymptotics import (
     RegimeReport,
     SweepResult,
     classify_regime,
-    estimate_l_hat,
-    estimate_r_hat,
     sweep,
 )
 from .delivery import (
@@ -45,8 +43,6 @@ __all__ = [
     "RegimeReport",
     "SweepResult",
     "classify_regime",
-    "estimate_l_hat",
-    "estimate_r_hat",
     "sweep",
     "LinkLoadMap",
     "avg_link",

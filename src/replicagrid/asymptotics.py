@@ -287,8 +287,8 @@ def _zipf_breakdown(
     tau: float,
     l: int,
     r: int,
-    q_sums: _PowerSums | None = None,
-    p_sums: _PowerSums | None = None,
+    q_sums: _PowerSums,
+    p_sums: _PowerSums,
 ) -> float:
     """The capacity C = sum (d^(-1/2) - 1) p at the split (l, r) for
     Zipf(tau), in closed form: c_mid + c_down - tail.
@@ -300,15 +300,14 @@ def _zipf_breakdown(
     c_mid is U sqrt(U / cap) / H; c_down and the tail are Zipf tail
     masses.  H, c_down and the tail share the end b = M; at l = 1 the tail
     is H.
-    q_sums and p_sums, the sums at s = 2 tau / 3 and s = tau, may be shared
+    q_sums and p_sums, the sums at s = 2 tau / 3 and s = tau, are shared
     with the caller's other points.
     """
     n, m = n_nodes, m_count
-    p_sums = p_sums or _PowerSums(tau)
     h = p_sums(1, m)
     c_mid = 0.0
     if l < r:
-        u = (q_sums or _PowerSums(2.0 * tau / 3.0))(l, r - 1)
+        u = q_sums(l, r - 1)
         c_mid = u * math.sqrt(u / _interior_cap(n, capacity, m, l, r)) / h
     c_down = math.sqrt(n) * p_sums(r, m) / h if r <= m else 0.0
     tail = (h if l == 1 else p_sums(l, m)) / h
@@ -378,29 +377,23 @@ def _x_log_x_root(c: float, hi: float) -> float:
     return lo
 
 
-def _almost_empty_threshold(
-    tau: float, capacity: float, n_nodes: int, l_hat: int | None = None
-) -> float:
+def _almost_empty_threshold(tau: float, capacity: float, n_nodes: int, l_hat: int | None) -> float:
     """Largest catalog size M for which the down-truncated set stays o(M).
 
-    l_hat, when given, is _l_hat_scan(tau, capacity): a caller that needs
-    it at several points scans once."""
+    l_hat is _l_hat_scan(tau, capacity) for tau > 3/2 and None below: a
+    caller that needs it at several points scans once."""
     kn = capacity * n_nodes
     if tau < 1.5 - _TAU_TOL:
         return (1.0 - 2.0 * tau / 3.0) * kn
     if abs(tau - 1.5) <= _TAU_TOL:
         return _x_log_x_root(kn, kn)
-    if l_hat is None:
-        l_hat = _l_hat_scan(tau, capacity)
     h = ((capacity - l_hat + 1) * (2.0 * tau / 3.0 - 1.0) / l_hat ** (1.0 - 2.0 * tau / 3.0)) ** (
         3.0 / (2.0 * tau)
     )
     return h * n_nodes ** (3.0 / (2.0 * tau))
 
 
-def _truncation_state(
-    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
-) -> str:
+def _truncation_state(tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None) -> str:
     """Down-truncated set against its closed-form threshold (below half of
     it counts as empty at finite scale)."""
     threshold = _almost_empty_threshold(tau, capacity, n_nodes, l_hat)
@@ -443,18 +436,14 @@ def _check_exact_indices(capacity: float, n_nodes: int, where: str = "") -> None
             raise InvalidInputError(f"{where}{name} exceeds 2^53, past which indices are inexact")
 
 
-def estimate_l_hat(
-    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
+def _predicted_l_hat(
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None, state: str
 ) -> int:
-    """Predicted 1-based index of the first not-fully-replicated file.
-
-    l_hat, when given, is _l_hat_scan(tau, capacity), already scanned."""
-    _check_instance(tau, capacity, m_count, n_nodes)
-    if tau <= 1.5 + _TAU_TOL:
-        return 1
+    """Predicted 1-based index of the first not-fully-replicated file, from
+    l_hat and the truncation state, as _regime takes and gives them."""
     if l_hat is None:
-        l_hat = _l_hat_scan(tau, capacity)
-    if _truncation_state(tau, capacity, m_count, n_nodes, l_hat) != STATE_NONEMPTY:
+        return 1
+    if state != STATE_NONEMPTY:
         return l_hat
     # Non-empty down-truncated set: beyond M = (K - beta) N the head
     # collapses to one file; below it the tail occupies M/N capacity units,
@@ -492,19 +481,15 @@ def _r_hat_small_slack(tau: float, slack: float) -> float:
     return float(hi)
 
 
-def estimate_r_hat(
-    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
-) -> float:
-    """Predicted 1-based index of the first down-truncated file.
-
-    l_hat, when given, is _l_hat_scan(tau, capacity), already scanned."""
-    _check_instance(tau, capacity, m_count, n_nodes)
+def _predicted_r_hat(tau: float, capacity: float, m_count: int, n_nodes: int, state: str) -> float:
+    """Predicted 1-based index of the first down-truncated file, given the
+    instance's truncation state."""
     kn = capacity * n_nodes
     slack = kn - m_count
     if tau < 0.05:
         # The closed forms blow up as 3/(2 tau); use the exact split.
         return float(_zipf_split(n_nodes, capacity, m_count, tau)[1])
-    if _truncation_state(tau, capacity, m_count, n_nodes, l_hat) != STATE_NONEMPTY:
+    if state != STATE_NONEMPTY:
         return float(m_count + 1)
     if slack <= SMALL_SLACK:
         return _r_hat_small_slack(tau, slack)
@@ -521,10 +506,10 @@ def estimate_r_hat(
 
 
 def _regime(
-    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None = None
+    tau: float, capacity: float, m_count: int, n_nodes: int, l_hat: int | None
 ) -> tuple[str, str, str, float, float]:
     """Truncation state, regime label, symbolic law, M-exponent and log-M
-    exponent of one instance.
+    exponent of one instance, with l_hat as for _almost_empty_threshold.
 
     The law strings follow Table-of-regimes shorthand; the two exponents let
     the sweep harness fit ln C = a ln M + b ln ln M + const.
@@ -566,6 +551,10 @@ def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
     capacity up to SMALL_SLACK counts as O(1).  For tau > 3/2 the non-empty
     regime further splits at M = (K - beta) N with beta = 3 / (2 tau - 3):
     above it the fully-replicated head shrinks to a single file.
+
+    Each regime fact is worked out once (the instance checked, the head
+    scanned, the truncation state decided), and the index estimators, which
+    have no public function, read them for predicted_l_hat and _r_hat.
     """
     _check_instance(tau, capacity, m_count, n_nodes)
     _check_exact_indices(capacity, n_nodes)
@@ -577,8 +566,8 @@ def classify_regime(tau: float, capacity: float, m_count: int, n_nodes: int) -> 
         m_count=m_count,
         n_nodes=n_nodes,
         regime_label=label,
-        predicted_l_hat=estimate_l_hat(tau, capacity, m_count, n_nodes, l_hat),
-        predicted_r_hat=estimate_r_hat(tau, capacity, m_count, n_nodes, l_hat),
+        predicted_l_hat=_predicted_l_hat(tau, capacity, m_count, n_nodes, l_hat, state),
+        predicted_r_hat=_predicted_r_hat(tau, capacity, m_count, n_nodes, state),
         predicted_law=law,
         truncation_state=state,
     )
@@ -697,6 +686,9 @@ def sweep(tau: float, capacity: float, m_of_n, nus) -> SweepResult:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
+    """One CSV row per point.  Its C is sum (d^(-1/2) - 1) p, solve's C_cd
+    without the factor sqrt(2)/6: at nu = 10, tau 0.8, M = N/2, C reads
+    341.247107047 where solve prints C_cd = 80.4327144845."""
     lines = ["nu,N,M,K,tau,C,l,r,regime,predicted_exponent,fitted_exponent"]
     for pt in result.points:
         lines.append(

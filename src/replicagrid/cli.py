@@ -103,20 +103,26 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
 def _convert(key: str, value, kind):
     """A flag or JSON config value as kind: str, or a finite int or float.
 
-    A number the conversion cannot take exactly (2.5 for an int, NaN, a
-    list, ...) is an InvalidInputError naming the option.
+    A value of another JSON type for a str (true or 0.5 for a path, a
+    list, ...) and a number the conversion cannot take exactly (2.5 for an
+    int, NaN, ...) are an InvalidInputError naming the option.  --M's
+    catalog size may also be a JSON integer.
     """
+    flag = "--" + key.replace("_", "-")
+    if kind is str:
+        if isinstance(value, str) or (key == "m_count" and type(value) is int):
+            return str(value)
+        raise InvalidInputError(f"{flag}: expected a string, got {value!r}")
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         converted = None
-    if kind is not str and (
+    if (
         converted is None
         or isinstance(value, bool)
         or not math.isfinite(converted)
         or (isinstance(value, float) and converted != value)
     ):
-        flag = "--" + key.replace("_", "-")
         raise InvalidInputError(f"{flag}: expected a finite {kind.__name__}, got {value!r}")
     return converted
 

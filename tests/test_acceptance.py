@@ -21,7 +21,7 @@ from replicagrid.grid import GridSpec
 from replicagrid.oracle import brute_force_an, brute_force_cd
 from replicagrid.placement import CachePlacement, canonical_place, validate_capacity
 from replicagrid.popularity import Popularity, zipf
-from replicagrid.asymptotics import estimate_l_hat, estimate_r_hat, sweep
+from replicagrid.asymptotics import classify_regime, sweep
 from references import kkt_residuals
 from route_walker import enumerate_cluster
 from test_delivery import _reference_link_bound
@@ -237,10 +237,11 @@ def test_criterion_8_index_estimators():
         lo = max(1 - 2 * tau / 3 + 0.1, 0.2)
         m = int(rng.uniform(lo, 0.9) * k * n)
         prof = solve_cd(n, k, zipf(m, tau))
-        rel = abs(prof.r_index - estimate_r_hat(tau, k, m, n)) / prof.r_index
+        report = classify_regime(tau, k, m, n)
+        rel = abs(prof.r_index - report.predicted_r_hat) / prof.r_index
         worst = max(worst, rel)
         ok &= rel <= 0.25
-        ok &= prof.l_index == estimate_l_hat(tau, k, m, n) == 1
+        ok &= prof.l_index == report.predicted_l_hat == 1
     # 5 instances in the tau > 3/2, M <= (K - beta)N branch.
     for tau, k, nu, frac in (
         (2.0, 4.0, 7, 0.8),
@@ -252,7 +253,7 @@ def test_criterion_8_index_estimators():
         n = 4 ** nu
         m = int(frac * n)
         prof = solve_cd(n, k, zipf(m, tau))
-        rel = abs(prof.r_index - estimate_r_hat(tau, k, m, n)) / prof.r_index
+        rel = abs(prof.r_index - classify_regime(tau, k, m, n).predicted_r_hat) / prof.r_index
         worst = max(worst, rel)
         ok &= rel <= 0.25
     _report(

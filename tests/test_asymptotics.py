@@ -19,12 +19,10 @@ from replicagrid.asymptotics import (
     _regime,
     _slope,
     classify_regime,
-    estimate_l_hat,
-    estimate_r_hat,
     sweep,
     sweep_to_csv,
 )
-from replicagrid.density import solve_cd
+from replicagrid.density import COST_FACTOR, cd_cost, solve_cd
 from replicagrid.errors import InfeasibleError, InvalidInputError
 from replicagrid.popularity import Popularity, zipf
 from test_bit_identity import _breakdown_reference
@@ -66,21 +64,34 @@ def test_breakdown_identity_random():
         assert abs(bd.c_total - (bd.c_mid + bd.c_down - bd.tail)) <= 1e-9
 
 
+def _l_hat(*instance):
+    return classify_regime(*instance).predicted_l_hat
+
+
+def _r_hat(*instance):
+    return classify_regime(*instance).predicted_r_hat
+
+
+def _head_scan(tau, k):
+    """The head-size scan that _regime takes, as classify_regime and sweep make it."""
+    return _l_hat_scan(tau, k) if tau > 1.5 + asymptotics._TAU_TOL else None
+
+
 def test_estimate_l_hat_examples():
-    assert estimate_l_hat(1.0, 3.0, 100, 4 ** 6) == 1
-    assert estimate_l_hat(1.5, 7.0, 100, 4 ** 6) == 1
+    assert _l_hat(1.0, 3.0, 100, 4 ** 6) == 1
+    assert _l_hat(1.5, 7.0, 100, 4 ** 6) == 1
     # tau=3, K=10: approximately 1 + (2*3-3)/(2*3)*10 = 6.
-    assert estimate_l_hat(3.0, 10.0, 50, 4 ** 6) == 6
-    assert estimate_l_hat(2.0, 1.0, 30, 4 ** 6) == 1
+    assert _l_hat(3.0, 10.0, 50, 4 ** 6) == 6
+    assert _l_hat(2.0, 1.0, 30, 4 ** 6) == 1
 
 
 def test_estimate_r_hat_examples():
-    assert math.isclose(estimate_r_hat(1.0, 1.0, 5000, 10 ** 4), 2500.0, rel_tol=1e-12)
+    assert math.isclose(_r_hat(1.0, 1.0, 5000, 10 ** 4), 2500.0, rel_tol=1e-12)
     # Zero slack: a bounded tail-split index.
-    r = estimate_r_hat(0.5, 1.0, 4 ** 5, 4 ** 5)
+    r = _r_hat(0.5, 1.0, 4 ** 5, 4 ** 5)
     assert 1.0 <= r <= 10.0
     # Almost-empty: one past the catalog end.
-    assert estimate_r_hat(2.0, 2.0, 100, 4 ** 6) == 101.0
+    assert _r_hat(2.0, 2.0, 100, 4 ** 6) == 101.0
 
 
 def test_estimate_r_hat_uniform_fallback_matches_solver():
@@ -92,14 +103,14 @@ def test_estimate_r_hat_uniform_fallback_matches_solver():
         m = int(rng.integers(2, int(k * n)))
         tau = float(rng.uniform(0.0, 0.049))
         exact = solve_cd(n, k, zipf(m, tau)).r_index
-        assert estimate_r_hat(tau, k, m, n) == float(exact)
+        assert _r_hat(tau, k, m, n) == float(exact)
 
 
 def test_estimators_validate_input():
     with pytest.raises(InfeasibleError):
-        estimate_r_hat(1.0, 1.0, 100, 16)
+        _r_hat(1.0, 1.0, 100, 16)
     with pytest.raises(InvalidInputError):
-        estimate_l_hat(-0.5, 1.0, 4, 16)
+        _l_hat(-0.5, 1.0, 4, 16)
 
 
 def test_classify_theta1_regime():
@@ -124,6 +135,28 @@ def test_classify_zero_slack_column():
     assert report.regime_label == "M ~ KN, KN - M = O(1)"
     assert report.predicted_law == "C = Theta(M^0.5)"
     assert report.predicted_r_hat <= SMALL_SLACK + 2
+
+
+@pytest.mark.parametrize(
+    "tau, k, ms", [(0.8, 2.0, (1000, 3000, 6000, 8190)), (1.5, 2.0, (300, 900, 5000, 8000)),
+                   (2.0, 5.0, (226, 604, 1133, 12288))],
+)
+def test_classify_works_out_each_regime_fact_once(monkeypatch, tau, k, ms):
+    """One instance check and one truncation threshold per call, in each
+    truncation state and the near-full column."""
+    calls = []
+    for name in ("_check_instance", "_almost_empty_threshold"):
+        def counted(*args, _name=name, _function=getattr(asymptotics, name)):
+            calls.append(_name)
+            return _function(*args)
+
+        monkeypatch.setattr(asymptotics, name, counted)
+    states = []
+    for m in ms:
+        calls.clear()
+        states.append(classify_regime(tau, k, m, 4 ** 6).truncation_state)
+        assert sorted(calls) == ["_almost_empty_threshold", "_check_instance"]
+    assert states == ["empty", "almost_empty", "nonempty", "nonempty"]
 
 
 def test_classify_infeasible():
@@ -174,6 +207,23 @@ def test_sweep_scans_the_head_before_any_power_sum(monkeypatch, tau):
     monkeypatch.setattr(asymptotics, "_PowerSums", refuse)
     with pytest.raises(InvalidInputError, match=r"^tau = .* underflows$"):
         sweep(tau, 2.0, lambda n: n, [3, 4, 5])
+    with pytest.raises(InvalidInputError, match=r"^tau = .* underflows$"):
+        classify_regime(tau, 2.0, 64, 64)
+
+
+@pytest.mark.parametrize(
+    "tau, m_expr", [(0.8, "0.5*N"), (1.25, "0.2*N"), (2.0, "1.75*N"), (0.0, "K*N - 1")]
+)
+def test_sweep_c_is_solve_cost_without_its_factor(tau, m_expr):
+    """sweep's C is sum (d^(-1/2) - 1) p, solve's C_cd without its factor
+    sqrt(2)/6 (COST_FACTOR), which would put C 76% off.  The worst gap over
+    nu 3..9 is 1.3e-14 relative in the first three instances and 1.2e-12 at
+    tau 0, where solve_cd's sequential sums round (ROADMAP item 10)."""
+    res = sweep(tau, 2.0, lambda n: cli.parse_m_expression(m_expr, n, 2.0), range(3, 10))
+    for pt in res.points:
+        pop = zipf(pt.m_count, tau)
+        want = cd_cost(solve_cd(pt.n_nodes, 2.0, pop), pop)
+        assert pt.c_value * COST_FACTOR == pytest.approx(want, rel=1e-9, abs=0.0), pt
 
 
 _U = Fraction(1, 2**53)
@@ -265,7 +315,7 @@ def test_sweep_prints_the_exact_slope_to_12_digits(tau, k, m_expr, nus):
     ys = [math.log(pt.c_value) for pt in top]
     # The sweep fits the log-M exponent of its last point's law.
     last = res.points[-1]
-    log_expo = _regime(tau, k, last.m_count, last.n_nodes)[4]
+    log_expo = _regime(tau, k, last.m_count, last.n_nodes, _head_scan(tau, k))[4]
     corrected = [y - log_expo * math.log(x) for x, y in zip(xs, ys)]
     assert printed["fitted_exponent"] == _digits(_exact_slope(xs, ys))
     assert printed["fitted_exponent_corrected"] == _digits(_exact_slope(xs, corrected))
@@ -281,9 +331,9 @@ def test_estimators_match_solver_in_omega1_slack():
         lo = max(1 - 2 * tau / 3 + 0.1, 0.2)
         m = int(rng.uniform(lo, 0.9) * k * n)
         prof = solve_cd(n, k, zipf(m, tau))
-        r_hat = estimate_r_hat(tau, k, m, n)
-        assert abs(prof.r_index - r_hat) / prof.r_index <= 0.25
-        assert prof.l_index == estimate_l_hat(tau, k, m, n) == 1
+        report = classify_regime(tau, k, m, n)
+        assert abs(prof.r_index - report.predicted_r_hat) / prof.r_index <= 0.25
+        assert prof.l_index == report.predicted_l_hat == 1
 
 
 # One instance per branch of the regime ladder at N = 4^6: each truncation
@@ -327,7 +377,7 @@ REGIME_TABLE = [
 @pytest.mark.parametrize("tau, k, m, state, label, law, expo, log_expo", REGIME_TABLE)
 def test_regime_ladder(tau, k, m, state, label, law, expo, log_expo):
     n = 4 ** 6
-    got = _regime(tau, k, m, n)
+    got = _regime(tau, k, m, n, _head_scan(tau, k))
     assert got[:3] == (state, label, law)
     assert got[3] == pytest.approx(expo, rel=1e-12) and got[4] == log_expo
     report = classify_regime(tau, k, m, n)

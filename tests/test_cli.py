@@ -513,6 +513,11 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--config", str(config), "--M", "3")
     assert code == 0
     assert "r = " in out and "densities = [0.5, 0.5]" not in out
+    # The catalog size may also be a JSON integer.
+    config.write_text(json.dumps({"nu": 2, "capacity": 1, "m_count": 2, "tau": 0.0}))
+    code, out, _ = run(capsys, "solve", "--config", str(config))
+    assert code == 0
+    assert "densities = [0.5, 0.5]" in out
 
 
 def test_missing_option_is_config_error(capsys):
@@ -554,6 +559,12 @@ def test_determinism(capsys):
         # Two M whose logarithms round to one float: no slope to fit either.
         ("sweep --K 2 --M 2251799813680000*N^0.00000000000000006 --tau 0.5 --nus 25,26,26", None),
         ("classify --nu 4 --K 1e300 --M 3 --tau 5", None),
+        # A path that is not a JSON string is not turned into one.
+        ("place --nu 1 --K 1 --M 2 --tau 1", {"output": True}),
+        ("place --nu 1 --K 1 --M 2 --tau 1", {"output": ["x"]}),
+        ("simulate --nu 1 --K 1 --M 2 --tau 1", {"output": 0}),
+        ("solve --nu 1 --K 1", {"pop_file": 0.5}),
+        ("solve --nu 1 --K 1 --tau 1", {"m_count": True}),
     ],
 )
 def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
@@ -568,6 +579,8 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # No command here writes a file.
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "nan.txt"][config is None:]
 
 
 @pytest.mark.parametrize(
@@ -584,6 +597,8 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
         ("oracle --nu 3 --K 2 --M 4 --tau 1 --problem an", None, "oracle limited to nu <= 2, got nu = 3"),
         ("oracle --nu 511 --K 2 --M 4 --tau 1 --problem an", None,
          "oracle limited to nu <= 2, got nu = 511"),
+        ("place --nu 1 --K 1 --M 2 --tau 1", {"output": True}, "--output: expected a string, got True"),
+        ("solve --nu 1 --K 1", {"pop_file": 0.5}, "--pop-file: expected a string, got 0.5"),
     ],
 )
 def test_bad_config_and_capacity_exit_2_with_their_message(capsys, tmp_path, monkeypatch, argv,

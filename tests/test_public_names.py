@@ -11,6 +11,16 @@ every output form, and a field that none of them reads outside __init__
 and __post_init__ fails the guard.  So does a getattr(x, "name", default)
 in src, which takes two forms of its argument, where the commands pass
 only one of them.
+
+Each parameter default of a module-level function or of a class's own
+__init__ is both taken and overridden by calls in src: at least one call
+leaves the parameter out and another passes it.  A default that every call
+overrides is a knob only tests turn, and one that no call overrides is a
+constant.  So the index estimators have no public function whose l_hat
+only classify_regime passed: they are read as its predicted_l_hat and
+predicted_r_hat.  The head-size scan and the power sums that a call's
+points share are required arguments.  cli.main's argv is exempt: the
+console script leaves it out, and only tests pass it.
 """
 
 import ast
@@ -28,6 +38,8 @@ from test_private_names import SRC, _names_read
 # Read from outside the package: the console script's entry point, and the
 # per-file replica query that the benchmark's self-check wraps.
 EXEMPT = {"cli.main", "placement.CachePlacement.replica_nodes"}
+# The console script calls main() with no argv; only tests pass one.
+DEFAULTS_EXEMPT = {"cli.main: argv"}
 
 
 def _public_definitions(trees):
@@ -150,3 +162,88 @@ def test_every_public_field_is_read_by_a_command(tmp_path, monkeypatch, capsys):
     ]
     one_form = [label for label, found in forms.items() if len(found) == 1]
     assert sorted(unread) + sorted(one_form) == []
+
+
+def _signatures(trees):
+    """(module, name): positional parameters, keyword-only parameters and the
+    parameters with a default, of every module-level function and of every
+    module-level class's own __init__ (self left out)."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            function, skip = node, 0
+            if isinstance(node, ast.ClassDef):
+                inits = [m for m in node.body if isinstance(m, ast.FunctionDef) and m.name == "__init__"]
+                if not inits:
+                    continue
+                function, skip = inits[0], 1
+            elif not isinstance(node, ast.FunctionDef):
+                continue
+            args = function.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            keyword_only = [a.arg for a in args.kwonlyargs]
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found[module[:-3], node.name] = positional, keyword_only, defaulted
+    return found
+
+
+def _calls(trees, signatures):
+    """(module, name) and node of every call in src to a signature: by its
+    bare name (defined in the module or imported from the package) or as
+    an attribute of a package module.  Methods called through an instance
+    are not resolved."""
+    for module, tree in trees.items():
+        names = {name: (mod, name) for mod, name in signatures if mod == module[:-3]}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = node.module, alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                key = names.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                key = (modules[func.value.id], func.attr) if func.value.id in modules else None
+            else:
+                continue
+            if key in signatures:
+                yield key, node
+
+
+def _passed(call, positional, keyword_only):
+    """The parameters a call passes; *args and **kwargs pass every parameter
+    they could reach."""
+    passed = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update(positional[i:])
+            break
+        passed.update(positional[i:i + 1])
+    for keyword in call.keywords:
+        passed.update(positional + keyword_only if keyword.arg is None else [keyword.arg])
+    return passed
+
+
+def test_every_parameter_default_is_taken_and_overridden_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    signatures = _signatures(trees)
+    forms = defaultdict(set)  # "module.name: parameter": {passed or not, per call}
+    for key, call in _calls(trees, signatures):
+        positional, keyword_only, defaulted = signatures[key]
+        passed = _passed(call, positional, keyword_only)
+        for name in defaulted:
+            forms[f"{key[0]}.{key[1]}: {name}"].add(name in passed)
+    one_form = [
+        label
+        for (module, function), (_, _, defaulted) in signatures.items()
+        for label in (f"{module}.{function}: {name}" for name in defaulted)
+        if label not in DEFAULTS_EXEMPT and len(forms[label]) < 2
+    ]
+    assert one_form == []

@@ -26,7 +26,7 @@ from replicagrid.asymptotics import (
     _zipf_breakdown,
     _zipf_split,
     _zipf_start,
-    estimate_r_hat,
+    classify_regime,
     sweep,
 )
 from replicagrid.cli import main
@@ -167,7 +167,7 @@ def test_catalog_free_split_and_breakdown_match_arrays(nu):
             prof = solve_cd(n, k, pop)
             want = _breakdown_reference(prof.densities, pop.probs, prof.l_index, prof.r_index, n)
             l, r = _zipf_split(n, k, m, tau)
-            got = _zipf_breakdown(n, k, m, tau, l, r)
+            got = _zipf_breakdown(n, k, m, tau, l, r, _PowerSums(2.0 * tau / 3.0), _PowerSums(tau))
             case = (tau, m, (prof.l_index, prof.r_index), (l, r))
             if (l, r) != (prof.l_index, prof.r_index):
                 # Only a condition whose two sides tie to 1e-12 in the array
@@ -365,7 +365,7 @@ def test_classify_at_small_tau_builds_no_catalog():
     n = 4**13
     tracemalloc.start()
     try:
-        r_hat = estimate_r_hat(0.01, 2.0, n, n)
+        r_hat = classify_regime(0.01, 2.0, n, n).predicted_r_hat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
