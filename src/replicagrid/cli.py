@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: solve, place, simulate, sweep, classify, oracle.  Options come
-from flags, optionally backed by a JSON config file (flags win).  Exit
-codes: 0 success, 2 infeasible or invalid configuration, 3 internal
-invariant violation.
+from flags, optionally backed by a JSON config file: before the handler
+runs, main fills each option that no flag set from the file's object, and
+a JSON null leaves the option unset.  Exit codes: 0 success, 2 infeasible
+or invalid input (an unreadable, undecodable or malformed config or
+popularity file included, named in the message), 3 internal invariant
+violation.
 
 Argparse and the plain-argv reader read one option table (_COMMANDS and
 _OPTIONS).  The parser is built from it once per process (build_parser is
@@ -81,23 +84,21 @@ def _catalog_size(text: str, capacity: float):
     return m_of_n
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+def _read_config(args) -> None:
+    """Set each of the command's options that no flag set from the --config
+    file; a JSON null leaves it unset.  A bad file is an InvalidInputError."""
+    if args.config is None:
+        return
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad bytes, JSON or digit count; deep nesting
+        raise InvalidInputError(f"{args.config}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"{path}: config must be a JSON object")
-    return doc
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+        raise InvalidInputError(f"{args.config}: config must be a JSON object")
+    for _, dest, _, _, _, commands in _OPTIONS:
+        if args.command in commands and getattr(args, dest) is None:
+            setattr(args, dest, doc.get(dest))
 
 
 def _convert(key: str, value, kind):
@@ -120,30 +121,31 @@ def _convert(key: str, value, kind):
     if (
         converted is None
         or isinstance(value, bool)
-        or not math.isfinite(converted)
+        or (kind is float and not math.isfinite(converted))  # an int is finite
         or (isinstance(value, float) and converted != value)
     ):
         raise InvalidInputError(f"{flag}: expected a finite {kind.__name__}, got {value!r}")
     return converted
 
 
-def _optional(args, config, key, kind, default=None):
-    value = _resolve(args, config, key, default)
-    return None if value is None else _convert(key, value, kind)
+_REQUIRED = object()  # _option's default: the option must be set
 
 
-def _require(args, config, key, kind=None):
-    """The option's value, converted to kind unless kind is None."""
-    value = _resolve(args, config, key)
+def _option(args, key: str, kind=None, default=_REQUIRED):
+    """The option's value, converted to kind unless kind is None, or default
+    when no flag or config value set it; a required option must be set."""
+    value = getattr(args, key)
     if value is None:
-        raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
+        if default is _REQUIRED:
+            raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
+        return default
     return value if kind is None else _convert(key, value, kind)
 
 
-def _grid(args, config) -> GridSpec:
+def _grid(args) -> GridSpec:
     """The --nu grid.  A grid whose N = 4^nu is past the float range is
     refused before 4^nu is formed."""
-    nu = _require(args, config, "nu", int)
+    nu = _option(args, "nu", int)
     if 2 * nu >= sys.float_info.max_exp:
         raise InvalidInputError(
             f"--nu: N = 4^{nu} is past the float range; use nu < {sys.float_info.max_exp // 2}"
@@ -151,31 +153,35 @@ def _grid(args, config) -> GridSpec:
     return GridSpec(nu=nu)
 
 
-def _resolve_instance(args, config):
+def _resolve_instance(args):
     """Common (grid, capacity, popularity) resolution for most commands."""
-    grid = _grid(args, config)
-    capacity = _require(args, config, "capacity", float)
-    pop_file = _optional(args, config, "pop_file", str)
+    grid = _grid(args)
+    capacity = _option(args, "capacity", float)
+    pop_file = _option(args, "pop_file", str, None)
     if pop_file is not None:
         pop = load_popularity(pop_file)
     else:
-        m_expr = _require(args, config, "m_count", str)
+        m_expr = _option(args, "m_count", str)
         m = parse_m_expression(m_expr, grid.node_count, capacity)
-        tau = _require(args, config, "tau", float)
+        tau = _option(args, "tau", float)
         pop = zipf(m, tau)
     return grid, capacity, pop
 
 
-def _output_path(args, config) -> str | None:
-    """The --output path, checked before any work is done: its directory
-    must exist and it must not be a directory itself.  The file is neither
-    opened nor truncated here."""
-    path = _optional(args, config, "output", str)
+def _output_path(args) -> str | None:
+    """The --output path, checked before any work is done: it must be a
+    name open can take, its directory must exist and it must not be a
+    directory itself.  The file is neither opened nor truncated here."""
+    path = _option(args, "output", str, None)
     if path is None:
         return None
     if os.path.isdir(path):
         raise InvalidInputError(f"--output: {path!r} is a directory")
-    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+    try:
+        named = b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+        named = False
+    if not (path and named and os.path.isdir(os.path.dirname(path) or ".")):
         raise InvalidInputError(f"--output: {path!r} is not a file in an existing directory")
     return path
 
@@ -186,9 +192,9 @@ def _write_output(path: str, write) -> None:
         write(fh)
 
 
-def cmd_solve(args, config) -> int:
-    out = _output_path(args, config)
-    grid, capacity, pop = _resolve_instance(args, config)
+def cmd_solve(args) -> int:
+    out = _output_path(args)
+    grid, capacity, pop = _resolve_instance(args)
     profile = density.solve_cd(grid.node_count, capacity, pop)
     canon = density.canonical_truncate(profile)
     exact = density.cd_cost(profile, pop)
@@ -240,9 +246,9 @@ def _cache_slots(capacity: float) -> int:
     return slots
 
 
-def cmd_place(args, config) -> int:
-    out = _output_path(args, config)
-    grid, capacity, pop = _resolve_instance(args, config)
+def cmd_place(args) -> int:
+    out = _output_path(args)
+    grid, capacity, pop = _resolve_instance(args)
     placed = _build_placement(grid, capacity, pop)
     print(placement.render_matrix(placed))
     print(f"valid = {str(placement.validate_capacity(placed)).lower()}")
@@ -251,9 +257,9 @@ def cmd_place(args, config) -> int:
     return 0
 
 
-def cmd_simulate(args, config) -> int:
-    out = _output_path(args, config)
-    grid, capacity, pop = _resolve_instance(args, config)
+def cmd_simulate(args) -> int:
+    out = _output_path(args)
+    grid, capacity, pop = _resolve_instance(args)
     placed = _build_placement(grid, capacity, pop)
     loads = delivery.link_loads(grid, placed, pop)
     total = float(loads.loads.sum())
@@ -276,12 +282,12 @@ def cmd_simulate(args, config) -> int:
     return 0
 
 
-def cmd_sweep(args, config) -> int:
-    out = _output_path(args, config)
-    tau = _require(args, config, "tau", float)
-    capacity = _require(args, config, "capacity", float)
-    m_expr = _require(args, config, "m_count", str)
-    nus_raw = _require(args, config, "nus")
+def cmd_sweep(args) -> int:
+    out = _output_path(args)
+    tau = _option(args, "tau", float)
+    capacity = _option(args, "capacity", float)
+    m_expr = _option(args, "m_count", str)
+    nus_raw = _option(args, "nus")
     if isinstance(nus_raw, str):
         nus_raw = [v for v in nus_raw.split(",") if v.strip()]
     elif not isinstance(nus_raw, list):
@@ -300,29 +306,29 @@ def cmd_sweep(args, config) -> int:
     return 0
 
 
-def cmd_classify(args, config) -> int:
-    tau = _require(args, config, "tau", float)
-    capacity = _require(args, config, "capacity", float)
-    n = _grid(args, config).node_count
-    m = parse_m_expression(_require(args, config, "m_count", str), n, capacity)
+def cmd_classify(args) -> int:
+    tau = _option(args, "tau", float)
+    capacity = _option(args, "capacity", float)
+    n = _grid(args).node_count
+    m = parse_m_expression(_option(args, "m_count", str), n, capacity)
     report = asymptotics.classify_regime(tau, capacity, m, n)
     print(json.dumps(vars(report), indent=2))
     return 0
 
 
-def cmd_oracle(args, config) -> int:
+def cmd_oracle(args) -> int:
     # oracle is imported here, on first use, so the other commands start without it.
     from . import oracle
 
-    grid, capacity, pop = _resolve_instance(args, config)
-    which = _resolve(args, config, "problem", "an")
+    grid, capacity, pop = _resolve_instance(args)
+    which = _option(args, "problem", default="an")
     if which == "an":
         result = oracle.brute_force_an(grid, _cache_slots(capacity), pop)
         print(f"best_avg_load = {_fmt(result.best_avg_load)}")
         print(f"instances_examined = {result.instances_examined}")
         print(placement.render_matrix(result.best_placement))
     elif which == "cd":
-        resolution = _optional(args, config, "resolution", float, 0.01)
+        resolution = _option(args, "resolution", float, 0.01)
         value = oracle.brute_force_cd(grid.node_count, capacity, pop, resolution)
         print(f"grid_minimum = {_fmt(value)}")
     else:
@@ -425,12 +431,12 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        _read_config(args)
+        return args.handler(args)
     except InternalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import replicagrid
@@ -401,7 +401,7 @@ def test_placement_bounds_exit_2_with_one_line(capsys, command, nu):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("nu", ["512", "1000000"])
+@pytest.mark.parametrize("nu", ["512", "1000000", pytest.param("9" * 400, id="400-digits")])
 @pytest.mark.parametrize("argv", [
     *(f"{command} --K 2 --M 4 --tau 1" for command in ("solve", "place", "simulate", "classify")),
     "oracle --K 2 --M 4 --tau 1 --problem an",
@@ -410,7 +410,8 @@ def test_placement_bounds_exit_2_with_one_line(capsys, command, nu):
     "classify --K 2 --M 0.5*N --tau 1",
 ])
 def test_a_grid_past_the_float_range_exits_2_naming_nu(capsys, argv, nu):
-    # 4^512 is past the float range; the grid is refused before 4^nu is formed.
+    # 4^512 is past the float range; the grid is refused before 4^nu is
+    # formed, and before a nu past the float range meets a float.
     code, out, err = run(capsys, *argv.split(), "--nu", nu)
     assert (code, out) == (2, "")
     assert err == f"error: --nu: N = 4^{nu} is past the float range; use nu < 512\n"
@@ -583,6 +584,15 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "nan.txt"][config is None:]
 
 
+def _int_limit_error(digits: int) -> str:
+    """The message of Python's error for an integer of that many digits."""
+    try:
+        int("7" * digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{digits} digits are within the limit")
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -599,16 +609,58 @@ def test_bad_values_exit_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
          "oracle limited to nu <= 2, got nu = 511"),
         ("place --nu 1 --K 1 --M 2 --tau 1", {"output": True}, "--output: expected a string, got True"),
         ("solve --nu 1 --K 1", {"pop_file": 0.5}, "--pop-file: expected a string, got 0.5"),
+        # A config given as bytes is written as they are.  Each file it
+        # cannot decode or parse is named.
+        pytest.param("solve", f'{{"nu": {"7" * 5000}}}'.encode(), f"config.json: {_int_limit_error(5000)}",
+                     id="config-int-past-the-digit-limit"),
+        pytest.param("place", b"\xff{}",
+                     "config.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                     id="config-not-utf-8"),
+        pytest.param("sweep", ('{"nus": ' + "[" * 2000 + "]" * 2000 + "}").encode(),
+                     "config.json: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+                     id="config-nested-past-the-recursion-limit"),
+        pytest.param("solve --nu 1 --K 1 --pop-file pop.bin", None,
+                     "'pop.bin': 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte",
+                     id="pop-file-not-utf-8"),
+        pytest.param("classify", b"{",
+                     "config.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+                     id="config-malformed"),
+        # Names no file can have, from JSON escapes.
+        pytest.param("oracle --nu 1 --K 1", {"pop_file": "a\0b"}, "'a\\x00b': embedded null byte",
+                     id="pop-file-nul"),
+        pytest.param("simulate --nu 1 --K 1 --M 2 --tau 1", {"output": "a\0b"},
+                     "--output: 'a\\x00b' is not a file in an existing directory", id="output-nul"),
+        pytest.param("solve --nu 1 --K 1 --M 2 --tau 1", {"output": "\ud800"},
+                     "--output: '\\ud800' is not a file in an existing directory", id="output-lone-surrogate"),
     ],
 )
 def test_bad_config_and_capacity_exit_2_with_their_message(capsys, tmp_path, monkeypatch, argv,
                                                            config, message):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "pop.bin").write_bytes(b"0.5\n\xff0.5\n")
     argv = argv.split()
     if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
+        text = config if isinstance(config, bytes) else json.dumps(config).encode()
+        (tmp_path / "config.json").write_bytes(text)
         argv += ["--config", "config.json"]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "pop.bin"][config is None:]
+
+
+@pytest.mark.parametrize("argv, key", [
+    ("oracle --problem cd --nu 1 --K 1 --M 2 --tau 0.8", "resolution"),
+    ("oracle --nu 1 --K 1 --M 2 --tau 0.8", "problem"),
+    ("solve --nu 1 --K 1 --M 2 --tau 0.8", "output"),
+    ("solve --K 1 --M 2 --tau 0.8", "nu"),
+])
+def test_a_config_null_leaves_the_option_unset(capsys, tmp_path, monkeypatch, argv, key):
+    """A JSON null runs as if the key were absent: at the option's default,
+    or as a missing required option."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({key: None}))
+    argv = argv.split()
+    assert run(capsys, *argv, "--config", "config.json") == run(capsys, *argv)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize(
@@ -884,6 +936,77 @@ def test_any_argv_exits_0_2_or_3(capsys, tmp_path, monkeypatch, data):
     _work_dir(tmp_path, monkeypatch)
     argv = _draw_argv(data)
     assert _outcome(capsys, argv)[0] in (0, 2, 3), argv
+
+
+# Valid JSON values of every config key (nu <= 2), and the values each key
+# is also tried with: JSON null, booleans, numbers, short strings, lists,
+# a list nested past the JSON parser's recursion limit and an integer past
+# Python's 4,300-digit limit for converting text to int.
+CONFIG_VALID = {
+    "config": "config.json",
+    "nu": 1,
+    "capacity": 2,
+    "m_count": "N",
+    "tau": 0.8,
+    "pop_file": "probs.txt",
+    "output": "out.txt",
+    "nus": [1, 2, 3],
+    "problem": "cd",
+    "resolution": 0.05,
+}
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, 2, -1, 0.5, 2.5, 1e300, math.nan, -math.inf]),
+    st.text(max_size=4),
+)
+_DEEP = "[" * 2000 + "]" * 2000
+_LONG = "7" * 5000
+
+
+@st.composite
+def _config_files(draw) -> bytes:
+    """Raw bytes, or a JSON object of valid values (no pop_file) with a few
+    keys' values drawn."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=16))
+    values = {key: json.dumps(value) for key, value in CONFIG_VALID.items() if key != "pop_file"}
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALID)), unique=True, max_size=3)):
+        values[key] = draw(st.one_of(
+            st.one_of(st.just(CONFIG_VALID[key]), _SCALARS, st.lists(_SCALARS, max_size=3)).map(json.dumps),
+            st.sampled_from([_DEEP, _LONG]),
+        ))
+    return ("{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in values.items()) + "}").encode()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(sorted(OPTIONS_READ)), config=_config_files(),
+       pop=st.none() | st.binary(max_size=16))
+@example(command="solve", config=f'{{"nu": {_LONG}}}'.encode(), pop=None)
+@example(command="place", config=b"\xff{}", pop=None)
+@example(command="sweep", config=f'{{"nus": {_DEEP}}}'.encode(), pop=None)
+@example(command="oracle", config=b"{}", pop=b"0.5\n\xff\n")
+@example(command="oracle", pop=None, config=json.dumps(
+    {"problem": "cd", "nu": 1, "capacity": 1, "m_count": 2, "tau": 0.8, "resolution": None}).encode())
+def test_any_config_or_popularity_file_exits_0_2_or_3(capsys, tmp_path, monkeypatch, command,
+                                                      config, pop):
+    """Each subcommand with a drawn --config file (and, for solve and
+    oracle, drawn --pop-file bytes) exits 0, 2 or 3, and on 2 prints one
+    error line."""
+    _work_dir(tmp_path, monkeypatch)
+    with open("config.json", "wb") as fh:
+        fh.write(config)
+    argv = [command, "--config", "config.json"]
+    if pop is not None and command in ("solve", "oracle"):
+        with open("probs.bin", "wb") as fh:
+            fh.write(pop)
+        argv += ["--nu", "1", "--K", "1", "--pop-file", "probs.bin"]
+    code, _, err, _ = _outcome(capsys, argv)
+    assert code in (0, 2, 3), (argv, config, pop)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 _SWEEP = "sweep --nus 3,4,5 --K 2 --M N --tau 1"

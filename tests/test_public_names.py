@@ -27,6 +27,7 @@ import ast
 import dataclasses
 import functools
 import importlib
+import json
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -73,10 +74,13 @@ def test_every_public_definition_is_used_in_src():
 
 def _commands(tmp_path):
     """Each subcommand on grids of at most 16 nodes (a sweep to 64), in both
-    regimes, with a popularity file, with --output and with each oracle
-    path: enumeration, the integer program and the density grid."""
+    regimes, with a popularity file, with --output, with its options from
+    a --config file (a JSON null among them) and with each oracle path:
+    enumeration, the integer program and the density grid."""
     pop_file = tmp_path / "pop.txt"
     pop_file.write_text("0.5\n0.3\n0.2\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"nu": 2, "capacity": 2, "m_count": "0.5*N", "tau": 0.8, "output": None}))
     out = str(tmp_path / "out")
     low, high = ["--K", "2", "--M", "0.5*N", "--tau", "0.8"], ["--K", "2", "--M", "1.75*N", "--tau", "2"]
     return [
@@ -89,6 +93,7 @@ def _commands(tmp_path):
         ["sweep", "--nus", "1,2,3", *high, "--output", out],
         ["sweep", "--nus", "1,2,3", *high],
         ["classify", "--nu", "2", *low],
+        ["simulate", "--config", str(config)],
         ["oracle", "--nu", "1", "--K", "1", "--M", "3", "--tau", "0.8"],
         ["oracle", "--nu", "2", "--K", "2", "--M", "3", "--tau", "1"],
         ["oracle", "--problem", "cd", "--nu", "1", "--K", "1", "--M", "2", "--tau", "0.8",
