@@ -1,12 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, place, simulate, sweep, classify, oracle.  Options come
-from flags, optionally backed by a JSON config file: before the handler
-runs, main fills each option that no flag set from the file's object, and
-a JSON null leaves the option unset.  Exit codes: 0 success, 2 infeasible
-or invalid input (an unreadable, undecodable or malformed config or
-popularity file included, named in the message), 3 internal invariant
-violation.
+from flags, then from a JSON config file (a null leaves an option unset).
+Exit codes: 0 success, 2 infeasible or invalid input (a bad config or
+popularity file is named), 3 internal invariant violation.
 
 Argparse and the plain-argv reader read one option table (_COMMANDS and
 _OPTIONS).  The parser is built from it once per process (build_parser is
@@ -85,8 +82,7 @@ def _catalog_size(text: str, capacity: float):
 
 
 def _read_config(args) -> None:
-    """Set each of the command's options that no flag set from the --config
-    file; a JSON null leaves it unset.  A bad file is an InvalidInputError."""
+    """Fill each option that no flag set from --config (a null leaves it unset)."""
     if args.config is None:
         return
     try:
@@ -106,14 +102,20 @@ def _convert(key: str, value, kind):
 
     A value of another JSON type for a str (true or 0.5 for a path, a
     list, ...) and a number the conversion cannot take exactly (2.5 for an
-    int, NaN, ...) are an InvalidInputError naming the option.  --M's
-    catalog size may also be a JSON integer.
+    int, NaN, ...) are an InvalidInputError naming the option, as is a path
+    no file can have.  --M's catalog size may also be a JSON integer.
     """
     flag = "--" + key.replace("_", "-")
     if kind is str:
-        if isinstance(value, str) or (key == "m_count" and type(value) is int):
-            return str(value)
-        raise InvalidInputError(f"{flag}: expected a string, got {value!r}")
+        if not (isinstance(value, str) or (key == "m_count" and type(value) is int)):
+            raise InvalidInputError(f"{flag}: expected a string, got {value!r}")
+        try:
+            named = key not in ("output", "pop_file") or b"\0" not in os.fsencode(value)
+        except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+            named = False
+        if not named:
+            raise InvalidInputError(f"{flag}: {value!r} is not a name a file can have")
+        return str(value)
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -128,15 +130,11 @@ def _convert(key: str, value, kind):
     return converted
 
 
-_REQUIRED = object()  # _option's default: the option must be set
-
-
-def _option(args, key: str, kind=None, default=_REQUIRED):
-    """The option's value, converted to kind unless kind is None, or default
-    when no flag or config value set it; a required option must be set."""
+def _option(args, key: str, kind=None, default=...):
+    """The option's value as kind (if given); default if unset, or required."""
     value = getattr(args, key)
     if value is None:
-        if default is _REQUIRED:
+        if default is ...:
             raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
         return default
     return value if kind is None else _convert(key, value, kind)
@@ -169,19 +167,15 @@ def _resolve_instance(args):
 
 
 def _output_path(args) -> str | None:
-    """The --output path, checked before any work is done: it must be a
-    name open can take, its directory must exist and it must not be a
-    directory itself.  The file is neither opened nor truncated here."""
+    """The --output path, checked before any work is done: its directory
+    must exist and it must not be a directory itself.  The file is neither
+    opened nor truncated here."""
     path = _option(args, "output", str, None)
     if path is None:
         return None
     if os.path.isdir(path):
         raise InvalidInputError(f"--output: {path!r} is a directory")
-    try:
-        named = b"\0" not in os.fsencode(path)
-    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
-        named = False
-    if not (path and named and os.path.isdir(os.path.dirname(path) or ".")):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise InvalidInputError(f"--output: {path!r} is not a file in an existing directory")
     return path
 

@@ -73,22 +73,20 @@ def zipf(m_count: int, tau: float) -> Popularity:
 
 
 def load_popularity(path: str) -> Popularity:
-    """Read one probability per line; blank lines and '#' comments skipped.
-    Undecodable bytes or a name open cannot take are an InvalidInputError."""
+    """Read one probability per line; blank lines and '#' comments skipped."""
+    values = []
     try:
         with open(path) as fh:
-            lines = fh.read().split("\n")
-    except ValueError as exc:  # repr: such a name may hold a NUL or a newline
-        raise InvalidInputError(f"{path!r}: {exc}") from exc
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}:{lineno}: not a number: {line!r}") from exc
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}:{lineno}: not a number: {line!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     if not values:
         raise InvalidInputError(f"{path}: no probabilities found")
     return Popularity(probs=np.array(values, dtype=float))
